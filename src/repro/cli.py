@@ -359,9 +359,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         dft_patterns=args.patterns,
     )
     # A dedicated store: it receives exactly the service.* unit
-    # payloads, so its canonical dump is comparable across worker
-    # counts (the ambient store picks up inline lint/analysis entries
-    # that legitimately differ between inline and pool execution).
+    # payloads (each unit body caches its lint/analysis work in a
+    # scratch store of its own), so its canonical dump is comparable
+    # across worker counts and can be persisted with --store.
     if args.store and os.path.exists(args.store):
         store = ArtifactStore.load(args.store)
     else:

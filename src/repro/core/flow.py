@@ -12,6 +12,7 @@ in this library into that lifecycle:
    + **lint_gate**   -- static design-rule sign-off (:mod:`repro.lint`)
    + **analyze**     -- dataflow engine: const/dead/divergence/race
      (:mod:`repro.analysis`)
+   + **verify_props** -- BMC of auto-derived properties (:mod:`repro.formal`)
 4. **verify**        -- regression + cross-simulator consistency (E13)
 5. **insert_dft**    -- scan + ATPG coverage (E4), MBIST plan (E3)
 6. **implement**     -- floorplan, placement, routing, CTS, STA QoR
@@ -24,13 +25,20 @@ would make experiments take hours, the flow materialises each block at
 ``scale`` times its real budget and extrapolates area/statistics by
 budget -- the standard representative-block methodology.  All paper
 headline numbers are regenerated by the benchmarks in ``benchmarks/``.
+
+``lint_gate``, ``analyze`` and ``verify_props`` loop over the
+per-block stage bodies of :data:`repro.service.stages.STAGE_DEFS`,
+cached under the service's own keys, so a
+:class:`~repro.service.DesignService` sharing the flow's store reuses
+every block the flow has checked.  The flow adds only design-level
+work: the SoC memory-map rules, the bus-exclusivity proof and the
+:class:`FlowReport` sums.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -60,7 +68,7 @@ from ..package import (
     tfbga256,
 )
 from ..eco import ChangeKind, DesignDatabase, sprinkle_spare_cells
-from ..store import ArtifactStore, canonical_json, using_store
+from ..store import ArtifactStore, using_store
 from ..ip import IpCatalog, dsc_ip_catalog, harden, run_integration_campaign
 from ..project import simulate_project
 from ..manufacturing import simulate_production, simulate_ramp
@@ -69,103 +77,55 @@ from ..reliability import run_qualification
 
 @dataclass(frozen=True)
 class FlowStage:
-    """One independently schedulable unit of the lifecycle.
+    """One stage of the whole-design lifecycle.
 
     ``deps`` are the stages whose outputs this stage consumes --
-    gating edges, not just narrative order.  ``inputs`` name the flow
-    state the stage reads (``catalog``, ``blocks``, ``config``); they
-    feed :meth:`DesignServiceFlow.stage_input_fingerprints`, which is
-    how the service layer content-addresses a stage's work.  ``kwargs``
-    are the arguments :meth:`DesignServiceFlow.run` passes when it
-    drives the stage (the lifecycle defaults, e.g. the shallow BMC
-    depth the full run uses).
+    gating edges, not just narrative order.  ``kwargs`` are the
+    arguments :meth:`DesignServiceFlow.run` passes when it drives the
+    stage (the lifecycle defaults, e.g. the shallow BMC depth the full
+    run uses).
     """
 
     name: str
     deps: tuple[str, ...] = ()
     extension: bool = False
-    inputs: tuple[str, ...] = ()
     kwargs: tuple[tuple[str, Any], ...] = ()
 
 
-#: The lifecycle DAG, in declared (legacy ``run()``) order.  The
-#: deterministic topological sort of :func:`flow_stage_order`
-#: reproduces the historical stage sequence exactly, so refactoring
-#: ``run()`` onto the DAG changed no observable behaviour -- but each
-#: stage now carries its gating deps and fingerprintable inputs, which
-#: is what lets :mod:`repro.service` schedule stage work as
-#: independent, content-addressed units.
+#: The lifecycle DAG, declared in run order: every stage comes after
+#: its deps.
 FLOW_STAGES: tuple[FlowStage, ...] = (
-    FlowStage("intake", inputs=("catalog", "config")),
-    FlowStage("harden_cpu", deps=("intake",),
-              inputs=("catalog", "config")),
-    FlowStage("assemble", deps=("harden_cpu",),
-              inputs=("catalog", "config")),
-    FlowStage("lint_gate", deps=("assemble",), inputs=("blocks",)),
-    FlowStage("analyze", deps=("assemble",), inputs=("blocks",)),
+    FlowStage("intake"),
+    FlowStage("harden_cpu", deps=("intake",)),
+    FlowStage("assemble", deps=("harden_cpu",)),
+    FlowStage("lint_gate", deps=("assemble",)),
+    FlowStage("analyze", deps=("assemble",)),
     FlowStage("verify_props", deps=("analyze",),
-              inputs=("blocks", "config"),
               kwargs=(("depth", 6), ("max_gates", 200))),
-    FlowStage("prototype", deps=("assemble",), extension=True,
-              inputs=("blocks", "config")),
-    FlowStage("integrate_system", deps=("intake",), extension=True,
-              inputs=("config",)),
-    FlowStage("verify", deps=("assemble",),
-              inputs=("blocks", "config")),
-    FlowStage("insert_dft", deps=("lint_gate",),
-              inputs=("blocks", "config")),
-    FlowStage("schedule_tests", deps=("insert_dft",), extension=True,
-              inputs=("config",)),
-    FlowStage("implement", deps=("insert_dft",),
-              inputs=("blocks", "config")),
-    FlowStage("advanced_signoff", deps=("implement",), extension=True,
-              inputs=("blocks", "config")),
-    FlowStage("package_design", deps=("intake",), inputs=("config",)),
-    FlowStage("tapeout", deps=("assemble", "insert_dft"),
-              inputs=("blocks", "config")),
-    FlowStage("produce", deps=("tapeout",), inputs=("config",)),
+    FlowStage("prototype", deps=("assemble",), extension=True),
+    FlowStage("integrate_system", deps=("intake",), extension=True),
+    FlowStage("verify", deps=("assemble",)),
+    FlowStage("insert_dft", deps=("lint_gate",)),
+    FlowStage("schedule_tests", deps=("insert_dft",), extension=True),
+    FlowStage("implement", deps=("insert_dft",)),
+    FlowStage("advanced_signoff", deps=("implement",), extension=True),
+    FlowStage("package_design", deps=("intake",)),
+    FlowStage("tapeout", deps=("assemble", "insert_dft")),
+    FlowStage("produce", deps=("tapeout",)),
 )
 
 FLOW_STAGE_DEFS: dict[str, FlowStage] = {
     stage.name: stage for stage in FLOW_STAGES
 }
 
-_FLOW_STAGE_INDEX: dict[str, int] = {
-    stage.name: index for index, stage in enumerate(FLOW_STAGES)
-}
-
 
 def flow_stage_order(*, with_extensions: bool = True) -> tuple[str, ...]:
-    """Deterministic topological order of the lifecycle DAG.
-
-    Kahn's algorithm with the declared stage index as tie-break among
-    ready stages, so the result is a pure function of the DAG -- and,
-    by construction, exactly the legacy ``run()`` sequence.
-    """
-    wanted = [
-        stage for stage in FLOW_STAGES
+    """The lifecycle run order: :data:`FLOW_STAGES` as declared,
+    without the extension stages unless ``with_extensions``."""
+    return tuple(
+        stage.name for stage in FLOW_STAGES
         if with_extensions or not stage.extension
-    ]
-    names = {stage.name for stage in wanted}
-    pending = {
-        stage.name: {dep for dep in stage.deps if dep in names}
-        for stage in wanted
-    }
-    order: list[str] = []
-    while pending:
-        ready = sorted(
-            (name for name, deps in pending.items() if not deps),
-            key=_FLOW_STAGE_INDEX.__getitem__,
-        )
-        if not ready:
-            cycle = sorted(pending)
-            raise ValueError(f"flow stage cycle among {cycle}")
-        name = ready[0]
-        del pending[name]
-        order.append(name)
-        for deps in pending.values():
-            deps.discard(name)
-    return tuple(order)
+    )
 
 
 @dataclass
@@ -318,11 +278,13 @@ class DesignServiceFlow:
         self.database = DesignDatabase("dsc_controller")
         self.blocks: dict[str, Module] = {}
         self._spare_plan = None
-        #: Content-addressed cache threaded through the static stages
-        #: (lint_gate, analyze, verify_props).  Pass a persisted or
-        #: shared store to make reruns after an ECO re-derive only the
-        #: cones/modules the change touched; results are asserted
-        #: byte-identical to a cold run.
+        #: Content-addressed cache of the static stages (lint_gate,
+        #: analyze, verify_props): per-block payloads under the
+        #: service's unit keys, and beneath them the lint and analysis
+        #: caches their bodies fill.  Pass a persisted or shared store
+        #: to make reruns after an ECO re-derive only the blocks/cones
+        #: the change touched; results are asserted byte-identical to
+        #: a cold run.
         self.store = store if store is not None else ArtifactStore()
 
     # -- stage 1 ---------------------------------------------------------
@@ -383,42 +345,44 @@ class DesignServiceFlow:
 
     # -- stage 3c --------------------------------------------------------
 
-    def lint_gate(self, *, workers: int | None = 1):
+    def lint_gate(self):
         """Static design-rule sign-off over the assembled database.
 
         Runs every :mod:`repro.lint` rule family across the
         materialised block netlists plus the transaction-level SoC
         memory map -- the no-simulation checks that gate the flow
         before verification and DFT spend cycles on a broken design.
+
+        Returns ``(payloads, soc_report)``: the per-block
+        ``lint_gate`` payloads and the memory-map :class:`LintReport`.
         """
         from ..lint import Severity, run_lint
         from ..lint.dsc import DSC_BUS_BINDING
         from ..soc import DscSoc
 
-        if not self.blocks:
-            raise RuntimeError("run assemble() first")
-        modules = [self.blocks[name] for name in sorted(self.blocks)]
-        with using_store(self.store):
-            report = run_lint(
-                modules,
-                soc=DscSoc(),
-                catalog=self.catalog,
-                binding=DSC_BUS_BINDING,
-                design="dsc_controller",
-                workers=workers,
-            )
-        self.report.lint_errors = len(report.errors)
-        self.report.lint_warnings = report.count(Severity.WARNING)
-        self.report.lint_waived = len(report.waived)
-        if report.errors:
+        payloads = self._block_payloads("lint_gate")
+        soc_report = run_lint(
+            soc=DscSoc(), catalog=self.catalog, binding=DSC_BUS_BINDING,
+            design="dsc_controller",
+        )
+
+        def total(key: str) -> int:
+            return sum(p[key] for p in payloads.values())
+
+        self.report.lint_errors = len(soc_report.errors) + total("errors")
+        self.report.lint_warnings = (
+            soc_report.count(Severity.WARNING) + total("warnings")
+        )
+        self.report.lint_waived = len(soc_report.waived) + total("waived")
+        if self.report.lint_errors:
             self.report.notes.append(
-                f"lint gate: {len(report.errors)} unwaived errors"
+                f"lint gate: {self.report.lint_errors} unwaived errors"
             )
-        return report
+        return payloads, soc_report
 
     # -- stage 3d --------------------------------------------------------
 
-    def analyze(self, *, workers: int | None = 1):
+    def analyze(self):
         """Abstract-interpretation pass over the assembled database.
 
         Runs the dataflow-engine rule families of :mod:`repro.analysis`
@@ -427,129 +391,74 @@ class DesignServiceFlow:
         findings here are exactly the sites the dual-dialect
         regression of :meth:`verify` could trip over, so this stage
         runs before simulation spends cycles on them.
-        """
-        from ..lint import Severity, run_lint
 
-        if not self.blocks:
-            raise RuntimeError("run assemble() first")
-        modules = [self.blocks[name] for name in sorted(self.blocks)]
-        with using_store(self.store):
-            report = run_lint(
-                modules,
-                design="dsc_controller",
-                rules=["const", "dead", "divergence", "race"],
-                workers=workers,
-            )
-        by_category: dict[str, int] = {}
-        for finding in report.findings:
-            by_category[finding.category] = (
-                by_category.get(finding.category, 0) + 1
-            )
+        Returns the per-block ``analyze`` payloads.
+        """
+        payloads = self._block_payloads("analyze")
+
+        def total(category: str) -> int:
+            return sum(p["by_category"].get(category, 0)
+                       for p in payloads.values())
+
         self.report.analysis_divergent_outputs = sum(
-            1 for f in report.findings if f.rule_id == "DIV-001"
+            p["divergent_outputs"] for p in payloads.values()
         )
-        self.report.analysis_race_findings = by_category.get("race", 0)
-        self.report.analysis_const_findings = by_category.get("const", 0)
-        self.report.analysis_dead_findings = by_category.get("dead", 0)
+        self.report.analysis_race_findings = total("race")
+        self.report.analysis_const_findings = total("const")
+        self.report.analysis_dead_findings = total("dead")
         if self.report.analysis_divergent_outputs:
             self.report.notes.append(
                 f"analysis: {self.report.analysis_divergent_outputs} "
                 f"outputs can diverge between simulator dialects"
             )
-        return report
+        return payloads
 
     # -- stage 3e --------------------------------------------------------
 
-    def verify_props(
-        self,
-        *,
-        depth: int = 10,
-        workers: int | None = 1,
-        max_gates: int = 4000,
-    ):
+    def verify_props(self, *, depth: int = 10, max_gates: int = 4000):
         """Bounded model checking of auto-derived properties (S6).
 
         Properties are derived from analysis facts (constant nets,
         one-hot rings, reset-assured synchronizer settling) on every
         materialised block up to ``max_gates`` gates, then checked to
-        ``depth`` frames by :func:`repro.formal.check_properties`.
-        Falsified asserts, vacuous passes and unreachable covers come
-        back as ``PROP`` lint findings; the SoC memory map additionally
-        gets the pure-CNF bus-window exclusivity proof -- the formal
-        twin of the structural ``MAP`` rules.
+        ``depth`` frames by :func:`repro.formal.check_properties`.  The
+        SoC memory map additionally gets the pure-CNF bus-window
+        exclusivity proof -- the formal twin of the structural ``MAP``
+        rules.
 
-        Per-block BMC outcomes (counts + findings) are cached in
-        :attr:`store` under the block fingerprint and the
-        ``(depth, seed)`` configuration; on a hit the entry in
-        ``reports`` is the cached payload dict rather than a live BMC
-        report object.
-
-        Returns ``(reports, bus_result, findings)``.
+        Returns ``(reports, bus_result)``.  ``reports`` maps each
+        block with checked properties to its live
+        :class:`~repro.formal.BmcReport` when this run computed it,
+        or to its cached ``verify_props`` payload on a store hit.
         """
-        from ..formal import (
-            check_bus_exclusivity,
-            check_properties,
-            derive_properties,
-        )
-        from ..lint import Finding, findings_from_bmc, findings_from_bus
+        from ..formal import check_bus_exclusivity
+        from ..service.stages import bmc_payload, check_block_props
         from ..soc import DscSoc
 
-        if not self.blocks:
-            raise RuntimeError("run assemble() first")
-        bmc_config = ["bmc", depth, self.seed]
-        findings: list[Finding] = []
-        reports = {}
-        for name in sorted(self.blocks):
-            block = self.blocks[name]
-            if block.gate_count > max_gates:
+        config = {"depth": int(depth), "seed": int(self.seed)}
+        live: dict[str, Any] = {}
+
+        def check(name: str) -> dict[str, Any]:
+            live[name] = check_block_props(self.blocks[name], config)
+            return bmc_payload(live[name])
+
+        reports: dict[str, Any] = {}
+        for name in self._block_names():
+            gates = self.blocks[name].gate_count
+            if gates > max_gates:
                 self.report.notes.append(
                     f"verify_props: {name} skipped "
-                    f"({block.gate_count} gates > {max_gates})"
+                    f"({gates} gates > {max_gates})"
                 )
                 continue
-            cached = self.store.get(
-                "formal.bmc", "1", (block.fingerprint(),), bmc_config
+            payload = self._block_payload(
+                "verify_props", name, config, lambda: check(name),
             )
-            if cached is not None:
-                if cached["checks"]:
-                    reports[name] = cached
-                block_findings = [
-                    Finding.from_dict(entry)
-                    for entry in cached["findings"]
-                ]
-                checked = cached["checks"]
-                counts = cached["counts"]
-            else:
-                props = derive_properties(block)
-                if not any(p.kind != "assume" for p in props):
-                    self.store.put(
-                        "formal.bmc", "1", (block.fingerprint(),),
-                        {"checks": 0,
-                         "counts": {"proven": 0, "falsified": 0,
-                                    "covered": 0, "unreachable": 0,
-                                    "vacuous": 0},
-                         "findings": []},
-                        bmc_config,
-                    )
-                    continue
-                bmc = check_properties(
-                    block, props, depth=depth, workers=workers,
-                    seed=self.seed,
-                )
-                reports[name] = bmc
-                block_findings = findings_from_bmc(bmc)
-                checked = len(bmc.checks)
-                counts = bmc.counts()
-                self.store.put(
-                    "formal.bmc", "1", (block.fingerprint(),),
-                    {"checks": checked, "counts": dict(counts),
-                     "findings": [f.to_dict() for f in block_findings]},
-                    bmc_config,
-                )
-            if not checked:
+            if not payload["checked"]:
                 continue
-            findings.extend(block_findings)
-            self.report.props_checked += checked
+            reports[name] = live.get(name, payload)
+            counts = payload["counts"]
+            self.report.props_checked += payload["checked"]
             self.report.props_proven += counts["proven"]
             self.report.props_falsified += counts["falsified"]
             self.report.props_covered += counts["covered"]
@@ -558,14 +467,13 @@ class DesignServiceFlow:
         self.report.bmc_depth = depth
 
         bus_result = check_bus_exclusivity(DscSoc().bus)
-        findings.extend(findings_from_bus(bus_result))
         self.report.bus_windows_exclusive = bus_result.exclusive
         if self.report.props_falsified:
             self.report.notes.append(
                 f"verify_props: {self.report.props_falsified} assert "
                 f"properties falsified by BMC"
             )
-        return reports, bus_result, findings
+        return reports, bus_result
 
     # -- stage 4 ---------------------------------------------------------
 
@@ -782,45 +690,36 @@ class DesignServiceFlow:
                 return self.blocks[name]
         return next(iter(self.blocks.values()))
 
-    def stage_input_fingerprints(self, name: str) -> tuple[str, ...]:
-        """Content digests of one stage's declared inputs.
+    def _block_names(self) -> list[str]:
+        if not self.blocks:
+            raise RuntimeError("run assemble() first")
+        return sorted(self.blocks)
 
-        The explicit half of the stage-as-unit contract: a stage's
-        result is a pure function of these fingerprints plus its
-        kwargs, which is what lets a scheduler (or the service layer)
-        decide whether cached work is reusable without running the
-        stage.  ``blocks`` hashes the sorted materialised-module
-        fingerprints, ``catalog`` the IP names/budgets, ``config`` the
-        flow knobs (scale, seed, target frequency).
-        """
-        stage = FLOW_STAGE_DEFS.get(name)
-        if stage is None:
-            raise ValueError(f"unknown flow stage {name!r}")
-        digests = []
-        for source in stage.inputs:
-            if source == "catalog":
-                body: Any = [
-                    [ip.name, int(ip.gate_budget), bool(ip.is_analog)]
-                    for ip in self.catalog
-                ]
-            elif source == "blocks":
-                body = [
-                    [block_name, self.blocks[block_name].fingerprint()]
-                    for block_name in sorted(self.blocks)
-                ]
-            elif source == "config":
-                body = {
-                    "scale": float(self.scale),
-                    "seed": int(self.seed),
-                    "target_mhz": float(self.target_mhz),
-                }
-            else:  # pragma: no cover - guarded by FLOW_STAGES literals
-                raise ValueError(
-                    f"unknown stage input {source!r} on {name!r}"
-                )
-            payload = canonical_json([source, body])
-            digests.append(hashlib.sha256(payload.encode()).hexdigest())
-        return tuple(digests)
+    def _block_payload(
+        self,
+        stage: str,
+        name: str,
+        config: dict[str, Any],
+        compute: Callable[[], dict[str, Any]] | None = None,
+    ) -> dict[str, Any]:
+        """One block's ``stage`` payload, cached in :attr:`store` under
+        the service unit's key.  On a miss the table body -- or
+        ``compute``, which must return the same -- runs under
+        :attr:`store`, which also keeps the caches it fills."""
+        from ..service.stages import STAGE_DEFS, STAGE_VERSION
+
+        module = self.blocks[name]
+        body = STAGE_DEFS[stage].body
+        with using_store(self.store):
+            return self.store.fetch_or_compute(
+                f"service.{stage}", STAGE_VERSION, (module.fingerprint(),),
+                compute or (lambda: body(module, config)), config,
+            )
+
+    def _block_payloads(self, stage: str) -> dict[str, dict[str, Any]]:
+        """Every block's payload of a config-free stage."""
+        return {name: self._block_payload(stage, name, {})
+                for name in self._block_names()}
 
     def run_stage(self, name: str) -> Any:
         """Run one lifecycle stage with its flow-default kwargs."""
@@ -835,12 +734,10 @@ class DesignServiceFlow:
 
         ``with_extensions`` also runs the optional capability stages
         (virtual prototyping, system integration, hierarchical test
-        scheduling, SI/DFM/low-power sign-off).  The order is the
-        deterministic topological sort of :data:`FLOW_STAGES` -- which
-        reproduces the historical fixed sequence exactly.  (The
-        verify_props depth stays shallow here: the pure-Python CDCL
-        core pays per frame; deep dives call ``verify_props(depth=..)``
-        directly, as the S6 benchmark does.)
+        scheduling, SI/DFM/low-power sign-off).  (The verify_props
+        depth stays shallow here: the pure-Python CDCL core pays per
+        frame; deep dives call ``verify_props(depth=..)`` directly, as
+        the S6 benchmark does.)
         """
         for name in flow_stage_order(with_extensions=with_extensions):
             self.run_stage(name)

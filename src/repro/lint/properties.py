@@ -20,8 +20,9 @@ translate:
 The rules carry scope ``"property"``: they are registered (so SARIF
 metadata, waivers and ``get_rule`` resolve them) but never selected
 by the structural engine -- findings enter a report through
-:func:`findings_from_bmc` / :func:`findings_from_bus`, typically via
-``DesignServiceFlow``'s ``verify_props`` stage.
+:func:`findings_from_bmc` / :func:`findings_from_bus`, applied to a
+live BMC result.  ``DesignServiceFlow``'s ``verify_props`` stage does
+not produce them: it keeps only the per-block status counts.
 
 A ``PROP`` finding's subject is the property name (or window pair),
 never the message, so fingerprints survive diagnostic rewording --

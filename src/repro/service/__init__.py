@@ -10,7 +10,6 @@ submission order and queue depth.
 """
 
 from .request import (
-    DEFAULT_STAGES,
     DSC_VARIANTS,
     BlockSpec,
     FlowRequest,
@@ -20,7 +19,7 @@ from .request import (
 )
 from .service import DesignService, Event, FlowReport, ServiceStats
 from .stages import (
-    SERVICE_STAGES,
+    DEFAULT_STAGES,
     STAGE_DEFS,
     STAGE_VERSION,
     StageDef,
@@ -38,7 +37,6 @@ from .stages import (
 __all__ = [
     "DEFAULT_STAGES",
     "DSC_VARIANTS",
-    "SERVICE_STAGES",
     "STAGE_DEFS",
     "STAGE_VERSION",
     "BlockSpec",

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from ..store import canonical_json
-
-#: The service stages a request may ask for, in flow order.
-DEFAULT_STAGES: tuple[str, ...] = (
-    "assemble", "lint_gate", "analyze", "verify_props", "sta", "dft",
-)
+from .stages import DEFAULT_STAGES
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
-"""Stage work units: the schedulable atoms of a flow request.
+"""The per-block stage table, shared by the service and the flow.
 
-A request decomposes into per-block (and, for STA, per-corner) *work
-units*.  Each unit is a pure function of its spec -- a block recipe
-plus a stage configuration -- executed by :func:`execute_unit` either
-inline or inside a :mod:`repro.perf` pool worker.  Unit identity is
-content-addressed: :func:`unit_fingerprints` + :func:`unit_config`
-feed :func:`repro.store.content_key`, so two requests that need the
-same ``(stage, module fingerprint, config)`` resolve to the same key
-and the service computes it once.
-
-The stage DAG here is the front half of
-:data:`repro.core.flow.FLOW_STAGES` at per-block granularity::
+Each per-block stage is declared once, in :data:`STAGE_DEFS`: its
+gating deps, its LPT cost weight, the request knobs that change its
+result, and a pure ``body(module, config) -> payload``.
+:class:`~repro.service.DesignService` runs the bodies as *work units*
+(per block, and per corner for STA) through :func:`execute_unit`,
+inline or in a :mod:`repro.perf` pool worker;
+:class:`~repro.core.flow.DesignServiceFlow` runs its ``lint_gate``,
+``analyze`` and ``verify_props`` stages as loops over the same
+bodies.  Both cache a payload under one content key --
+``service.<stage>``, :data:`STAGE_VERSION`, :func:`unit_fingerprints`
+and :func:`unit_config` -- so the same ``(stage, module fingerprint,
+config)`` is computed once, whoever asks::
 
     assemble --+--> lint_gate --> dft
                +--> analyze ---> verify_props
@@ -24,20 +25,168 @@ amortisation the compiled-sim program cache relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from .request import BlockSpec, FlowRequest
+from ..store import ArtifactStore, using_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..formal import BmcReport
     from ..netlist import Module, StdCellLibrary
+    from .request import BlockSpec, FlowRequest
 
 #: Bump to invalidate every cached stage payload (schema change).
 STAGE_VERSION = "1"
 
+Payload = dict[str, Any]
+
+
+# -- stage bodies: pure functions of (module, config) ---------------------
+
+def _assemble(module: "Module", config: Mapping[str, Any]) -> Payload:
+    from ..netlist import collect_stats
+
+    stats = collect_stats(module)
+    return {
+        "fingerprint": module.fingerprint(),
+        "gates": int(module.gate_count),
+        "instances": int(stats.instance_count),
+        "sequential": int(stats.sequential_count),
+        "nets": int(stats.net_count),
+        "ports": int(stats.port_count),
+        "area_um2": float(stats.total_area_um2),
+    }
+
+
+def _lint_gate(module: "Module", config: Mapping[str, Any]) -> Payload:
+    from ..lint import Severity, run_lint
+
+    report = run_lint([module], design=module.name, workers=1)
+    return {
+        "errors": len(report.errors),
+        "warnings": report.count(Severity.WARNING),
+        "waived": len(report.waived),
+        "findings": sorted(f.fingerprint for f in report.findings),
+    }
+
+
+def _analyze(module: "Module", config: Mapping[str, Any]) -> Payload:
+    from ..lint import run_lint
+
+    report = run_lint(
+        [module], design=module.name,
+        rules=["const", "dead", "divergence", "race"], workers=1,
+    )
+    by_category: dict[str, int] = {}
+    for finding in report.findings:
+        by_category[finding.category] = (
+            by_category.get(finding.category, 0) + 1
+        )
+    return {
+        "findings": len(report.findings),
+        "by_category": dict(sorted(by_category.items())),
+        "divergent_outputs": sum(
+            1 for f in report.findings if f.rule_id == "DIV-001"
+        ),
+    }
+
+
+def check_block_props(
+    module: "Module", config: Mapping[str, Any],
+) -> "BmcReport | None":
+    """BMC of the block's auto-derived properties, or ``None`` when
+    only assumes were derived (nothing to check)."""
+    from ..formal import check_properties, derive_properties
+
+    props = derive_properties(module)
+    if not any(p.kind != "assume" for p in props):
+        return None
+    return check_properties(
+        module, props, depth=int(config["depth"]), workers=1,
+        seed=int(config["seed"]),
+    )
+
+
+def bmc_payload(report: "BmcReport | None") -> Payload:
+    """The ``verify_props`` payload of one :func:`check_block_props`
+    result."""
+    if report is None:
+        return {"checked": 0, "counts": {}, "status": {}}
+    return {
+        "checked": len(report.checks),
+        "counts": {key: int(value)
+                   for key, value in sorted(report.counts().items())},
+        "status": {check.name: check.status
+                   for check in sorted(report.checks,
+                                       key=lambda c: c.name)},
+    }
+
+
+def _verify_props(module: "Module", config: Mapping[str, Any]) -> Payload:
+    return bmc_payload(check_block_props(module, config))
+
+
+def _sta(module: "Module", config: Mapping[str, Any]) -> Payload:
+    from ..sta import TimingConstraints, analyze_timing
+
+    constraints = TimingConstraints(
+        clock_period_ps=float(config["clock_period_ps"])
+    )
+    report = analyze_timing(
+        module, constraints, corners=[str(config["corner"])],
+        engine="vectorized", workers=1,
+    )
+    return {
+        "corner": str(config["corner"]),
+        "wns_ps": float(report.wns_ps),
+        "hold_wns_ps": float(report.hold_wns_ps),
+        "setup_clean": bool(report.setup_clean),
+        "hold_clean": bool(report.hold_clean),
+    }
+
+
+def _dft(module: "Module", config: Mapping[str, Any]) -> Payload:
+    import numpy as np
+
+    from ..dft import (
+        CombinationalView,
+        collapse_faults,
+        enumerate_faults,
+        insert_scan,
+        random_pattern_fault_sim,
+    )
+
+    scanned, scan_report = insert_scan(
+        module, n_chains=int(config["chains"])
+    )
+    view = CombinationalView(scanned)
+    faults = collapse_faults(scanned, enumerate_faults(scanned))
+    patterns = int(config["patterns"])
+    result = random_pattern_fault_sim(
+        view, faults, rng=np.random.default_rng(int(config["seed"])),
+        max_patterns=patterns, engine="compiled",
+        batch_size=min(patterns, 4096),
+    )
+    return {
+        "faults": len(faults),
+        "detected": len(result.detected),
+        "coverage": float(len(result.detected) / max(len(faults), 1)),
+        "patterns": int(result.patterns_applied),
+        "scan_flops": int(scan_report.total_scan_flops),
+        "chains": len(scan_report.chains),
+    }
+
+
+# -- the table --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StageDef:
-    """One service stage: its gating deps and an LPT cost weight."""
+    """One per-block stage.
+
+    ``deps`` gate it; ``knobs`` map each config key its result depends
+    on to the :class:`~repro.service.request.FlowRequest` field (and
+    type) it comes from; ``body`` computes the payload from the
+    block's module and that config.
+    """
 
     name: str
     deps: tuple[str, ...]
@@ -45,26 +194,30 @@ class StageDef:
     #: the bench block sweep (lint/analyze ~ linear in gates, fault
     #: sim the heaviest, STA the lightest per corner).
     weight: float
+    body: Callable[["Module", Mapping[str, Any]], Payload]
+    knobs: tuple[tuple[str, str, type], ...] = ()
 
 
-SERVICE_STAGES: tuple[StageDef, ...] = (
-    StageDef("assemble", (), 0.3),
-    StageDef("lint_gate", ("assemble",), 1.2),
-    StageDef("analyze", ("assemble",), 1.1),
-    StageDef("verify_props", ("analyze",), 0.8),
-    StageDef("sta", ("assemble",), 0.4),
-    StageDef("dft", ("lint_gate",), 2.2),
-)
+#: Every per-block stage, declared after its deps.
+STAGE_DEFS: dict[str, StageDef] = {stage.name: stage for stage in (
+    StageDef("assemble", (), 0.3, _assemble),
+    StageDef("lint_gate", ("assemble",), 1.2, _lint_gate),
+    StageDef("analyze", ("assemble",), 1.1, _analyze),
+    StageDef("verify_props", ("analyze",), 0.8, _verify_props,
+             (("depth", "bmc_depth", int), ("seed", "seed", int))),
+    StageDef("sta", ("assemble",), 0.4, _sta,
+             (("clock_period_ps", "clock_period_ps", float),)),
+    StageDef("dft", ("lint_gate",), 2.2, _dft,
+             (("patterns", "dft_patterns", int), ("seed", "seed", int),
+              ("chains", "scan_chains", int))),
+)}
 
-STAGE_DEFS: dict[str, StageDef] = {s.name: s for s in SERVICE_STAGES}
-
-_STAGE_ORDER: dict[str, int] = {
-    s.name: index for index, s in enumerate(SERVICE_STAGES)
-}
+#: The stages a request may ask for, in declared order.
+DEFAULT_STAGES: tuple[str, ...] = tuple(STAGE_DEFS)
 
 
 def stage_closure(stages: Iterable[str]) -> tuple[str, ...]:
-    """Dependency-closed stage set, in declared (flow) order."""
+    """Dependency-closed stage set, in declared order."""
     wanted: set[str] = set()
     frontier = list(stages)
     while frontier:
@@ -77,36 +230,29 @@ def stage_closure(stages: Iterable[str]) -> tuple[str, ...]:
             )
         wanted.add(name)
         frontier.extend(STAGE_DEFS[name].deps)
-    return tuple(sorted(wanted, key=_STAGE_ORDER.__getitem__))
+    return tuple(name for name in STAGE_DEFS if name in wanted)
 
 
 def unit_config(
-    stage: str, request: FlowRequest, corner: str | None = None,
+    stage: str, request: "FlowRequest", corner: str | None = None,
 ) -> dict[str, Any]:
     """The configuration slice of ``request`` that ``stage`` sees.
 
-    Only knobs that change the stage *result* appear here -- the
-    config is half of the unit's content address, so anything
-    irrelevant (tenant name, other stages' knobs) must stay out or
-    dedup silently degrades.
+    Only the stage's knobs appear here -- the config is half of the
+    unit's content address, so anything irrelevant (tenant name, other
+    stages' knobs) must stay out or dedup silently degrades.
     """
-    if stage == "verify_props":
-        return {"depth": int(request.bmc_depth), "seed": int(request.seed)}
+    config = {key: cast(getattr(request, attr))
+              for key, attr, cast in STAGE_DEFS[stage].knobs}
     if stage == "sta":
         if corner is None:
             raise ValueError("sta units are per corner")
-        return {"corner": corner,
-                "clock_period_ps": float(request.clock_period_ps)}
-    if stage == "dft":
-        return {"patterns": int(request.dft_patterns),
-                "seed": int(request.seed),
-                "chains": int(request.scan_chains)}
-    # assemble / lint_gate / analyze are pure functions of the module.
-    return {}
+        config["corner"] = corner
+    return config
 
 
 def unit_fingerprints(
-    stage: str, block: BlockSpec, module_fingerprint: str | None,
+    stage: str, block: "BlockSpec", module_fingerprint: str | None,
 ) -> tuple[str, ...]:
     """Input fingerprints of one unit.
 
@@ -122,13 +268,13 @@ def unit_fingerprints(
     return (module_fingerprint,)
 
 
-def estimated_cost(stage: str, block: BlockSpec) -> float:
+def estimated_cost(stage: str, block: "BlockSpec") -> float:
     """LPT cost estimate of one unit (arbitrary but stable units)."""
     return STAGE_DEFS[stage].weight * float(block.gate_budget)
 
 
 def make_unit_spec(
-    stage: str, block: BlockSpec, config: Mapping[str, Any],
+    stage: str, block: "BlockSpec", config: Mapping[str, Any],
 ) -> dict[str, Any]:
     """Picklable, JSON-able description of one unit of work."""
     return {"stage": stage, "block": block.to_dict(),
@@ -144,7 +290,7 @@ _MODULE_CACHE: dict[tuple[str, int, int, float], "Module"] = {}
 _LIBRARY_CACHE: dict[float, "StdCellLibrary"] = {}
 
 
-def materialize_block(block: BlockSpec) -> "Module":
+def materialize_block(block: "BlockSpec") -> "Module":
     """Deterministically (re)generate the block's netlist, memoised."""
     from ..netlist import make_default_library
     from ..netlist.generators import block_from_budget
@@ -169,160 +315,27 @@ def clear_module_cache() -> None:
     _MODULE_CACHE.clear()
 
 
-def _payload_assemble(block: BlockSpec,
-                      config: Mapping[str, Any]) -> dict[str, Any]:
-    from ..netlist import collect_stats
+def execute_unit(spec: Mapping[str, Any]) -> Payload:
+    """Run one work unit; pure function of its spec.
 
-    module = materialize_block(block)
-    stats = collect_stats(module)
-    return {
-        "fingerprint": module.fingerprint(),
-        "gates": int(module.gate_count),
-        "instances": int(stats.instance_count),
-        "sequential": int(stats.sequential_count),
-        "nets": int(stats.net_count),
-        "ports": int(stats.port_count),
-        "area_um2": float(stats.total_area_um2),
-    }
+    The body runs under a scratch ambient store, so whatever its deep
+    calls cache (lint findings, analysis cones) leaves with the unit:
+    an inline run then leaves the process-wide store exactly as a pool
+    run does.
+    """
+    from .request import BlockSpec
 
-
-def _payload_lint_gate(block: BlockSpec,
-                       config: Mapping[str, Any]) -> dict[str, Any]:
-    from ..lint import Severity, run_lint
-
-    module = materialize_block(block)
-    report = run_lint([module], design=block.name, workers=1)
-    return {
-        "errors": len(report.errors),
-        "warnings": report.count(Severity.WARNING),
-        "waived": len(report.waived),
-        "findings": sorted(f.fingerprint for f in report.findings),
-    }
-
-
-def _payload_analyze(block: BlockSpec,
-                     config: Mapping[str, Any]) -> dict[str, Any]:
-    from ..lint import run_lint
-
-    module = materialize_block(block)
-    report = run_lint(
-        [module], design=block.name,
-        rules=["const", "dead", "divergence", "race"], workers=1,
-    )
-    by_category: dict[str, int] = {}
-    for finding in report.findings:
-        by_category[finding.category] = (
-            by_category.get(finding.category, 0) + 1
-        )
-    return {
-        "findings": len(report.findings),
-        "by_category": dict(sorted(by_category.items())),
-        "divergent_outputs": sum(
-            1 for f in report.findings if f.rule_id == "DIV-001"
-        ),
-    }
-
-
-def _payload_verify_props(block: BlockSpec,
-                          config: Mapping[str, Any]) -> dict[str, Any]:
-    from ..formal import check_properties, derive_properties
-
-    module = materialize_block(block)
-    props = derive_properties(module)
-    if not any(p.kind != "assume" for p in props):
-        return {"checked": 0, "counts": {}, "status": {}}
-    report = check_properties(
-        module, props, depth=int(config["depth"]), workers=1,
-        seed=int(config["seed"]),
-    )
-    return {
-        "checked": len(report.checks),
-        "counts": {key: int(value)
-                   for key, value in sorted(report.counts().items())},
-        "status": {check.name: check.status
-                   for check in sorted(report.checks,
-                                       key=lambda c: c.name)},
-    }
-
-
-def _payload_sta(block: BlockSpec,
-                 config: Mapping[str, Any]) -> dict[str, Any]:
-    from ..sta import TimingConstraints, analyze_timing
-
-    module = materialize_block(block)
-    constraints = TimingConstraints(
-        clock_period_ps=float(config["clock_period_ps"])
-    )
-    report = analyze_timing(
-        module, constraints, corners=[str(config["corner"])],
-        engine="vectorized", workers=1,
-    )
-    return {
-        "corner": str(config["corner"]),
-        "wns_ps": float(report.wns_ps),
-        "hold_wns_ps": float(report.hold_wns_ps),
-        "setup_clean": bool(report.setup_clean),
-        "hold_clean": bool(report.hold_clean),
-    }
-
-
-def _payload_dft(block: BlockSpec,
-                 config: Mapping[str, Any]) -> dict[str, Any]:
-    import numpy as np
-
-    from ..dft import (
-        CombinationalView,
-        collapse_faults,
-        enumerate_faults,
-        insert_scan,
-        random_pattern_fault_sim,
-    )
-
-    module = materialize_block(block)
-    scanned, scan_report = insert_scan(
-        module, n_chains=int(config["chains"])
-    )
-    view = CombinationalView(scanned)
-    faults = collapse_faults(scanned, enumerate_faults(scanned))
-    patterns = int(config["patterns"])
-    result = random_pattern_fault_sim(
-        view, faults, rng=np.random.default_rng(int(config["seed"])),
-        max_patterns=patterns, engine="compiled",
-        batch_size=min(patterns, 4096),
-    )
-    return {
-        "faults": len(faults),
-        "detected": len(result.detected),
-        "coverage": float(len(result.detected) / max(len(faults), 1)),
-        "patterns": int(result.patterns_applied),
-        "scan_flops": int(scan_report.total_scan_flops),
-        "chains": len(scan_report.chains),
-    }
-
-
-_STAGE_FUNCS = {
-    "assemble": _payload_assemble,
-    "lint_gate": _payload_lint_gate,
-    "analyze": _payload_analyze,
-    "verify_props": _payload_verify_props,
-    "sta": _payload_sta,
-    "dft": _payload_dft,
-}
-
-
-def execute_unit(spec: Mapping[str, Any]) -> dict[str, Any]:
-    """Run one work unit; pure function of its spec."""
-    stage = str(spec["stage"])
-    func = _STAGE_FUNCS.get(stage)
-    if func is None:
-        raise ValueError(f"unknown stage {stage!r}")
-    block = BlockSpec.from_dict(dict(spec["block"]))
-    return func(block, dict(spec["config"]))
+    stage = STAGE_DEFS.get(str(spec["stage"]))
+    if stage is None:
+        raise ValueError(f"unknown stage {spec['stage']!r}")
+    module = materialize_block(BlockSpec.from_dict(dict(spec["block"])))
+    with using_store(ArtifactStore()):
+        return stage.body(module, dict(spec["config"]))
 
 
 def execute_unit_guarded(
     spec: Mapping[str, Any],
-) -> tuple[bool, dict[str, Any]]:
+) -> tuple[bool, Payload]:
     """Like :func:`execute_unit` but failures come back structured.
 
     Returns ``(True, payload)`` or ``(False, error)`` where ``error``

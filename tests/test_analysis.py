@@ -444,8 +444,9 @@ class TestFlowStage:
         flow.intake()
         flow.harden_cpu()
         flow.assemble()
-        report = flow.analyze()
-        assert report.findings == []
+        payloads = flow.analyze()
+        assert payloads.keys() == flow.blocks.keys()
+        assert all(p["findings"] == 0 for p in payloads.values())
         assert flow.report.analysis_divergent_outputs == 0
         assert flow.report.analysis_race_findings == 0
         assert "static analysis" in flow.report.format_report()

@@ -14,6 +14,7 @@ from repro.dsc import (
     synthesize_bayer_frame,
 )
 from repro.core import DesignServiceFlow
+from tests.test_stage_table import assert_cold_and_warm_match
 
 
 class TestSensor:
@@ -109,6 +110,9 @@ class TestDesignServiceFlow:
         assert report.fault_coverage > 0.7
         assert report.routing_clean
         assert report.sta_setup_clean
+
+    def test_report_matches_golden_cold_and_warm(self, finished_flow):
+        assert_cold_and_warm_match(finished_flow, "flow_report_0.015_2.json")
 
     def test_report_formats(self, finished_flow):
         text = finished_flow.report.format_report()

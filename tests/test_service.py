@@ -223,12 +223,18 @@ class TestService:
         assert rerun.stats.units_failed > 0
 
     def test_failed_dep_skips_downstream(self, monkeypatch):
+        import dataclasses
+
         import repro.service.stages as stages_mod
 
-        def boom(block, config):
+        def boom(module, config):
             raise RuntimeError("lint exploded")
 
-        monkeypatch.setitem(stages_mod._STAGE_FUNCS, "lint_gate", boom)
+        monkeypatch.setitem(
+            stages_mod.STAGE_DEFS, "lint_gate",
+            dataclasses.replace(stages_mod.STAGE_DEFS["lint_gate"],
+                                body=boom),
+        )
         request = tiny_request(stages=("assemble", "lint_gate", "dft"))
         service = DesignService(workers=1, store=ArtifactStore())
         report = service.run([request])[0]
