@@ -1,11 +1,11 @@
 """CI smoke check: fault-sim engines are bit-identical.
 
-Runs a small scanned netlist through every fault-simulation engine
-(``scalar`` big-int reference, ``words``, ``compiled``) plus the
-compiled engine under fault-partition fan-out, serializes each
-:class:`FaultSimResult` to canonical JSON and requires the documents
-to compare *exactly* -- detected set, coverage curve, effective
-pattern set and first-detecting-pattern attribution.
+Runs a small scanned netlist through both fault-simulation engines
+(``scalar`` big-int reference and ``compiled``), each serially and
+under fault-partition fan-out, serializes each :class:`FaultSimResult`
+to canonical JSON and requires the documents to compare *exactly* --
+detected set, coverage curve, effective pattern set and
+first-detecting-pattern attribution.
 
 Exits non-zero (with a diff summary) on the first mismatch.
 """
@@ -28,7 +28,7 @@ from repro.dft import (
 
 RUNS = (
     {"engine": "scalar", "workers": 1},
-    {"engine": "words", "workers": 1},
+    {"engine": "scalar", "workers": 2},
     {"engine": "compiled", "workers": 1},
     {"engine": "compiled", "workers": 2},
 )

@@ -86,8 +86,8 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
           f"{len(scan_report.chains)} chains")
     result = run_atpg(scanned, seed=args.seed,
                       max_random_patterns=args.patterns,
-                      batch_size=args.batch_size, kernel=args.kernel,
-                      engine=args.engine, workers=args.workers)
+                      batch_size=args.batch_size, engine=args.engine,
+                      workers=args.workers)
     print(result.format_report())
     return 0
 
@@ -190,7 +190,7 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     constraints = TimingConstraints(clock_period_ps=args.period)
     corners = args.corner.split(",") if args.corner else None
     report = analyze_timing(module, constraints, corners=corners,
-                            engine=args.engine, workers=args.workers)
+                            engine=args.engine)
     print(report.canonical_json() if args.json else report.format_report())
     return 0 if report.setup_clean and report.hold_clean else 1
 
@@ -436,16 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fault-sim patterns per batch (wider is "
                            "faster; selects a different but equally "
                            "random pattern stream)")
-    atpg.add_argument("--kernel", choices=("words", "bigint"),
-                      default="words",
-                      help="legacy fault-sim kernel name (superseded "
-                           "by --engine)")
-    atpg.add_argument("--engine",
-                      choices=("compiled", "words", "scalar"),
-                      default=None,
-                      help="fault-sim engine; all engines are "
-                           "bit-identical, 'compiled' is the fused "
-                           "flat-program backend")
+    atpg.add_argument("--engine", choices=("compiled", "scalar"),
+                      default="compiled",
+                      help="fault-sim engine (bit-identical results; "
+                           "'scalar' is the big-int reference)")
     atpg.add_argument("--workers", type=int, default=1,
                       help="fault-partition processes for fault sim")
     atpg.set_defaults(func=_cmd_atpg)
@@ -498,11 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default="vectorized",
                      help="sweep engine (bit-identical QoR; vectorized "
                           "analyzes every corner in one numpy pass)")
-    sta.add_argument("--workers", type=int, default=None,
-                     help="corner fan-out processes (scalar engine)")
     sta.add_argument("--json", action="store_true",
                      help="emit the canonical QoR JSON (byte-identical "
-                          "across engines and worker counts)")
+                          "across engines)")
     sta.set_defaults(func=_cmd_sta)
 
     cover = sub.add_parser(

@@ -16,7 +16,6 @@ from .faultsim import (
     CombinationalView,
     FaultSimResult,
     random_pattern_fault_sim,
-    resolve_engine,
     simulate_single_pattern,
 )
 from .compiled import (
@@ -57,7 +56,6 @@ __all__ = [
     "CombinationalView",
     "FaultSimResult",
     "random_pattern_fault_sim",
-    "resolve_engine",
     "simulate_single_pattern",
     "FaultProgram",
     "clear_fault_program_cache",

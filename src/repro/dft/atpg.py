@@ -23,8 +23,9 @@ from .faults import Fault, collapse_faults, enumerate_faults
 from .faultsim import (
     CombinationalView,
     FaultSimResult,
+    _batch_kernel,
+    _BatchKernel,
     random_pattern_fault_sim,
-    resolve_engine,
 )
 from .podem import Podem
 
@@ -81,62 +82,24 @@ class AtpgResult:
         return "\n".join(lines)
 
 
-def _grade_pattern_scalar(
-    view: CombinationalView,
-    pattern: dict[str, int],
-    candidates: Sequence[Fault],
-) -> set[Fault]:
-    """Reference single-pattern grading: big-int detect per fault."""
-    good = view.evaluate(pattern, 1)
-    return {
-        fault for fault in candidates
-        if view.detect_mask(fault, good, 1)
-    }
-
-
-def _grade_pattern_compiled(
-    view: CombinationalView,
-    pattern: dict[str, int],
-    candidates: Sequence[Fault],
-) -> set[Fault]:
-    """Grade one PODEM pattern on the fused compiled program.
-
-    One width-1 sweep of the (cached) fault program replaces the
-    per-fault Python cone walk; detection outcomes are bit-identical
-    to :func:`_grade_pattern_scalar`.
-    """
-    from .compiled import compiled_batch_hits
-
-    bits = {
-        net: np.array([pattern.get(net, 0)], dtype=np.uint8)
-        for net in view.pseudo_inputs
-    }
-    return set(compiled_batch_hits(view, bits, 1, list(candidates)))
-
-
 def _deterministic_phase(
     view: CombinationalView,
     undetected: Sequence[Fault],
     *,
     rng: np.random.Generator,
+    grade: _BatchKernel,
     backtrack_limit: int = 256,
-    kernel: str = "bigint",
 ) -> tuple[set[Fault], list[Fault], int]:
     """PODEM phase with cross-fault dropping.
 
     Each PODEM pattern (unassigned inputs filled randomly) is fault-
     simulated against all still-pending faults, so one deterministic
     pattern often pays for several faults -- standard practice.
-    ``kernel`` picks the grading path (``"compiled"`` grades the
-    whole pending set in one fused sweep; anything else uses the
-    scalar reference); the outcome is identical either way.
+    ``grade`` is the engine's batch kernel; each pattern is graded as
+    a one-pattern batch.
     Returns (detected, proven-untestable, patterns used).
     """
     engine = Podem(view, backtrack_limit=backtrack_limit)
-    grade = (
-        _grade_pattern_compiled if kernel == "compiled"
-        else _grade_pattern_scalar
-    )
     detected: set[Fault] = set()
     untestable: list[Fault] = []
     patterns_used = 0
@@ -151,13 +114,15 @@ def _deterministic_phase(
             continue
         if outcome.status == "aborted" or outcome.pattern is None:
             continue
-        pattern = dict(outcome.pattern)
+        bits: dict[str, np.ndarray] = {}
         for net in view.pseudo_inputs:
-            if net not in pattern:
-                pattern[net] = int(rng.integers(0, 2))
+            value = outcome.pattern.get(net)
+            if value is None:
+                value = int(rng.integers(0, 2))
+            bits[net] = np.array([value], dtype=np.uint8)
         patterns_used += 1
         candidates = [fault] + [f for f in pending if f not in detected]
-        detected |= grade(view, pattern, candidates)
+        detected.update(grade(view, bits, 1, candidates))
         pending = [f for f in pending if f not in detected]
     return detected, untestable, patterns_used
 
@@ -170,8 +135,7 @@ def run_atpg(
     backtrack_limit: int = 256,
     collapse: bool = True,
     batch_size: int = 64,
-    kernel: str = "words",
-    engine: str | None = None,
+    engine: str = "compiled",
     workers: int = 1,
 ) -> AtpgResult:
     """Full ATPG flow on a (scanned) module.
@@ -181,16 +145,15 @@ def run_atpg(
     combinational view simply treats all flop boundaries as test
     points, which models perfect scan access.
 
-    ``batch_size``, ``kernel``/``engine`` and ``workers`` tune fault
-    simulation (see :func:`repro.dft.random_pattern_fault_sim`).
-    ``engine="compiled"`` also grades PODEM candidate patterns on the
-    fused compiled program instead of the per-fault scalar walk.
+    ``batch_size``, ``engine`` and ``workers`` tune fault simulation
+    (see :func:`repro.dft.random_pattern_fault_sim`); PODEM patterns
+    are graded on the same engine as the random phase.
     Engine and worker count never change the result; ``batch_size``
     selects how many patterns are drawn per batch, so a different
     width applies a different (equally random) pattern stream.  The
     defaults match the historical behaviour pattern-for-pattern.
     """
-    kernel = resolve_engine(engine, kernel)
+    grade = _batch_kernel(engine)
     rng = np.random.default_rng(seed)
     view = CombinationalView(module)
     universe = enumerate_faults(module)
@@ -199,13 +162,13 @@ def run_atpg(
 
     random_result: FaultSimResult = random_pattern_fault_sim(
         view, universe, rng=rng, max_patterns=max_random_patterns,
-        batch_size=batch_size, kernel=kernel, workers=workers,
+        batch_size=batch_size, engine=engine, workers=workers,
     )
     undetected = [f for f in universe if f not in random_result.detected]
     with stage_timer("dft.atpg.podem") as stats:
         det_extra, untestable, det_patterns = _deterministic_phase(
-            view, undetected, rng=rng, backtrack_limit=backtrack_limit,
-            kernel=kernel,
+            view, undetected, rng=rng, grade=grade,
+            backtrack_limit=backtrack_limit,
         )
         stats.add(patterns=det_patterns, faults=len(undetected))
     still_undetected = [

@@ -1,10 +1,9 @@
 """Compiled word-parallel fault simulation: fused fault-cone programs.
 
-The PR 1 word kernel (:mod:`repro.dft.faultsim`) already packs 64
-patterns per ``uint64`` word, but it still walks fault sites in
-Python: one :meth:`~repro.dft.faultsim.CombinationalView.detect_words_site`
-call per site per batch, each a fresh chain of numpy dispatches over
-that site's fanout cone.  This module takes the same route the PR 5
+The big-int reference kernel (:mod:`repro.dft.faultsim`) walks fault
+sites in Python: one
+:meth:`~repro.dft.faultsim.CombinationalView.detect_mask` cone walk
+per fault per batch.  This module takes the same route the compiled
 functional backend took -- compile once, sweep flat -- and applies it
 to the *fault universe*:
 
@@ -35,12 +34,12 @@ to the *fault universe*:
   enough faults have dropped.  First-detecting-pattern attribution is
   exact -- dropping only ever skips work *after* a fault's first
   detection -- so results are bit-identical to grading the whole
-  batch flat, and therefore to the reference kernels.
+  batch flat, and therefore to the reference kernel.
 
 Programs are cached per view in a :class:`~weakref.WeakKeyDictionary`
-(never pickled; pool workers rebuild their own), and the kernel
-registers as ``engine="compiled"`` on
-:func:`repro.dft.faultsim.random_pattern_fault_sim` /
+(never pickled; pool workers rebuild their own), and the kernel is
+``engine="compiled"``, the default of
+:func:`repro.dft.faultsim.random_pattern_fault_sim` and
 :func:`repro.dft.atpg.run_atpg`.  Throughput counters report under
 the ``dft.fault_sim.compiled`` perf stage.
 """
@@ -77,8 +76,7 @@ _RESELECT_RATIO = 0.5
 
 def _first_set_bits(det: np.ndarray) -> np.ndarray:
     """Per row of a ``(faults, words)`` array: index of the lowest set
-    bit, or -1 when the row is all zero.  Vectorized counterpart of
-    :func:`repro.dft.faultsim._first_set_bit`."""
+    bit, or -1 when the row is all zero."""
     nonzero = det != 0
     has_hit = nonzero.any(axis=1)
     word_index = np.argmax(nonzero, axis=1)
@@ -581,7 +579,7 @@ def grade_batch(
 ) -> dict[Fault, int]:
     """Grade one pattern batch: fault -> first detecting pattern index.
 
-    Bit-identical to the reference kernels for the same stimulus; the
+    Bit-identical to the reference kernel for the same stimulus; the
     chunked sweep only reorders *work*, never detection outcomes.
     When ``counters`` is given, fill-efficiency inputs (active vs
     capacity row-words) are accumulated into it.
@@ -726,10 +724,10 @@ def compiled_batch_hits(
     width: int,
     remaining: Sequence[Fault],
 ) -> dict[Fault, int]:
-    """Batch kernel entry point registered as ``engine="compiled"``.
+    """Batch kernel of ``engine="compiled"``.
 
     Same signature and same results as
-    :func:`repro.dft.faultsim._batch_first_hits_words`; reports
+    :func:`repro.dft.faultsim._batch_first_hits_bigint`; reports
     throughput counters under ``dft.fault_sim.compiled``.
     """
     with stage_timer("dft.fault_sim.compiled") as stats:

@@ -37,19 +37,17 @@ class Fault:
         return f"{self.instance}.{self.pin}/SA{self.stuck_at}"
 
 
-def enumerate_faults(
-    module: Module, *, include_sequential_pins: bool = False
-) -> list[Fault]:
+def enumerate_faults(module: Module) -> list[Fault]:
     """Build the full single-stuck-at universe for a module.
 
-    By default only combinational-instance pins are enumerated: under
-    full scan, flop D/Q faults are equivalent to faults on the
-    combinational pins they connect to, and the scan path itself is
-    covered by the chain integrity test.
+    Only combinational-instance pins are enumerated: under full scan,
+    flop D/Q faults are equivalent to faults on the combinational pins
+    they connect to, and the scan path itself is covered by the chain
+    integrity test.
     """
     faults: list[Fault] = []
     for inst in module.instances.values():
-        if inst.cell.is_sequential and not include_sequential_pins:
+        if inst.cell.is_sequential:
             continue
         for pin in inst.cell.pins:
             for stuck in (0, 1):

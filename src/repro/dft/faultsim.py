@@ -10,15 +10,11 @@ is evaluated from its precomputed truth table with bitwise operations.
 Single-fault simulation then re-evaluates only the fanout cone of the
 fault site -- the classic serial-fault / parallel-pattern scheme.
 
-Two interchangeable packed representations are provided:
-
-* the original **big-int kernel** (one Python integer per net), the
-  scalar reference path;
-* a **numpy ``uint64`` word-array kernel** (one array of 64-bit words
-  per net), which removes the practical 64-pattern batch cap and is
-  the default for :func:`random_pattern_fault_sim`.
-
-Both produce bit-identical detected-fault sets for the same RNG seed.
+This module's **big-int kernel** (one Python integer per net) is the
+scalar reference, ``engine="scalar"``.  Production grading runs on the
+fused flat-program backend of :mod:`repro.dft.compiled`,
+``engine="compiled"`` (the default); both produce bit-identical
+results for the same RNG seed.
 Fanout cones and supports are memoized per instance, and
 :func:`random_pattern_fault_sim` can fan the fault list out over a
 process pool (:mod:`repro.perf`) with a deterministic merge, so the
@@ -70,31 +66,11 @@ def _n_words(width: int) -> int:
     return (width + _WORD_BITS - 1) // _WORD_BITS
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 ``uint8`` vector into little-endian ``uint64`` words
-    (bit *k* of the vector is bit ``k % 64`` of word ``k // 64``)."""
-    packed = np.packbits(bits, bitorder="little")
-    pad = (-packed.size) % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-    return packed.view(np.uint64)
-
-
 def _pack_bigint(bits: np.ndarray) -> int:
     """Pack a 0/1 ``uint8`` vector into one Python big integer."""
     return int.from_bytes(
         np.packbits(bits, bitorder="little").tobytes(), "little"
     )
-
-
-def _first_set_bit(words: np.ndarray) -> int | None:
-    """Index of the lowest set bit across a word array, or ``None``."""
-    nonzero = np.flatnonzero(words)
-    if nonzero.size == 0:
-        return None
-    word_index = int(nonzero[0])
-    word = int(words[word_index])
-    return word_index * _WORD_BITS + ((word & -word).bit_length() - 1)
 
 
 class CombinationalView:
@@ -138,30 +114,6 @@ class CombinationalView:
         # cones for every fault in every batch.
         self._cone_cache: dict[str, tuple[Instance, ...]] = {}
         self._support_cache: dict[str, tuple[str, ...]] = {}
-        self._mask_cache: dict[int, np.ndarray] = {}
-        # Hot-loop lookups for the word kernel: input/output net names
-        # per instance and minterm literal-row matrices per cell.
-        self._in_nets: dict[str, tuple[str, ...]] = {}
-        self._out_net: dict[str, str] = {}
-        for inst in self._order:
-            self._in_nets[inst.name] = tuple(
-                inst.net_of(pin) for pin in inst.cell.input_pins
-            )
-            self._out_net[inst.name] = inst.net_of(inst.cell.output_pins[0])
-        self._minterm_rows: dict[str, np.ndarray | None] = {}
-        for cell_name, minterms in self._minterms.items():
-            if not minterms or not minterms[0]:
-                # Constant cells (no inputs): handled without a matrix.
-                self._minterm_rows[cell_name] = None
-                continue
-            n_inputs = len(minterms[0])
-            # Literal row j is input j, row n_inputs + j its inversion.
-            self._minterm_rows[cell_name] = np.array(
-                [[j if bit else n_inputs + j
-                  for j, bit in enumerate(minterm)]
-                 for minterm in minterms],
-                dtype=np.intp,
-            )
 
     def __getstate__(self) -> dict[str, Any]:
         # Drop memo caches when shipping the view to pool workers;
@@ -169,7 +121,6 @@ class CombinationalView:
         state = self.__dict__.copy()
         state["_cone_cache"] = {}
         state["_support_cache"] = {}
-        state["_mask_cache"] = {}
         return state
 
     # -- evaluation ---------------------------------------------------
@@ -178,7 +129,7 @@ class CombinationalView:
         self, rng: np.random.Generator, count: int
     ) -> dict[str, np.ndarray]:
         """``count`` random patterns as unpacked 0/1 vectors per
-        pseudo input (the common source for both packed kernels)."""
+        pseudo input (the common source for both engines)."""
         return {
             net: rng.integers(0, 2, size=count, dtype=np.uint8)
             for net in self.pseudo_inputs
@@ -226,78 +177,6 @@ class CombinationalView:
         for inst in self._order:
             out_net = inst.net_of(inst.cell.output_pins[0])
             values[out_net] = self._eval_instance(inst, values, mask)
-        return values
-
-    # -- word-array (numpy uint64) kernel -----------------------------
-
-    def _mask_words(self, width: int) -> np.ndarray:
-        """All-ones mask for ``width`` patterns (cached; do not mutate)."""
-        mask = self._mask_cache.get(width)
-        if mask is None:
-            mask = np.full(_n_words(width), np.uint64(0xFFFFFFFFFFFFFFFF),
-                           dtype=np.uint64)
-            rem = width % _WORD_BITS
-            if rem:
-                mask[-1] = np.uint64((1 << rem) - 1)
-            mask.setflags(write=False)
-            self._mask_cache[width] = mask
-        return mask
-
-    def _eval_instance_words(
-        self, inst: Instance, values: Mapping[str, np.ndarray],
-        mask: np.ndarray, zeros: np.ndarray,
-        forced_pin: str | None = None,
-        forced_value: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Evaluate one instance on word arrays.
-
-        Input values may mix shapes ``(words,)`` (shared good value)
-        and ``(F, words)`` (per-fault overlays); broadcasting carries
-        the fault axis through.  The cell function is computed as
-        OR-of-minterms via one fancy-index into a stacked literal
-        matrix plus two reductions -- a handful of numpy calls per
-        instance, independent of input count and minterm count.
-        """
-        rows = self._minterm_rows[inst.cell.name]
-        if rows is None:
-            # Constant cell: output is 1 iff it has a (trivial) minterm.
-            return mask if self._minterms[inst.cell.name] else zeros
-        in_values = []
-        stacked_shape: tuple[int, ...] | None = None
-        for pin, net in zip(inst.cell.input_pins, self._in_nets[inst.name]):
-            if pin == forced_pin:
-                value = forced_value
-            else:
-                value = values.get(net, zeros)
-            in_values.append(value)
-            if value.ndim > 1:
-                stacked_shape = value.shape  # a (F, words) overlay
-        if stacked_shape is not None:
-            in_values = [
-                v if v.ndim > 1 else np.broadcast_to(v, stacked_shape)
-                for v in in_values
-            ]
-        literals = np.stack(in_values)
-        literals = np.concatenate([literals, ~literals])
-        # (minterms, literals-per-minterm, *shape) -> AND within each
-        # minterm, OR across minterms, then clip to the batch width.
-        terms = np.bitwise_and.reduce(literals[rows], axis=1)
-        return np.bitwise_or.reduce(terms, axis=0) & mask
-
-    def evaluate_words(
-        self, packed_inputs: Mapping[str, np.ndarray], width: int
-    ) -> dict[str, np.ndarray]:
-        """Word-array analogue of :meth:`evaluate`: every net's value
-        is a ``uint64`` array, 64 patterns per word."""
-        mask = self._mask_words(width)
-        zeros = np.zeros_like(mask)
-        values: dict[str, np.ndarray] = {
-            net: packed_inputs.get(net, zeros) for net in self.pseudo_inputs
-        }
-        for inst in self._order:
-            values[self._out_net[inst.name]] = self._eval_instance_words(
-                inst, values, mask, zeros
-            )
         return values
 
     # -- fault machinery ------------------------------------------------
@@ -409,113 +288,6 @@ class CombinationalView:
                 detected |= overlay[net] ^ good_values.get(net, 0)
         return detected & mask
 
-    def detect_words(
-        self,
-        fault: Fault,
-        good_values: Mapping[str, np.ndarray],
-        width: int,
-    ) -> np.ndarray:
-        """Word-array analogue of :meth:`detect_mask`: returns the
-        detecting-pattern mask as a ``uint64`` array."""
-        mask = self._mask_words(width)
-        zeros = np.zeros_like(mask)
-        inst = self.module.instances[fault.instance]
-        stuck = mask if fault.stuck_at else zeros
-        overlay: dict[str, np.ndarray] = {}
-
-        direction = inst.cell.pin(fault.pin).direction
-        if direction == "output":
-            out_net = inst.net_of(fault.pin)
-            current = overlay.get(out_net, good_values.get(out_net, zeros))
-            if np.array_equal(current, stuck):
-                return zeros  # fault never activated in this batch
-            overlay[out_net] = stuck
-        else:
-            faulty = self._eval_instance_words(
-                inst, _OverlayView(overlay, good_values), mask, zeros,
-                forced_pin=fault.pin, forced_value=stuck,
-            )
-            out_net = inst.net_of(inst.cell.output_pins[0])
-            if np.array_equal(faulty, good_values.get(out_net, zeros)):
-                return zeros
-            overlay[out_net] = faulty
-
-        for member in self.fanout_cone(fault.instance):
-            if member.name == fault.instance:
-                continue
-            new = self._eval_instance_words(
-                member, _OverlayView(overlay, good_values), mask, zeros
-            )
-            member_out = member.net_of(member.cell.output_pins[0])
-            if not np.array_equal(new, good_values.get(member_out, zeros)):
-                overlay[member_out] = new
-
-        detected = zeros.copy()
-        for net in self.pseudo_outputs:
-            if net in overlay:
-                np.bitwise_or(
-                    detected,
-                    overlay[net] ^ good_values.get(net, zeros),
-                    out=detected,
-                )
-        np.bitwise_and(detected, mask, out=detected)
-        return detected
-
-    def detect_words_site(
-        self,
-        instance: str,
-        site_faults: Sequence[Fault],
-        good_values: Mapping[str, np.ndarray],
-        width: int,
-    ) -> np.ndarray:
-        """Detecting-pattern masks for **all faults on one instance**
-        at once: returns shape ``(len(site_faults), words)``.
-
-        The faults share a fanout cone, so the cone is evaluated once
-        with a stacked fault axis instead of once per fault -- the
-        fault-parallel half of the word kernel.  Row ``f`` is
-        bit-identical to ``detect_words(site_faults[f], ...)``.
-        """
-        mask = self._mask_words(width)
-        zeros = np.zeros_like(mask)
-        inst = self.module.instances[instance]
-        out_net = self._out_net.get(instance) or inst.net_of(
-            inst.cell.output_pins[0]
-        )
-        rows = []
-        for fault in site_faults:
-            stuck = mask if fault.stuck_at else zeros
-            if inst.cell.pin(fault.pin).direction == "output":
-                rows.append(stuck)
-            else:
-                rows.append(self._eval_instance_words(
-                    inst, good_values, mask, zeros,
-                    forced_pin=fault.pin, forced_value=stuck,
-                ))
-        overlay: dict[str, np.ndarray] = {out_net: np.stack(rows)}
-
-        for member in self.fanout_cone(instance):
-            if member.name == instance:
-                continue
-            new = self._eval_instance_words(
-                member, _OverlayView(overlay, good_values), mask, zeros
-            )
-            member_out = self._out_net[member.name]
-            if not np.array_equal(new, good_values.get(member_out, zeros)):
-                overlay[member_out] = new
-
-        detected = np.zeros((len(site_faults),) + mask.shape, dtype=mask.dtype)
-        for net in self.pseudo_outputs:
-            value = overlay.get(net)
-            if value is not None:
-                np.bitwise_or(
-                    detected,
-                    value ^ good_values.get(net, zeros),
-                    out=detected,
-                )
-        np.bitwise_and(detected, mask, out=detected)
-        return detected
-
 
 class _OverlayView(dict):
     """Read-through overlay: fault values shadow good values."""
@@ -562,33 +334,7 @@ class FaultSimResult:
         return self.effective_patterns[index]
 
 
-# -- batch evaluators (one per packed representation) ----------------------
-
-
-def _batch_first_hits_words(
-    view: CombinationalView,
-    bits: Mapping[str, np.ndarray],
-    width: int,
-    remaining: Sequence[Fault],
-) -> dict[Fault, int]:
-    """Word-kernel batch: fault -> first detecting pattern index.
-
-    Faults are grouped by instance so each fault site's fanout cone is
-    evaluated once (stacked along a fault axis) per batch.
-    """
-    packed = {net: _pack_words(vec) for net, vec in bits.items()}
-    good = view.evaluate_words(packed, width)
-    by_site: dict[str, list[Fault]] = {}
-    for fault in remaining:
-        by_site.setdefault(fault.instance, []).append(fault)
-    hits: dict[Fault, int] = {}
-    for instance, site_faults in by_site.items():
-        detected = view.detect_words_site(instance, site_faults, good, width)
-        for row, fault in enumerate(site_faults):
-            first = _first_set_bit(detected[row])
-            if first is not None:
-                hits[fault] = first
-    return hits
+# -- batch kernels (one per engine) ----------------------------------------
 
 
 def _batch_first_hits_bigint(
@@ -613,51 +359,20 @@ _BatchKernel = Callable[
     dict[Fault, int],
 ]
 
-_BATCH_KERNELS: dict[str, _BatchKernel] = {
-    "words": _batch_first_hits_words,
-    "bigint": _batch_first_hits_bigint,
-}
 
-#: Public engine names -> batch kernels.  ``engine`` is the PR 5-style
-#: knob (mirroring the functional simulator's event/compiled choice);
-#: ``kernel`` remains as the historical spelling.
-_ENGINE_KERNELS = {
-    "compiled": "compiled",
-    "words": "words",
-    "scalar": "bigint",
-}
-
-
-def _get_kernel(kernel: str) -> _BatchKernel:
-    """Resolve a kernel name, lazily registering the compiled engine
-    (which lives in :mod:`repro.dft.compiled` and imports this
-    module, so it cannot be registered at import time)."""
-    fn = _BATCH_KERNELS.get(kernel)
-    if fn is None and kernel == "compiled":
+def _batch_kernel(engine: str) -> _BatchKernel:
+    """The batch kernel of ``engine``: ``"compiled"`` (production) or
+    ``"scalar"`` (the big-int reference).  :mod:`repro.dft.compiled`
+    imports this module, so its kernel is imported on first use."""
+    if engine == "compiled":
         from .compiled import compiled_batch_hits
 
-        fn = _BATCH_KERNELS["compiled"] = compiled_batch_hits
-    if fn is None:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return fn
-
-
-def resolve_engine(engine: str | None, kernel: str) -> str:
-    """Effective kernel name for an (engine, kernel) pair.
-
-    ``engine`` (``"compiled"`` | ``"words"`` | ``"scalar"``) wins when
-    given; otherwise the legacy ``kernel`` name passes through.  All
-    engines are bit-identical; this only selects the evaluation path.
-    """
-    if engine is None:
-        return kernel
-    mapped = _ENGINE_KERNELS.get(engine)
-    if mapped is None:
-        raise ValueError(
-            f"unknown engine {engine!r} "
-            f"(expected one of {sorted(_ENGINE_KERNELS)})"
-        )
-    return mapped
+        return compiled_batch_hits
+    if engine == "scalar":
+        return _batch_first_hits_bigint
+    raise ValueError(
+        f"unknown engine {engine!r} (expected 'compiled' or 'scalar')"
+    )
 
 
 def _record_batch(
@@ -696,7 +411,8 @@ def _batch_schedule(max_patterns: int, batch_size: int) -> list[int]:
 
 
 _PartitionTask = tuple[
-    CombinationalView, list[Fault], str, Mapping[str, Any], list[int], str
+    CombinationalView, list[Fault], str, Mapping[str, Any], list[int],
+    _BatchKernel,
 ]
 
 
@@ -710,11 +426,10 @@ def _fault_partition_worker(
     from the snapshotted RNG state, so detections are exactly the ones
     the serial loop would have seen.
     """
-    view, faults, generator_name, rng_state, widths, kernel = task
+    view, faults, generator_name, rng_state, widths, batch_eval = task
     bit_generator = getattr(np.random, generator_name)()
     bit_generator.state = rng_state
     rng = np.random.Generator(bit_generator)
-    batch_eval = _get_kernel(kernel)
     remaining = list(faults)
     first: dict[Fault, tuple[int, int]] = {}
     for batch_index, width in enumerate(widths):
@@ -736,8 +451,7 @@ def random_pattern_fault_sim(
     max_patterns: int = 4096,
     batch_size: int = 64,
     target_coverage: float | None = None,
-    kernel: str = "words",
-    engine: str | None = None,
+    engine: str = "compiled",
     workers: int = 1,
 ) -> FaultSimResult:
     """Random-pattern fault simulation with fault dropping.
@@ -747,19 +461,16 @@ def random_pattern_fault_sim(
     from further simulation.
 
     ``engine`` selects the evaluation path: ``"compiled"`` (the fused
-    flat-program backend of :mod:`repro.dft.compiled`), ``"words"``
-    (the numpy ``uint64`` word kernel) or ``"scalar"`` (the big-int
-    reference).  The legacy ``kernel`` spelling (``"words"`` /
-    ``"bigint"``) is honoured when ``engine`` is not given.  All
-    engines give bit-identical results -- coverage, coverage curve,
-    first-detecting-pattern attribution and drop order.  ``workers >
+    flat-program backend of :mod:`repro.dft.compiled`, the default) or
+    ``"scalar"`` (the big-int reference).  Both give bit-identical
+    results -- coverage, coverage curve, first-detecting-pattern
+    attribution and drop order.  ``workers >
     1`` partitions the fault list over a process pool; the merge
     replays the serial batch loop from per-fault first-detection
     records, so the result (and the caller's ``rng`` state afterwards)
     is identical for any worker count and any engine.
     """
-    kernel = resolve_engine(engine, kernel)
-    _get_kernel(kernel)  # validate before any rng draw
+    batch_eval = _batch_kernel(engine)  # validate before any rng draw
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n_workers = max(1, int(workers)) if workers is not None else 1
@@ -768,13 +479,13 @@ def random_pattern_fault_sim(
             result = _parallel_fault_sim(
                 view, faults, rng=rng, max_patterns=max_patterns,
                 batch_size=batch_size, target_coverage=target_coverage,
-                kernel=kernel, workers=n_workers,
+                batch_eval=batch_eval, workers=n_workers,
             )
         else:
             result = _serial_fault_sim(
                 view, faults, rng=rng, max_patterns=max_patterns,
                 batch_size=batch_size, target_coverage=target_coverage,
-                kernel=kernel,
+                batch_eval=batch_eval,
             )
         stats.add(patterns=result.patterns_applied,
                   faults=len(faults),
@@ -790,9 +501,8 @@ def _serial_fault_sim(
     max_patterns: int,
     batch_size: int,
     target_coverage: float | None,
-    kernel: str,
+    batch_eval: _BatchKernel,
 ) -> FaultSimResult:
-    batch_eval = _get_kernel(kernel)
     result = FaultSimResult(total_faults=len(faults))
     remaining: list[Fault] = list(faults)
     while result.patterns_applied < max_patterns and remaining:
@@ -814,7 +524,7 @@ def _parallel_fault_sim(
     max_patterns: int,
     batch_size: int,
     target_coverage: float | None,
-    kernel: str,
+    batch_eval: _BatchKernel,
     workers: int,
 ) -> FaultSimResult:
     """Fault-partition fan-out with a deterministic serial replay.
@@ -833,7 +543,7 @@ def _parallel_fault_sim(
     bounds = np.linspace(0, len(faults), n_chunks + 1).astype(int)
     tasks = [
         (view, list(faults[bounds[k]:bounds[k + 1]]), generator_name,
-         rng_state, widths, kernel)
+         rng_state, widths, batch_eval)
         for k in range(n_chunks)
         if bounds[k] < bounds[k + 1]
     ]

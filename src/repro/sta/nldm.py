@@ -12,8 +12,7 @@ Two engines share one compiled :class:`TimingGraph` and one report
 builder:
 
 * ``engine="scalar"`` -- the retained reference: a per-arc Python
-  walker, one corner at a time (corners fan out across processes via
-  :func:`repro.perf.fanout`);
+  walker, one corner at a time;
 * ``engine="vectorized"`` -- :mod:`repro.sta.vectorized`: one numpy
   gather + reduce per level with corners as extra lanes.
 
@@ -21,7 +20,7 @@ Both engines perform the identical float64 operations in the identical
 order per value (shared precomputed loads, shared clamped bilinear
 formula, order-insensitive max/min reductions), so their
 :class:`MultiCornerTimingReport` canonical JSON is byte-identical for
-any corner set and worker count -- the same determinism contract as
+any corner set -- the same determinism contract as
 ``repro.sim.compiled`` and ``repro.dft.compiled``.
 """
 
@@ -36,7 +35,7 @@ import numpy as np
 from ..liberty import CellLibrary, default_cell_library
 from ..liberty.tables import FloatArray, IntArray, lookup_scalar, table_array
 from ..netlist import Module
-from ..perf import fanout, stage_timer
+from ..perf import stage_timer
 from .analyzer import TimingConstraints
 
 # ---------------------------------------------------------------------------
@@ -388,15 +387,6 @@ def sweep_scalar_corner(
     return arr_s, slew_s, arr_h, slew_h
 
 
-def _scalar_corner_task(
-    task: tuple[TimingGraph, FloatArray, float, float, TimingConstraints],
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Picklable per-corner worker for :func:`repro.perf.fanout`."""
-    graph, loads_row, delay_derate, slew_derate, constraints = task
-    return sweep_scalar_corner(
-        graph, loads_row, delay_derate, slew_derate, constraints)
-
-
 # ---------------------------------------------------------------------------
 # Report model
 # ---------------------------------------------------------------------------
@@ -707,7 +697,6 @@ class NldmTimingAnalyzer:
         *,
         corners: Sequence[str] | None = None,
         engine: str = "vectorized",
-        workers: int | None = None,
     ) -> tuple[list[str], FloatArray, FloatArray, FloatArray, FloatArray,
                FloatArray, FloatArray]:
         """Run one (arrival, slew) sweep.
@@ -733,13 +722,12 @@ class NldmTimingAnalyzer:
                     self.constraints,
                 )
             elif engine == "scalar":
-                tasks = [
-                    (self.graph, loads[i], float(delay_derates[i]),
-                     float(slew_derates[i]), self.constraints)
+                results = [
+                    sweep_scalar_corner(
+                        self.graph, loads[i], float(delay_derates[i]),
+                        float(slew_derates[i]), self.constraints)
                     for i in range(len(names))
                 ]
-                results = fanout(
-                    _scalar_corner_task, tasks, workers=workers)
                 arr_s = np.stack([r[0] for r in results])
                 slew_s = np.stack([r[1] for r in results])
                 arr_h = np.stack([r[2] for r in results])
@@ -757,12 +745,11 @@ class NldmTimingAnalyzer:
         *,
         corners: Sequence[str] | None = None,
         engine: str = "vectorized",
-        workers: int | None = None,
         with_critical_path: bool = True,
     ) -> MultiCornerTimingReport:
         """Setup + hold analysis across corners; the QoR report."""
         names, derates, loads, arr_s, slew_s, arr_h, _ = self.sweep(
-            corners=corners, engine=engine, workers=workers)
+            corners=corners, engine=engine)
         return build_report(
             self.graph, self.constraints, names, derates, loads,
             arr_s, slew_s, arr_h,
@@ -802,13 +789,12 @@ def analyze_timing(
     net_wire_cap_ff: Mapping[str, float] | None = None,
     corners: Sequence[str] | None = None,
     engine: str = "vectorized",
-    workers: int | None = None,
     with_critical_path: bool = True,
 ) -> MultiCornerTimingReport:
     """One-call multi-corner NLDM STA (the CLI / flow entry point)."""
     analyzer = NldmTimingAnalyzer(
         module, constraints, library=library, net_wire_cap_ff=net_wire_cap_ff)
     return analyzer.analyze(
-        corners=corners, engine=engine, workers=workers,
+        corners=corners, engine=engine,
         with_critical_path=with_critical_path,
     )

@@ -96,7 +96,7 @@ class TestCommands:
                 "--cloud-gates", "30", "--json", "--corner", "ss,ff"]
         main(args + ["--engine", "vectorized"])
         vec = capsys.readouterr().out
-        main(args + ["--engine", "scalar", "--workers", "2"])
+        main(args + ["--engine", "scalar"])
         scalar = capsys.readouterr().out
         assert vec == scalar
         assert '"corners"' in vec

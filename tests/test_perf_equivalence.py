@@ -60,18 +60,19 @@ class TestFaultSimKernels:
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10**6),
            batch=st.sampled_from([16, 64, 160]))
-    def test_words_matches_bigint(self, seed, batch):
+    def test_compiled_matches_bigint(self, seed, batch):
         module = _small_cloud(seed % 17)
         view = CombinationalView(module)
         faults = collapse_faults(module, enumerate_faults(module))
         kw = dict(max_patterns=192, batch_size=batch)
-        r_words = random_pattern_fault_sim(
+        r_compiled = random_pattern_fault_sim(
             view, faults, rng=np.random.default_rng(seed),
-            kernel="words", **kw)
+            engine="compiled", **kw)
         r_bigint = random_pattern_fault_sim(
             view, faults, rng=np.random.default_rng(seed),
-            kernel="bigint", **kw)
-        assert _result_fingerprint(r_words) == _result_fingerprint(r_bigint)
+            engine="scalar", **kw)
+        assert (_result_fingerprint(r_compiled)
+                == _result_fingerprint(r_bigint))
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10**6),
