@@ -320,12 +320,13 @@ def bench_fixpoint(quick: bool) -> dict:
     """Dataflow fixpoint engine over the DSC block set.
 
     Runs every :mod:`repro.analysis` fixpoint (const, dual-dialect,
-    X-taint, launch, clock domains) across the generated blocks,
-    serial vs process fan-out, and asserts the canonical reports are
-    byte-identical -- the determinism contract of the engine.
+    X-taint, launch, clock domains) across the generated blocks through
+    the lint families that consume them, serial vs process fan-out, and
+    asserts the canonical reports are byte-identical -- the determinism
+    contract of the engine.
     """
-    from repro.analysis import analyze_modules, clear_analysis_memo
-    from repro.lint import dsc_lint_targets
+    from repro.analysis import clear_analysis_memo
+    from repro.lint import dsc_lint_targets, run_lint
     from repro.store import ArtifactStore, using_store
 
     scale = 0.05 if quick else 1.0
@@ -334,29 +335,30 @@ def bench_fixpoint(quick: bool) -> dict:
 
     out = {"design": "dsc", "scale": scale,
            "modules": len(probe), "gates": gates}
+    rules = ["const", "dead", "divergence", "race"]
     reports = {}
     for label, workers in [("serial", 1), ("fanout", None)]:
         # Fresh module objects, memo and artifact store per run: the
-        # summary cache is content-addressed, so a shared store would
+        # lint cache is content-addressed, so a shared store would
         # turn the second run into a pure cache splice and this bench
         # must time the engine (bench_incremental times the cache).
         modules = dsc_lint_targets(scale=scale, seed=0).modules
         clear_analysis_memo()
         start = time.perf_counter()
         with using_store(ArtifactStore()):
-            report = analyze_modules(modules, design="dsc",
-                                     workers=workers)
+            report = run_lint(modules, design="dsc", rules=rules,
+                              workers=workers)
         elapsed = time.perf_counter() - start
         reports[label] = report
         out[label] = {"gates_per_s": gates / elapsed,
                       "seconds": elapsed,
-                      "findings": report.total_findings}
+                      "findings": len(report.findings)}
     assert reports["serial"].to_json() == reports["fanout"].to_json()
     out["speedup"] = (out["fanout"]["gates_per_s"]
                       / out["serial"]["gates_per_s"])
-    # Gate-count-balanced chunking must keep the fan-out path from
-    # regressing below serial (single-core boxes run it inline, so
-    # anything much under 1.0 means pickle/packing overhead came back).
+    # The per-module fan-out must not regress below serial
+    # (single-core boxes run it inline, so anything much under 1.0
+    # means pickle or scheduling overhead came back).
     # Quick mode's sub-second runs carry ~15% timer noise, so the bar
     # only tightens to 0.95 on the full workload.
     assert out["speedup"] >= (0.75 if quick else 0.95), out
@@ -367,14 +369,14 @@ def bench_incremental(quick: bool) -> dict:
     """Incremental static analysis through the artifact store.
 
     One shared :class:`repro.store.ArtifactStore` carries per-cone
-    fixpoint results, whole-module summaries and per-module lint
-    findings across three runs over the DSC block set: a cold run, a
+    fixpoint results and per-module lint findings across three runs
+    over the DSC block set: a cold run, a
     warm rerun (pure cache splice), and a post-ECO rerun after a
     drive-strength swap.  Warm and post-ECO outputs are asserted
     byte-identical to a cold run from an empty store -- incremental
     never changes the answer, only when it is computed.
     """
-    from repro.analysis import clear_analysis_memo, summarize_module
+    from repro.analysis import clear_analysis_memo
     from repro.lint import dsc_lint_targets, run_lint
     from repro.store import ArtifactStore, using_store
 
@@ -386,12 +388,8 @@ def bench_incremental(quick: bool) -> dict:
         counters = store.counters().get("analysis.cone")
         return (counters.hits, counters.misses) if counters else (0, 0)
 
-    def run() -> tuple[list[str], str]:
-        summaries = [
-            json.dumps(summarize_module(m).to_dict(), sort_keys=True)
-            for m in modules
-        ]
-        return summaries, run_lint(modules, workers=1).to_json()
+    def run() -> str:
+        return run_lint(modules, workers=1).to_json()
 
     store = ArtifactStore()
     out = {"design": "dsc", "scale": scale,

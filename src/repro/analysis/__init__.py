@@ -1,8 +1,10 @@
 """Abstract-interpretation dataflow analysis over the netlist IR.
 
-A worklist fixpoint engine (:mod:`repro.analysis.engine`) with
-pluggable abstract domains (:mod:`repro.analysis.domains`) powers three
-semantic analyses (:mod:`repro.analysis.analyses`): constant
+Pluggable abstract domains (:mod:`repro.analysis.domains`), solved
+cone by cone through the artifact store (:mod:`repro.analysis.cones`;
+the monolithic worklist engine in :mod:`repro.analysis.engine` is the
+test oracle), power three semantic analyses
+(:mod:`repro.analysis.analyses`): constant
 propagation with dead-logic detection, static prediction of where the
 two simulator dialects of :mod:`repro.sim` diverge, and a zero-delay
 race detector.  The results surface as the ``CONST-00x`` / ``DEAD-00x``
@@ -45,12 +47,8 @@ from .cones import (
     run_fixpoint_cones,
 )
 from .analyses import (
-    AnalysisReport,
     ModuleAnalysis,
-    ModuleSummary,
-    SUMMARY_STORE_DOMAIN,
     analyze_module,
-    analyze_modules,
     clear_analysis_memo,
     clock_path_races,
     constant_cones,
@@ -62,7 +60,6 @@ from .analyses import (
     observable_nets,
     reconvergent_x_sites,
     stuck_nets,
-    summarize_module,
     unobservable_instances,
 )
 
@@ -98,12 +95,8 @@ __all__ = [
     "cone_partition_fingerprint",
     "partition_cones",
     "run_fixpoint_cones",
-    "AnalysisReport",
     "ModuleAnalysis",
-    "ModuleSummary",
-    "SUMMARY_STORE_DOMAIN",
     "analyze_module",
-    "analyze_modules",
     "clear_analysis_memo",
     "clock_path_races",
     "constant_cones",
@@ -115,6 +108,5 @@ __all__ = [
     "observable_nets",
     "reconvergent_x_sites",
     "stuck_nets",
-    "summarize_module",
     "unobservable_instances",
 ]

@@ -14,27 +14,23 @@ query and lint rule so the engine runs once per module per domain):
 * ``domains`` -- which clock domains' state reaches each net;
 * ``observable`` -- nets backward-reachable from an output/inout port.
 
-:func:`analyze_modules` fans whole-module analyses across processes via
-:func:`repro.perf.fanout`; per-module summaries are pure functions of
-the module, so the merged :class:`AnalysisReport` is byte-identical for
-any worker count.
+Fan-out across modules and whole-module result caching live one layer
+up, in :func:`repro.lint.lint_modules` (the ``lint.module`` store
+domain above the per-cone ``analysis.cone`` cache).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Tuple
 from weakref import WeakKeyDictionary
 
 from ..netlist import Module
 from ..netlist.netlist import Instance, Net
-from ..perf import fanout, resolve_workers
 from ..sim import SimulatorConfig, VENDOR_A_SIM, VENDOR_B_SIM
-from ..store import ArtifactStore, get_default_store
+from ..store import get_default_store
 from .cones import (
-    ANALYSIS_VERSION,
     Cone,
     ConeRunStats,
     partition_cones,
@@ -515,262 +511,3 @@ def clock_path_races(module: Module) -> List[Tuple[str, str, str]]:
             elif src_trace.through_gate != dst_trace.through_gate:
                 out.append((src_name, dst_name, "gated"))
     return out
-
-
-# -- module summaries / parallel report -------------------------------------
-
-@dataclass(frozen=True)
-class ModuleSummary:
-    """Canonical, picklable digest of one module's analyses."""
-
-    module: str
-    gates: int
-    nets: int
-    visits: int
-    stuck_nets: Tuple[Tuple[str, str], ...]
-    never_toggling: Tuple[Tuple[str, str], ...]
-    unobservable: Tuple[str, ...]
-    constant_cones: Tuple[Tuple[str, str, str], ...]
-    divergent_nets: Tuple[str, ...]
-    divergent_outputs: Tuple[Tuple[str, str], ...]
-    mux_select_x: Tuple[Tuple[str, str], ...]
-    reconvergent_x: Tuple[Tuple[str, str, Tuple[str, ...]], ...]
-    multi_driver_races: Tuple[Tuple[str, str], ...]
-    clock_races: Tuple[Tuple[str, str, str], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "gates": self.gates,
-            "nets": self.nets,
-            "visits": self.visits,
-            "stuck_nets": [list(item) for item in self.stuck_nets],
-            "never_toggling": [list(item) for item in self.never_toggling],
-            "unobservable": list(self.unobservable),
-            "constant_cones": [list(item) for item in self.constant_cones],
-            "divergent_nets": list(self.divergent_nets),
-            "divergent_outputs": [
-                list(item) for item in self.divergent_outputs
-            ],
-            "mux_select_x": [list(item) for item in self.mux_select_x],
-            "reconvergent_x": [
-                [inst, net, list(sources)]
-                for inst, net, sources in self.reconvergent_x
-            ],
-            "multi_driver_races": [
-                list(item) for item in self.multi_driver_races
-            ],
-            "clock_races": [list(item) for item in self.clock_races],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleSummary":
-        """Exact inverse of :meth:`to_dict` (tuple-for-tuple)."""
-        return cls(
-            module=data["module"],
-            gates=data["gates"],
-            nets=data["nets"],
-            visits=data["visits"],
-            stuck_nets=tuple(
-                (net, why) for net, why in data["stuck_nets"]
-            ),
-            never_toggling=tuple(
-                (inst, why) for inst, why in data["never_toggling"]
-            ),
-            unobservable=tuple(data["unobservable"]),
-            constant_cones=tuple(
-                (inst, net, why) for inst, net, why in data["constant_cones"]
-            ),
-            divergent_nets=tuple(data["divergent_nets"]),
-            divergent_outputs=tuple(
-                (port, why) for port, why in data["divergent_outputs"]
-            ),
-            mux_select_x=tuple(
-                (inst, net) for inst, net in data["mux_select_x"]
-            ),
-            reconvergent_x=tuple(
-                (inst, net, tuple(sources))
-                for inst, net, sources in data["reconvergent_x"]
-            ),
-            multi_driver_races=tuple(
-                (net, why) for net, why in data["multi_driver_races"]
-            ),
-            clock_races=tuple(
-                (src, dst, why) for src, dst, why in data["clock_races"]
-            ),
-        )
-
-
-#: Store domain for whole-module analysis summaries (default configs).
-SUMMARY_STORE_DOMAIN = "analysis.summary"
-_SUMMARY_CONFIG = [VENDOR_A_SIM.name, VENDOR_B_SIM.name]
-
-
-def summarize_module(
-    module: Module, *, store: ArtifactStore | None = None
-) -> ModuleSummary:
-    """All analyses over one module as a canonical summary.
-
-    Cached whole in the artifact store under the module fingerprint:
-    a warm rerun over an untouched module never reruns a fixpoint or a
-    query, it decodes the stored summary (byte-identical ``to_dict``).
-    """
-    if store is None:
-        store = get_default_store()
-    fingerprints = (module.fingerprint(),)
-    payload = store.get(
-        SUMMARY_STORE_DOMAIN, ANALYSIS_VERSION, fingerprints,
-        _SUMMARY_CONFIG,
-    )
-    if payload is not None:
-        return ModuleSummary.from_dict(payload)
-    summary = _summarize_module_uncached(module)
-    store.put(
-        SUMMARY_STORE_DOMAIN, ANALYSIS_VERSION, fingerprints,
-        summary.to_dict(), _SUMMARY_CONFIG,
-    )
-    return summary
-
-
-def _summarize_module_uncached(module: Module) -> ModuleSummary:
-    analysis = analyze_module(module)
-    total_visits = (
-        analysis.const.visits + analysis.dual.visits
-        + analysis.xtaint.visits + analysis.launch.visits
-        + analysis.domains.visits
-    )
-    return ModuleSummary(
-        module=module.name,
-        gates=module.gate_count,
-        nets=len(module.nets),
-        visits=total_visits,
-        stuck_nets=tuple(stuck_nets(analysis)),
-        never_toggling=tuple(never_toggling_flops(analysis)),
-        unobservable=tuple(unobservable_instances(analysis)),
-        constant_cones=tuple(constant_cones(analysis)),
-        divergent_nets=tuple(divergent_nets(analysis)),
-        divergent_outputs=tuple(divergent_output_ports(analysis)),
-        mux_select_x=tuple(mux_select_x_sites(analysis)),
-        reconvergent_x=tuple(reconvergent_x_sites(analysis)),
-        multi_driver_races=tuple(multi_driver_races(analysis)),
-        clock_races=tuple(clock_path_races(module)),
-    )
-
-
-@dataclass
-class AnalysisReport:
-    """Design-level roll-up; canonical JSON is worker-count invariant."""
-
-    design: str
-    summaries: List[ModuleSummary] = field(default_factory=list)
-
-    @property
-    def total_findings(self) -> int:
-        return sum(
-            len(s.stuck_nets) + len(s.never_toggling) + len(s.unobservable)
-            + len(s.constant_cones) + len(s.divergent_outputs)
-            + len(s.mux_select_x) + len(s.reconvergent_x)
-            + len(s.multi_driver_races) + len(s.clock_races)
-            for s in self.summaries
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "modules": [
-                s.to_dict()
-                for s in sorted(self.summaries, key=lambda s: s.module)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
-
-def _summary_task(module: Module) -> ModuleSummary:
-    """Worker: self-contained per-module analysis (picklable)."""
-    return summarize_module(module)
-
-
-def _summaries_task(modules: List[Module]) -> List[ModuleSummary]:
-    """Worker: analyse one gate-count-balanced chunk of modules."""
-    return [summarize_module(module) for module in modules]
-
-
-def _balanced_chunks(
-    modules: Sequence[Module], n_bins: int
-) -> List[List[int]]:
-    """LPT bin-packing of module indices by gate count.
-
-    Largest module first onto the least-loaded bin, ties broken by bin
-    index, so the packing (and therefore the perf profile) is a pure
-    function of the module list.  A single oversized module no longer
-    drags a whole round-robin stripe of small ones behind it.
-    """
-    order = sorted(
-        range(len(modules)),
-        key=lambda i: (-len(modules[i].instances), i),
-    )
-    loads = [0] * n_bins
-    bins: List[List[int]] = [[] for _ in range(n_bins)]
-    for index in order:
-        target = min(range(n_bins), key=lambda b: (loads[b], b))
-        bins[target].append(index)
-        loads[target] += max(1, len(modules[index].instances))
-    return [sorted(chunk) for chunk in bins if chunk]
-
-
-def analyze_modules(
-    modules: Sequence[Module],
-    *,
-    design: str = "design",
-    workers: int | None = None,
-) -> AnalysisReport:
-    """Analyse every module, fanning out across processes.
-
-    Modules are grouped into gate-count-balanced chunks (one per
-    worker, LPT packing) before the fan-out, so pickle round-trips are
-    paid once per worker instead of once per module and no worker
-    idles behind a straggler.  Each summary is a pure function of its
-    module and results merge by original module index, so the report
-    (and its canonical JSON) is byte-identical for any ``workers``
-    value.
-    """
-    module_list = list(modules)
-    if not module_list:
-        return AnalysisReport(design=design, summaries=[])
-    store = get_default_store()
-    by_index: Dict[int, ModuleSummary] = {}
-    missing: List[int] = []
-    for index, module in enumerate(module_list):
-        payload = store.get(
-            SUMMARY_STORE_DOMAIN, ANALYSIS_VERSION,
-            (module.fingerprint(),), _SUMMARY_CONFIG,
-        )
-        if payload is not None:
-            by_index[index] = ModuleSummary.from_dict(payload)
-        else:
-            missing.append(index)
-    if missing:
-        missing_modules = [module_list[i] for i in missing]
-        n_bins = min(resolve_workers(workers), len(missing_modules))
-        chunks = _balanced_chunks(missing_modules, n_bins)
-        chunk_results = fanout(
-            _summaries_task,
-            [[missing_modules[i] for i in chunk] for chunk in chunks],
-            workers=n_bins,
-            stage="analysis.modules",
-        )
-        for chunk, results in zip(chunks, chunk_results):
-            for local_index, summary in zip(chunk, results):
-                index = missing[local_index]
-                by_index[index] = summary
-                store.put(
-                    SUMMARY_STORE_DOMAIN, ANALYSIS_VERSION,
-                    (module_list[index].fingerprint(),),
-                    summary.to_dict(), _SUMMARY_CONFIG,
-                )
-    return AnalysisReport(
-        design=design,
-        summaries=[by_index[i] for i in range(len(module_list))],
-    )

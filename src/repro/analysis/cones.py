@@ -40,8 +40,9 @@ from ..netlist.netlist import NetlistError
 from ..store import ArtifactStore, canonical_json, get_default_store
 from .engine import AbstractDomain, FixpointResult, Value
 
-#: Bump to invalidate every cached cone/summary/lint artifact derived
-#: from the analysis layer (new domain semantics, new payload schema).
+#: Bump to invalidate every cached cone result (new domain semantics,
+#: new payload schema).  Per-module lint findings carry their own
+#: :data:`repro.lint.LINT_VERSION`; bump it too when findings change.
 ANALYSIS_VERSION = "1"
 
 #: Store domain under which per-cone transfer results are filed.

@@ -492,7 +492,8 @@ class DesignServiceFlow:
                     checker=lambda cycle, outs: None,  # trace compare only
                 )
             )
-        cross = cross_simulator_check(representative, benches)
+        # workers=1: the lambda checker cannot pickle into a pool.
+        cross = cross_simulator_check(representative, benches, workers=1)
         self.report.regression_total = len(benches)
         self.report.regression_pass = cross.report_a.passed
         self.report.cross_sim_consistent = cross.consistent

@@ -32,7 +32,6 @@ from .verilog import (
     verilog_text,
     write_verilog,
 )
-from .liberty import liberty_text, write_liberty
 
 __all__ = [
     "Logic",
@@ -69,6 +68,4 @@ __all__ = [
     "read_verilog",
     "verilog_text",
     "write_verilog",
-    "liberty_text",
-    "write_liberty",
 ]

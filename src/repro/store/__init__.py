@@ -2,8 +2,8 @@
 
 :class:`ArtifactStore` keys canonical-JSON payloads by the sha256 of
 ``(domain, version, input fingerprints, config)``; clients --
-per-cone analysis transfers, per-module lint findings and analysis
-summaries, BMC payloads -- re-derive only what the design change
+per-cone analysis transfers, per-module lint findings, per-block
+stage payloads -- re-derive only what the design change
 reached and splice cached results elsewhere, byte-identical to a cold
 run.  See :mod:`repro.store.store` for the full contract.
 """

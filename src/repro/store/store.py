@@ -1,8 +1,8 @@
 """Content-addressed artifact store for stage results.
 
 The flow-as-a-service lever: every static stage result (per-cone
-analysis transfers, per-module lint findings, analysis summaries, BMC
-payloads) is a pure function of *content fingerprints* -- of the
+analysis transfers, per-module lint findings, per-block lint, analysis
+and BMC payloads) is a pure function of *content fingerprints* -- of the
 design slice it covers, of the rule/domain version, and of the
 configuration it ran under.  :class:`ArtifactStore` keys canonical-JSON
 payloads by the sha256 of exactly those parts, so an ECO reruns only

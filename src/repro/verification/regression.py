@@ -157,7 +157,7 @@ def run_regression(
     *,
     config: SimulatorConfig | None = None,
     workers: int | None = None,
-    engine: str = "event",
+    engine: str = "compiled",
 ) -> RegressionReport:
     """Run every bench under one dialect.
 
@@ -166,10 +166,11 @@ def run_regression(
     a serial run); benches with unpicklable checkers fall back to
     serial execution automatically.
 
-    ``engine="compiled"`` groups benches that share a clock/reset
-    protocol and runs each group's stimuli as parallel lanes of one
-    :class:`~repro.sim.BatchSimulator` sweep (chunked across workers),
-    with verdicts and traces bit-identical to the event engine.
+    ``engine="compiled"`` (the default) groups benches that share a
+    clock/reset protocol and runs each group's stimuli as parallel
+    lanes of one :class:`~repro.sim.BatchSimulator` sweep (chunked
+    across workers), with verdicts and traces bit-identical to
+    ``engine="event"``, the interpreted reference.
     """
     config = config or VENDOR_A_SIM
     if engine not in ("compiled", "event"):
@@ -256,7 +257,7 @@ def cross_simulator_check(
     config_a: SimulatorConfig = VENDOR_A_SIM,
     config_b: SimulatorConfig = VENDOR_B_SIM,
     workers: int | None = None,
-    engine: str = "event",
+    engine: str = "compiled",
 ) -> CrossSimReport:
     """Run the suite under two dialects and reconcile (E13)."""
     report_a = run_regression(module, testbenches, config=config_a,

@@ -27,13 +27,23 @@ from repro.analysis import (
     TaintDomain,
     analyze_module,
     clear_analysis_memo,
+    clock_path_races,
     cone_partition_fingerprint,
+    constant_cones,
+    divergent_nets,
+    divergent_output_ports,
+    multi_driver_races,
+    mux_select_x_sites,
+    never_toggling_flops,
     partition_cones,
+    reconvergent_x_sites,
     run_fixpoint,
     run_fixpoint_cones,
-    summarize_module,
+    stuck_nets,
+    unobservable_instances,
 )
 from repro.analysis.analyses import _uninit_mask
+from repro.lint import run_lint
 from repro.netlist import Module, make_default_library
 from repro.netlist.generators import block_from_budget
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM
@@ -171,8 +181,36 @@ class TestConeFixpointEquivalence:
         assert after is not before
 
 
+FIXPOINTS = ("const", "dual", "xtaint", "launch", "domains")
+
+QUERIES = (
+    stuck_nets, never_toggling_flops, unobservable_instances,
+    constant_cones, divergent_nets, divergent_output_ports,
+    mux_select_x_sites, reconvergent_x_sites, multi_driver_races,
+)
+
+
+def _canonical(value):
+    return sorted(value) if isinstance(value, frozenset) else value
+
+
 def summary_json(module):
-    return json.dumps(summarize_module(module).to_dict(), sort_keys=True)
+    """Canonical digest of every fixpoint (values and visit counts) and
+    every query over one module."""
+    analysis = analyze_module(module)
+    digest = {}
+    for name in FIXPOINTS:
+        result = getattr(analysis, name)
+        digest[name] = {
+            "nets": {net: _canonical(value)
+                     for net, value in result.net_values.items()},
+            "flops": {flop: _canonical(value)
+                      for flop, value in result.flop_state.items()},
+            "visits": result.visits,
+        }
+    digest["queries"] = [query(analysis) for query in QUERIES]
+    digest["clock_races"] = clock_path_races(module)
+    return json.dumps(digest, sort_keys=True)
 
 
 class TestPostEcoIncremental:
@@ -199,15 +237,20 @@ class TestPostEcoIncremental:
             assert summary_json(module) == incremental
 
     def test_summary_store_caches_whole_module(self, lib):
+        """A warm ``lint.module`` hit answers without a cone lookup."""
         module = build_reconvergent_x(lib)
+        rules = ["const", "dead", "divergence", "race"]
         store = ArtifactStore()
         with using_store(store):
-            first = summary_json(module)
+            first = run_lint([module], rules=rules, workers=1).to_json()
+            cones = store.counters()["analysis.cone"]
+            cone_lookups = cones.hits + cones.misses
             clear_analysis_memo()
-            second = summary_json(module)
+            second = run_lint([module], rules=rules, workers=1).to_json()
         assert first == second
-        counters = store.counters()["analysis.summary"]
+        counters = store.counters()["lint.module"]
         assert counters.hits == 1 and counters.puts == 1
+        assert cones.hits + cones.misses == cone_lookups
 
 
 # -- hypothesis ECO campaign ----------------------------------------------
@@ -294,13 +337,14 @@ def test_random_ecos_incremental_equals_cold(seed, edits):
     )
     store = ArtifactStore()
     with using_store(store):
-        summarize_module(module)  # populate the store cold
+        summary_json(module)  # populate the store cold
         applied = [
             desc for op, index in edits
             if (desc := _apply_eco(module, op, index)) is not None
         ]
         clear_analysis_memo()
         incremental = summary_json(module)
+        clear_analysis_memo()
         incremental_again = summary_json(module)
     clear_analysis_memo()
     with using_store(ArtifactStore()):

@@ -20,6 +20,8 @@ SUBPACKAGES = [
     "repro.manufacturing", "repro.reliability", "repro.fa",
     "repro.project", "repro.dsc", "repro.soc", "repro.si", "repro.dfm",
     "repro.lowpower", "repro.core", "repro.coverage",
+    "repro.analysis", "repro.lint", "repro.store", "repro.service",
+    "repro.perf",
 ]
 
 

@@ -138,6 +138,25 @@ class TestDesignServiceFlow:
         # Core lifecycle still complete.
         assert report.final_yield > 0.9
 
+    def test_verify_starts_no_process_pool(self, monkeypatch):
+        """Its benches carry a lambda checker that no pool can pickle."""
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(kwargs)
+            raise OSError("process pool stubbed out")
+
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        monkeypatch.setattr("repro.perf.executor.ProcessPoolExecutor",
+                            no_pool)
+        flow = DesignServiceFlow(scale=0.01, seed=3)
+        for name in ("intake", "harden_cpu", "assemble"):
+            flow.run_stage(name)
+        cross = flow.verify()
+        assert pools == []
+        assert cross.consistent
+        assert flow.report.regression_total == 2
+
     def test_stage_order_enforced(self):
         flow = DesignServiceFlow(scale=0.01, seed=3)
         with pytest.raises(RuntimeError, match="assemble"):
