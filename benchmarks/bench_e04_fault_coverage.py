@@ -2,7 +2,7 @@
 
 Paper: "After scan insertion, the fault coverage was 93%."
 
-Shape to reproduce: random patterns saturate in the 80s; the PODEM
+Shape to reproduce: random patterns saturate in the 80s; the SAT
 deterministic phase pushes total stuck-at coverage into the low-90s,
 with the shortfall dominated by proven-redundant faults (test
 efficiency near 100%).

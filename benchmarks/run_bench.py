@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -522,6 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         "date": datetime.date.today().isoformat(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "quick": args.quick,
         "fault_sim": bench_fault_sim(args.quick),
         "wafer_monte_carlo": bench_wafer(args.quick),

@@ -1,23 +1,35 @@
-"""ATPG: random-pattern phase plus PODEM deterministic top-up.
+"""ATPG: random-pattern phase plus SAT-based deterministic top-up.
 
 The flow mirrors industrial practice on late-1990s control-dominated
 designs like the paper's DSC controller: random patterns saturate in
-the 80s, a PODEM phase (:mod:`repro.dft.podem`) targets the remaining
-random-pattern-resistant faults one by one, proves some untestable
-(redundant logic), and whatever aborts at the backtrack limit is
-reported as untested.  The paper reports 93% coverage after scan
-insertion -- experiment E4 regenerates that number on the synthetic
-SoC netlist.
+the 80s, then a SAT test generator targets the remaining
+random-pattern-resistant faults one by one.  It either finds a test,
+proves the fault untestable (redundant logic), or gives up when its
+per-fault conflict budget runs out; those aborted faults are reported
+as untested.  The paper reports 93% coverage after scan insertion --
+experiment E4 regenerates that number on the synthetic SoC netlist.
+
+The generator (Larrabee-style) runs on the repository's one CDCL
+solver, :class:`repro.formal.cdcl.Solver`.  The good circuit is encoded
+once from the same truth tables the fault kernels evaluate.  Each fault
+adds its faulty fanout cone and an XOR miter over the pseudo outputs
+it reaches, behind a fresh activation literal; the solve runs under
+that one assumption and the literal is then retired, so clauses
+learned on one fault keep pruning the next.  Within its budget the
+generator is complete: its verdicts are checked against exhaustive
+enumeration in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..formal.cdcl import Solver
 from ..netlist import Module
+from ..netlist.netlist import Instance
 from ..perf import stage_timer
 from .faults import Fault, collapse_faults, enumerate_faults
 from .faultsim import (
@@ -27,7 +39,6 @@ from .faultsim import (
     _BatchKernel,
     random_pattern_fault_sim,
 )
-from .podem import Podem
 
 
 @dataclass
@@ -82,24 +93,185 @@ class AtpgResult:
         return "\n".join(lines)
 
 
+# -- SAT test generation ----------------------------------------------------
+
+
+def _prime_cubes(rows: Iterable[int], n: int) -> list[tuple[int, int]]:
+    """Prime implicants of a set of truth-table rows over ``n`` inputs,
+    as ``(care mask, value)`` cubes (Quine-McCluskey; cells are small)."""
+    cubes = {((1 << n) - 1, row) for row in rows}
+    primes: set[tuple[int, int]] = set()
+    while cubes:
+        merged: set[tuple[int, int]] = set()
+        covered: set[tuple[int, int]] = set()
+        for mask, value in cubes:
+            for k in range(n):
+                bit = 1 << k
+                if mask & bit and (mask, value ^ bit) in cubes:
+                    merged.add((mask & ~bit, value & ~bit))
+                    covered.add((mask, value))
+        primes |= cubes - covered
+        cubes = merged
+    return sorted(primes)
+
+
+def _cell_cnf(
+    minterms: Sequence[tuple[int, ...]], n: int
+) -> tuple[tuple[int, int, bool], ...]:
+    """Clause templates ``(care mask, value, output polarity)`` of one
+    cell: every prime cube of the on-set implies output 1, every prime
+    cube of the off-set implies output 0.  Prime cubes let a single
+    controlling input propagate, which plain truth-table rows do not."""
+    on = {sum(bit << k for k, bit in enumerate(row)) for row in minterms}
+    off = set(range(1 << n)) - on
+    return tuple(
+        (mask, value, polarity)
+        for polarity, rows in ((True, on), (False, off))
+        for mask, value in _prime_cubes(rows, n)
+    )
+
+
+@dataclass
+class SatTest:
+    """Outcome of one SAT test-generation call."""
+
+    fault: Fault
+    status: str  # "detected" | "untestable" | "aborted"
+    #: On "detected": a 0/1 value for every pseudo input in the fault's
+    #: structural support; any fill of the other inputs detects it.
+    pattern: dict[str, int] | None = None
+
+
+class SatTestGenerator:
+    """Incremental SAT test generator bound to one combinational view.
+
+    ``conflict_limit`` is the per-fault conflict budget (``None``:
+    unbounded, so every verdict is exact).  Results depend only on the
+    view and the order of :meth:`generate` calls.
+    """
+
+    def __init__(
+        self, view: CombinationalView, *, conflict_limit: int | None = None
+    ) -> None:
+        self.view = view
+        self.conflict_limit = conflict_limit
+        self.solver = Solver()
+        self._true = self.solver.new_var()
+        self.solver.add_clause([self._true])
+        self._cnf: dict[str, tuple[tuple[int, int, bool], ...]] = {}
+        self._good = {net: self.solver.new_var() for net in view.pseudo_inputs}
+        for inst in view._order:
+            inputs = [self._lit(inst.net_of(p)) for p in inst.cell.input_pins]
+            self._good[self._out_net(inst)] = self._gate(inst, inputs)
+
+    @staticmethod
+    def _out_net(inst: Instance) -> str:
+        return inst.net_of(inst.cell.output_pins[0])
+
+    def _lit(self, net: str) -> int:
+        """Good-circuit literal of a net; undriven nets read 0, as in
+        the fault-simulation kernels."""
+        return self._good.get(net, -self._true)
+
+    def _gate(
+        self, inst: Instance, inputs: Sequence[int], guard: int = 0
+    ) -> int:
+        """A fresh literal constrained to ``inst``'s function of the
+        ``inputs`` literals (one per input pin); with a ``guard``, only
+        while that literal is true."""
+        cnf = self._cnf.get(inst.cell.name)
+        if cnf is None:
+            cnf = _cell_cnf(self.view._minterms[inst.cell.name], len(inputs))
+            self._cnf[inst.cell.name] = cnf
+        out = self.solver.new_var()
+        for mask, value, polarity in cnf:
+            clause = [
+                -lit if value >> k & 1 else lit
+                for k, lit in enumerate(inputs) if mask >> k & 1
+            ]
+            clause.append(out if polarity else -out)
+            if guard:
+                clause.append(-guard)
+            self.solver.add_clause(clause)
+        return out
+
+    def generate(self, fault: Fault) -> SatTest:
+        """Find a test for ``fault``, prove it untestable, or abort."""
+        view, solver = self.view, self.solver
+        cone = view.fanout_cone(fault.instance)
+        cone_nets = {self._out_net(member) for member in cone}
+        observed = [net for net in dict.fromkeys(view.pseudo_outputs)
+                    if net in cone_nets]
+        if not observed:
+            return SatTest(fault, "untestable")
+
+        # Everything below hangs off ``act``: the faulty cone's gates,
+        # fault activation and the miter over the observed outputs.
+        act = solver.new_var()
+        site = view.module.instances[fault.instance]
+        stuck = self._true if fault.stuck_at else -self._true
+        stem = self._lit(site.net_of(fault.pin))
+        solver.add_clause([-act, -stem if fault.stuck_at else stem])
+        if fault.pin in site.cell.output_pins:
+            faulty = {self._out_net(site): stuck}
+        else:
+            inputs = [
+                stuck if pin == fault.pin else self._lit(site.net_of(pin))
+                for pin in site.cell.input_pins
+            ]
+            faulty = {self._out_net(site): self._gate(site, inputs, act)}
+        for member in cone:
+            if member is not site:
+                inputs = [faulty.get(net) or self._lit(net) for net in
+                          map(member.net_of, member.cell.input_pins)]
+                faulty[self._out_net(member)] = self._gate(member, inputs, act)
+        diffs: list[int] = []
+        for net in observed:
+            good, bad = self._lit(net), faulty[net]
+            diff = solver.new_var()
+            solver.add_clause([-diff, good, bad])
+            solver.add_clause([-diff, -good, -bad])
+            diffs.append(diff)
+        solver.add_clause([-act] + diffs)
+
+        verdict = solver.solve([act], conflict_limit=self.conflict_limit)
+        pattern: dict[str, int] | None = None
+        if verdict:
+            support = sorted({net for member in cone
+                              for net in view.support(member.name)})
+            pattern = {net: int(solver.value(self._good[net]))
+                       for net in support}
+        # Retire the fault.  With ``act`` false its variables are
+        # unconstrained, so pinning them at level 0 takes them out of
+        # every later solve; learned clauses stay.
+        solver.add_clause([-act])
+        for var in (*faulty.values(), *diffs):
+            if abs(var) != self._true:  # not the stuck constant
+                solver.add_clause([-var])
+        if verdict is None:
+            return SatTest(fault, "aborted")
+        return SatTest(fault, "detected" if verdict else "untestable", pattern)
+
+
 def _deterministic_phase(
     view: CombinationalView,
     undetected: Sequence[Fault],
     *,
     rng: np.random.Generator,
     grade: _BatchKernel,
-    backtrack_limit: int = 256,
-) -> tuple[set[Fault], list[Fault], int]:
-    """PODEM phase with cross-fault dropping.
+    conflict_limit: int | None,
+) -> tuple[set[Fault], list[Fault], int, int]:
+    """SAT phase with cross-fault dropping.
 
-    Each PODEM pattern (unassigned inputs filled randomly) is fault-
-    simulated against all still-pending faults, so one deterministic
-    pattern often pays for several faults -- standard practice.
-    ``grade`` is the engine's batch kernel; each pattern is graded as
-    a one-pattern batch.
-    Returns (detected, proven-untestable, patterns used).
+    Each SAT pattern (inputs outside the fault's support filled from
+    ``rng`` in ``view.pseudo_inputs`` order) is fault-simulated against
+    all still-pending faults, so one deterministic pattern often pays
+    for several faults -- standard practice.  ``grade`` is the
+    engine's batch kernel; each pattern is graded as a one-pattern
+    batch.
+    Returns (detected, proven-untestable, patterns used, conflicts).
     """
-    engine = Podem(view, backtrack_limit=backtrack_limit)
+    generator = SatTestGenerator(view, conflict_limit=conflict_limit)
     detected: set[Fault] = set()
     untestable: list[Fault] = []
     patterns_used = 0
@@ -108,11 +280,11 @@ def _deterministic_phase(
         fault = pending.pop(0)
         if fault in detected:
             continue
-        outcome = engine.generate(fault)
+        outcome = generator.generate(fault)
         if outcome.status == "untestable":
             untestable.append(fault)
             continue
-        if outcome.status == "aborted" or outcome.pattern is None:
+        if outcome.pattern is None:
             continue
         bits: dict[str, np.ndarray] = {}
         for net in view.pseudo_inputs:
@@ -124,7 +296,8 @@ def _deterministic_phase(
         candidates = [fault] + [f for f in pending if f not in detected]
         detected.update(grade(view, bits, 1, candidates))
         pending = [f for f in pending if f not in detected]
-    return detected, untestable, patterns_used
+    return (detected, untestable, patterns_used,
+            generator.solver.stats.conflicts)
 
 
 def run_atpg(
@@ -132,7 +305,7 @@ def run_atpg(
     *,
     seed: int = 0,
     max_random_patterns: int = 2048,
-    backtrack_limit: int = 256,
+    conflict_limit: int | None = 10_000,
     collapse: bool = True,
     batch_size: int = 64,
     engine: str = "compiled",
@@ -145,8 +318,11 @@ def run_atpg(
     combinational view simply treats all flop boundaries as test
     points, which models perfect scan access.
 
+    ``conflict_limit`` is the SAT generator's per-fault conflict
+    budget; a fault that exhausts it is reported undetected (aborted).
+    ``None`` removes the budget.
     ``batch_size``, ``engine`` and ``workers`` tune fault simulation
-    (see :func:`repro.dft.random_pattern_fault_sim`); PODEM patterns
+    (see :func:`repro.dft.random_pattern_fault_sim`); SAT patterns
     are graded on the same engine as the random phase.
     Engine and worker count never change the result; ``batch_size``
     selects how many patterns are drawn per batch, so a different
@@ -165,15 +341,17 @@ def run_atpg(
         batch_size=batch_size, engine=engine, workers=workers,
     )
     undetected = [f for f in universe if f not in random_result.detected]
-    with stage_timer("dft.atpg.podem") as stats:
-        det_extra, untestable, det_patterns = _deterministic_phase(
+    with stage_timer("dft.atpg.sat") as stats:
+        det_extra, untestable, det_patterns, conflicts = _deterministic_phase(
             view, undetected, rng=rng, grade=grade,
-            backtrack_limit=backtrack_limit,
+            conflict_limit=conflict_limit,
         )
-        stats.add(patterns=det_patterns, faults=len(undetected))
-    still_undetected = [
-        f for f in undetected if f not in det_extra and f not in untestable
-    ]
+        still_undetected = [
+            f for f in undetected if f not in det_extra and f not in untestable
+        ]
+        stats.add(patterns=det_patterns, faults=len(undetected),
+                  conflicts=conflicts, untestable=len(untestable),
+                  aborted=len(still_undetected))
 
     return AtpgResult(
         total_faults=len(universe),

@@ -739,7 +739,7 @@ def _assumes_satisfiable(
     )
     unroller.extend(depth)
     selectors = _encode_assumes(builder, unroller, assumes, depth)
-    return solver.solve([s for s, _ in selectors])
+    return bool(solver.solve([s for s, _ in selectors]))
 
 
 # ---------------------------------------------------------------------------

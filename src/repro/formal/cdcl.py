@@ -16,7 +16,13 @@ conflict-driven clause-learning solver in the MiniSat mould:
   process, on any worker of a fan-out -- take byte-identical paths;
 * **Luby restarts** keyed on conflict counts (never wall time);
 * **assumption literals** with failed-assumption core extraction, the
-  hook the unsat-core-lite of BMC builds on.
+  hook the unsat-core-lite of BMC builds on;
+* **incremental use**: every :meth:`Solver.solve` returns at decision
+  level 0 (a satisfying model is kept as a snapshot), so clauses and
+  variables may be added between solves while learned clauses carry
+  over, and an optional per-call conflict budget ends a solve with
+  ``None`` -- neither SAT nor UNSAT.  SAT-based ATPG
+  (:mod:`repro.dft.atpg`) is the incremental client.
 
 Literals use the DIMACS convention: variable ``v`` is the positive
 literal ``v`` and its negation ``-v``; variables are 1-based and
@@ -154,6 +160,7 @@ class Solver:
         self._order = _VarOrder(seed)
         self._var_inc = 1.0
         self._unsat = False  # empty clause / level-0 conflict seen
+        self._model: list[int] = [0]  # assignment snapshot of the last SAT
 
     # -- problem construction -----------------------------------------
 
@@ -213,16 +220,16 @@ class Solver:
 
     def value(self, lit: int) -> bool:
         """Model value of ``lit`` after a satisfiable solve."""
-        value = self._lit_value(lit)
+        var = abs(lit)
+        value = self._model[var] if var < len(self._model) else 0
         if value == 0:
             raise SatError(f"literal {lit} unassigned (no model?)")
-        return value == 1
+        return (value == 1) == (lit > 0)
 
     def model(self) -> dict[int, bool]:
         """The full model as ``{var: bool}`` after a SAT solve."""
         return {
-            var: self._assign[var] == 1
-            for var in range(1, self.n_vars + 1)
+            var: self._model[var] == 1 for var in range(1, len(self._model))
         }
 
     # -- internals -----------------------------------------------------
@@ -382,7 +389,12 @@ class Solver:
 
     # -- search --------------------------------------------------------
 
-    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+    def solve(
+        self,
+        assumptions: Sequence[int] = (),
+        *,
+        conflict_limit: int | None = None,
+    ) -> bool | None:
         """Decide satisfiability under optional assumption literals.
 
         Returns True with a complete model (:meth:`value`), or False.
@@ -390,8 +402,14 @@ class Solver:
         without them, :attr:`core` names the assumption subset the
         refutation actually used (unsat-core-lite); an unconditionally
         unsatisfiable formula yields an empty core.
+
+        ``conflict_limit`` caps the conflicts this call may spend: when
+        it runs out first the call returns None, which is neither
+        verdict.  Every return leaves the solver at decision level 0,
+        ready for more clauses and another solve.
         """
         self.core = ()
+        self._model = [0]
         if self._unsat:
             return False
         self._backtrack(0)
@@ -405,11 +423,13 @@ class Solver:
         conflict_budget = 0
         restart_index = 0
         restart_base = 64
+        spent = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.stats.conflicts += 1
                 conflict_budget -= 1
+                spent += 1
                 if not self._trail_lim:
                     self._unsat = True
                     return False
@@ -428,6 +448,9 @@ class Solver:
                     self._attach(learned)
                     self._enqueue(learned[0], learned)
                 self._var_inc /= 0.95
+                if conflict_limit is not None and spent >= conflict_limit:
+                    self._backtrack(0)
+                    return None
                 continue
             if conflict_budget <= 0 and \
                     len(self._trail_lim) > len(assumptions):
@@ -451,6 +474,8 @@ class Solver:
                 continue
             var = self._order.pop_unassigned(self._assign)
             if var == 0:
+                self._model = self._assign[:]
+                self._backtrack(0)
                 return True
             self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))

@@ -6,8 +6,8 @@ configuration, batch size and worker count, ``engine="compiled"`` must
 reproduce the big-int scalar reference's :class:`FaultSimResult`
 exactly -- detected set, coverage curve, effective patterns and
 first-detecting-pattern attribution -- and :func:`run_atpg` must
-return the same report through either engine, PODEM grading
-included.
+return the same report through either engine, grading of the SAT
+generator's patterns included.
 """
 
 import numpy as np
@@ -112,8 +112,8 @@ class TestEngineIdentity:
         module = pipeline_block("atpg", lib, stages=2, width=6,
                                 cloud_gates=30, seed=2)
         scanned, _ = insert_scan(module, n_chains=2)
-        # 16 random patterns leave faults for PODEM, so its pattern
-        # grading runs on both engines too.
+        # 16 random patterns leave faults for the SAT generator, so its
+        # pattern grading runs on both engines too.
         for max_random_patterns in (128, 16):
             ref = run_atpg(scanned, seed=7,
                            max_random_patterns=max_random_patterns,
@@ -131,6 +131,9 @@ class TestEngineIdentity:
             assert other.patterns_random == ref.patterns_random
             assert other.patterns_deterministic == ref.patterns_deterministic
             assert other.coverage_curve == ref.coverage_curve
+            assert run_atpg(scanned, seed=7,
+                            max_random_patterns=max_random_patterns,
+                            engine="compiled", workers=2) == ref
 
     def test_engine_knob_validation(self, lib):
         module = counter_module(lib)

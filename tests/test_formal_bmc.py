@@ -139,6 +139,31 @@ class TestCdclSolver:
         # The solver is reusable after an assumption failure.
         assert solver.solve([x3]) is True
 
+    def test_add_clause_after_sat_and_resolve(self):
+        solver = Solver()
+        var = _pigeonhole(solver, pigeons=3, holes=3)
+        assert solver.solve() is True
+        first = {key: solver.value(v) for key, v in var.items()}
+        # Forbid the model's seat for pigeon 0; the model survives the
+        # new clause until the next solve.
+        seat = next(j for j in range(3) if first[0, j])
+        solver.add_clause([-var[0, seat]])
+        assert solver.value(var[0, seat]) is True
+        assert solver.solve() is True
+        assert solver.value(var[0, seat]) is False
+        for j in range(3):
+            solver.add_clause([-var[0, j]])
+        assert solver.solve() is False
+
+    def test_conflict_budget_reports_exhausted_not_unsat(self):
+        solver = Solver()
+        _pigeonhole(solver, pigeons=6, holes=5)
+        assert solver.solve(conflict_limit=1) is None
+        assert solver.stats.conflicts == 1
+        assert solver.solve(conflict_limit=1) is None
+        # With room in the budget the same solver reaches the verdict.
+        assert solver.solve(conflict_limit=10_000) is False
+
 
 # ---------------------------------------------------------------------------
 # Unroller vs the event simulator (both dialects)

@@ -91,7 +91,7 @@ class TestFaultSimKernels:
         assert _result_fingerprint(r_serial) == \
             _result_fingerprint(r_parallel)
         # The caller's generator must end in the same state too, so
-        # downstream phases (PODEM) see the same stream.
+        # downstream phases (SAT pattern fill) see the same stream.
         assert rng_serial.bit_generator.state == \
             rng_parallel.bit_generator.state
 
