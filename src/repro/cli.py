@@ -169,8 +169,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             checker=_null_checker,
             reset_port=None if args.no_reset else "rst_n",
         ))
-    cross = cross_simulator_check(module, benches, workers=args.workers,
-                                  engine=args.engine)
+    cross = cross_simulator_check(module, benches, workers=args.workers)
     print(cross.report_a.format_report())
     print()
     print(cross.report_b.format_report())
@@ -208,7 +207,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     )
     result = close_coverage(module, covergroup, seed=args.seed,
                             config=config, spec=spec,
-                            workers=args.workers, engine=args.engine)
+                            workers=args.workers)
     print(result.format_report())
     return 0 if result.reached else 1
 
@@ -239,8 +238,8 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
         if not any(p.kind != "assume" for p in props):
             continue
         report = check_properties(
-            module, props, depth=args.depth, engine=args.engine,
-            workers=args.workers, seed=args.seed,
+            module, props, depth=args.depth, workers=args.workers,
+            seed=args.seed,
         )
         reports.append(report)
         falsified += report.counts()["falsified"]
@@ -266,7 +265,7 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
         payload = {
             "bus": bus.to_dict(),
             "depth": args.depth,
-            "engine": args.engine,
+            "engine": "cdcl",
             "reports": [report.to_dict() for report in reports],
         }
         print(json_mod.dumps(payload, sort_keys=True,
@@ -470,11 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     regress.add_argument("--no-reset", action="store_true",
                          help="skip reset to reproduce the E13 "
                               "dialect mismatch (exit code 1)")
-    regress.add_argument("--engine", choices=("event", "compiled"),
-                         default="compiled",
-                         help="simulation backend (bit-identical "
-                              "verdicts; compiled packs benches into "
-                              "word-parallel lanes)")
     regress.set_defaults(func=_cmd_regress)
 
     sta = sub.add_parser(
@@ -507,11 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--seed", type=int, default=1)
     cover.add_argument("--workers", type=int, default=1,
                        help="simulation fan-out processes per round")
-    cover.add_argument("--engine", choices=("event", "compiled"),
-                       default="compiled",
-                       help="simulation backend (bit-identical "
-                            "coverage DB; compiled packs a round's "
-                            "tests into word-parallel lanes)")
     cover.set_defaults(func=_cmd_cover)
 
     bmc = sub.add_parser(
@@ -521,12 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     bmc.add_argument("--seed", type=int, default=0)
     bmc.add_argument("--depth", type=int, default=10,
                      help="number of unrolled clock frames")
-    bmc.add_argument("--engine", choices=("cdcl", "lanes"),
-                     default="cdcl",
-                     help="checking engine: 'cdcl' proves/falsifies "
-                          "via SAT, 'lanes' drives word-parallel "
-                          "simulation lanes (refutation only unless "
-                          "the free-input space is exhaustible)")
     bmc.add_argument("--workers", type=int, default=1,
                      help="per-property fan-out processes (the report "
                           "is byte-identical for any value)")

@@ -80,16 +80,12 @@ class FlowStage:
     """One stage of the whole-design lifecycle.
 
     ``deps`` are the stages whose outputs this stage consumes --
-    gating edges, not just narrative order.  ``kwargs`` are the
-    arguments :meth:`DesignServiceFlow.run` passes when it drives the
-    stage (the lifecycle defaults, e.g. the shallow BMC depth the full
-    run uses).
+    gating edges, not just narrative order.
     """
 
     name: str
     deps: tuple[str, ...] = ()
     extension: bool = False
-    kwargs: tuple[tuple[str, Any], ...] = ()
 
 
 #: The lifecycle DAG, declared in run order: every stage comes after
@@ -100,8 +96,7 @@ FLOW_STAGES: tuple[FlowStage, ...] = (
     FlowStage("assemble", deps=("harden_cpu",)),
     FlowStage("lint_gate", deps=("assemble",)),
     FlowStage("analyze", deps=("assemble",)),
-    FlowStage("verify_props", deps=("analyze",),
-              kwargs=(("depth", 6), ("max_gates", 200))),
+    FlowStage("verify_props", deps=("analyze",)),
     FlowStage("prototype", deps=("assemble",), extension=True),
     FlowStage("integrate_system", deps=("intake",), extension=True),
     FlowStage("verify", deps=("assemble",)),
@@ -415,7 +410,7 @@ class DesignServiceFlow:
 
     # -- stage 3e --------------------------------------------------------
 
-    def verify_props(self, *, depth: int = 10, max_gates: int = 4000):
+    def verify_props(self, *, depth: int = 6, max_gates: int = 200):
         """Bounded model checking of auto-derived properties (S6).
 
         Properties are derived from analysis facts (constant nets,
@@ -424,7 +419,8 @@ class DesignServiceFlow:
         ``depth`` frames by :func:`repro.formal.check_properties`.  The
         SoC memory map additionally gets the pure-CNF bus-window
         exclusivity proof -- the formal twin of the structural ``MAP``
-        rules.
+        rules.  The defaults keep the lifecycle run shallow: the
+        pure-Python CDCL core pays per frame.
 
         Returns ``(reports, bus_result)``.  ``reports`` maps each
         block with checked properties to its live
@@ -723,22 +719,17 @@ class DesignServiceFlow:
                 for name in self._block_names()}
 
     def run_stage(self, name: str) -> Any:
-        """Run one lifecycle stage with its flow-default kwargs."""
-        stage = FLOW_STAGE_DEFS.get(name)
-        if stage is None:
+        """Run one lifecycle stage with its default arguments."""
+        if name not in FLOW_STAGE_DEFS:
             raise ValueError(f"unknown flow stage {name!r}")
-        method = getattr(self, stage.name)
-        return method(**dict(stage.kwargs))
+        return getattr(self, name)()
 
     def run(self, *, with_extensions: bool = True) -> FlowReport:
         """Execute the lifecycle along :func:`flow_stage_order`.
 
         ``with_extensions`` also runs the optional capability stages
         (virtual prototyping, system integration, hierarchical test
-        scheduling, SI/DFM/low-power sign-off).  (The verify_props
-        depth stays shallow here: the pure-Python CDCL core pays per
-        frame; deep dives call ``verify_props(depth=..)`` directly, as
-        the S6 benchmark does.)
+        scheduling, SI/DFM/low-power sign-off).
         """
         for name in flow_stage_order(with_extensions=with_extensions):
             self.run_stage(name)

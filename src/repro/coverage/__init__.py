@@ -6,8 +6,8 @@ qualitatively.  This subsystem closes that gap with the machinery
 coverage-driven flows use:
 
 * **structural coverage** -- net toggle and flop reset/activity
-  coverage collected by an observer riding
-  :class:`repro.sim.LogicSimulator` (:mod:`.observer`);
+  coverage collected by an observer riding a simulator lane
+  (:mod:`.observer`);
 * **functional coverage** -- covergroups with value/range bins and
   cross coverage sampled from simulation traces (:mod:`.functional`);
 * **constrained-random stimulus** -- weighted, hold-time-constrained

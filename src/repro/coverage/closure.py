@@ -174,6 +174,8 @@ def simulate_with_coverage(
     :meth:`~repro.sim.LogicSimulator.run`: a structural observer rides
     the simulator and the covergroup is sampled every cycle from its
     coverpoints' signals.  Returns the test's attribution record.
+    This is the interpreted reference that
+    :func:`simulate_lanes_with_coverage` must match test for test.
     """
     started = time.perf_counter()
     stimulus = constrained_stimulus(module, cycles=cycles, rng=rng,
@@ -222,18 +224,6 @@ def simulate_with_coverage(
     )
 
 
-def _closure_worker(task) -> TestCoverage:
-    """Module-level worker so closure tasks cross process boundaries."""
-    (module, covergroup, name, seed_seq, cycles, spec, config,
-     clock_port, reset_port, exclude) = task
-    return simulate_with_coverage(
-        module, covergroup, name=name,
-        rng=np.random.default_rng(seed_seq), cycles=cycles, spec=spec,
-        config=config, clock_port=clock_port, reset_port=reset_port,
-        exclude=exclude,
-    )
-
-
 def simulate_lanes_with_coverage(
     module: Module,
     covergroup: CoverGroup | None,
@@ -250,13 +240,13 @@ def simulate_lanes_with_coverage(
     """Run one constrained-random test per lane of a compiled sweep.
 
     The lane-packed counterpart of :func:`simulate_with_coverage`:
-    lane *i* replays test ``names[i]`` with rng stream ``seed_seqs[i]``
-    -- the same stream the event path would use -- so every returned
-    :class:`TestCoverage` is identical to the one an event-engine run
-    of that test produces.  Structural coverage accumulates as word
-    masks (one OR over the value planes per edge) and is unpacked into
-    per-lane sets at the end; covergroup sampling decodes per lane
-    through the same :func:`decode_signals` helper.
+    lane *i* replays test ``names[i]`` with rng stream ``seed_seqs[i]``,
+    and every returned :class:`TestCoverage` is identical to the one
+    :func:`simulate_with_coverage` produces for that stream.
+    Structural coverage accumulates as word masks (one OR over the
+    value planes per edge) and is unpacked into per-lane sets at the
+    end; covergroup sampling decodes per lane through the same
+    :func:`decode_signals` helper.
     """
     lanes = len(names)
     started = time.perf_counter()
@@ -397,7 +387,6 @@ def close_coverage(
     spec: StimulusSpec | None = None,
     sim_config: SimulatorConfig | None = None,
     workers: int | None = None,
-    engine: str = "compiled",
     clock_port: str = "clk",
     reset_port: str | None = "rst_n",
     exclude: tuple[str, ...] = DEFAULT_EXCLUDE,
@@ -405,18 +394,12 @@ def close_coverage(
     """Drive constrained-random rounds until coverage closes.
 
     Each round spawns ``tests_per_round`` fresh seed streams (children
-    ``total_tests..`` of ``SeedSequence(seed)``), simulates them, and
-    merges in task order -- the resulting database is bit-identical
-    for any ``workers`` value and either ``engine``.
-
-    With ``engine="compiled"`` (the default) a round's tests are
-    packed into lanes of :class:`~repro.sim.BatchSimulator` sweeps --
-    one chunk per worker -- before falling back to process fan-out
-    across the chunks; ``engine="event"`` is the original
-    one-process-per-test interpreted path.
+    ``total_tests..`` of ``SeedSequence(seed)``), packs the tests into
+    lanes of :class:`~repro.sim.BatchSimulator` sweeps -- one chunk
+    per worker, fanned out across processes -- and merges in task
+    order.  Each test rides its own lane with its own seed stream, so
+    the resulting database is bit-identical for any ``workers`` value.
     """
-    if engine not in ("compiled", "event"):
-        raise ValueError(f"unknown engine {engine!r}")
     config = config or ClosureConfig()
     sim_config = sim_config or VENDOR_A_SIM
     database = CoverageDatabase.for_module(
@@ -438,32 +421,21 @@ def close_coverage(
         ]
         total_tests += len(seeds)
         before = len(database.covered_items())
-        if engine == "compiled":
-            # Pack the round into lane-parallel chunks, one per
-            # worker; each test rides its own lane with its own seed
-            # stream, so chunking cannot change any test's result.
-            n_chunks = min(resolve_workers(workers), len(seeds)) or 1
-            bounds = np.linspace(0, len(seeds), n_chunks + 1,
-                                 dtype=int)
-            chunk_tasks = [
-                (module, covergroup, tuple(names[lo:hi]),
-                 tuple(seeds[lo:hi]), config.cycles_per_test, spec,
-                 sim_config, clock_port, reset_port, exclude)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            chunked = fanout(_compiled_closure_worker, chunk_tasks,
-                             workers=workers, stage="coverage.simulate")
-            round_tests = [test for chunk in chunked for test in chunk]
-        else:
-            tasks = [
-                (module, covergroup, name, seed_seq,
-                 config.cycles_per_test, spec, sim_config, clock_port,
-                 reset_port, exclude)
-                for name, seed_seq in zip(names, seeds)
-            ]
-            round_tests = fanout(_closure_worker, tasks, workers=workers,
-                                 stage="coverage.simulate")
+        # Pack the round into lane-parallel chunks, one per worker;
+        # each test rides its own lane with its own seed stream, so
+        # chunking cannot change any test's result.
+        n_chunks = min(resolve_workers(workers), len(seeds)) or 1
+        bounds = np.linspace(0, len(seeds), n_chunks + 1, dtype=int)
+        chunk_tasks = [
+            (module, covergroup, tuple(names[lo:hi]),
+             tuple(seeds[lo:hi]), config.cycles_per_test, spec,
+             sim_config, clock_port, reset_port, exclude)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        chunked = fanout(_compiled_closure_worker, chunk_tasks,
+                         workers=workers, stage="coverage.simulate")
+        round_tests = [test for chunk in chunked for test in chunk]
         for test in round_tests:
             with stage_timer("coverage.merge"):
                 database.add_test(test)
@@ -525,22 +497,20 @@ def _balanced_outputs(module: Module, count: int, *,
         name for name, port in module.ports.items()
         if port.direction == "output"
     )
-    sim = LogicSimulator(module)
+    sim = BatchSimulator(module, lanes=1)
     sim.set_inputs({"clk": 0, "rst_n": 0})
     sim.evaluate()
     sim.clock_edge("clk")
     sim.set_input("rst_n", 1)
-    rng = np.random.default_rng(seed)
-    ones = {name: 0 for name in outputs}
-    total = 0
-    for vector in constrained_stimulus(module, cycles=cycles, rng=rng,
-                                       spec=spec):
-        sim.set_inputs(vector)
-        sim.clock_edge("clk")
-        total += 1
-        for name in outputs:
-            if sim.read(name) is Logic.ONE:
-                ones[name] += 1
+    stimulus = constrained_stimulus(module, cycles=cycles,
+                                    rng=np.random.default_rng(seed),
+                                    spec=spec)
+    trace = sim.run([stimulus], clock_port="clk", watch=outputs)[0]
+    total = len(trace)
+    ones = {
+        name: sum(value is Logic.ONE for value in trace.column(name))
+        for name in outputs
+    }
     # Most balanced first; name breaks ties so selection is stable.
     ranked = sorted(outputs,
                     key=lambda n: (abs(ones[n] / total - 0.5), n))

@@ -1,11 +1,13 @@
 """Structural coverage collection via simulator observers.
 
-A :class:`StructuralObserver` attaches to a
-:class:`repro.sim.LogicSimulator` (``sim.attach_observer(obs)``) and,
-after every clock edge, records which nets have been seen at 0 and at
-1 (net *toggle* coverage), which flip-flops have actually changed
-state (flop *activity*), and which resettable flops have had their
-asynchronous reset exercised (flop *reset* coverage).
+A :class:`StructuralObserver` attaches to one lane of a
+:class:`repro.sim.BatchSimulator` (``sim.attach_observer(obs,
+lane=i)``) or to a :class:`repro.sim.LogicSimulator`
+(``sim.attach_observer(obs)``) and, after every clock edge, records
+which nets have been seen at 0 and at 1 (net *toggle* coverage),
+which flip-flops have actually changed state (flop *activity*), and
+which resettable flops have had their asynchronous reset exercised
+(flop *reset* coverage).
 
 The un-instrumented simulator pays only an empty-list check per clock
 edge; all bookkeeping cost is borne by the observer, and the
@@ -70,7 +72,11 @@ class StructuralObserver:
     # -- the observer protocol ---------------------------------------
 
     def __call__(self, sim: LogicSimulator) -> None:
-        """Sample the simulator state (fired after each clock edge)."""
+        """Sample the simulator state (fired after each clock edge).
+
+        ``sim`` is a ``LogicSimulator`` or a batch lane view, which
+        exposes the same ``net_values`` and ``flop_state``.
+        """
         seen_zero = self.seen_zero
         seen_one = self.seen_one
         for net, value in sim.net_values.items():

@@ -13,9 +13,9 @@ synthesis).  This module provides a practical checker in that spirit:
   of early commercial EC tools).
 
 * **Sequential burn-in compare** -- both designs are reset and driven
-  with the same cycle stimulus on a four-value simulator; traces of
-  all common outputs must match.  Catches reset/X-handling bugs that
-  a combinational check misses.
+  with the same cycle stimulus on the compiled four-value simulator;
+  traces of all common outputs must match.  Catches reset/X-handling
+  bugs that a combinational check misses.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..netlist import Module
 from ..dft.faultsim import CombinationalView
-from ..sim import LogicSimulator, SimulatorConfig, diff_traces
+from ..sim import BatchSimulator, SimulatorConfig, diff_traces
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ def check_sequential_burn_in(
         stimulus.append(vector)
 
     def run(module: Module):
-        sim = LogicSimulator(module, config)
+        sim = BatchSimulator(module, config, lanes=1)
         ties: dict[str, int] = {clock_port: 0}
         for name in extra_low_inputs:
             if name in module.ports and module.ports[name].direction == "input":
@@ -296,7 +296,8 @@ def check_sequential_burn_in(
         else:
             sim.set_inputs(ties)
         full_stim = [dict(v, **ties) for v in stimulus]
-        return sim.run(full_stim, clock_port=clock_port, watch=common_outputs)
+        return sim.run([full_stim], clock_port=clock_port,
+                       watch=common_outputs)[0]
 
     trace_g = run(golden)
     trace_r = run(revised)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..coverage import CoverageDatabase, StructuralObserver, TestCoverage
 from ..netlist import Logic, Module
-from ..sim import VENDOR_A_SIM, LogicSimulator
+from ..sim import VENDOR_A_SIM
 from ..sim.compiled import BatchSimulator, compile_module
 from ..sim.simulator import SimulatorConfig
 from .bmc import (
@@ -146,16 +146,16 @@ def counterexample_to_test(
 ) -> TestCoverage:
     """Run a counterexample stimulus as an instrumented directed test.
 
-    A structural observer rides the event simulator over the exact
-    counterexample frames, so the returned
+    A structural observer rides the one lane of a compiled simulator
+    over the exact counterexample frames, so the returned
     :class:`~repro.coverage.TestCoverage` attributes whatever nets,
     flops and resets the formal trace exercises -- formal results
     feeding the same closure machinery as constrained-random tests.
     """
     started = time.perf_counter()
-    sim = LogicSimulator(module, config or VENDOR_A_SIM)
+    sim = BatchSimulator(module, config or VENDOR_A_SIM, lanes=1)
     observer = StructuralObserver(module)
-    sim.attach_observer(observer)
+    sim.attach_observer(observer, lane=0)
     for t, frame in enumerate(cex.frames):
         vector: dict[str, Logic] = dict(frame)
         if cex.clock_port is not None:

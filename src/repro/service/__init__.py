@@ -13,7 +13,6 @@ from .request import (
     DSC_VARIANTS,
     BlockSpec,
     FlowRequest,
-    iter_unique_blocks,
     synthetic_tenant_mix,
     variant_blocks,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "estimated_cost",
     "execute_unit",
     "execute_unit_guarded",
-    "iter_unique_blocks",
     "make_unit_spec",
     "materialize_block",
     "stage_closure",

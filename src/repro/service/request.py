@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from ..store import canonical_json
 from .stages import DEFAULT_STAGES
@@ -220,16 +220,3 @@ def synthetic_tenant_mix(
                 dft_patterns=dft_patterns,
             ))
     return mix
-
-
-def iter_unique_blocks(
-    requests: Sequence[FlowRequest],
-) -> Iterator[BlockSpec]:
-    """Every distinct block recipe across a request mix, sorted."""
-    seen: set[BlockSpec] = set()
-    for request in requests:
-        for block in request.blocks:
-            if block not in seen:
-                seen.add(block)
-    yield from sorted(seen, key=lambda b: (b.name, b.gate_budget,
-                                           b.seed, b.node_um))

@@ -2,10 +2,14 @@
 
 Two engines share one semantic core (:func:`evaluate_cell`):
 
-* :class:`LogicSimulator` -- the interpreted, event-style reference.
 * :class:`BatchSimulator` -- the compiled word-parallel backend
-  (:mod:`repro.sim.compiled`): the module is levelized once into a
-  flat numpy program and 64 stimulus lanes evaluate per uint64 word.
+  (:mod:`repro.sim.compiled`) that runs all production simulation:
+  the module is levelized once into a flat numpy program and 64
+  stimulus lanes evaluate per uint64 word.
+* :class:`LogicSimulator` -- the interpreted, event-style reference:
+  the dialect oracle the compiled engine is checked against, and the
+  replayer of BMC counterexamples (whose CNF is built from the
+  compiled program, so replay needs an independent engine).
 """
 
 from .compiled import (
@@ -13,7 +17,6 @@ from .compiled import (
     CompileError,
     CompiledProgram,
     compile_module,
-    run_lanes,
 )
 from .simulator import (
     LogicSimulator,
@@ -50,7 +53,6 @@ __all__ = [
     "load_vcd",
     "read_vcd",
     "resolve_clock_connection",
-    "run_lanes",
     "save_vcd",
     "unescape_signal_name",
     "write_vcd",

@@ -1033,19 +1033,6 @@ class BatchSimulator:
         return traces
 
 
-def run_lanes(
-    module: Module,
-    stimuli: Sequence[Sequence[Mapping[str, Logic | int | bool]]],
-    config: SimulatorConfig | None = None,
-    *,
-    clock_port: str = "clk",
-    watch: Iterable[str] | None = None,
-) -> list[Trace]:
-    """Convenience: one fresh ``BatchSimulator`` run over N stimuli."""
-    sim = BatchSimulator(module, config, lanes=len(stimuli))
-    return sim.run(stimuli, clock_port=clock_port, watch=watch)
-
-
 def clear_program_cache() -> None:
     """Drop every cached compiled program (mainly for tests)."""
     _PROGRAM_CACHE.clear()

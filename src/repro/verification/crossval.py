@@ -52,7 +52,11 @@ def observed_divergent_nets(
     config_a: SimulatorConfig = VENDOR_A_SIM,
     config_b: SimulatorConfig = VENDOR_B_SIM,
 ) -> Set[str]:
-    """Nets that actually differed between the two dialects."""
+    """Nets that actually differed between the two dialects.
+
+    Runs one interpreted simulator pair: the reference whose union
+    over seeds :func:`observed_divergent_nets_lanes` must match.
+    """
     sim_a = LogicSimulator(module, config_a)
     sim_b = LogicSimulator(module, config_b)
     rng = np.random.default_rng(seed)
@@ -273,43 +277,25 @@ def cross_validate_divergence(
     reset_port: str = "rst_n",
     config_a: SimulatorConfig = VENDOR_A_SIM,
     config_b: SimulatorConfig = VENDOR_B_SIM,
-    engine: str = "compiled",
 ) -> DivergenceValidation:
     """Predict, simulate under both dialects, and score.
 
-    ``engine="compiled"`` (default) runs the multi-seed union as lanes
-    of one compiled sweep per dialect; ``engine="event"`` runs one
-    interpreted simulator pair per seed.  The verdict is identical.
+    The multi-seed observation runs as lanes of one compiled sweep
+    per dialect (:func:`observed_divergent_nets_lanes`).
     """
     from ..analysis import analyze_module, divergent_nets
 
-    if engine not in ("compiled", "event"):
-        raise ValueError(f"unknown engine {engine!r}")
     predicted = divergent_nets(analyze_module(module, config_a, config_b))
-    if engine == "compiled":
-        observed = observed_divergent_nets_lanes(
-            module,
-            cycles=cycles,
-            settle_vectors=settle_vectors,
-            seeds=seeds,
-            clock_port=clock_port,
-            reset_port=reset_port,
-            config_a=config_a,
-            config_b=config_b,
-        )
-    else:
-        observed = set()
-        for seed in seeds:
-            observed |= observed_divergent_nets(
-                module,
-                cycles=cycles,
-                settle_vectors=settle_vectors,
-                seed=seed,
-                clock_port=clock_port,
-                reset_port=reset_port,
-                config_a=config_a,
-                config_b=config_b,
-            )
+    observed = observed_divergent_nets_lanes(
+        module,
+        cycles=cycles,
+        settle_vectors=settle_vectors,
+        seeds=seeds,
+        clock_port=clock_port,
+        reset_port=reset_port,
+        config_a=config_a,
+        config_b=config_b,
+    )
     return DivergenceValidation(
         module=module.name,
         predicted=tuple(predicted),

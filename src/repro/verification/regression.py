@@ -73,20 +73,15 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def _bench_worker(task: tuple) -> TestbenchResult:
-    """Module-level worker so suites can fan out across processes."""
-    module, bench, config = task
-    return bench.run(module, config)
-
-
 def _bench_group_worker(task: tuple) -> list[TestbenchResult]:
     """Run a group of benches as lanes of one compiled sweep.
 
     Every bench in the group shares a clock/reset protocol (enforced
     by the grouping in :func:`run_regression`), so the reset preamble
     applies to all lanes at once and each bench's stimulus rides its
-    own lane.  Verdicts and traces equal a per-bench event run;
-    durations split the group's wall clock evenly (telemetry only).
+    own lane.  Verdicts and traces equal a per-bench
+    :meth:`Testbench.run`; durations split the group's wall clock
+    evenly (telemetry only).
     """
     module, benches, config = task
     started = time.perf_counter()
@@ -157,65 +152,54 @@ def run_regression(
     *,
     config: SimulatorConfig | None = None,
     workers: int | None = None,
-    engine: str = "compiled",
 ) -> RegressionReport:
     """Run every bench under one dialect.
 
-    ``workers > 1`` fans benches out over the deterministic process
-    pool (results merge in suite order, so the report is identical to
-    a serial run); benches with unpicklable checkers fall back to
-    serial execution automatically.
+    Benches that share a clock/reset protocol form a group, and each
+    group's stimuli run as parallel lanes of one
+    :class:`~repro.sim.BatchSimulator` sweep.  Verdicts and traces are
+    bit-identical to running each bench's :meth:`Testbench.run`, the
+    interpreted reference.
 
-    ``engine="compiled"`` (the default) groups benches that share a
-    clock/reset protocol and runs each group's stimuli as parallel
-    lanes of one :class:`~repro.sim.BatchSimulator` sweep (chunked
-    across workers), with verdicts and traces bit-identical to
-    ``engine="event"``, the interpreted reference.
+    ``workers > 1`` splits each group into chunks over the
+    deterministic process pool (results merge in suite order, so the
+    report is identical to a serial run); benches with unpicklable
+    checkers fall back to serial execution automatically.
     """
     config = config or VENDOR_A_SIM
-    if engine not in ("compiled", "event"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "compiled":
-        # Group benches sharing a preamble; keep each bench's suite
-        # position so results merge back in order.
-        groups: dict[tuple, list[int]] = {}
-        for index, bench in enumerate(testbenches):
-            reset = (bench.reset_port
-                     if bench.reset_port is not None
-                     and bench.reset_port in module.ports else None)
-            key = (bench.clock_port, reset,
-                   bench.reset_cycles if reset else 0)
-            groups.setdefault(key, []).append(index)
-        # Split each group into at most ``workers`` chunks so the
-        # process fan-out still helps when one group dominates.
-        n_workers = resolve_workers(workers)
-        tasks: list[tuple] = []
-        task_indices: list[list[int]] = []
-        for indices in groups.values():
-            n_chunks = min(n_workers, len(indices))
-            for chunk in range(n_chunks):
-                sel = indices[chunk::n_chunks]
-                tasks.append(
-                    (module, [testbenches[i] for i in sel], config)
-                )
-                task_indices.append(sel)
-        chunked = fanout(_bench_group_worker, tasks, workers=workers,
-                         stage="verification.regression")
-        ordered: list[TestbenchResult | None] = [None] * len(testbenches)
-        for sel, chunk_results in zip(task_indices, chunked):
-            for i, result in zip(sel, chunk_results):
-                ordered[i] = result
-        return RegressionReport(
-            dialect=config.name,
-            results=[r for r in ordered if r is not None],
-        )
-    results = fanout(
-        _bench_worker,
-        [(module, bench, config) for bench in testbenches],
-        workers=workers,
-        stage="verification.regression",
+    # Group benches sharing a preamble; keep each bench's suite
+    # position so results merge back in order.
+    groups: dict[tuple, list[int]] = {}
+    for index, bench in enumerate(testbenches):
+        reset = (bench.reset_port
+                 if bench.reset_port is not None
+                 and bench.reset_port in module.ports else None)
+        key = (bench.clock_port, reset,
+               bench.reset_cycles if reset else 0)
+        groups.setdefault(key, []).append(index)
+    # Split each group into at most ``workers`` chunks so the
+    # process fan-out still helps when one group dominates.
+    n_workers = resolve_workers(workers)
+    tasks: list[tuple] = []
+    task_indices: list[list[int]] = []
+    for indices in groups.values():
+        n_chunks = min(n_workers, len(indices))
+        for chunk in range(n_chunks):
+            sel = indices[chunk::n_chunks]
+            tasks.append(
+                (module, [testbenches[i] for i in sel], config)
+            )
+            task_indices.append(sel)
+    chunked = fanout(_bench_group_worker, tasks, workers=workers,
+                     stage="verification.regression")
+    ordered: list[TestbenchResult | None] = [None] * len(testbenches)
+    for sel, chunk_results in zip(task_indices, chunked):
+        for i, result in zip(sel, chunk_results):
+            ordered[i] = result
+    return RegressionReport(
+        dialect=config.name,
+        results=[r for r in ordered if r is not None],
     )
-    return RegressionReport(dialect=config.name, results=list(results))
 
 
 @dataclass
@@ -257,13 +241,12 @@ def cross_simulator_check(
     config_a: SimulatorConfig = VENDOR_A_SIM,
     config_b: SimulatorConfig = VENDOR_B_SIM,
     workers: int | None = None,
-    engine: str = "compiled",
 ) -> CrossSimReport:
     """Run the suite under two dialects and reconcile (E13)."""
     report_a = run_regression(module, testbenches, config=config_a,
-                              workers=workers, engine=engine)
+                              workers=workers)
     report_b = run_regression(module, testbenches, config=config_b,
-                              workers=workers, engine=engine)
+                              workers=workers)
     cross = CrossSimReport(report_a, report_b)
     for result_a, result_b in zip(report_a.results, report_b.results):
         if result_a.passed != result_b.passed:

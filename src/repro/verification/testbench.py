@@ -59,25 +59,16 @@ class Testbench:
         self,
         module: Module,
         config: SimulatorConfig | None = None,
-        *,
-        engine: str = "event",
     ) -> TestbenchResult:
         """Execute against a module under one simulator dialect.
 
-        ``engine`` picks the simulation backend: ``"event"`` (default)
-        is the interpreted reference, ``"compiled"`` a one-lane
-        :class:`~repro.sim.BatchSimulator` -- verdict and trace are
-        bit-identical (suites batch lanes via
-        :func:`repro.verification.run_regression` instead).
+        Runs the interpreted :class:`~repro.sim.LogicSimulator`: this
+        is the reference :func:`repro.verification.run_regression`
+        must match, not a production path (suites run as lanes of
+        one compiled sweep there).
         """
         started = time.perf_counter()
-        sim: LogicSimulator | BatchSimulator
-        if engine == "compiled":
-            sim = BatchSimulator(module, config, lanes=1)
-        elif engine == "event":
-            sim = LogicSimulator(module, config)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
+        sim = LogicSimulator(module, config)
         ties = {self.clock_port: 0}
         for port_name, port in module.ports.items():
             if port.direction != "input":
@@ -147,7 +138,8 @@ def toggle_coverage(module: Module, testbenches: Sequence[Testbench],
     The classic cheap sufficiency metric: a bench suite that leaves
     half the design static is "in-sufficient" in exactly the paper's
     sense.  Clock and reset infrastructure nets are excluded from the
-    denominator, as coverage tools do.
+    denominator, as coverage tools do.  Each bench runs on a one-lane
+    :class:`~repro.sim.BatchSimulator`.
     """
     infrastructure = {
         bench.clock_port for bench in testbenches
@@ -158,24 +150,28 @@ def toggle_coverage(module: Module, testbenches: Sequence[Testbench],
     seen_zero: set[str] = set()
     seen_one: set[str] = set()
     for bench in testbenches:
-        sim = LogicSimulator(module, config)
+        sim = BatchSimulator(module, config, lanes=1)
         ties = {bench.clock_port: 0}
         if bench.reset_port and bench.reset_port in module.ports:
             sim.set_inputs({**ties, bench.reset_port: 0})
             sim.evaluate()
             sim.clock_edge(bench.clock_port)
             sim.set_input(bench.reset_port, 1)
+        # Lane 0 is bit 0 of each net's word: OR it over the run.
+        zero = np.zeros(sim.program.n_nets, dtype=np.uint64)
+        one = np.zeros_like(zero)
         for vector in bench.stimulus:
             filtered = {k: v for k, v in vector.items()
                         if k in module.ports
                         and module.ports[k].direction == "input"}
             sim.set_inputs(filtered)
             sim.clock_edge(bench.clock_port)
-            for net, value in sim.net_values.items():
-                if value is Logic.ZERO:
-                    seen_zero.add(net)
-                elif value is Logic.ONE:
-                    seen_one.add(net)
+            is0, is1 = sim.net_value_words()
+            zero |= is0[:, 0]
+            one |= is1[:, 0]
+        names = sim.program.net_names
+        seen_zero.update(names[i] for i in np.flatnonzero(zero & 1))
+        seen_one.update(names[i] for i in np.flatnonzero(one & 1))
     countable = set(module.nets) - infrastructure
     if not countable:
         return 0.0

@@ -18,6 +18,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["regress", "cover", "bmc"])
+    def test_single_engine_commands_reject_engine_flag(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--engine", "compiled"])
+
 
 class TestCommands:
     def test_migrate(self, capsys):
@@ -148,6 +153,7 @@ class TestCommands:
 
         data = json.loads(serial)
         assert data["bus"]["exclusive"] is True
+        assert data["engine"] == "cdcl"
         assert data["reports"]
 
     def test_lint_rule_selection(self, capsys):

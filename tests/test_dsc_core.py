@@ -157,6 +157,23 @@ class TestDesignServiceFlow:
         assert cross.consistent
         assert flow.report.regression_total == 2
 
+    def test_tapeout_simulates_on_the_compiled_engine(self):
+        """The burn-in compare runs on BatchSimulator; the event
+        simulator is an oracle and never runs in the lifecycle."""
+        from repro.perf import REGISTRY
+
+        REGISTRY.reset()
+        try:
+            flow = DesignServiceFlow(scale=0.01, seed=0)
+            for name in ("intake", "assemble", "tapeout"):
+                flow.run_stage(name)
+            stages = REGISTRY.as_dict()
+        finally:
+            REGISTRY.reset()
+        assert flow.report.formal_clean
+        assert "sim.compiled.run" in stages
+        assert "sim.event.edge" not in stages
+
     def test_stage_order_enforced(self):
         flow = DesignServiceFlow(scale=0.01, seed=3)
         with pytest.raises(RuntimeError, match="assemble"):

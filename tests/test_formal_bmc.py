@@ -464,6 +464,63 @@ class TestSemiformal:
         for test_name in result.directed_tests:
             assert test_name.startswith("bmc_")
             assert test_name in db.tests
+        # The banked record, pinned to the interpreted simulator's
+        # exact values.
+        assert result.directed_tests == ("bmc_onehot_hot0_2552169911bd",)
+        record = db.tests[result.directed_tests[0]]
+        hot = {f"hot{i}" for i in range(6)}
+        assert record.cycles == 8
+        assert record.toggled == hot | {"all_zero", "d0"} | {
+            f"any{i}" for i in range(1, 6)
+        } | {f"q{i}" for i in range(6)}
+        assert record.half_toggled == frozenset()
+        assert record.active_flops == hot
+        assert record.reset_flops == hot
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+    def test_directed_test_matches_event_observer(self, lib, config):
+        """counterexample_to_test on a compiled lane equals a
+        structural observer riding the interpreted simulator."""
+        from repro.coverage import StructuralObserver
+        from repro.formal import counterexample_to_test
+
+        module = pipeline_block("blk", lib, stages=2, width=8,
+                                cloud_gates=40, seed=5)
+        rng = random.Random(7)
+        inputs = sorted(
+            name for name, port in module.ports.items()
+            if port.direction == "input" and name != "clk"
+        )
+        frames = []
+        for t in range(5):
+            frame = {
+                name: Logic.from_bool(rng.random() < 0.5)
+                for name in inputs
+            }
+            frame["rst_n"] = Logic.ZERO if t == 0 else Logic.ONE
+            frames.append(frame)
+        cex = Counterexample(kind="violation", frame=4,
+                             frames=tuple(frames), nets=(),
+                             clock_port="clk")
+        record = counterexample_to_test(module, cex, name="t",
+                                        config=config)
+
+        sim = LogicSimulator(module, config)
+        oracle = StructuralObserver(module)
+        sim.attach_observer(oracle)
+        for t, frame in enumerate(frames):
+            sim.set_inputs({**frame, "clk": Logic.ZERO})
+            sim.evaluate()
+            if t < len(frames) - 1:
+                sim.clock_edge("clk")
+        assert record.cycles == 5
+        assert record.toggled == oracle.toggled_nets
+        assert record.half_toggled == oracle.half_toggled_nets
+        assert record.active_flops == oracle.active_flops
+        assert record.reset_flops == oracle.reset_exercised_flops
+        # The stimulus really exercises all four coverage kinds.
+        assert record.toggled and record.half_toggled
+        assert record.active_flops and record.reset_flops
 
     def test_clean_design_bounded(self, lib):
         module = one_hot_ring("ring", lib, width=4)

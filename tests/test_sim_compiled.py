@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coverage import StructuralObserver
-from repro.coverage.closure import ClosureConfig, close_coverage
+from repro.coverage import spawn_test_seeds
+from repro.coverage.closure import (
+    ClosureConfig,
+    close_coverage,
+    simulate_lanes_with_coverage,
+    simulate_with_coverage,
+)
 from repro.netlist import (
     Logic,
     Module,
@@ -307,17 +313,31 @@ class TestCoverageDatabases:
         from repro.coverage.closure import dsc_closure_bench
 
         module, covergroup, spec = dsc_closure_bench()
+        # Every lane's record equals the interpreted oracle's run of
+        # the same spawned seed stream.
+        seeds = spawn_test_seeds(0, 5)
+        names = [f"t{i}" for i in range(len(seeds))]
+        lanes = simulate_lanes_with_coverage(
+            module, covergroup, names=names, seed_seqs=seeds,
+            cycles=16, spec=spec, config=VENDOR_A_SIM,
+        )
+        for name, seed_seq, lane in zip(names, seeds, lanes):
+            oracle = simulate_with_coverage(
+                module, covergroup, name=name,
+                rng=np.random.default_rng(seed_seq), cycles=16,
+                spec=spec, config=VENDOR_A_SIM,
+            )
+            assert lane.to_dict() == oracle.to_dict()
+
         config = ClosureConfig(max_rounds=2, tests_per_round=5,
                                cycles_per_test=16)
         jsons = [
             close_coverage(module, covergroup, config=config, spec=spec,
-                           workers=workers, engine=engine,
-                           ).database.to_json()
-            for engine, workers in (("event", 1), ("compiled", 1),
-                                    ("compiled", 2), ("compiled", 5))
+                           workers=workers).database.to_json()
+            for workers in (1, 2, 5)
         ]
-        # workers changes the compiled lane packing (5 -> one chunk of
-        # 5 lanes, 2 -> chunks of 3+2, 5 -> one lane each): the
+        # workers changes the lane packing (1 -> one chunk of 5
+        # lanes, 2 -> chunks of 3+2, 5 -> one lane each): the
         # canonical DB must not notice.
         assert len(set(jsons)) == 1
 
@@ -339,11 +359,12 @@ class TestCrossvalVerdicts:
         for p, d in (("clk", "input"), ("d", "input"), ("q", "output")):
             m.add_port(p, d)
         m.add_instance("f0", "DFF", {"CK": "clk", "D": "d", "Q": "q"})
-        event = cross_validate_divergence(m, engine="event")
-        compiled = cross_validate_divergence(m, engine="compiled")
-        assert event.observed == compiled.observed
-        assert event.predicted == compiled.predicted
-        assert compiled.observed  # the divergence is really seen
+        validation = cross_validate_divergence(m)
+        union = set()
+        for seed in (0, 1, 2, 3):  # the default seeds
+            union |= observed_divergent_nets(m, seed=seed)
+        assert set(validation.observed) == union
+        assert validation.observed  # the divergence is really seen
 
 
 class TestRegressionEngine:
@@ -362,11 +383,11 @@ class TestRegressionEngine:
             for i in range(5)
         ]
         for config in DIALECTS:
-            event = run_regression(module, benches, config=config,
-                                   workers=1, engine="event")
-            compiled = run_regression(module, benches, config=config,
-                                      workers=1, engine="compiled")
-            for a, b in zip(event.results, compiled.results):
+            oracle = [bench.run(module, config) for bench in benches]
+            report = run_regression(module, benches, config=config,
+                                    workers=1)
+            assert len(report.results) == len(oracle)
+            for a, b in zip(oracle, report.results):
                 assert a.name == b.name
                 assert a.passed == b.passed
                 assert a.mismatches == b.mismatches

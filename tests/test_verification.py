@@ -148,19 +148,24 @@ class TestRegression:
 
 
 class TestToggleCoverage:
+    """Fractions are pinned exactly to the interpreted simulator's
+    values, which the compiled engine must reproduce."""
+
     def test_counter_fully_toggled_by_long_run(self, lib):
         cnt = counter("cnt", lib, width=3)
         bench = Testbench("long", [{} for _ in range(16)],
                           lambda c, o: None)
-        coverage = toggle_coverage(cnt, [bench])
-        assert coverage > 0.9
+        assert toggle_coverage(cnt, [bench]) == 1.0
 
     def test_short_run_toggles_less(self, lib):
         cnt = counter("cnt", lib, width=6)
         short = Testbench("short", [{}], lambda c, o: None)
         long = Testbench("long", [{} for _ in range(64)],
                          lambda c, o: None)
-        assert toggle_coverage(cnt, [short]) < toggle_coverage(cnt, [long])
+        # One sampled edge cannot show a net at both levels.
+        assert toggle_coverage(cnt, [short]) == 0.0
+        assert toggle_coverage(cnt, [long]) == 1.0
+        assert toggle_coverage(cnt, [short, long]) == 1.0
 
     def test_insufficient_bench_detected(self, lib):
         """The paper's 'in-sufficient test benches' quantified: a
@@ -178,5 +183,28 @@ class TestToggleCoverage:
             "varied", random_stimulus(block, cycles=16, seed=4),
             lambda c, o: None,
         )
-        assert toggle_coverage(block, [constant]) < \
-            toggle_coverage(block, [varied])
+        assert toggle_coverage(block, [constant]) == 0.0
+        assert toggle_coverage(block, [varied]) == 0.875
+        assert toggle_coverage(block, [constant, varied]) == 0.875
+
+    def test_suite_fractions_pinned_per_dialect(self, lib):
+        """Benches of different lengths, with and without reset."""
+        from repro.netlist import pipeline_block
+        from repro.sim import VENDOR_B_SIM
+
+        block = pipeline_block("blk", lib, stages=2, width=8,
+                               cloud_gates=40, seed=5)
+        suite = [
+            Testbench(f"b{i}", random_stimulus(block, cycles=6 + 3 * i,
+                                               seed=i),
+                      lambda c, o: None)
+            for i in range(3)
+        ]
+        no_reset = Testbench("nr", random_stimulus(block, cycles=5,
+                                                   seed=9),
+                             lambda c, o: None, reset_port=None)
+        for config in (None, VENDOR_B_SIM):
+            assert toggle_coverage(block, suite, config) == 103 / 112
+            # Without a reset bench, rst_n counts toward the total.
+            assert toggle_coverage(block, [no_reset], config) == 42 / 113
+        assert toggle_coverage(block, suite[:1] + [no_reset]) == 94 / 112
