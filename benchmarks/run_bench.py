@@ -456,7 +456,11 @@ def bench_bmc(quick: bool) -> dict:
     Derives properties on every block under the gate cap and checks
     them to a fixed depth with the CDCL engine, serial vs per-property
     process fan-out, asserting the canonical report JSON is
-    byte-identical -- the determinism contract of the checker.
+    byte-identical -- the determinism contract of the checker.  Each
+    pass also records its CDCL search statistics (summed; the longest
+    learned clause is a maximum) and ``propagations_per_s``
+    (propagations over the pass's wall time, encoding included); the
+    serial pass's rate is the solver layer's own number.
     """
     from repro.formal import check_properties, derive_properties
     from repro.lint import dsc_lint_targets
@@ -476,16 +480,27 @@ def bench_bmc(quick: bool) -> dict:
     for label, workers in [("serial", 1), ("fanout", None)]:
         start = time.perf_counter()
         texts = []
+        solver_stats: dict[str, int] = {}
         for module in blocks:
             report = check_properties(
                 module, derive_properties(module), depth=depth,
                 workers=workers, seed=0,
             )
             texts.append(report.to_json())
+            for check in report.checks:
+                for key, value in check.solver_stats:
+                    total = solver_stats.get(key, 0)
+                    solver_stats[key] = (max(total, value)
+                                         if key == "max_learned_length"
+                                         else total + value)
         elapsed = time.perf_counter() - start
         reports[label] = texts
-        out[label] = {"props_per_s": props / elapsed,
-                      "seconds": elapsed}
+        out[label] = {
+            "props_per_s": props / elapsed,
+            "seconds": elapsed,
+            "solver_stats": dict(sorted(solver_stats.items())),
+            "propagations_per_s": solver_stats["propagations"] / elapsed,
+        }
     assert reports["serial"] == reports["fanout"]
     out["speedup"] = (out["fanout"]["props_per_s"]
                       / out["serial"]["props_per_s"])

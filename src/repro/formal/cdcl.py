@@ -28,16 +28,48 @@ Literals use the DIMACS convention: variable ``v`` is the positive
 literal ``v`` and its negation ``-v``; variables are 1-based and
 allocated through :meth:`Solver.new_var`.
 
+Data layout.  The kernel is pure Python, so it is laid out to keep the
+bytecode of the propagation sweep short:
+
+* **Literal codes.**  Inside the solver, literal ``v`` is the code
+  ``2v`` and ``-v`` the code ``2v + 1``: negation is ``code ^ 1`` and
+  the variable ``code >> 1``.  Every code is one shared int object.
+  Clauses, the trail, assumptions and saved phases hold codes; the
+  public methods take and return DIMACS literals.
+* **Arrays indexed by literal.**  The value array ``_val`` (1 true,
+  -1 false, 0 free), the watch lists ``_watches``, and the decision
+  level and reason of an assigned variable (stored at its true
+  literal) are plain lists indexed by code, so a lookup needs no
+  ``abs`` and no sign branch.  :meth:`Solver.new_var` appends two
+  slots to each, so incremental clients grow them in amortised O(1).
+  Activities, saved phases and heap positions are indexed by
+  variable.
+* **An inlined watch sweep.**  :meth:`Solver._propagate` assigns
+  implied literals itself and compacts each watch list in place, and
+  only from the first clause that moves to another list: kept clauses
+  keep their relative order, moved clauses append to their new list in
+  visit order, and after a conflict the unvisited tail stays in order.
+* **A bounded VSIDS heap.**  An indexed binary max-heap holds each
+  variable at most once: a bump sifts the variable up, a backtrack
+  re-inserts it only when absent, and assigned variables leave lazily
+  when they reach the top.  The decision variable is the free variable
+  with the largest float ``activity[v] + jitter[v]``, ties going to
+  the smaller ``v``; activities rescale by 1e-100 once one exceeds
+  1e100.
+
 Determinism contract: :meth:`Solver.solve` never consults the clock,
 the process id, or any global randomness.  Statistics (decisions,
 conflicts, propagations) are therefore themselves reproducible and may
-be embedded in canonical JSON reports.
+be embedded in canonical JSON reports.  A faster layout must keep the
+search path: the pinned runs of ``tests/test_formal_bmc.py`` and the
+BMC golden fix every decision, conflict and propagation count.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import length_hint
 from typing import Iterable, Sequence
 
 __all__ = ["SatError", "Solver", "SolverStats", "luby"]
@@ -90,42 +122,6 @@ class SolverStats:
         }
 
 
-@dataclass
-class _VarOrder:
-    """VSIDS order: activity-sorted heap with seeded tie-breaking."""
-
-    seed: int
-    activity: list[float] = field(default_factory=lambda: [0.0])
-    jitter: list[float] = field(default_factory=lambda: [0.0])
-    heap: list[tuple[float, int]] = field(default_factory=list)
-
-    def new_var(self, var: int) -> None:
-        # Tiny per-(seed, var) jitter so exact activity ties still have
-        # a fixed, seed-controlled resolution order.
-        noise = zlib.crc32(f"{self.seed}:{var}".encode()) / 2**32
-        self.activity.append(0.0)
-        self.jitter.append(noise * 1e-12)
-        self.push(var)
-
-    def push(self, var: int) -> None:
-        import heapq
-
-        heapq.heappush(
-            self.heap, (-(self.activity[var] + self.jitter[var]), var)
-        )
-
-    def pop_unassigned(self, assign: list[int]) -> int:
-        """Highest-activity unassigned variable (0 when none left)."""
-        import heapq
-
-        while self.heap:
-            key, var = heapq.heappop(self.heap)
-            if assign[var] == 0 and \
-                    key == -(self.activity[var] + self.jitter[var]):
-                return var
-        return 0
-
-
 class Solver:
     """Deterministic CDCL solver over DIMACS-style integer literals.
 
@@ -148,16 +144,24 @@ class Solver:
         self.stats = SolverStats()
         #: After UNSAT-under-assumptions: the failed assumption subset.
         self.core: tuple[int, ...] = ()
-        self._clauses: list[list[int]] = []
-        self._watches: dict[int, list[list[int]]] = {}
-        self._assign: list[int] = [0]  # 1 true, -1 false, 0 free
-        self._level: list[int] = [0]
-        self._reason: list[list[int] | None] = [None]
-        self._polarity: list[bool] = [False]
+        # Indexed by literal code (see the module docstring); level and
+        # reason of an assigned variable sit at its true literal.
+        self._val: list[int] = [0, 0]
+        self._codes: list[int] = [0, 1]  # one int object per code
+        self._watches: list[list[list[int]]] = [[], []]
+        self._level: list[int] = [0, 0]
+        self._reason: list[list[int] | None] = [None, None]
+        self._seen: list[bool] = [False, False]  # scratch of _analyze
+        # Indexed by variable.
+        self._phase: list[int] = [0]  # literal the next decision picks
+        self._activity: list[float] = [0.0]
+        self._jitter: list[float] = [0.0]
+        self._key: list[float] = [0.0]  # activity + jitter
+        self._heap: list[int] = []
+        self._heap_pos: list[int] = [-1]  # -1: not in the heap
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._order = _VarOrder(seed)
         self._var_inc = 1.0
         self._unsat = False  # empty clause / level-0 conflict seen
         self._model: list[int] = [0]  # assignment snapshot of the last SAT
@@ -168,13 +172,24 @@ class Solver:
         """Allocate and return a fresh variable (positive literal)."""
         self.n_vars += 1
         var = self.n_vars
-        self._assign.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._polarity.append(False)
-        self._watches[var] = []
-        self._watches[-var] = []
-        self._order.new_var(var)
+        self._val += (0, 0)
+        positive = 2 * var
+        self._codes += (positive, positive + 1)
+        self._watches += ([], [])
+        self._level += (0, 0)
+        self._reason += (None, None)
+        self._seen += (False, False)
+        self._phase.append(self._codes[-1])  # -var: false first
+        # Tiny per-(seed, var) jitter so exact activity ties still have
+        # a fixed, seed-controlled resolution order.
+        noise = zlib.crc32(f"{self.seed}:{var}".encode()) / 2**32
+        jitter = noise * 1e-12
+        self._activity.append(0.0)
+        self._jitter.append(jitter)
+        self._key.append(jitter)  # activity 0.0 + jitter
+        self._heap_pos.append(len(self._heap))
+        self._heap.append(var)
+        self._sift_up(var)
         return var
 
     def add_clause(self, lits: Iterable[int]) -> None:
@@ -184,37 +199,43 @@ class Solver:
         """
         if self._trail_lim:
             raise SatError("clauses must be added at decision level 0")
-        seen: dict[int, bool] = {}
+        n_vars = self.n_vars
+        val, codes = self._val, self._codes
+        seen: set[int] = set()
         clause: list[int] = []
+        satisfied = False
         for lit in lits:
-            var = abs(lit)
-            if not 0 < var <= self.n_vars:
+            if 0 < lit <= n_vars:
+                code = 2 * lit
+            elif 0 < -lit <= n_vars:
+                code = 1 - 2 * lit
+            else:
                 raise SatError(f"unknown literal {lit}")
-            if -lit in seen:
+            if code ^ 1 in seen:
                 return  # tautology
-            if lit not in seen:
-                seen[lit] = True
-                clause.append(lit)
-        # Drop literals already false at level 0; satisfied clauses
-        # vanish entirely.
-        filtered: list[int] = []
-        for lit in clause:
-            value = self._lit_value(lit)
-            if value == 1 and self._level[abs(lit)] == 0:
-                return
-            if value == -1 and self._level[abs(lit)] == 0:
+            if code in seen:
                 continue
-            filtered.append(lit)
-        if not filtered:
+            seen.add(code)
+            # Every assignment is at level 0 here: literals already
+            # false drop out, and a true one satisfies the clause.
+            value = val[code]
+            if value == 0:
+                clause.append(codes[code])
+            elif value == 1:
+                satisfied = True
+        if satisfied:
+            return
+        if not clause:
             self._unsat = True
             return
-        if len(filtered) == 1:
-            if not self._enqueue(filtered[0], None):
+        if len(clause) == 1:
+            if not self._enqueue(clause[0], None):
                 self._unsat = True
             elif self._propagate() is not None:
                 self._unsat = True
             return
-        self._attach(filtered)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     # -- observation ---------------------------------------------------
 
@@ -234,157 +255,313 @@ class Solver:
 
     # -- internals -----------------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        value = self._assign[abs(lit)]
-        return value if lit > 0 else -value
+    def _code(self, lit: int) -> int:
+        """Literal code of the assumption literal ``lit``."""
+        if not 0 < abs(lit) <= self.n_vars:
+            raise SatError(f"unknown assumption literal {lit}")
+        return self._codes[2 * lit if lit > 0 else 1 - 2 * lit]
 
-    def _attach(self, clause: list[int]) -> None:
-        self._clauses.append(clause)
-        self._watches[clause[0]].append(clause)
-        self._watches[clause[1]].append(clause)
+    @staticmethod
+    def _dimacs(code: int) -> int:
+        """DIMACS literal of the literal code ``code``."""
+        return -(code >> 1) if code & 1 else code >> 1
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        value = self._lit_value(lit)
-        if value == -1:
-            return False
-        if value == 1:
-            return True
-        var = abs(lit)
-        self._assign[var] = 1 if lit > 0 else -1
-        self._level[var] = len(self._trail_lim)
-        self._reason[var] = reason
-        self._polarity[var] = lit > 0
+        """Assign ``lit`` outside the sweep; False when it is false."""
+        value = self._val[lit]
+        if value:
+            return value == 1
+        self._val[lit] = 1
+        self._val[lit ^ 1] = -1
+        self._level[lit] = len(self._trail_lim)
+        self._reason[lit] = reason
         self._trail.append(lit)
         return True
 
     def _propagate(self) -> list[int] | None:
         """Exhaust unit propagation; returns a conflicting clause."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            watch_list = self._watches[-lit]
-            kept: list[list[int]] = []
-            conflict: list[int] | None = None
-            for index, clause in enumerate(watch_list):
-                # Normalise: the falsified watch sits at position 1.
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self._lit_value(clause[0]) == 1:
-                    kept.append(clause)  # already satisfied
-                    continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(clause[0], clause):
-                    conflict = clause
-                    kept.extend(watch_list[index + 1:])
+        trail = self._trail
+        qhead = self._qhead
+        if qhead == len(trail):
+            return None
+        val = self._val
+        watches = self._watches
+        codes = self._codes
+        level = self._level
+        reason = self._reason
+        current = len(self._trail_lim)
+        start = qhead
+        conflict: list[int] | None = None
+        while qhead < len(trail):
+            # The queue is swept in batches: what one batch implies
+            # forms the next.
+            batch = trail[qhead:]
+            qhead = len(trail)
+            for true_lit in batch:
+                false_lit = codes[true_lit ^ 1]
+                watch_list = watches[false_lit]
+                clauses = iter(watch_list)
+                # Until a clause moves to another watch list, every
+                # visited clause stays where it is: no bookkeeping.
+                for clause in clauses:
+                    # Normalise: the falsified watch sits at position 1
+                    # -- unless the other watch is true, when the order
+                    # of the two is never read.
+                    other = clause[0]
+                    if other == false_lit:
+                        other = clause[1]
+                        if val[other] == 1:
+                            continue
+                        clause[0] = other
+                        clause[1] = false_lit
+                    elif val[other] == 1:
+                        continue
+                    for k in range(2, len(clause)):
+                        lit = clause[k]
+                        if val[lit] != -1:
+                            clause[1] = lit
+                            clause[k] = false_lit
+                            watches[lit].append(clause)
+                            break
+                    else:
+                        if val[other]:
+                            conflict = clause
+                            break
+                        val[other] = 1
+                        val[other ^ 1] = -1
+                        level[other] = current
+                        reason[other] = clause
+                        trail.append(other)
+                        continue
+                    # ``clause`` left its slot: compact the rest of the
+                    # list in place, keeping the order of the clauses
+                    # that stay.
+                    kept = len(watch_list) - length_hint(clauses) - 1
+                    for clause in clauses:
+                        other = clause[0]
+                        if other == false_lit:
+                            other = clause[1]
+                            if val[other] == 1:
+                                watch_list[kept] = clause
+                                kept += 1
+                                continue
+                            clause[0] = other
+                            clause[1] = false_lit
+                        elif val[other] == 1:
+                            watch_list[kept] = clause
+                            kept += 1
+                            continue
+                        for k in range(2, len(clause)):
+                            lit = clause[k]
+                            if val[lit] != -1:
+                                clause[1] = lit
+                                clause[k] = false_lit
+                                watches[lit].append(clause)
+                                break
+                        else:
+                            watch_list[kept] = clause
+                            kept += 1
+                            if val[other]:
+                                conflict = clause
+                                break
+                            val[other] = 1
+                            val[other ^ 1] = -1
+                            level[other] = current
+                            reason[other] = clause
+                            trail.append(other)
+                    watch_list[kept:] = list(clauses)  # unvisited tail
                     break
-            self._watches[-lit] = kept
-            if conflict is not None:
-                return conflict
+                if conflict is not None:
+                    # The rest of the batch stays queued.
+                    qhead -= len(batch) - 1 - batch.index(true_lit)
+                    self.stats.propagations += qhead - start
+                    self._qhead = qhead
+                    return conflict
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
         return None
 
-    def _bump(self, var: int) -> None:
-        self._order.activity[var] += self._var_inc
-        if self._order.activity[var] > 1e100:
-            for v in range(1, self.n_vars + 1):
-                self._order.activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            # Heap keys are stale after a rescale; rebuild.
-            self._order.heap = []
-            for v in range(1, self.n_vars + 1):
-                if self._assign[v] == 0:
-                    self._order.push(v)
-            return
-        self._order.push(var)
+    def _sift_up(self, var: int) -> None:
+        """Move ``var`` up the heap past every variable it now beats."""
+        heap, pos, key = self._heap, self._heap_pos, self._key
+        index = pos[var]
+        var_key = key[var]
+        while index:
+            parent_index = (index - 1) >> 1
+            parent = heap[parent_index]
+            parent_key = key[parent]
+            if parent_key > var_key or (
+                    parent_key == var_key and parent < var):
+                break
+            heap[index] = parent
+            pos[parent] = index
+            index = parent_index
+        heap[index] = var
+        pos[var] = index
+
+    def _pop_free(self) -> int:
+        """Best unassigned variable (0 when none is left).
+
+        Assigned variables met on top leave the heap; a backtrack puts
+        them back.
+        """
+        heap, pos, key, val = self._heap, self._heap_pos, self._key, self._val
+        while heap:
+            top = heap[0]
+            pos[top] = -1
+            last = heap.pop()
+            size = len(heap)
+            if size:
+                # Sift ``last`` down from the root.
+                last_key = key[last]
+                index = 0
+                child_index = 1
+                while child_index < size:
+                    child = heap[child_index]
+                    child_key = key[child]
+                    right_index = child_index + 1
+                    if right_index < size:
+                        right = heap[right_index]
+                        right_key = key[right]
+                        if right_key > child_key or (
+                                right_key == child_key and right < child):
+                            child_index = right_index
+                            child = right
+                            child_key = right_key
+                    if last_key > child_key or (
+                            last_key == child_key and last < child):
+                        break
+                    heap[index] = child
+                    pos[child] = index
+                    index = child_index
+                    child_index = 2 * index + 1
+                heap[index] = last
+                pos[last] = index
+            if val[2 * top] == 0:
+                return top
+        return 0
+
+    def _rescale(self) -> None:
+        """Scale every activity by 1e-100 and re-order the heap."""
+        activity, jitter, key = self._activity, self._jitter, self._key
+        for var in range(1, self.n_vars + 1):
+            activity[var] *= 1e-100
+            key[var] = activity[var] + jitter[var]
+        self._var_inc *= 1e-100
+        # A sorted array is a heap.
+        heap = self._heap
+        heap.sort(key=lambda var: (-key[var], var))
+        pos = self._heap_pos
+        for index, var in enumerate(heap):
+            pos[var] = index
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """1UIP learned clause + backjump level for ``conflict``."""
         learned: list[int] = [0]  # slot 0 holds the asserting literal
-        seen = [False] * (self.n_vars + 1)
+        level, reason, seen = self._level, self._reason, self._seen
+        trail = self._trail
+        activity, jitter, key = self._activity, self._jitter, self._key
+        heap_pos = self._heap_pos
         counter = 0
         lit = 0
-        index = len(self._trail) - 1
-        reason: list[int] | None = conflict
+        index = len(trail) - 1
+        clause = conflict
         current_level = len(self._trail_lim)
         while True:
-            assert reason is not None
-            for q in reason:
+            for q in clause:
                 if q == lit:
                     continue
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = True
-                    self._bump(var)
-                    if self._level[var] >= current_level:
+                true_lit = q ^ 1  # every other literal of ``clause`` is false
+                if not seen[true_lit] and level[true_lit] > 0:
+                    seen[true_lit] = True
+                    # VSIDS bump.
+                    var = q >> 1
+                    bumped = activity[var] + self._var_inc
+                    activity[var] = bumped
+                    key[var] = bumped + jitter[var]
+                    if bumped > 1e100:
+                        self._rescale()
+                    elif heap_pos[var] >= 0:
+                        self._sift_up(var)
+                    if level[true_lit] >= current_level:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(self._trail[index])]:
+            while True:
+                lit = trail[index]
                 index -= 1
-            lit = self._trail[index]
-            seen[abs(lit)] = False
+                if seen[lit]:
+                    break
+            seen[lit] = False
             counter -= 1
-            index -= 1
             if counter == 0:
                 break
-            reason = self._reason[abs(lit)]
-        learned[0] = -lit
+            next_clause = reason[lit]
+            assert next_clause is not None
+            clause = next_clause
+        learned[0] = self._codes[lit ^ 1]
+        for q in learned:
+            seen[q ^ 1] = False
         if len(learned) == 1:
             return learned, 0
         # Backjump to the second-highest level in the clause; move that
         # literal into watch position 1.
         max_pos = 1
+        max_level = level[learned[1] ^ 1]
         for k in range(2, len(learned)):
-            if self._level[abs(learned[k])] > \
-                    self._level[abs(learned[max_pos])]:
-                max_pos = k
+            k_level = level[learned[k] ^ 1]
+            if k_level > max_level:
+                max_pos, max_level = k, k_level
         learned[1], learned[max_pos] = learned[max_pos], learned[1]
-        return learned, self._level[abs(learned[1])]
+        return learned, max_level
 
     def _backtrack(self, level: int) -> None:
+        """Undo every decision level above ``level``."""
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
-        for lit in reversed(self._trail[bound:]):
-            var = abs(lit)
-            self._assign[var] = 0
-            self._reason[var] = None
-            self._order.push(var)
-        del self._trail[bound:]
+        trail = self._trail
+        val, phase = self._val, self._phase
+        heap, heap_pos, sift_up = self._heap, self._heap_pos, self._sift_up
+        for lit in trail[bound:]:
+            val[lit] = 0
+            val[lit ^ 1] = 0
+            var = lit >> 1
+            phase[var] = lit  # phase saving
+            if heap_pos[var] < 0:
+                heap_pos[var] = len(heap)
+                heap.append(var)
+                sift_up(var)
+        del trail[bound:]
         del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
+        self._qhead = min(self._qhead, len(trail))
 
     def _analyze_final(self, lit: int) -> tuple[int, ...]:
         """Assumptions implicated in the failure of assumption ``lit``.
 
         ``lit`` was about to be assumed but is already false: walk the
-        implication graph of ``-lit`` back to the decisions (which are
-        all assumptions in the prefix) and return the used assumption
-        literals, ``lit`` included, sorted by variable.
+        implication graph of its negation back to the decisions (which
+        are all assumptions in the prefix) and return the used
+        assumption literals, ``lit`` included, as DIMACS literals sorted
+        by variable.
         """
-        core: set[int] = {lit}
+        core: set[int] = {self._dimacs(lit)}
+        level, reason = self._level, self._reason
         seen = [False] * (self.n_vars + 1)
-        seen[abs(lit)] = True
-        for trail_lit in reversed(self._trail):
-            var = abs(trail_lit)
-            if not seen[var] or self._level[var] == 0:
+        seen[lit >> 1] = True
+        trail, trail_lim = self._trail, self._trail_lim
+        # Level-0 literals imply nothing about the assumptions.
+        above_root = trail[trail_lim[0]:] if trail_lim else []
+        for trail_lit in reversed(above_root):
+            if not seen[trail_lit >> 1]:
                 continue
-            reason = self._reason[var]
-            if reason is None:
-                core.add(trail_lit)
+            clause = reason[trail_lit]
+            if clause is None:
+                core.add(self._dimacs(trail_lit))
             else:
-                for q in reason:
-                    if self._level[abs(q)] > 0:
-                        seen[abs(q)] = True
+                for q in clause:
+                    if q != trail_lit and level[q ^ 1] > 0:
+                        seen[q >> 1] = True
         return tuple(sorted(core, key=abs))
 
     # -- search --------------------------------------------------------
@@ -406,20 +583,23 @@ class Solver:
         ``conflict_limit`` caps the conflicts this call may spend: when
         it runs out first the call returns None, which is neither
         verdict.  Every return leaves the solver at decision level 0,
-        ready for more clauses and another solve.
+        ready for more clauses and another solve.  An assumption naming
+        no allocated variable raises :class:`SatError`, whatever the
+        verdict would be.
         """
         self.core = ()
         self._model = [0]
+        assumed = [self._code(lit) for lit in assumptions]
         if self._unsat:
             return False
         self._backtrack(0)
         if self._propagate() is not None:
             self._unsat = True
             return False
-        for lit in assumptions:
-            if not 0 < abs(lit) <= self.n_vars:
-                raise SatError(f"unknown assumption literal {lit}")
 
+        stats = self.stats
+        val = self._val
+        trail_lim = self._trail_lim
         conflict_budget = 0
         restart_index = 0
         restart_base = 64
@@ -427,25 +607,25 @@ class Solver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflict_budget -= 1
                 spent += 1
-                if not self._trail_lim:
+                if not trail_lim:
                     self._unsat = True
                     return False
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
-                self.stats.learned += 1
-                self.stats.max_learned_length = max(
-                    self.stats.max_learned_length, len(learned)
-                )
+                stats.learned += 1
+                if len(learned) > stats.max_learned_length:
+                    stats.max_learned_length = len(learned)
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], None) or \
                             self._propagate() is not None:
                         self._unsat = True
                         return False
                 else:
-                    self._attach(learned)
+                    self._watches[learned[0]].append(learned)
+                    self._watches[learned[1]].append(learned)
                     self._enqueue(learned[0], learned)
                 self._var_inc /= 0.95
                 if conflict_limit is not None and spent >= conflict_limit:
@@ -453,31 +633,30 @@ class Solver:
                     return None
                 continue
             if conflict_budget <= 0 and \
-                    len(self._trail_lim) > len(assumptions):
+                    len(trail_lim) > len(assumed):
                 restart_index += 1
-                self.stats.restarts += 1
+                stats.restarts += 1
                 conflict_budget = restart_base * luby(restart_index)
                 self._backtrack(0)
                 continue
-            if len(self._trail_lim) < len(assumptions):
+            if len(trail_lim) < len(assumed):
                 # Assumptions occupy the first decision levels, in
                 # order; a false one refutes the assumption set.
-                lit = assumptions[len(self._trail_lim)]
-                value = self._lit_value(lit)
+                lit = assumed[len(trail_lim)]
+                value = val[lit]
                 if value == -1:
                     self.core = self._analyze_final(lit)
                     self._backtrack(0)
                     return False
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(self._trail))
                 if value == 0:
                     self._enqueue(lit, None)
                 continue
-            var = self._order.pop_unassigned(self._assign)
+            var = self._pop_free()
             if var == 0:
-                self._model = self._assign[:]
+                self._model = val[::2]
                 self._backtrack(0)
                 return True
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            lit = var if self._polarity[var] else -var
-            self._enqueue(lit, None)
+            stats.decisions += 1
+            trail_lim.append(len(self._trail))
+            self._enqueue(self._phase[var], None)

@@ -8,6 +8,7 @@ the event simulator under ``VENDOR_A_SIM`` and ``VENDOR_B_SIM``, and
 the report JSON must be byte-identical for any worker count.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from repro.formal import (
     Counterexample,
     NetIs,
     Property,
+    SatError,
     Solver,
     Unroller,
     check_bus_exclusivity,
@@ -64,7 +66,66 @@ def _pigeonhole(solver, pigeons, holes):
     return var
 
 
+def _random_3sat(rng, n_vars, n_clauses):
+    return [
+        tuple(v if rng.random() < 0.5 else -v
+              for v in rng.sample(range(1, n_vars + 1), 3))
+        for _ in range(n_clauses)
+    ]
+
+
+_STATS_KEYS = ("conflicts", "decisions", "learned", "max_learned_length",
+               "propagations", "restarts")
+
+
+def _outcome(solver, verdict, n_vars):
+    """Verdict, stats tuple, and the model as a bit string or the core."""
+    stats = tuple(solver.stats.to_dict().values())
+    if verdict:
+        return verdict, stats, "".join(
+            "1" if solver.value(v) else "0" for v in range(1, n_vars + 1))
+    return verdict, stats, solver.core
+
+
+# Recorded with the kernel of commit 09a12d1; see TestCdclSolver.
+_RANDOM_3SAT_PINS = {
+    1: (
+        (True, (12, 35, 12, 11, 309, 1),
+            "0100010011101011010100000001110011110000"
+            "0100101100111110110001111000001011000001"),
+        (False, (47, 78, 47, 11, 896, 2), (48, -56, 71)),
+    ),
+    3: (
+        (True, (63, 89, 63, 18, 1415, 1),
+            "1110011100111010000000101011100101101010"
+            "1001001111110111100100101000011111110101"),
+        (False, (102, 132, 102, 18, 2237, 2), (1, -16, -62)),
+    ),
+    5: (
+        (True, (23, 44, 23, 13, 525, 1),
+            "0011011101011010010000010111110001010011"
+            "0101101010011010001001010000010100001110"),
+        (False, (66, 92, 66, 13, 1345, 2), (-23, -48, -56)),
+    ),
+}
+_PHP76_LIMITED = (300, 393, 300, 27, 4019, 4)
+_PHP76_RESUMED = (816, 1044, 816, 27, 10785, 10)
+_RESCALE_STATS = (5225, 32311, 5225, 17, 89497, 100)
+_RESCALE_MODEL_DIGEST = "8925925da6d22646"
+
+
 class TestCdclSolver:
+    """Verdicts, cores and incremental use of the CDCL core, and its
+    search path.
+
+    The kernel's speed comes from its data layout, never from a
+    different search.  Every value the ``test_pinned_*`` tests compare
+    against was recorded on commit 09a12d1, whose kernel kept signed
+    literals in dict-keyed watch lists, called ``_lit_value`` and
+    ``_enqueue`` per literal and grew a heap of tuples; any later kernel
+    must reproduce the stats, models and cores exactly.
+    """
+
     def test_pigeonhole_unsat(self):
         solver = Solver()
         _pigeonhole(solver, pigeons=5, holes=4)
@@ -163,6 +224,89 @@ class TestCdclSolver:
         assert solver.solve(conflict_limit=1) is None
         # With room in the budget the same solver reaches the verdict.
         assert solver.solve(conflict_limit=10_000) is False
+
+    def test_unknown_assumption_raises_even_when_unsat(self):
+        solver = Solver()
+        a = solver.new_var()
+        solver.add_clause([a])
+        solver.add_clause([-a])
+        assert solver.solve() is False
+        for bad in (99, -2, 0):
+            with pytest.raises(SatError, match="unknown assumption"):
+                solver.solve([bad])
+        assert solver.solve([a]) is False
+
+    # -- search-path pins: a stats tuple lists SolverStats.to_dict()
+    # in key order.
+
+    def test_pinned_stats_key_order(self):
+        assert tuple(Solver().stats.to_dict()) == _STATS_KEYS
+
+    @pytest.mark.parametrize("pigeons,holes,stats", [
+        (6, 5, (146, 186, 146, 15, 1837, 3)),
+        (7, 6, (783, 976, 783, 27, 10674, 8)),
+    ])
+    def test_pinned_pigeonhole(self, pigeons, holes, stats):
+        solver = Solver()
+        _pigeonhole(solver, pigeons, holes)
+        assert _outcome(solver, solver.solve(), pigeons * holes) == \
+            (False, stats, ())
+
+    @pytest.mark.parametrize("seed", sorted(_RANDOM_3SAT_PINS))
+    def test_pinned_random_3sat_incremental(self, seed):
+        """Solve under assumptions, add clauses, solve again."""
+        n_vars = 80
+        rng = random.Random(seed)
+        solver = Solver(seed=seed)
+        for _ in range(n_vars):
+            solver.new_var()
+        for clause in _random_3sat(rng, n_vars, 300):
+            solver.add_clause(clause)
+        assumptions = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, n_vars + 1), 3)]
+        first = _outcome(solver, solver.solve(assumptions), n_vars)
+        for clause in _random_3sat(rng, n_vars, 50):
+            solver.add_clause(clause)
+        second = _outcome(solver, solver.solve(assumptions), n_vars)
+        assert (first, second) == _RANDOM_3SAT_PINS[seed]
+
+    def test_pinned_conflict_limit_exhaustion(self):
+        solver = Solver()
+        _pigeonhole(solver, pigeons=7, holes=6)
+        assert _outcome(solver, solver.solve(conflict_limit=300), 42) == \
+            (None, _PHP76_LIMITED, ())
+        assert _outcome(solver, solver.solve(), 42) == \
+            (False, _PHP76_RESUMED, ())
+
+    def test_pinned_activity_rescale(self):
+        """34 guarded PHP(6,5) copies, refuted one at a time.
+
+        VSIDS activities survive between solves, so the run crosses the
+        1e100 rescale: ``var_inc`` is ``0.95 ** -k`` at the k-th
+        conflict, past 1e100 once k > 4490.  A final unconstrained
+        solve then decides every variable on the rescaled activities.
+        """
+        solver = Solver(seed=3)
+        guards = []
+        for _ in range(34):
+            guard = solver.new_var()
+            guards.append(guard)
+            var = {(i, j): solver.new_var()
+                   for i in range(6) for j in range(5)}
+            for i in range(6):
+                solver.add_clause([-guard] + [var[i, j] for j in range(5)])
+            for j in range(5):
+                for i1, i2 in itertools.combinations(range(6), 2):
+                    solver.add_clause([-guard, -var[i1, j], -var[i2, j]])
+        for guard in guards:
+            assert solver.solve([guard]) is False
+            assert solver.core == (guard,)
+        assert solver.stats.conflicts > 4490
+        verdict, stats, bits = _outcome(solver, solver.solve(),
+                                        solver.n_vars)
+        assert (verdict, stats) == (True, _RESCALE_STATS)
+        assert hashlib.sha256(bits.encode()).hexdigest()[:16] == \
+            _RESCALE_MODEL_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ report; each must match byte for byte:
   blocks -- generated designs have no findings, so only these
   exercise the sums;
 * the canonical service reports and store dump of the CI mix
-  (``repro serve --tenants 2 --requests 2 --scale 0.004``).
+  (``repro serve --tenants 2 --requests 2 --scale 0.004``);
+* the canonical JSON of CI's BMC run (``repro bmc --scale 0.002
+  --depth 6 --max-gates 150``): nine properties' verdicts and CDCL
+  search statistics, ~606k propagations in all, so a solver change
+  that alters the search path shows here.
 
 Then the contracts the shared table brings: a service request reuses
 the work the flow already cached (one cache key), units leave the
@@ -64,6 +68,10 @@ SEEDED_BUGS = (
 #: The CI service-determinism mix, as the ``serve`` command runs it.
 CI_SERVE = ["serve", "--tenants", "2", "--requests", "2",
             "--scale", "0.004", "--workers", "1", "--json"]
+
+#: The CI BMC-determinism run, as the ``bmc`` command runs it.
+CI_BMC = ["bmc", "--scale", "0.002", "--depth", "6", "--max-gates", "150",
+          "--workers", "1", "--json"]
 
 
 def golden(name: str) -> str:
@@ -128,6 +136,11 @@ class TestGoldens:
         assert capsys.readouterr().out.rstrip("\n") == \
             golden("service_ci_reports.json")
         assert dump.rstrip("\n") == golden("service_ci_store.json")
+
+    def test_bmc_ci_run(self, capsys):
+        assert cli_main(CI_BMC) == 0
+        assert capsys.readouterr().out == \
+            (GOLDENS / "bmc_cli_0.002.json").read_text(encoding="utf-8")
 
 
 class TestSharedTable:
