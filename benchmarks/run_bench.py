@@ -459,8 +459,11 @@ def bench_bmc(quick: bool) -> dict:
     byte-identical -- the determinism contract of the checker.  Each
     pass also records its CDCL search statistics (summed; the longest
     learned clause is a maximum) and ``propagations_per_s``
-    (propagations over the pass's wall time, encoding included); the
-    serial pass's rate is the solver layer's own number.
+    (propagations over the pass's wall time, encoding included).  The
+    X-aware unroller decides the derived reset-settle properties while
+    it encodes, so the solver barely runs (a handful of propagations)
+    and the pass times CNF encoding: ``props_per_s`` and the summed
+    ``conflicts`` are the numbers to watch, not the propagation rate.
     """
     from repro.formal import check_properties, derive_properties
     from repro.lint import dsc_lint_targets

@@ -216,6 +216,7 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from .formal import (
+        BmcError,
         check_bus_exclusivity,
         check_properties,
         derive_properties,
@@ -237,10 +238,14 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
         props = derive_properties(module)
         if not any(p.kind != "assume" for p in props):
             continue
-        report = check_properties(
-            module, props, depth=args.depth, workers=args.workers,
-            seed=args.seed,
-        )
+        try:
+            report = check_properties(
+                module, props, depth=args.depth, workers=args.workers,
+                seed=args.seed,
+            )
+        except BmcError as exc:
+            print(f"bmc: {exc}", file=sys.stderr)
+            return 2
         reports.append(report)
         falsified += report.counts()["falsified"]
         if args.json:

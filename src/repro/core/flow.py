@@ -420,7 +420,9 @@ class DesignServiceFlow:
         SoC memory map additionally gets the pure-CNF bus-window
         exclusivity proof -- the formal twin of the structural ``MAP``
         rules.  The defaults keep the lifecycle run shallow: the
-        pure-Python CDCL core pays per frame.
+        X-aware unroller folds the reset-settle proofs away while it
+        encodes, so the cost is encoding, which grows with frames x
+        gates.
 
         Returns ``(reports, bus_result)``.  ``reports`` maps each
         block with checked properties to its live

@@ -3,13 +3,25 @@
 The unroller Tseitin-encodes the *levelized program* of
 :mod:`repro.sim.compiled` -- the same literal-class tables the
 bit-plane kernel sweeps -- frame by frame into CNF, with every net's
-four-value state carried as a dual-rail :data:`~repro.formal.cnf.Pair`.
-Because the tables are enumerated through
+four-value state carried as a :data:`~repro.formal.cnf.Pair`
+``(is1, is0)``.  Because the tables are enumerated through
 :func:`repro.sim.evaluate_cell`, dialect semantics (``x_pessimism``,
 ``uninitialized_flop``, the async-reset settle fixpoint, scan-enable
 muxing, ICG gating) hold in the CNF **by construction**: a satisfying
 assignment of the unrolled formula is, literal for literal, a trace
 the simulator would produce.
+
+The encoding is X-aware.  A gate whose cell maps every binary input
+row to 0/1 and whose inputs are all binary pairs (``is0 == -is1``)
+gets one rail, ``(is1, -is1)``.  Two independent rails remain on
+nets that X can reach (power-on X flops without reset, X ties or
+initial states) and on ICG-gated flop state, whose hold-or-capture
+formula does not fold to complementary literals (correct, only
+slower).  Binary values therefore pass through levels and frames by
+literal identity, and the ``x AND -x`` fold of
+:meth:`~repro.formal.cnf.CnfBuilder.lit_and` makes every ``Known`` or
+X test over such a net a constant while the CNF is built: a
+reset-settle proof is decided before the solver searches.
 
 Frame convention (matches a testbench loop over the event simulator)::
 
@@ -53,7 +65,15 @@ from ..netlist import Logic, Module
 from ..netlist.netlist import NetlistError
 from ..perf import fanout
 from ..sim import VENDOR_A_SIM, VENDOR_B_SIM, LogicSimulator
-from ..sim.compiled import BatchSimulator, CompiledProgram, compile_module
+from ..sim.compiled import (
+    _ALWAYS,
+    _IS0,
+    _IS1,
+    _NEVER,
+    BatchSimulator,
+    CompiledProgram,
+    compile_module,
+)
 from ..sim.simulator import SimulatorConfig
 from .cdcl import Solver
 from .cnf import CnfBuilder, Pair
@@ -174,14 +194,75 @@ def _protocol_value(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Gate:
+    """One combinational instance of the program, ready to encode.
+
+    Rows are the cell table's minterms as ``(class, slot)`` literals,
+    padding dropped.  ``binary_rows1`` keeps the ONE minterms over
+    binary inputs only, as ``(slot, rail)`` with rail 0 for ``is1``
+    and 1 for ``is0``: with binary inputs they are the whole ``is1``
+    rail, since an X literal can only fold to false.
+    """
+
+    out: int
+    inputs: tuple[int, ...]
+    binary: bool
+    binary_rows1: tuple[tuple[tuple[int, int], ...], ...]
+    rows1: tuple[tuple[tuple[int, int], ...], ...]
+    rows0: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _program_gates(program: CompiledProgram) -> list[_Gate]:
+    """Every combinational instance of ``program``, in level order."""
+    gates: list[_Gate] = []
+    for level in program.levels:
+        cls_rows = level.cls.tolist()
+        net_rows = level.net.tolist()
+        n = level.n_insts
+        bounds = level.seg.tolist() + [len(cls_rows)]
+
+        def rows(block: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+            # A NEVER row only pads an empty block; no rows is the same
+            # constant-false rail.
+            return tuple(
+                tuple(
+                    (c, s) for c, s in zip(cls_rows[r], net_rows[r])
+                    if c != _ALWAYS
+                )
+                for r in range(bounds[block], bounds[block + 1])
+                if cls_rows[r][0] != _NEVER
+            )
+
+        for index, out in enumerate(level.out.tolist()):
+            rows1, rows0 = rows(index), rows(n + index)
+            gates.append(_Gate(
+                out=out,
+                inputs=tuple(sorted({
+                    s for row in rows1 + rows0 for _, s in row
+                })),
+                binary=bool(level.binary[index]),
+                binary_rows1=tuple(
+                    tuple((s, 0 if c == _IS1 else 1) for c, s in row)
+                    for row in rows1
+                    if all(c in (_IS0, _IS1) for c, _ in row)
+                ),
+                rows1=rows1,
+                rows0=rows0,
+            ))
+    return gates
+
+
 class Unroller:
     """Frame-by-frame Tseitin encoding of one compiled program.
 
-    Builds, per frame ``t``, a dual-rail pair for every net slot --
-    the settled combinational values after applying frame ``t``
-    inputs, including the async-reset fixpoint -- and threads flop
-    state through the exact ``clock_edge`` capture formulas of
-    :class:`~repro.sim.compiled.BatchSimulator` between frames.
+    Builds, per frame ``t``, a pair for every net slot -- the settled
+    combinational values after applying frame ``t`` inputs, including
+    the async-reset fixpoint -- and threads flop state through the
+    exact ``clock_edge`` capture formulas of
+    :class:`~repro.sim.compiled.BatchSimulator` between frames.  A
+    net X cannot reach is one literal and its negation; see
+    :meth:`_combinational`.
     """
 
     def __init__(
@@ -202,6 +283,7 @@ class Unroller:
         self.builder = builder
         self.program = compile_module(module, config)
         self.plan = _plan_inputs(self.program, clock_port, ties)
+        self._gates = _program_gates(self.program)
         self.reset_frames = reset_frames
         #: Per-frame slot pairs (settled combinational values).
         self.slots: list[list[Pair]] = []
@@ -222,7 +304,7 @@ class Unroller:
         return len(self.slots)
 
     def pair_of(self, frame: int, net: str) -> Pair:
-        """The dual-rail pair of ``net`` at ``frame``."""
+        """The ``(is1, is0)`` pair of ``net`` at ``frame``."""
         slot = self.program.net_index.get(net)
         if slot is None:
             raise BmcError(
@@ -277,9 +359,17 @@ class Unroller:
     def _combinational(
         self, state: list[Pair], inputs: dict[str, Pair]
     ) -> list[Pair]:
-        """One settled sweep: slot pairs from state + input pairs."""
+        """One settled sweep: slot pairs from state + input pairs.
+
+        A gate whose cell is binary-closed and whose input pairs are
+        all binary (``is0 == -is1``) encodes only its ``is1`` rail and
+        takes ``is0 = -is1``; X cannot reach it, so the second rail
+        would only restate the first.  Every other gate encodes both.
+        """
         builder = self.builder
         program = self.program
+        lit_and = builder.lit_and
+        lit_or = builder.lit_or
         pairs: list[Pair] = [builder.pair_x] * program.n_slots
         pairs[program.const0_slot] = builder.pair_zero
         pairs[program.const1_slot] = builder.pair_one
@@ -289,37 +379,33 @@ class Unroller:
             pairs[int(slot)] = pair
 
         def literal(cls: int, slot: int) -> int:
-            if cls == 3:  # _ALWAYS
-                return builder.true_lit
-            if cls == 4:  # _NEVER
-                return builder.false_lit
             pair = pairs[slot]
-            if cls == 1:  # _IS1
+            if cls == _IS1:
                 return pair[0]
-            if cls == 0:  # _IS0
+            if cls == _IS0:
                 return pair[1]
-            return builder.pair_is_x(pair)  # _ISX
+            return builder.pair_is_x(pair)
 
-        for level in program.levels:
-            cls_rows = level.cls.tolist()
-            net_rows = level.net.tolist()
-            seg = level.seg.tolist()
-            n = level.n_insts
-            bounds = seg + [len(cls_rows)]
-            for index in range(n):
-                rails: list[int] = []
-                for half in (0, 1):  # rows1 block, then rows0 block
-                    start = bounds[half * n + index]
-                    stop = bounds[half * n + index + 1]
-                    terms = [
-                        builder.lit_and(
-                            literal(c, s) for c, s in
-                            zip(cls_rows[row], net_rows[row])
-                        )
-                        for row in range(start, stop)
-                    ]
-                    rails.append(builder.lit_or(terms))
-                pairs[int(level.out[index])] = (rails[0], rails[1])
+        for gate in self._gates:
+            if gate.binary and all(
+                pairs[s][1] == -pairs[s][0] for s in gate.inputs
+            ):
+                is1 = lit_or(
+                    lit_and(pairs[s][rail] for s, rail in row)
+                    for row in gate.binary_rows1
+                )
+                pairs[gate.out] = (is1, -is1)
+                continue
+            pairs[gate.out] = (
+                lit_or(
+                    lit_and(literal(c, s) for c, s in row)
+                    for row in gate.rows1
+                ),
+                lit_or(
+                    lit_and(literal(c, s) for c, s in row)
+                    for row in gate.rows0
+                ),
+            )
         return pairs
 
     def _clock_edge(
@@ -631,10 +717,6 @@ def _check_one_cdcl(
         )
 
     if prop.kind == "assert":
-        if depth < prop.within:
-            raise BmcError(
-                f"property {prop.name!r} needs depth >= {prop.within}"
-            )
         frame_pairs = [frame_pair(t) for t in range(depth)]
         windows = [
             (start + prop.within - 1, builder.lit_and(
@@ -812,11 +894,6 @@ def _check_one_lanes(
     """Worker: decide one property by compiled-lane simulation."""
     (module, config, prop, assumes, depth, seed, clock_port,
      reset_frames, ties, initial_state) = task
-    if initial_state is not None:
-        raise BmcError(
-            "the lanes engine replays from power-on only; use the "
-            "cdcl engine for explicit initial states"
-        )
     program = compile_module(module, config)
     plan = _plan_inputs(program, clock_port, dict(ties))
     stimuli, exhaustive = _lane_stimuli(
@@ -861,10 +938,6 @@ def _check_one_lanes(
 
     hit: tuple[int, int] | None = None
     if prop.kind == "assert":
-        if depth < prop.within:
-            raise BmcError(
-                f"property {prop.name!r} needs depth >= {prop.within}"
-            )
         for end in range(prop.within - 1, depth):
             for lane in range(len(stimuli)):
                 if valid_until[lane] <= end:
@@ -950,11 +1023,20 @@ def check_properties(
     A counterexample's stimulus replays on both simulator dialects via
     :func:`replay_counterexample`.  When every assume together is
     unsatisfiable, proven asserts are flagged *vacuous*.
+
+    Bad arguments -- among them an assert whose ``within`` window is
+    deeper than ``depth`` -- raise :class:`BmcError` here, before any
+    property is fanned out.
     """
     if depth < 1:
         raise BmcError("depth must be >= 1")
     if engine not in ("cdcl", "lanes"):
         raise BmcError(f"unknown engine {engine!r}")
+    if engine == "lanes" and initial_state is not None:
+        raise BmcError(
+            "the lanes engine replays from power-on only; use the "
+            "cdcl engine for explicit initial states"
+        )
     config = config or VENDOR_A_SIM
     if isinstance(properties, PropertySet):
         if properties.module != module.name:
@@ -967,6 +1049,11 @@ def check_properties(
         props = tuple(properties)
     assumes = tuple(p for p in props if p.kind == "assume")
     targets = tuple(p for p in props if p.kind != "assume")
+    for prop in targets:
+        if prop.kind == "assert" and depth < prop.within:
+            raise BmcError(
+                f"property {prop.name!r} needs depth >= {prop.within}"
+            )
 
     ties_t = tuple(sorted((ties or {}).items()))
     init_t = (

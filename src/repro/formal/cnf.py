@@ -15,9 +15,14 @@ builder.  Two layers live here:
   (``Z`` collapses to ``X`` exactly as the compiled simulator's
   bit-plane kernel does; binary stimulus never produces it).  Both
   rails true is unrepresentable by construction for pairs built
-  through this module.  Kleene connectives over pairs
-  (:meth:`pair_and`, :meth:`pair_or`, :meth:`pair_not`) mirror the
-  ``is1``/``is0`` plane equations of :mod:`repro.sim.compiled`.
+  through this module.  A *binary* pair is one literal and its
+  negation, ``(v, -v)`` -- constants, :meth:`pair_free` inputs, and
+  every net the BMC unroller proves X-free by construction -- and
+  the ``x AND -x`` fold turns :meth:`pair_is_x` and
+  :meth:`pair_known` over it into constants without a new variable.
+  Kleene connectives over pairs (:meth:`pair_and`, :meth:`pair_or`,
+  :meth:`pair_not`) mirror the ``is1``/``is0`` plane equations of
+  :mod:`repro.sim.compiled`.
 
 Word-level comparators (:meth:`ge_const` / :meth:`lt_const`) encode
 ``address >= base`` style predicates for the bus-window exclusivity

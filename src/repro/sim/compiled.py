@@ -168,6 +168,9 @@ class _CellTable:
     rows1: tuple[tuple[int, ...], ...]
     #: minterms whose output is ZERO.
     rows0: tuple[tuple[int, ...], ...]
+    #: every binary input combination yields a binary output, so
+    #: binary inputs can never drive the output to X.
+    binary: bool
 
 
 _TABLE_CACHE: dict[tuple[Cell, bool], _CellTable] = {}
@@ -197,6 +200,7 @@ def _cell_table(cell: Cell, config: SimulatorConfig) -> _CellTable:
     n = len(pins)
     rows1: list[tuple[int, ...]] = []
     rows0: list[tuple[int, ...]] = []
+    binary = True
     for combo in itertools.product(_TABLE_LEVELS, repeat=n):
         out = evaluate_cell(cell, dict(zip(pins, combo)), config)
         if out is Logic.Z:
@@ -209,6 +213,8 @@ def _cell_table(cell: Cell, config: SimulatorConfig) -> _CellTable:
             rows1.append(classes)
         elif out is Logic.ZERO:
             rows0.append(classes)
+        elif Logic.X not in combo:
+            binary = False
     for combo in itertools.product(tuple(Logic), repeat=n):
         if Logic.Z not in combo:
             continue
@@ -222,7 +228,7 @@ def _cell_table(cell: Cell, config: SimulatorConfig) -> _CellTable:
                 f"cell {cell.name} distinguishes Z from X on an input; "
                 "it cannot be compiled"
             )
-    table = _CellTable(n, tuple(rows1), tuple(rows0))
+    table = _CellTable(n, tuple(rows1), tuple(rows0), binary)
     _TABLE_CACHE[key] = table
     return table
 
@@ -240,6 +246,7 @@ class _Level:
     net: np.ndarray  # (rows, n_max) net-slot indices
     seg: np.ndarray  # (2 * n_insts,) reduceat boundaries (rows1|rows0)
     out: np.ndarray  # (n_insts,) output net slots
+    binary: np.ndarray  # (n_insts,) bool: the cell's _CellTable.binary
     n_insts: int
 
 
@@ -370,6 +377,7 @@ class CompiledProgram:
                 net=np.array(net_rows, dtype=np.intp),
                 seg=np.array(seg1 + seg0, dtype=np.intp),
                 out=np.array(out_slots, dtype=np.intp),
+                binary=np.array([t.binary for t in tables], dtype=bool),
                 n_insts=len(insts),
             ))
         return levels

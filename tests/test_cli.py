@@ -141,6 +141,14 @@ class TestCommands:
         assert "proven=" in out
         assert "bus decode windows (8): EXCLUSIVE" in out
 
+    def test_bmc_depth_below_window_exits_2(self, capsys):
+        # sync_settle asserts within two frames, so depth 1 cannot check it.
+        assert main(["bmc", "--scale", "0.002", "--depth", "1",
+                     "--max-gates", "120"]) == 2
+        captured = capsys.readouterr()
+        assert "needs depth >= 2" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_bmc_json_identical_across_workers(self, capsys):
         args = ["bmc", "--scale", "0.002", "--depth", "5",
                 "--max-gates", "120", "--json"]

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.formal import (
+    BmcError,
     Counterexample,
+    Known,
     NetIs,
     Property,
     SatError,
@@ -31,8 +33,10 @@ from repro.formal import (
 from repro.formal.cnf import CnfBuilder
 from repro.lint import findings_from_bmc, findings_from_bus
 from repro.netlist import (
+    Cell,
     Logic,
     Module,
+    PinSpec,
     make_default_library,
     one_hot_ring,
     pipeline_block,
@@ -40,6 +44,15 @@ from repro.netlist import (
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM, LogicSimulator
 
 CONFIGS = (VENDOR_A_SIM, VENDOR_B_SIM)
+
+#: (dialect, reset_frames) for the unroller-vs-simulator tests.  The
+#: no-reset cases power up without a reset frame, so under vendor A
+#: X reaches the unroller's two-rail formulas past frame 0.
+UNROLL_CASES = [
+    pytest.param(config, reset_frames, id=config.name + suffix)
+    for config in CONFIGS
+    for reset_frames, suffix in ((1, ""), (0, "-no_reset"))
+]
 
 
 @pytest.fixture(scope="module")
@@ -314,11 +327,11 @@ class TestCdclSolver:
 # ---------------------------------------------------------------------------
 
 
-def _assert_unrolling_matches(module, config, depth, seed):
+def _assert_unrolling_matches(module, config, depth, seed, reset_frames=1):
     """Every net, every frame: CNF model == event-simulator value."""
     solver = Solver()
     builder = CnfBuilder(solver)
-    unroller = Unroller(module, config, builder)
+    unroller = Unroller(module, config, builder, reset_frames=reset_frames)
     unroller.extend(depth)
     rng = random.Random(seed)
     assumptions = []
@@ -349,23 +362,49 @@ def _assert_unrolling_matches(module, config, depth, seed):
             sim.clock_edge(clock)
 
 
+def _mixed_flops(module, every):
+    """A copy of ``module`` with every ``every``-th flop a reset-less DFF."""
+    mixed = module.copy()
+    flops = [i for i in mixed.instances.values() if i.cell.is_sequential]
+    for index, flop in enumerate(flops):
+        if index % every == 0:
+            pins = dict(flop.connections)
+            mixed.remove_instance(flop.name)
+            mixed.add_instance(
+                flop.name, "DFF",
+                {"D": pins["D"], "CK": pins["CK"], "Q": pins["Q"]},
+            )
+    return mixed
+
+
 class TestUnrollerMatchesSimulator:
-    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-    def test_one_hot_ring(self, lib, config):
+    @pytest.mark.parametrize("config,reset_frames", UNROLL_CASES)
+    def test_one_hot_ring(self, lib, config, reset_frames):
         module = one_hot_ring("ring", lib, width=5)
-        _assert_unrolling_matches(module, config, depth=6, seed=1)
+        _assert_unrolling_matches(module, config, depth=6, seed=1,
+                                  reset_frames=reset_frames)
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-    def test_buggy_ring(self, lib, config):
+    @pytest.mark.parametrize("config,reset_frames", UNROLL_CASES)
+    def test_buggy_ring(self, lib, config, reset_frames):
         module = one_hot_ring("ring", lib, width=4, inject_bug=True)
-        _assert_unrolling_matches(module, config, depth=7, seed=2)
+        _assert_unrolling_matches(module, config, depth=7, seed=2,
+                                  reset_frames=reset_frames)
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
-    def test_pipeline_block(self, lib, config):
+    @pytest.mark.parametrize("config,reset_frames", UNROLL_CASES)
+    def test_pipeline_block(self, lib, config, reset_frames):
         module = pipeline_block(
             "blk", lib, stages=2, width=4, cloud_gates=20, seed=3
         )
-        _assert_unrolling_matches(module, config, depth=4, seed=3)
+        _assert_unrolling_matches(module, config, depth=4, seed=3,
+                                  reset_frames=reset_frames)
+
+    @pytest.mark.parametrize("every", [2, 3])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+    def test_mixed_dff_dffr(self, lib, config, every):
+        module = _mixed_flops(pipeline_block(
+            "blk", lib, stages=2, width=4, cloud_gates=20, seed=3
+        ), every)
+        _assert_unrolling_matches(module, config, depth=5, seed=4)
 
     @settings(
         max_examples=6,
@@ -379,10 +418,11 @@ class TestUnrollerMatchesSimulator:
         netlist_seed=st.integers(0, 50),
         stim_seed=st.integers(0, 50),
         dialect=st.sampled_from(CONFIGS),
+        reset_frames=st.integers(0, 1),
     )
     def test_hypothesis_netlists(
         self, stages, width, cloud_gates, netlist_seed, stim_seed,
-        dialect,
+        dialect, reset_frames,
     ):
         lib = make_default_library(0.25)
         module = pipeline_block(
@@ -390,8 +430,94 @@ class TestUnrollerMatchesSimulator:
             cloud_gates=cloud_gates, seed=netlist_seed,
         )
         _assert_unrolling_matches(
-            module, dialect, depth=3, seed=stim_seed
+            module, dialect, depth=3, seed=stim_seed,
+            reset_frames=reset_frames,
         )
+
+
+def _x_cell_module():
+    """a -> XOUT -> DFFR: XOUT drives X from a binary 1, so its cell is
+    not binary-closed and its output needs two rails."""
+    lib = make_default_library(0.25)
+    lib.add(Cell(
+        "XOUT", (PinSpec("A", "input"), PinSpec("Y", "output")),
+        function=lambda a: Logic.ZERO if a is Logic.ZERO else Logic.X,
+    ))
+    m = Module("xout", lib)
+    for port in ("clk", "rst_n", "a"):
+        m.add_port(port, "input")
+    m.add_port("q", "output")
+    m.add_instance("u", "XOUT", {"A": "a", "Y": "y"})
+    m.add_instance(
+        "f", "DFFR", {"D": "y", "CK": "clk", "RN": "rst_n", "Q": "q"}
+    )
+    return m
+
+
+def _two_rail_pairs(module, config, depth, **unroller_kwargs):
+    """The (frame, net) pairs of an unrolling to ``depth`` whose rails
+    are not one literal and its negation."""
+    unroller = Unroller(module, config, CnfBuilder(Solver()),
+                        **unroller_kwargs)
+    unroller.extend(depth)
+    return [
+        (t, net) for t in range(depth) for net in module.nets
+        if unroller.pair_of(t, net)[1] != -unroller.pair_of(t, net)[0]
+    ]
+
+
+class TestUnrollerRails:
+    """Two rails only where X can reach: a binary net is one literal
+    and its negation, so X-freedom folds away while encoding."""
+
+    @pytest.mark.parametrize("reset_frames", [1, 2])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+    def test_reset_block_is_single_rail(self, lib, config, reset_frames):
+        module = pipeline_block(
+            "blk", lib, stages=2, width=4, cloud_gates=20, seed=3
+        )
+        two_rail = _two_rail_pairs(module, config, 5,
+                                   reset_frames=reset_frames)
+        assert [(t, net) for t, net in two_rail if t >= reset_frames] == []
+
+    @pytest.mark.parametrize("config,kwargs,has_x", [
+        (VENDOR_A_SIM, {"reset_frames": 0}, True),
+        (VENDOR_B_SIM, {"reset_frames": 0}, False),
+        (VENDOR_B_SIM, {"reset_frames": 0,
+                        "initial_state": {"s0_ff0": Logic.X}}, True),
+        (VENDOR_B_SIM, {"ties": {"in0": Logic.X}}, True),
+    ], ids=["power_on_x", "power_on_zero", "x_initial_state", "x_tie"])
+    def test_x_sources_keep_two_rails(self, lib, config, kwargs, has_x):
+        module = pipeline_block(
+            "blk", lib, stages=2, width=4, cloud_gates=20, seed=3
+        )
+        two_rail = _two_rail_pairs(module, config, 4, **kwargs)
+        assert bool(two_rail) is has_x
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+    def test_x_producing_cell_keeps_two_rails(self, config):
+        module = _x_cell_module()
+        two_rail = _two_rail_pairs(module, config, 4)
+        # Binary inputs, but the cell itself makes X: y at every frame,
+        # and the flop that captures it from frame 1 on.
+        assert {net for _, net in two_rail} == {"y", "q"}
+        assert {t for t, net in two_rail if net == "y"} == {0, 1, 2, 3}
+        _assert_unrolling_matches(module, config, depth=4, seed=5)
+
+    @pytest.mark.parametrize("every", [2, 3])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
+    def test_reset_less_flops_keep_two_rails(self, lib, config, every):
+        module = _mixed_flops(pipeline_block(
+            "blk", lib, stages=2, width=4, cloud_gates=20, seed=3
+        ), every)
+        two_rail = _two_rail_pairs(module, config, 4)
+        # Power-on X exists only under vendor A; vendor B flops start 0.
+        assert bool(two_rail) is (config is VENDOR_A_SIM)
+        # Reset-assured flops stay single-rail in both dialects.
+        for flop in module.instances.values():
+            if flop.cell.name == "DFFR":
+                q = flop.net_of("Q")
+                assert all((t, q) not in two_rail for t in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +655,42 @@ class TestCheckProperties:
         # Without the assume the same assert is falsifiable.
         free = check_properties(module, [props[1]], depth=5)
         assert free.checks[0].status == "falsified"
+
+    def test_known_on_reset_less_flop_depends_on_dialect(self, lib):
+        module = Module("plain", lib)
+        module.add_port("clk", "input")
+        module.add_port("a", "input")
+        module.add_port("q", "output")
+        module.add_instance("f", "DFF", {"D": "a", "CK": "clk", "Q": "q"})
+        prop = Property(name="q_known", kind="assert", expr=Known("q"))
+
+        four_state = check_properties(
+            module, [prop], depth=3, config=VENDOR_A_SIM
+        )
+        (check,) = four_state.checks
+        assert check.status == "falsified"
+        assert check.counterexample.frame == 0
+        assert check.counterexample.nets == (("q", "x"),)
+        replay = replay_counterexample(
+            module, prop, check.counterexample, configs=(VENDOR_A_SIM,)
+        )
+        assert replay.reproduced_everywhere, replay.to_dict()
+
+        two_state = check_properties(
+            module, [prop], depth=3, config=VENDOR_B_SIM
+        )
+        assert two_state.checks[0].status == "proven"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("engine", ["cdcl", "lanes"])
+    def test_depth_below_window_raises_bmc_error(self, lib, engine,
+                                                 workers):
+        module = _toy_assume_module(lib)
+        prop = Property(name="settle", kind="assert", expr=Known("q"),
+                        within=2)
+        with pytest.raises(BmcError, match="needs depth >= 2"):
+            check_properties(module, [prop], depth=1, engine=engine,
+                             workers=workers)
 
     def test_vacuous_pass_flagged(self, lib):
         module = _toy_assume_module(lib)
