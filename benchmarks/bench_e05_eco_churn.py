@@ -49,7 +49,7 @@ def replay_churn(seed: int = 9):
                 current, rng=rng, description=f"spec{index}.{sub}"
             )
             current = apply_and_verify(
-                current, patch, expect_equivalent=False, seed=index
+                current, patch, expect_equivalent=False
             ).revised
         db.commit(current, ChangeKind.SPEC_CHANGE, f"spec change {index}")
 
@@ -59,7 +59,7 @@ def replay_churn(seed: int = 9):
             current, rng=rng, description=f"eco{index}"
         )
         current = apply_and_verify(
-            current, patch, expect_equivalent=False, seed=100 + index
+            current, patch, expect_equivalent=False
         ).revised
         db.commit(current, ChangeKind.NETLIST_ECO, f"netlist ECO {index}")
 

@@ -40,7 +40,7 @@ def main() -> None:
         patch = random_functional_change(current, rng=rng,
                                          description=f"netlist ECO #{index+1}")
         application = apply_and_verify(current, patch,
-                                       expect_equivalent=False, seed=index)
+                                       expect_equivalent=False)
         current = application.revised
         db.commit(current, ChangeKind.NETLIST_ECO, patch.description,
                   day=10 + index * 5, touched_instances=len(patch))

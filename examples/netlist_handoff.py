@@ -47,8 +47,7 @@ def main() -> None:
     verilog_path = Path(__file__).with_name("customer_block.v")
     verilog_path.write_text(text)
     restored = read_verilog(text, lib)
-    verdict = check_combinational_equivalence(block, restored,
-                                              max_random_vectors=512)
+    verdict = check_combinational_equivalence(block, restored)
     print(f"   wrote {verilog_path.name} ({len(text.splitlines())} lines), "
           f"read back: {'EQUIVALENT' if verdict.equivalent else 'BROKEN'}")
 

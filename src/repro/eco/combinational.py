@@ -99,8 +99,9 @@ def random_functional_change(
 
     A polarity swap deep in reconvergent logic can be functionally
     invisible at the outputs, so candidate victims are tried until the
-    equivalence checker confirms the patch is observable; a silently
-    dead patch is never returned.
+    equivalence checker proves the patch observable: some input vector
+    separates the patched netlist from the base.  A silently dead
+    patch is never returned.
     """
     candidates = [
         inst.name
@@ -124,11 +125,7 @@ def random_functional_change(
             ],
         )
         revised = apply_patch(module, patch)
-        outcome = check_combinational_equivalence(
-            module, revised, seed=int(rng.integers(0, 2**31)),
-            max_random_vectors=512,
-        )
-        if not outcome.equivalent:
+        if not check_combinational_equivalence(module, revised).equivalent:
             return patch
     raise EcoError(
         f"could not find an observable functional change in {max_tries} tries"
@@ -150,19 +147,18 @@ def apply_and_verify(
     patch: EcoPatch,
     *,
     expect_equivalent: bool,
-    seed: int = 0,
 ) -> EcoApplication:
     """Apply a patch and formally compare against the base netlist.
 
     ``expect_equivalent=False`` (functional ECO) demands the checker
     *refute* equivalence -- catching silently-dead patches;
     ``expect_equivalent=True`` (resize/buffer ECO) demands proof the
-    function is untouched.  A mismatch raises :class:`EcoError`.
+    function is untouched.  The checker's verdict is exact at any
+    cone width, so a patch that changes a single input vector fails
+    the second demand.  A mismatch raises :class:`EcoError`.
     """
     revised = apply_patch(module, patch)
-    result = check_combinational_equivalence(
-        module, revised, seed=seed, max_random_vectors=1024
-    )
+    result = check_combinational_equivalence(module, revised)
     if result.equivalent != expect_equivalent:
         expectation = "equivalent" if expect_equivalent else "different"
         raise EcoError(

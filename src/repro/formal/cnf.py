@@ -1,7 +1,8 @@
 """Tseitin CNF construction with dual-rail four-value pairs.
 
 The bounded model checker lowers netlist frames into CNF through this
-builder.  Two layers live here:
+builder, and the combinational equivalence checker lowers both designs'
+scan views through its boolean layer.  Two layers live here:
 
 * a **boolean gate layer** -- :meth:`CnfBuilder.lit_and` /
   :meth:`CnfBuilder.lit_or` Tseitin-encode AND/OR nodes over DIMACS

@@ -2,15 +2,17 @@
 
 The paper's physical flow runs "formal verification" after every
 netlist transformation (ECO patches, scan insertion, physical
-synthesis).  This module provides a practical checker in that spirit:
+synthesis).  This module provides two checks in that spirit:
 
-* **Combinational equivalence** -- both designs are flattened to their
-  full-scan combinational views; corresponding pseudo inputs are driven
-  with the same stimulus and every pseudo output is compared.  For
-  small input counts the check is exhaustive (a proof); otherwise a
-  configurable number of packed random vectors is used (a refutation
-  engine with very high practical coverage, like the simulation mode
-  of early commercial EC tools).
+* **Combinational equivalence** -- a proof on the repository's one SAT
+  engine, :class:`repro.formal.cdcl.Solver`.  Both designs are
+  flattened to their full-scan combinational views and encoded into
+  one structurally hashed :class:`repro.formal.cnf.CnfBuilder`: shared
+  pseudo inputs share one variable, so logic the designs have in
+  common maps to the same literals.  The miter ORs the XOR of every
+  shared pseudo output.  A miter that folds to false while it is built
+  is a proof without a search; otherwise one solve either proves it
+  unsatisfiable, at any input width, or returns a separating vector.
 
 * **Sequential burn-in compare** -- both designs are reset and driven
   with the same cycle stimulus on the compiled four-value simulator;
@@ -27,6 +29,8 @@ import numpy as np
 from ..netlist import Module
 from ..dft.faultsim import CombinationalView
 from ..sim import BatchSimulator, SimulatorConfig, diff_traces
+from .cdcl import Solver
+from .cnf import CnfBuilder
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,8 @@ class EquivalenceResult:
     """Outcome of one equivalence check."""
 
     equivalent: bool
-    mode: str  # "exhaustive" | "random" | "sequential"
-    vectors_run: int = 0
+    mode: str  # "combinational" (a SAT proof) | "sequential" (burn-in)
+    vectors_run: int = 0  # burn-in cycles; a proof runs no vectors
     counterexample: dict[str, int] | None = None
     mismatched_outputs: list[str] = field(default_factory=list)
     notes: str = ""
@@ -85,10 +89,10 @@ class EquivalenceResult:
 
     def format_report(self) -> str:
         verdict = "EQUIVALENT" if self.equivalent else "NOT EQUIVALENT"
-        lines = [
-            f"Equivalence check: {verdict} ({self.mode}, "
-            f"{self.vectors_run} vectors)"
-        ]
+        detail = self.mode
+        if self.vectors_run:
+            detail += f", {self.vectors_run} vectors"
+        lines = [f"Equivalence check: {verdict} ({detail})"]
         if self.divergence is not None:
             lines.extend(self.divergence.format_lines())
         elif self.counterexample is not None:
@@ -116,122 +120,85 @@ def _common_interface(a: CombinationalView, b: CombinationalView):
     return inputs, outputs
 
 
+def _encode_view(
+    cnf: CnfBuilder, view: CombinationalView, shared: dict[str, int]
+) -> dict[str, int]:
+    """The literal of every net of ``view`` in ``cnf``.
+
+    Shared pseudo inputs take their variable from ``shared``; private
+    pseudo inputs and undriven nets are the false literal, the value
+    :meth:`CombinationalView.evaluate` gives them.  Each gate is the OR
+    of its ONE-minterms over its input literals, so a gate that two
+    designs share maps to the same literal.
+    """
+    false = cnf.false_lit
+    lits = {net: shared.get(net, false) for net in view.pseudo_inputs}
+    for inst in view._order:
+        inputs = [
+            lits.get(inst.net_of(pin), false) for pin in inst.cell.input_pins
+        ]
+        lits[inst.net_of(inst.cell.output_pins[0])] = cnf.lit_or(
+            cnf.lit_and(
+                lit if bit else -lit for bit, lit in zip(minterm, inputs)
+            )
+            for minterm in view._minterms[inst.cell.name]
+        )
+    return lits
+
+
 def check_combinational_equivalence(
-    golden: Module,
-    revised: Module,
-    *,
-    seed: int = 0,
-    max_random_vectors: int = 4096,
-    exhaustive_limit: int = 16,
+    golden: Module, revised: Module
 ) -> EquivalenceResult:
-    """Compare two designs on their shared scan-view interface.
+    """Prove or refute that two designs agree on their shared
+    scan-view interface.
 
     Nets private to one design (new ECO logic, renamed internals) are
     ignored; only the shared pseudo inputs/outputs are compared, which
-    is exactly what matters after an ECO.
+    is exactly what matters after an ECO.  The verdict is exact at any
+    input width: an unsatisfiable miter is a proof, and a satisfying
+    model is a separating input vector.
     """
     view_g = CombinationalView(golden)
     view_r = CombinationalView(revised)
     inputs, outputs = _common_interface(view_g, view_r)
 
-    def compare(
-        packed: dict[str, int], width: int
-    ) -> tuple[list[str], int | None, Divergence | None]:
-        values_g = view_g.evaluate(packed, width)
-        values_r = view_r.evaluate(packed, width)
-        bad: list[str] = []
-        bad_bit: int | None = None
-        for net in outputs:
-            diff = values_g.get(net, 0) ^ values_r.get(net, 0)
-            if diff:
-                bad.append(net)
-                if bad_bit is None:
-                    bad_bit = (diff & -diff).bit_length() - 1
-        if bad_bit is None:
-            return bad, None, None
-        # Pin the divergence to the first differing lane: the full
-        # input vector plus every output where the designs disagree.
-        divergence = Divergence(
-            inputs={
-                net: str((packed[net] >> bad_bit) & 1)
-                for net in inputs
-            },
-            outputs={
-                net: (
-                    str((values_g.get(net, 0) >> bad_bit) & 1),
-                    str((values_r.get(net, 0) >> bad_bit) & 1),
-                )
-                for net in outputs
-                if ((values_g.get(net, 0) ^ values_r.get(net, 0))
-                    >> bad_bit) & 1
-            },
-        )
-        return bad, bad_bit, divergence
-
-    n_inputs = len(inputs)
-    if n_inputs <= exhaustive_limit:
-        total = 1 << n_inputs
-        vectors_done = 0
-        for base in range(0, total, 64):
-            width = min(64, total - base)
-            packed = {net: 0 for net in inputs}
-            for offset in range(width):
-                row = base + offset
-                for k, net in enumerate(inputs):
-                    if (row >> k) & 1:
-                        packed[net] |= 1 << offset
-            bad, bad_bit, divergence = compare(packed, width)
-            vectors_done += width
-            if bad:
-                assert bad_bit is not None
-                row = base + bad_bit
-                cex = {net: (row >> k) & 1 for k, net in enumerate(inputs)}
-                return EquivalenceResult(
-                    equivalent=False,
-                    mode="exhaustive",
-                    vectors_run=vectors_done,
-                    counterexample=cex,
-                    mismatched_outputs=bad,
-                    divergence=divergence,
-                )
+    solver = Solver()
+    cnf = CnfBuilder(solver)
+    shared = {net: cnf.new_var() for net in inputs}
+    lits_g = _encode_view(cnf, view_g, shared)
+    lits_r = _encode_view(cnf, view_r, shared)
+    false = cnf.false_lit
+    pairs = {
+        net: (lits_g.get(net, false), lits_r.get(net, false))
+        for net in outputs
+    }
+    miter = cnf.lit_or(
+        cnf.lit_or((cnf.lit_and((g, -r)), cnf.lit_and((-g, r))))
+        for g, r in pairs.values()
+    )
+    if miter == false or not solver.solve([miter]):
         return EquivalenceResult(
             equivalent=True,
-            mode="exhaustive",
-            vectors_run=total,
+            mode="combinational",
             notes="proven over the full input space",
         )
 
-    rng = np.random.default_rng(seed)
-    vectors_done = 0
-    while vectors_done < max_random_vectors:
-        width = min(64, max_random_vectors - vectors_done)
-        packed = {}
-        stash = {}
-        bits = rng.integers(0, 2, size=(len(inputs), width), dtype=np.uint8)
-        for k, net in enumerate(inputs):
-            value = int.from_bytes(
-                np.packbits(bits[k], bitorder="little").tobytes(), "little"
-            )
-            packed[net] = value
-            stash[net] = bits[k]
-        bad, bad_bit, divergence = compare(packed, width)
-        vectors_done += width
-        if bad:
-            assert bad_bit is not None
-            cex = {net: int(stash[net][bad_bit]) for net in inputs}
-            return EquivalenceResult(
-                equivalent=False,
-                mode="random",
-                vectors_run=vectors_done,
-                counterexample=cex,
-                mismatched_outputs=bad,
-                divergence=divergence,
-            )
+    value = solver.value
+    counterexample = {net: int(value(lit)) for net, lit in shared.items()}
+    divergence = Divergence(
+        inputs={net: str(bit) for net, bit in counterexample.items()},
+        outputs={
+            net: (str(int(value(g))), str(int(value(r))))
+            for net, (g, r) in pairs.items()
+            if value(g) != value(r)
+        },
+    )
     return EquivalenceResult(
-        equivalent=True,
-        mode="random",
-        vectors_run=vectors_done,
-        notes="no mismatch found (random refutation, not a proof)",
+        equivalent=False,
+        mode="combinational",
+        counterexample=counterexample,
+        mismatched_outputs=list(divergence.outputs),
+        divergence=divergence,
     )
 
 

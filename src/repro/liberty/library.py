@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .tables import TableValues, validate_table
@@ -255,6 +256,12 @@ class CellLibrary:
             corners, cells,
         )
 
+    @cached_property
+    def _digest(self) -> str:
+        # Once per instance: the library is frozen and its ``cells``
+        # are never mutated after construction.
+        return hashlib.sha256(repr(self._canonical()).encode()).hexdigest()
+
     def fingerprint(self) -> str:
         """Stable sha256 digest of the full characterized content.
 
@@ -262,7 +269,7 @@ class CellLibrary:
         for any netlist; the digest keys the compiled timing-graph
         cache and the artifact cache alongside ``Module.fingerprint``.
         """
-        return hashlib.sha256(repr(self._canonical()).encode()).hexdigest()
+        return self._digest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellLibrary):

@@ -22,6 +22,7 @@ from repro.eco import (
     sprinkle_spare_cells,
     strengthen_driver_metal_only,
 )
+from tests.test_formal import and_tree
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +86,7 @@ class TestCombinationalEco:
         m = pipeline_block("p", lib, stages=1, width=8, cloud_gates=30, seed=1)
         rng = np.random.default_rng(3)
         patch = random_functional_change(m, rng=rng)
-        application = apply_and_verify(
-            m, patch, expect_equivalent=False, seed=1
-        )
+        application = apply_and_verify(m, patch, expect_equivalent=False)
         assert not application.equivalence_vs_base
 
     def test_resize_patch_verifies_equivalent(self, lib):
@@ -96,17 +95,30 @@ class TestCombinationalEco:
                       if i.cell.footprint == "NAND2")
         patch = EcoPatch("resize", [EcoEdit("swap_cell", victim,
                                             cell="NAND2_X4")])
-        application = apply_and_verify(
-            m, patch, expect_equivalent=True, seed=2
-        )
+        application = apply_and_verify(m, patch, expect_equivalent=True)
         assert application.equivalence_vs_base
+
+    def test_wide_cone_minterm_change_not_equivalent(self, lib):
+        """Tying a 20-input AND tree's output low changes one input
+        vector in 2**20; a resize-style expectation must still fail."""
+        m = and_tree(lib, "tree", 20)
+        patch = EcoPatch("tie y low", [
+            EcoEdit("remove_instance", "and18"),
+            EcoEdit("add_instance", "tie", cell="TIELO",
+                    connections=(("Y", "y"),)),
+        ])
+        with pytest.raises(EcoError, match="expected"):
+            apply_and_verify(m, patch, expect_equivalent=True)
+        assert not apply_and_verify(
+            m, patch, expect_equivalent=False
+        ).equivalence_vs_base
 
     def test_wrong_expectation_raises(self, lib):
         m = pipeline_block("p", lib, stages=1, width=6, cloud_gates=20, seed=4)
         rng = np.random.default_rng(5)
         patch = random_functional_change(m, rng=rng)
         with pytest.raises(EcoError, match="expected"):
-            apply_and_verify(m, patch, expect_equivalent=True, seed=3)
+            apply_and_verify(m, patch, expect_equivalent=True)
 
 
 class TestTimingFix:

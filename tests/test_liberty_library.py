@@ -9,6 +9,7 @@ from repro.liberty import (
     DEFAULT_LOAD_INDEX_FF,
     DEFAULT_SLEW_INDEX_PS,
     STANDARD_CORNERS,
+    CellLibrary,
     LibertyParseError,
     characterize_library,
     default_cell_library,
@@ -18,7 +19,8 @@ from repro.liberty import (
     table_array,
     write_lib,
 )
-from repro.netlist import make_default_library
+from repro.netlist import counter, make_default_library
+from repro.sta import NldmTimingAnalyzer, TimingConstraints
 
 #: Regression anchor: the default characterization is part of the QoR
 #: contract -- any change to the scaling laws, grids, corners or rng
@@ -49,6 +51,24 @@ class TestCharacterization:
 
     def test_fingerprint_pinned(self, lib):
         assert lib.fingerprint() == DEFAULT_FINGERPRINT
+
+    def test_fingerprint_built_once(self, std_lib, monkeypatch):
+        """Every NLDM analyzer keys its graph cache on the library
+        fingerprint; the digest is built once per library."""
+        library = characterize_library(std_lib, seed=2)
+        builds = []
+        canonical = CellLibrary._canonical
+
+        def counting(self):
+            builds.append(self)
+            return canonical(self)
+
+        monkeypatch.setattr(CellLibrary, "_canonical", counting)
+        block = counter("cnt", std_lib, width=4)
+        constraints = TimingConstraints(clock_period_ps=5000)
+        for _ in range(2):
+            NldmTimingAnalyzer(block, constraints, library=library)
+        assert len(builds) == 1
 
     def test_seed_changes_tables(self, std_lib, lib):
         other = characterize_library(std_lib, seed=1)

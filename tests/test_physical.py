@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.netlist import counter, make_default_library, pipeline_block
+from repro.netlist import (
+    Module,
+    counter,
+    make_default_library,
+    pipeline_block,
+)
 from repro.sta import TimingAnalyzer, TimingConstraints
 from repro.physical import (
     AnnealingPlacer,
@@ -102,6 +107,19 @@ class TestPlacement:
         _, report = placer.place(iterations=2000,
                                  timing_constraints=constraints)
         assert report.timing_driven
+
+    def test_criticality_weights_need_an_endpoint(self, lib, small_block):
+        """No flop and no output port leaves nothing to weight for."""
+        constraints = TimingConstraints(clock_period_ps=3000)
+        sink = Module("sink", lib)
+        sink.add_port("a", "input")
+        sink.add_instance("u0", "INV_X1", {"A": "a", "Y": "n0"})
+        placer = AnnealingPlacer(sink, seed=1)
+        assert placer.criticality_weights(constraints) == {}
+        weights = AnnealingPlacer(small_block, seed=1).criticality_weights(
+            constraints
+        )
+        assert weights and set(weights.values()) <= {1.0, 2.0, 3.0}
 
     def test_wire_caps_feed_sta(self, small_block):
         placer = AnnealingPlacer(small_block, seed=5)
