@@ -10,24 +10,26 @@ as untested.  The paper reports 93% coverage after scan insertion --
 experiment E4 regenerates that number on the synthetic SoC netlist.
 
 The generator (Larrabee-style) runs on the repository's one CDCL
-solver, :class:`repro.formal.cdcl.Solver`.  The good circuit is encoded
-once from the same truth tables the fault kernels evaluate.  Each fault
-adds its faulty fanout cone and an XOR miter over the pseudo outputs
-it reaches, behind a fresh activation literal; the solve runs under
-that one assumption and the literal is then retired, so clauses
-learned on one fault keep pruning the next.  Within its budget the
-generator is complete: its verdicts are checked against exhaustive
-enumeration in the test suite.
+solver, :class:`repro.formal.cdcl.Solver`, and its one gate encoder,
+:meth:`repro.formal.cnf.CnfBuilder.gate`.  The good circuit is encoded
+once (:meth:`CombinationalView.encode`).  Each fault adds its faulty
+fanout cone and an XOR miter over the pseudo outputs it reaches, as
+gates guarded by a fresh activation literal; the solve runs under that
+one assumption, then the variables allocated for the fault are pinned,
+so clauses learned on one fault keep pruning the next.  Within its
+budget the generator is complete: its verdicts are checked against
+exhaustive enumeration in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..formal.cdcl import Solver
+from ..formal.cnf import XOR2, CnfBuilder
 from ..netlist import Module
 from ..netlist.netlist import Instance
 from ..perf import stage_timer
@@ -96,41 +98,6 @@ class AtpgResult:
 # -- SAT test generation ----------------------------------------------------
 
 
-def _prime_cubes(rows: Iterable[int], n: int) -> list[tuple[int, int]]:
-    """Prime implicants of a set of truth-table rows over ``n`` inputs,
-    as ``(care mask, value)`` cubes (Quine-McCluskey; cells are small)."""
-    cubes = {((1 << n) - 1, row) for row in rows}
-    primes: set[tuple[int, int]] = set()
-    while cubes:
-        merged: set[tuple[int, int]] = set()
-        covered: set[tuple[int, int]] = set()
-        for mask, value in cubes:
-            for k in range(n):
-                bit = 1 << k
-                if mask & bit and (mask, value ^ bit) in cubes:
-                    merged.add((mask & ~bit, value & ~bit))
-                    covered.add((mask, value))
-        primes |= cubes - covered
-        cubes = merged
-    return sorted(primes)
-
-
-def _cell_cnf(
-    minterms: Sequence[tuple[int, ...]], n: int
-) -> tuple[tuple[int, int, bool], ...]:
-    """Clause templates ``(care mask, value, output polarity)`` of one
-    cell: every prime cube of the on-set implies output 1, every prime
-    cube of the off-set implies output 0.  Prime cubes let a single
-    controlling input propagate, which plain truth-table rows do not."""
-    on = {sum(bit << k for k, bit in enumerate(row)) for row in minterms}
-    off = set(range(1 << n)) - on
-    return tuple(
-        (mask, value, polarity)
-        for polarity, rows in ((True, on), (False, off))
-        for mask, value in _prime_cubes(rows, n)
-    )
-
-
 @dataclass
 class SatTest:
     """Outcome of one SAT test-generation call."""
@@ -156,44 +123,14 @@ class SatTestGenerator:
         self.view = view
         self.conflict_limit = conflict_limit
         self.solver = Solver()
-        self._true = self.solver.new_var()
-        self.solver.add_clause([self._true])
-        self._cnf: dict[str, tuple[tuple[int, int, bool], ...]] = {}
-        self._good = {net: self.solver.new_var() for net in view.pseudo_inputs}
-        for inst in view._order:
-            inputs = [self._lit(inst.net_of(p)) for p in inst.cell.input_pins]
-            self._good[self._out_net(inst)] = self._gate(inst, inputs)
+        self.cnf = CnfBuilder(self.solver)
+        self._good = view.encode(self.cnf, {
+            net: self.cnf.new_var() for net in view.pseudo_inputs
+        })
 
     @staticmethod
     def _out_net(inst: Instance) -> str:
         return inst.net_of(inst.cell.output_pins[0])
-
-    def _lit(self, net: str) -> int:
-        """Good-circuit literal of a net; undriven nets read 0, as in
-        the fault-simulation kernels."""
-        return self._good.get(net, -self._true)
-
-    def _gate(
-        self, inst: Instance, inputs: Sequence[int], guard: int = 0
-    ) -> int:
-        """A fresh literal constrained to ``inst``'s function of the
-        ``inputs`` literals (one per input pin); with a ``guard``, only
-        while that literal is true."""
-        cnf = self._cnf.get(inst.cell.name)
-        if cnf is None:
-            cnf = _cell_cnf(self.view._minterms[inst.cell.name], len(inputs))
-            self._cnf[inst.cell.name] = cnf
-        out = self.solver.new_var()
-        for mask, value, polarity in cnf:
-            clause = [
-                -lit if value >> k & 1 else lit
-                for k, lit in enumerate(inputs) if mask >> k & 1
-            ]
-            clause.append(out if polarity else -out)
-            if guard:
-                clause.append(-guard)
-            self.solver.add_clause(clause)
-        return out
 
     def generate(self, fault: Fault) -> SatTest:
         """Find a test for ``fault``, prove it untestable, or abort."""
@@ -208,46 +145,42 @@ class SatTestGenerator:
         # Everything below hangs off ``act``: the faulty cone's gates,
         # fault activation and the miter over the observed outputs.
         act = solver.new_var()
+        cnf, good, tables = self.cnf, self._good, view._tables
         site = view.module.instances[fault.instance]
-        stuck = self._true if fault.stuck_at else -self._true
-        stem = self._lit(site.net_of(fault.pin))
+        stuck = cnf.true_lit if fault.stuck_at else cnf.false_lit
+        stem = good[site.net_of(fault.pin)]
         solver.add_clause([-act, -stem if fault.stuck_at else stem])
         if fault.pin in site.cell.output_pins:
             faulty = {self._out_net(site): stuck}
         else:
             inputs = [
-                stuck if pin == fault.pin else self._lit(site.net_of(pin))
+                stuck if pin == fault.pin else good[site.net_of(pin)]
                 for pin in site.cell.input_pins
             ]
-            faulty = {self._out_net(site): self._gate(site, inputs, act)}
+            faulty = {self._out_net(site):
+                      cnf.gate(tables[site.cell.name], inputs, act)}
         for member in cone:
             if member is not site:
-                inputs = [faulty.get(net) or self._lit(net) for net in
+                inputs = [faulty.get(net) or good[net] for net in
                           map(member.net_of, member.cell.input_pins)]
-                faulty[self._out_net(member)] = self._gate(member, inputs, act)
-        diffs: list[int] = []
-        for net in observed:
-            good, bad = self._lit(net), faulty[net]
-            diff = solver.new_var()
-            solver.add_clause([-diff, good, bad])
-            solver.add_clause([-diff, -good, -bad])
-            diffs.append(diff)
-        solver.add_clause([-act] + diffs)
+                faulty[self._out_net(member)] = cnf.gate(
+                    tables[member.cell.name], inputs, act)
+        solver.add_clause([-act] + [
+            cnf.gate(XOR2, (good[net], faulty[net]), act)
+            for net in observed
+        ])
 
         verdict = solver.solve([act], conflict_limit=self.conflict_limit)
         pattern: dict[str, int] | None = None
         if verdict:
             support = sorted({net for member in cone
                               for net in view.support(member.name)})
-            pattern = {net: int(solver.value(self._good[net]))
-                       for net in support}
-        # Retire the fault.  With ``act`` false its variables are
-        # unconstrained, so pinning them at level 0 takes them out of
-        # every later solve; learned clauses stay.
-        solver.add_clause([-act])
-        for var in (*faulty.values(), *diffs):
-            if abs(var) != self._true:  # not the stuck constant
-                solver.add_clause([-var])
+            pattern = {net: int(solver.value(good[net])) for net in support}
+        # Retire the fault.  With ``act`` false the variables allocated
+        # from ``act`` on (never a shared or folded literal) are free,
+        # so pinning them at level 0 takes them out of later solves.
+        for var in range(act, solver.n_vars + 1):
+            solver.add_clause([-var])
         if verdict is None:
             return SatTest(fault, "aborted")
         return SatTest(fault, "detected" if verdict else "untestable", pattern)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from ..netlist.library import Cell
 from ..netlist.netlist import Instance
 from ..perf import fanout, stage_timer
 from .faults import Fault
+
+if TYPE_CHECKING:
+    from ..formal.cnf import CnfBuilder
 
 _WORD_BITS = 64
 
@@ -87,6 +90,12 @@ class CombinationalView:
         for inst in self._order:
             if inst.cell.name not in self._minterms:
                 self._minterms[inst.cell.name] = _truth_minterms(inst.cell)
+        #: Per cell, the on-set as :meth:`CnfBuilder.gate` takes it.
+        self._tables = {
+            name: sum(1 << sum(bit << k for k, bit in enumerate(row))
+                      for row in rows)
+            for name, rows in self._minterms.items()
+        }
 
         flops = module.sequential_instances
         port_inputs = [
@@ -178,6 +187,37 @@ class CombinationalView:
             out_net = inst.net_of(inst.cell.output_pins[0])
             values[out_net] = self._eval_instance(inst, values, mask)
         return values
+
+    def compare_points(self) -> tuple[dict[str, str], dict[str, str]]:
+        """Pseudo inputs and outputs keyed by identity, net as value: a
+        port by its name, a flop by ``instance/pin`` (Q in, data pin
+        out), whatever its nets are called."""
+        flops = self.module.sequential_instances
+        ports = slice(0, -len(flops) or None)  # port nets come first
+        inputs = {net: net for net in self.pseudo_inputs[ports]}
+        outputs = {net: net for net in self.pseudo_outputs[ports]}
+        for flop in flops:
+            pin = flop.cell.data_pin
+            assert pin is not None  # sequential cells name their data pin
+            inputs[f"{flop.name}/Q"] = flop.net_of("Q")
+            outputs[f"{flop.name}/{pin}"] = flop.net_of(pin)
+        return inputs, outputs
+
+    def encode(
+        self, cnf: CnfBuilder, input_literals: Mapping[str, int]
+    ) -> dict[str, int]:
+        """Every net's literal in ``cnf``, one ``cnf.gate`` per instance;
+        undriven nets and pseudo inputs missing from ``input_literals``
+        read false, as in :meth:`evaluate`."""
+        lits = dict.fromkeys(self.module.nets, cnf.false_lit)
+        for net in self.pseudo_inputs:
+            lits[net] = input_literals.get(net, cnf.false_lit)
+        for inst in self._order:
+            lits[inst.net_of(inst.cell.output_pins[0])] = cnf.gate(
+                self._tables[inst.cell.name],
+                [lits[inst.net_of(pin)] for pin in inst.cell.input_pins],
+            )
+        return lits
 
     # -- fault machinery ------------------------------------------------
 

@@ -13,12 +13,13 @@ the simulator would produce.
 
 The encoding is X-aware.  A gate whose cell maps every binary input
 row to 0/1 and whose inputs are all binary pairs (``is0 == -is1``)
-gets one rail, ``(is1, -is1)``.  Two independent rails remain on
-nets that X can reach (power-on X flops without reset, X ties or
-initial states) and on ICG-gated flop state, whose hold-or-capture
-formula does not fold to complementary literals (correct, only
-slower).  Binary values therefore pass through levels and frames by
-literal identity, and the ``x AND -x`` fold of
+gets one rail, ``(is1, -is1)``: one
+:meth:`~repro.formal.cnf.CnfBuilder.gate` of its boolean on-set.  Two
+independent rails remain on nets that X can reach (power-on X flops
+without reset, X ties or initial states) and on ICG-gated flop state,
+whose hold-or-capture formula does not fold to complementary literals
+(correct, only slower).  Binary values therefore pass through levels
+and frames by literal identity, and the ``x AND -x`` fold of
 :meth:`~repro.formal.cnf.CnfBuilder.lit_and` makes every ``Known`` or
 X test over such a net a constant while the CNF is built: a
 reset-settle proof is decided before the solver searches.
@@ -69,6 +70,7 @@ from ..sim.compiled import (
     _ALWAYS,
     _IS0,
     _IS1,
+    _ISX,
     _NEVER,
     BatchSimulator,
     CompiledProgram,
@@ -198,17 +200,16 @@ def _protocol_value(
 class _Gate:
     """One combinational instance of the program, ready to encode.
 
+    ``pins`` are the input slots in pin order and ``table`` the cell's
+    boolean on-set over them, as :meth:`CnfBuilder.gate` takes it.
     Rows are the cell table's minterms as ``(class, slot)`` literals,
-    padding dropped.  ``binary_rows1`` keeps the ONE minterms over
-    binary inputs only, as ``(slot, rail)`` with rail 0 for ``is1``
-    and 1 for ``is0``: with binary inputs they are the whole ``is1``
-    rail, since an X literal can only fold to false.
+    padding dropped.
     """
 
     out: int
-    inputs: tuple[int, ...]
+    pins: tuple[int, ...]
     binary: bool
-    binary_rows1: tuple[tuple[tuple[int, int], ...], ...]
+    table: int
     rows1: tuple[tuple[tuple[int, int], ...], ...]
     rows0: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -238,14 +239,12 @@ def _program_gates(program: CompiledProgram) -> list[_Gate]:
             rows1, rows0 = rows(index), rows(n + index)
             gates.append(_Gate(
                 out=out,
-                inputs=tuple(sorted({
-                    s for row in rows1 + rows0 for _, s in row
-                })),
+                # Every row lists the input slots in pin order.
+                pins=tuple(s for _, s in next(iter(rows1 + rows0), ())),
                 binary=bool(level.binary[index]),
-                binary_rows1=tuple(
-                    tuple((s, 0 if c == _IS1 else 1) for c, s in row)
-                    for row in rows1
-                    if all(c in (_IS0, _IS1) for c, _ in row)
+                table=sum(
+                    1 << sum((c == _IS1) << k for k, (c, _) in enumerate(row))
+                    for row in rows1 if _ISX not in (c for c, _ in row)
                 ),
                 rows1=rows1,
                 rows0=rows0,
@@ -362,9 +361,10 @@ class Unroller:
         """One settled sweep: slot pairs from state + input pairs.
 
         A gate whose cell is binary-closed and whose input pairs are
-        all binary (``is0 == -is1``) encodes only its ``is1`` rail and
-        takes ``is0 = -is1``; X cannot reach it, so the second rail
-        would only restate the first.  Every other gate encodes both.
+        all binary (``is0 == -is1``) encodes only its ``is1`` rail (one
+        :meth:`CnfBuilder.gate`) and takes ``is0 = -is1``; X cannot
+        reach it, so the second rail would only restate the first.
+        Every other gate encodes both rails from its rows.
         """
         builder = self.builder
         program = self.program
@@ -388,11 +388,10 @@ class Unroller:
 
         for gate in self._gates:
             if gate.binary and all(
-                pairs[s][1] == -pairs[s][0] for s in gate.inputs
+                pairs[s][1] == -pairs[s][0] for s in gate.pins
             ):
-                is1 = lit_or(
-                    lit_and(pairs[s][rail] for s, rail in row)
-                    for row in gate.binary_rows1
+                is1 = builder.gate(
+                    gate.table, [pairs[s][0] for s in gate.pins]
                 )
                 pairs[gate.out] = (is1, -is1)
                 continue

@@ -1,10 +1,13 @@
 """Tseitin CNF construction with dual-rail four-value pairs.
 
-The bounded model checker lowers netlist frames into CNF through this
-builder, and the combinational equivalence checker lowers both designs'
-scan views through its boolean layer.  Two layers live here:
+SAT ATPG, combinational equivalence and the BMC unroller all lower
+logic into clauses through this builder.  Three layers live here:
 
-* a **boolean gate layer** -- :meth:`CnfBuilder.lit_and` /
+* a **gate layer** -- :meth:`CnfBuilder.gate`, the one cell encoder:
+  prime-cube clauses per truth table, constant and repeated inputs
+  folded away, unguarded gates hashed on (table, input literals);
+
+* a **boolean layer** -- :meth:`CnfBuilder.lit_and` /
   :meth:`CnfBuilder.lit_or` Tseitin-encode AND/OR nodes over DIMACS
   literals with constant folding and structural hashing (the same
   ``AND(a, b)`` requested twice yields one variable, so the unrolled
@@ -32,15 +35,44 @@ check, LSB-first over binary pair rails.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ..netlist import Logic
 from .cdcl import SatError, Solver
 
-__all__ = ["CnfBuilder", "Pair"]
+__all__ = ["CnfBuilder", "Pair", "XOR2"]
 
 #: A net value at one frame: ``(is_one, is_zero)`` literals.
 Pair = tuple[int, int]
+
+
+#: Truth table of a two-input XOR, as :meth:`CnfBuilder.gate` takes it.
+XOR2 = 0b0110
+
+
+@lru_cache(maxsize=None)
+def _prime_clauses(table: int, n: int) -> tuple[tuple[int, int, bool], ...]:
+    """Clause templates ``(care mask, value, output polarity)`` of a
+    truth table over ``n`` inputs: its on-set's prime cubes imply 1 and
+    its off-set's imply 0, so one controlling input propagates."""
+    templates: list[tuple[int, int, bool]] = []
+    for polarity in (True, False):
+        cubes = {((1 << n) - 1, row) for row in range(1 << n)
+                 if (table >> row & 1) == polarity}
+        primes: set[tuple[int, int]] = set()
+        while cubes:
+            merged: set[tuple[int, int]] = set()
+            for mask, value in cubes:
+                bits = [1 << k for k in range(n) if mask >> k & 1
+                        and (mask, value ^ 1 << k) in cubes]
+                merged.update((mask & ~bit, value & ~bit) for bit in bits)
+                if not bits:
+                    primes.add((mask, value))
+            cubes = merged
+        templates += [(mask, value, polarity)
+                      for mask, value in sorted(primes)]
+    return tuple(templates)
 
 
 class CnfBuilder:
@@ -63,6 +95,47 @@ class CnfBuilder:
         self.pair_zero: Pair = (self.false_lit, self.true_lit)
         self.pair_x: Pair = (self.false_lit, self.false_lit)
         self._cache: dict[tuple[int, ...], int] = {}
+        self._gates: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    # -- gate layer ----------------------------------------------------
+
+    def gate(self, table: int, inputs: Sequence[int], guard: int = 0) -> int:
+        """A literal equal to function ``table`` of ``inputs`` (bit ``r``
+        is the output for the row whose bit ``k`` is ``inputs[k]``): a
+        constant or input literal when the gate folds to one, else a
+        variable whose prime-cube clauses each carry ``-guard`` when
+        ``guard`` is nonzero; only unguarded gates are hashed."""
+        variables = [abs(lit) for lit in inputs]
+        if self.true_lit in variables or len(set(variables)) < len(inputs):
+            # Cofactor constants out and merge repeated variables.
+            free = tuple(dict.fromkeys(
+                var for var in variables if var != self.true_lit))
+            folded = 0
+            for row in range(1 << len(free)):
+                bits = {var: row >> k & 1 for k, var in enumerate(free)}
+                bits[self.true_lit] = 1
+                index = sum((bits[abs(lit)] ^ (lit < 0)) << k
+                            for k, lit in enumerate(inputs))
+                folded |= (table >> index & 1) << row
+            table, inputs = folded, free
+        n = len(inputs)
+        if table in (0, (1 << (1 << n)) - 1):  # a constant
+            return self.true_lit if table else self.false_lit
+        if n == 1:  # a buffer or an inverter
+            return inputs[0] if table == 2 else -inputs[0]
+        key = (table, tuple(inputs))
+        if not guard and key in self._gates:
+            return self._gates[key]
+        out = self.solver.new_var()
+        tail = [-guard] if guard else []
+        for mask, value, polarity in _prime_clauses(table, n):
+            self.solver.add_clause([
+                -lit if value >> k & 1 else lit
+                for k, lit in enumerate(inputs) if mask >> k & 1
+            ] + [out if polarity else -out] + tail)
+        if not guard:
+            self._gates[key] = out
+        return out
 
     # -- boolean layer -------------------------------------------------
 
@@ -155,14 +228,6 @@ class CnfBuilder:
     def pair_is_x(self, pair: Pair) -> int:
         """Literal: this pair is ``X`` (neither rail set)."""
         return self.lit_and((-pair[0], -pair[1]))
-
-    def pair_is(self, pair: Pair, value: Logic) -> int:
-        """Literal: this pair equals the given four-value constant."""
-        if value is Logic.ONE:
-            return pair[0]
-        if value is Logic.ZERO:
-            return pair[1]
-        return self.pair_is_x(pair)
 
     # -- word comparators ---------------------------------------------
 

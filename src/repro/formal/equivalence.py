@@ -6,13 +6,20 @@ synthesis).  This module provides two checks in that spirit:
 
 * **Combinational equivalence** -- a proof on the repository's one SAT
   engine, :class:`repro.formal.cdcl.Solver`.  Both designs are
-  flattened to their full-scan combinational views and encoded into
-  one structurally hashed :class:`repro.formal.cnf.CnfBuilder`: shared
-  pseudo inputs share one variable, so logic the designs have in
-  common maps to the same literals.  The miter ORs the XOR of every
-  shared pseudo output.  A miter that folds to false while it is built
-  is a proof without a search; otherwise one solve either proves it
+  flattened to their full-scan combinational views, and their compare
+  points are matched by identity: a port by its name, a flop by its
+  instance name (its Q a pseudo input, the net at its data pin a
+  pseudo output, whatever the nets are called).  Both views are
+  encoded through :meth:`CombinationalView.encode` into one
+  :class:`repro.formal.cnf.CnfBuilder`, whose gate layer hashes
+  structure: matched pseudo inputs share one variable, so logic the
+  designs have in common -- resized and Vt-swapped cells, buffers --
+  maps to the same literals.  The miter ORs the XOR of every matched
+  pseudo output.  A miter that folds to false while it is built is a
+  proof without a search; otherwise one solve either proves it
   unsatisfiable, at any input width, or returns a separating vector.
+  A compare point only one design has makes the designs
+  non-equivalent.
 
 * **Sequential burn-in compare** -- both designs are reset and driven
   with the same cycle stimulus on the compiled four-value simulator;
@@ -30,7 +37,7 @@ from ..netlist import Module
 from ..dft.faultsim import CombinationalView
 from ..sim import BatchSimulator, SimulatorConfig, diff_traces
 from .cdcl import Solver
-from .cnf import CnfBuilder
+from .cnf import XOR2, CnfBuilder
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,9 @@ class EquivalenceResult:
     mismatched_outputs: list[str] = field(default_factory=list)
     notes: str = ""
     divergence: Divergence | None = None
+    #: Compare points (port names, ``flop/pin``) only one design has.
+    unmatched_golden: list[str] = field(default_factory=list)
+    unmatched_revised: list[str] = field(default_factory=list)
 
     def format_report(self) -> str:
         verdict = "EQUIVALENT" if self.equivalent else "NOT EQUIVALENT"
@@ -99,6 +109,10 @@ class EquivalenceResult:
             lines.append(f"  counterexample: {self.counterexample}")
         if self.mismatched_outputs:
             lines.append(f"  mismatched outputs: {self.mismatched_outputs[:8]}")
+        for side, points in (("golden", self.unmatched_golden),
+                             ("revised", self.unmatched_revised)):
+            if points:
+                lines.append(f"  unmatched {side} points: {points[:8]}")
         if self.notes:
             lines.append(f"  note: {self.notes}")
         return "\n".join(lines)
@@ -108,98 +122,70 @@ class InterfaceMismatch(Exception):
     """The two designs do not expose comparable interfaces."""
 
 
-def _common_interface(a: CombinationalView, b: CombinationalView):
-    in_a, in_b = set(a.pseudo_inputs), set(b.pseudo_inputs)
-    out_a, out_b = set(a.pseudo_outputs), set(b.pseudo_outputs)
-    inputs = sorted(in_a & in_b)
-    outputs = sorted(out_a & out_b)
+def check_combinational_equivalence(
+    golden: Module, revised: Module
+) -> EquivalenceResult:
+    """Prove or refute that two designs compute the same function at
+    every compare point.
+
+    Ports are matched by name and flops by instance name, so internal
+    nets -- new ECO logic, hold buffers on a flop's D pin, renamed
+    internals -- may differ freely.  The verdict is exact at any input
+    width: an unsatisfiable miter is a proof, and a satisfying model is
+    a separating input vector, reported under golden net names.  A
+    compare point that only one design has is listed in the result and
+    makes it non-equivalent; :class:`InterfaceMismatch` is raised when
+    no pseudo input or no pseudo output matches.
+    """
+    view_g = CombinationalView(golden)
+    view_r = CombinationalView(revised)
+    in_g, out_g = view_g.compare_points()
+    in_r, out_r = view_r.compare_points()
+    inputs = [point for point in in_g if point in in_r]
+    outputs = [point for point in out_g if point in out_r]
     if not inputs or not outputs:
         raise InterfaceMismatch(
             "designs share no comparable pseudo inputs/outputs"
         )
-    return inputs, outputs
-
-
-def _encode_view(
-    cnf: CnfBuilder, view: CombinationalView, shared: dict[str, int]
-) -> dict[str, int]:
-    """The literal of every net of ``view`` in ``cnf``.
-
-    Shared pseudo inputs take their variable from ``shared``; private
-    pseudo inputs and undriven nets are the false literal, the value
-    :meth:`CombinationalView.evaluate` gives them.  Each gate is the OR
-    of its ONE-minterms over its input literals, so a gate that two
-    designs share maps to the same literal.
-    """
-    false = cnf.false_lit
-    lits = {net: shared.get(net, false) for net in view.pseudo_inputs}
-    for inst in view._order:
-        inputs = [
-            lits.get(inst.net_of(pin), false) for pin in inst.cell.input_pins
-        ]
-        lits[inst.net_of(inst.cell.output_pins[0])] = cnf.lit_or(
-            cnf.lit_and(
-                lit if bit else -lit for bit, lit in zip(minterm, inputs)
-            )
-            for minterm in view._minterms[inst.cell.name]
-        )
-    return lits
-
-
-def check_combinational_equivalence(
-    golden: Module, revised: Module
-) -> EquivalenceResult:
-    """Prove or refute that two designs agree on their shared
-    scan-view interface.
-
-    Nets private to one design (new ECO logic, renamed internals) are
-    ignored; only the shared pseudo inputs/outputs are compared, which
-    is exactly what matters after an ECO.  The verdict is exact at any
-    input width: an unsatisfiable miter is a proof, and a satisfying
-    model is a separating input vector.
-    """
-    view_g = CombinationalView(golden)
-    view_r = CombinationalView(revised)
-    inputs, outputs = _common_interface(view_g, view_r)
+    result = EquivalenceResult(
+        equivalent=False,
+        mode="combinational",
+        unmatched_golden=sorted({*in_g, *out_g} - {*in_r, *out_r}),
+        unmatched_revised=sorted({*in_r, *out_r} - {*in_g, *out_g}),
+    )
 
     solver = Solver()
     cnf = CnfBuilder(solver)
-    shared = {net: cnf.new_var() for net in inputs}
-    lits_g = _encode_view(cnf, view_g, shared)
-    lits_r = _encode_view(cnf, view_r, shared)
-    false = cnf.false_lit
-    pairs = {
-        net: (lits_g.get(net, false), lits_r.get(net, false))
-        for net in outputs
-    }
-    miter = cnf.lit_or(
-        cnf.lit_or((cnf.lit_and((g, -r)), cnf.lit_and((-g, r))))
-        for g, r in pairs.values()
-    )
-    if miter == false or not solver.solve([miter]):
-        return EquivalenceResult(
-            equivalent=True,
-            mode="combinational",
-            notes="proven over the full input space",
+    shared = {point: cnf.new_var() for point in inputs}
+    lits_g = view_g.encode(cnf, {in_g[p]: v for p, v in shared.items()})
+    lits_r = view_r.encode(cnf, {in_r[p]: v for p, v in shared.items()})
+    pairs = [(out_g[point], lits_g[out_g[point]], lits_r[out_r[point]])
+             for point in outputs]
+    miter = cnf.lit_or(cnf.gate(XOR2, (g, r)) for _, g, r in pairs)
+    if miter == cnf.false_lit or not solver.solve([miter]):
+        result.equivalent = not (
+            result.unmatched_golden or result.unmatched_revised
         )
+        result.notes = (
+            "proven over the full input space" if result.equivalent
+            else "matched points proven equal; unmatched points remain"
+        )
+        return result
 
     value = solver.value
-    counterexample = {net: int(value(lit)) for net, lit in shared.items()}
-    divergence = Divergence(
-        inputs={net: str(bit) for net, bit in counterexample.items()},
+    result.counterexample = {
+        in_g[point]: int(value(lit)) for point, lit in shared.items()
+    }
+    result.divergence = Divergence(
+        inputs={net: str(bit) for net, bit in result.counterexample.items()},
         outputs={
             net: (str(int(value(g))), str(int(value(r))))
-            for net, (g, r) in pairs.items()
+            for net, g, r in pairs
             if value(g) != value(r)
         },
     )
-    return EquivalenceResult(
-        equivalent=False,
-        mode="combinational",
-        counterexample=counterexample,
-        mismatched_outputs=list(divergence.outputs),
-        divergence=divergence,
-    )
+    result.mismatched_outputs = sorted(result.divergence.outputs)
+    return result
 
 
 def check_sequential_burn_in(

@@ -18,6 +18,7 @@ Values are representative textbook numbers, not foundry data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .logic import (
@@ -88,12 +89,14 @@ class Cell:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate pin names on cell {self.name}")
 
-    @property
+    # Built once per cell (``pins`` is frozen): the fault, dataflow and
+    # formal kernels read them for every instance they visit.
+    @cached_property
     def input_pins(self) -> tuple[str, ...]:
         """Input pin names in declaration order."""
         return tuple(p.name for p in self.pins if p.direction == "input")
 
-    @property
+    @cached_property
     def output_pins(self) -> tuple[str, ...]:
         """Output pin names in declaration order."""
         return tuple(p.name for p in self.pins if p.direction == "output")

@@ -35,6 +35,7 @@ never stored, never raised into unrelated requests.
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 import json
 import pickle
@@ -564,6 +565,10 @@ class DesignService:
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         if self._pool is None and not self._pool_broken:
+            # Workers fork from this process on the first submit.  A
+            # full collection that is due here would otherwise run in
+            # every worker over the inherited heap, copying its pages.
+            gc.collect()
             try:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers

@@ -3,15 +3,19 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.netlist import Module, counter, make_default_library
+from repro.netlist import Module, counter, make_default_library, \
+    pipeline_block
 from repro.netlist.generators import random_combinational_cloud
 from repro.dft import insert_scan
 from repro.dft.faultsim import CombinationalView
+from repro.eco import fix_hold
 from repro.formal import (
     InterfaceMismatch,
+    Solver,
     check_combinational_equivalence,
     check_sequential_burn_in,
 )
+from repro.sta import TimingConstraints
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +229,121 @@ class TestCombinationalEquivalence:
         b.add_instance("u0", "INV_X1", {"A": "zz", "Y": "yy"})
         with pytest.raises(InterfaceMismatch):
             check_combinational_equivalence(a, b)
+
+
+def _renamed(module, nets):
+    """A structural copy of ``module`` with ``nets`` renamed."""
+    rename = {net: f"renamed{k}" for k, net in enumerate(nets)}
+    copy = Module(module.name, module.library)
+    for name, port in module.ports.items():
+        copy.add_port(name, port.direction)
+    for inst in module.instances.values():
+        copy.add_instance(inst.name, inst.cell.name, {
+            pin: rename.get(net, net)
+            for pin, net in inst.connections.items()
+        })
+    return copy
+
+
+@pytest.fixture(scope="module")
+def hold_fixed(lib):
+    """A pipeline block and its hold-fixed copy: every offending flop's
+    D pin moves to a fresh ``__hold<k>`` net behind a delay buffer."""
+    base = pipeline_block("blk", lib, stages=2, width=10, cloud_gates=40,
+                          seed=9)
+    fixed, report = fix_hold(
+        base, TimingConstraints(clock_period_ps=100_000, hold_ps=600))
+    assert report.buffers_inserted >= 10
+    return base, fixed
+
+
+class TestComparePoints:
+    """Ports match by name and flops by instance name, whatever their
+    Q and D nets are called."""
+
+    def test_hold_fixed_block_proven(self, hold_fixed):
+        base, fixed = hold_fixed
+        result = check_combinational_equivalence(base, fixed)
+        assert result.equivalent, result.format_report()
+        assert not result.unmatched_golden and not result.unmatched_revised
+
+    def test_inverted_hold_buffer_refuted(self, hold_fixed):
+        """Every flop behind a hold buffer is compared: an inverter in
+        place of the first buffer changes a flop's next state."""
+        base, fixed = hold_fixed
+        sabotaged = fixed.copy("sabotaged")
+        sabotaged.swap_cell("__holdbuf0", "INV_X1")
+        result = check_combinational_equivalence(base, sabotaged)
+        assert not result.equivalent
+        assert result.mismatched_outputs
+        # Reported under golden net names: the flop's original D net.
+        d_nets = {flop.net_of("D") for flop in base.sequential_instances}
+        assert set(result.mismatched_outputs) <= d_nets
+        assert set(result.counterexample) <= set(
+            CombinationalView(base).pseudo_inputs)
+
+    def test_resized_vt_swapped_hold_buffered_copy_folds(
+        self, lib, hold_fixed, monkeypatch
+    ):
+        """Same-function cells on the same literals hash to one
+        variable and buffers fold away, so the miter is the constant
+        false and the solver never runs."""
+        base, fixed = hold_fixed
+        revised = fixed.copy("swapped")
+        swapped = 0
+        for index, inst in enumerate(revised.combinational_instances):
+            others = [cell for cell in
+                      lib.cells_by_footprint(inst.cell.footprint)
+                      if cell.name != inst.cell.name]
+            if others:
+                revised.swap_cell(inst.name,
+                                  others[index % len(others)].name)
+                swapped += 1
+        assert swapped == len(revised.combinational_instances)
+        assert {i.cell.vt_class for i in revised.instances.values()} \
+            >= {"lvt", "hvt"}
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the miter should fold before any solve")
+
+        monkeypatch.setattr(Solver, "solve", no_search)
+        result = check_combinational_equivalence(base, revised)
+        assert result.equivalent
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=1000),
+        picks=st.sets(st.integers(min_value=0, max_value=10_000),
+                      max_size=12),
+        d_picks=st.sets(st.integers(min_value=0, max_value=10_000),
+                        min_size=1, max_size=4),
+    )
+    def test_renamed_internal_and_d_nets_still_proven(
+        self, lib, seed, picks, d_picks
+    ):
+        golden = pipeline_block("blk", lib, stages=2, width=4,
+                                cloud_gates=16, seed=seed)
+        internal = sorted(set(golden.nets) - set(golden.ports))
+        d_nets = sorted({flop.net_of("D")
+                         for flop in golden.sequential_instances}
+                        - set(golden.ports))
+        chosen = {internal[p % len(internal)] for p in picks}
+        chosen |= {d_nets[p % len(d_nets)] for p in d_picks}
+        revised = _renamed(golden, sorted(chosen))
+        result = check_combinational_equivalence(golden, revised)
+        assert result.equivalent, result.format_report()
+
+    def test_dropped_flop_not_equivalent(self, lib):
+        golden = pipeline_block("blk", lib, stages=2, width=4,
+                                cloud_gates=16, seed=1)
+        revised = golden.copy("dropped")
+        victim = golden.sequential_instances[0].name
+        revised.remove_instance(victim)
+        result = check_combinational_equivalence(golden, revised)
+        assert not result.equivalent
+        assert result.unmatched_golden == [f"{victim}/D", f"{victim}/Q"]
+        assert result.unmatched_revised == []
+        assert "unmatched golden points" in result.format_report()
 
 
 class TestSequentialBurnIn:

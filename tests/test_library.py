@@ -120,3 +120,18 @@ class TestCellValidation:
         assert nand.pin("Y").direction == "output"
         with pytest.raises(KeyError):
             nand.pin("Q")
+
+    def test_pin_tuples_built_once(self, lib):
+        """The formal encoders and the fault and dataflow kernels read
+        the pin tuples for every instance visit; each is built once
+        per cell, and the cell still compares and hashes by value."""
+        for name in ("NAND2_X1", "SDFFR"):
+            cell = lib[name]
+            assert cell.input_pins is cell.input_pins
+            assert cell.output_pins is cell.output_pins
+        nand = lib["NAND2_X1"]
+        assert nand.input_pins == ("A", "B")
+        fresh = Cell("NAND2_X1", nand.pins, nand.function)
+        cached = Cell("NAND2_X1", nand.pins, nand.function)
+        assert cached.output_pins == ("Y",)
+        assert cached == fresh and hash(cached) == hash(fresh)

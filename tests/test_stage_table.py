@@ -14,8 +14,12 @@ report; each must match byte for byte:
   (``repro serve --tenants 2 --requests 2 --scale 0.004``);
 * the canonical JSON of CI's BMC run (``repro bmc --scale 0.002
   --depth 6 --max-gates 150``): nine properties' verdicts and CDCL
-  search statistics, ~606k propagations in all, so a solver change
-  that alters the search path shows here.
+  search statistics, one propagation each because the X-aware
+  unroller folds every reset-settle proof while it encodes, so an
+  encoder or solver change that brings the search back shows here;
+* the ATPG summary of CI's ``repro atpg --gates 200 --patterns 32
+  --workers 2``: SAT verdicts and the deterministic pattern count,
+  which moves with the ATPG encoding or the solver's search path.
 
 Then the contracts the shared table brings: a service request reuses
 the work the flow already cached (one cache key), units leave the
@@ -72,6 +76,9 @@ CI_SERVE = ["serve", "--tenants", "2", "--requests", "2",
 #: The CI BMC-determinism run, as the ``bmc`` command runs it.
 CI_BMC = ["bmc", "--scale", "0.002", "--depth", "6", "--max-gates", "150",
           "--workers", "1", "--json"]
+
+#: The CI ATPG-determinism run, as the ``atpg`` command runs it.
+CI_ATPG = ["atpg", "--gates", "200", "--patterns", "32", "--workers", "2"]
 
 
 def golden(name: str) -> str:
@@ -141,6 +148,11 @@ class TestGoldens:
         assert cli_main(CI_BMC) == 0
         assert capsys.readouterr().out == \
             (GOLDENS / "bmc_cli_0.002.json").read_text(encoding="utf-8")
+
+    def test_atpg_ci_run(self, capsys):
+        assert cli_main(CI_ATPG) == 0
+        assert capsys.readouterr().out == \
+            (GOLDENS / "atpg_cli_200_32.txt").read_text(encoding="utf-8")
 
 
 class TestSharedTable:
