@@ -59,6 +59,7 @@ the MAP-rule claim that decode windows never overlap.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -214,8 +215,18 @@ class _Gate:
     rows0: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _program_gates(program: CompiledProgram) -> list[_Gate]:
+#: Gates per compiled program, shared by every :class:`Unroller` over
+#: it; weak keys, so :func:`clear_program_cache` frees them too.
+_PROGRAM_GATES: weakref.WeakKeyDictionary[
+    CompiledProgram, tuple[_Gate, ...]
+] = weakref.WeakKeyDictionary()
+
+
+def _program_gates(program: CompiledProgram) -> tuple[_Gate, ...]:
     """Every combinational instance of ``program``, in level order."""
+    cached = _PROGRAM_GATES.get(program)
+    if cached is not None:
+        return cached
     gates: list[_Gate] = []
     for level in program.levels:
         cls_rows = level.cls.tolist()
@@ -249,7 +260,8 @@ def _program_gates(program: CompiledProgram) -> list[_Gate]:
                 rows1=rows1,
                 rows0=rows0,
             ))
-    return gates
+    _PROGRAM_GATES[program] = cached = tuple(gates)
+    return cached
 
 
 class Unroller:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,8 @@ class ParametricModel:
             total_sigma = math.hypot(noise, cd_scale * self.cd_sigma_um)
             z_high = (window - offset_scale) / total_sigma
             z_low = (-window - offset_scale) / total_sigma
-            return stats.norm.cdf(z_high) - stats.norm.cdf(z_low)
+            return 0.5 * (math.erfc(-z_high / math.sqrt(2))
+                          - math.erfc(-z_low / math.sqrt(2)))
 
         vth_shift = self.vth_per_um * self.cd_offset_um
         isat_shift = self.isat_per_um * self.cd_offset_um

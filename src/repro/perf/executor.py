@@ -24,17 +24,18 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence, TypeVar
 
 from .metrics import REGISTRY
 
-try:  # concurrent.futures raises this once a pool has died mid-flight
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - always present on CPython 3.10+
-    BrokenProcessPool = OSError
-
 #: Environment variable consulted when no worker count is passed.
 WORKERS_ENV = "REPRO_WORKERS"
+
+#: What a process pool raises when it cannot be used: unpicklable work,
+#: a restricted environment, or a pool that died mid-flight.
+POOL_ERRORS = (pickle.PicklingError, AttributeError, TypeError, OSError,
+               ImportError, BrokenProcessPool)
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
@@ -158,8 +159,7 @@ def fanout(
                     [(worker, task, label)
                      for task, label in zip(tasks, task_labels)],
                 ))
-        except (pickle.PicklingError, AttributeError, TypeError, OSError,
-                ImportError, BrokenProcessPool):
+        except POOL_ERRORS:
             # Unpicklable work or a restricted environment: the workers
             # are pure functions of their task, so a serial rerun is
             # safe and yields the same results.

@@ -35,10 +35,8 @@ class LognormalLife:
         """CDF at a stress duration/count."""
         if stress_amount <= 0:
             return 0.0
-        from scipy import stats
-
         z = (math.log(stress_amount) - math.log(self.median)) / self.sigma
-        return float(stats.norm.cdf(z))
+        return 0.5 * math.erfc(-z / math.sqrt(2))
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ import asyncio
 import gc
 import itertools
 import json
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Callable, Iterable
 
 from ..perf import resolve_workers
+from ..perf.executor import POOL_ERRORS
 from ..store import ArtifactStore, canonical_json, content_key, \
     get_default_store
 from .request import BlockSpec, FlowRequest
@@ -58,15 +58,7 @@ from .stages import (
     unit_fingerprints,
 )
 
-try:  # concurrent.futures raises this once a pool has died mid-flight
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - always present on CPython 3.10+
-    BrokenProcessPool = OSError  # type: ignore[misc,assignment]
-
 Event = dict[str, Any]
-
-_POOL_ERRORS = (pickle.PicklingError, AttributeError, TypeError, OSError,
-                ImportError, BrokenProcessPool)
 
 
 @dataclass
@@ -556,7 +548,7 @@ class DesignService:
                     return await asyncio.get_running_loop() \
                         .run_in_executor(pool, execute_unit_guarded,
                                          spec)
-                except _POOL_ERRORS:
+                except POOL_ERRORS:
                     # Restricted environment or unpicklable work: the
                     # units are pure functions of their spec, so
                     # inline execution yields identical results.
@@ -573,7 +565,7 @@ class DesignService:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers
                 )
-            except _POOL_ERRORS:
+            except POOL_ERRORS:
                 self._pool_broken = True
         return self._pool
 

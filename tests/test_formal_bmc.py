@@ -8,9 +8,11 @@ the event simulator under ``VENDOR_A_SIM`` and ``VENDOR_B_SIM``, and
 the report JSON must be byte-identical for any worker count.
 """
 
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,6 +44,7 @@ from repro.netlist import (
     pipeline_block,
 )
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM, LogicSimulator
+from repro.sim.compiled import clear_program_cache
 
 CONFIGS = (VENDOR_A_SIM, VENDOR_B_SIM)
 
@@ -518,6 +521,26 @@ class TestUnrollerRails:
             if flop.cell.name == "DFFR":
                 q = flop.net_of("Q")
                 assert all((t, q) not in two_rail for t in range(4))
+
+
+def test_unrollers_share_one_gate_tuple_per_program(lib):
+    """Gates are built once per compiled program, and the memo does not
+    keep a program alive past :func:`clear_program_cache`."""
+    module = pipeline_block(
+        "blk", lib, stages=2, width=4, cloud_gates=20, seed=3
+    )
+    first, second = (
+        Unroller(module, VENDOR_A_SIM, CnfBuilder(Solver()))
+        for _ in range(2)
+    )
+    assert first.program is second.program
+    assert isinstance(first._gates, tuple) and first._gates
+    assert first._gates is second._gates
+    program = weakref.ref(first.program)
+    del first, second
+    clear_program_cache()
+    gc.collect()
+    assert program() is None
 
 
 # ---------------------------------------------------------------------------

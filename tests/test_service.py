@@ -260,6 +260,36 @@ class TestService:
         assert [r.canonical_json() for r in serial_reports] == \
             [r.canonical_json() for r in pooled_reports]
 
+    def test_pool_creation_failure_runs_every_unit_inline(
+            self, monkeypatch):
+        import repro.service.service as service_mod
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pools here")
+
+        inline_calls = []
+
+        def counted(spec):
+            inline_calls.append(spec["stage"])
+            return execute_unit_guarded(spec)
+
+        mix = [tiny_request(tenant="a"),
+               tiny_request(tenant="b", seed=1)]
+        serial_reports = DesignService(
+            workers=1, store=ArtifactStore()).run(mix)
+        monkeypatch.setattr(service_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(service_mod, "execute_unit_guarded", counted)
+        fallback = DesignService(workers=2, store=ArtifactStore())
+        try:
+            reports = fallback.run(mix)
+        finally:
+            fallback.close()
+        assert fallback._pool is None
+        assert fallback.stats.units_executed > 0
+        assert len(inline_calls) == fallback.stats.units_executed
+        assert [r.canonical_json() for r in reports] == \
+            [r.canonical_json() for r in serial_reports]
+
     def test_format_report_mentions_stages_and_errors(self):
         bad = FlowRequest(
             tenant="acme", design="broken",

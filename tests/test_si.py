@@ -1,9 +1,10 @@
 """Tests for signal integrity: crosstalk, IR drop, EM."""
 
+import numpy as np
 import pytest
 
 from repro.netlist import make_default_library, pipeline_block
-from repro.physical import AnnealingPlacer, GlobalRouter
+from repro.physical import AnnealingPlacer, GlobalRouter, Placement
 from repro.sta import TimingConstraints
 from repro.si import (
     CrosstalkAnalyzer,
@@ -11,6 +12,11 @@ from repro.si import (
     VDD,
     electromigration_check,
     fix_crosstalk_by_resizing,
+)
+from repro.si.ir_drop import (
+    CELL_CURRENT_MA,
+    SEGMENT_RESISTANCE_OHM,
+    TAP_CONDUCTANCE_S,
 )
 
 
@@ -70,7 +76,62 @@ class TestCrosstalk:
                         <= report.victim_delta_ps[victim] + 1e-9)
 
 
+def dense_mesh_voltages(grid):
+    """Oracle: assemble G and i densely from the module constants and
+    solve G*v = i directly."""
+    width, height = grid.width, grid.height
+    conductance = np.zeros((width * height, width * height))
+    currents = np.zeros(width * height)
+    segment = 1.0 / SEGMENT_RESISTANCE_OHM
+    for row in range(height):
+        for col in range(width):
+            node = grid._node(col, row)
+            for peer_col, peer_row in ((col + 1, row), (col, row + 1)):
+                if peer_col < width and peer_row < height:
+                    pair = [node, grid._node(peer_col, peer_row)]
+                    conductance[pair, pair] += segment
+                    conductance[pair, pair[::-1]] -= segment
+            if row in (0, height - 1) or col in (0, width - 1):
+                conductance[node, node] += TAP_CONDUCTANCE_S
+                currents[node] += TAP_CONDUCTANCE_S * VDD
+    for col, row in grid.placement.locations.values():
+        if 0 <= col < width and 0 <= row < height:
+            currents[grid._node(col, row)] -= (
+                CELL_CURRENT_MA * 1e-3 * grid.activity
+            )
+    return np.linalg.solve(conductance, currents)
+
+
+def mesh(width, height, locations):
+    return Placement("mesh", 1.0, width, height, {
+        f"u{i}": loc for i, loc in enumerate(locations)
+    })
+
+
+#: Meshes built directly: non-square with a stacked site and a cell
+#: off the grid, grids where every node is a tap, and no load at all.
+DIRECT_MESHES = {
+    "7x3": mesh(7, 3, [(3, 1), (3, 1), (1, 1), (5, 1), (0, 2), (9, 1)]),
+    "1x1": mesh(1, 1, [(0, 0), (0, 0)]),
+    "2x5": mesh(2, 5, [(0, 1), (1, 3), (1, 3)]),
+    "6x2": mesh(6, 2, [(2, 0), (4, 1)]),
+    "unloaded": mesh(4, 4, [(4, 0)]),
+}
+
+
 class TestIrDrop:
+    @pytest.mark.parametrize("name", ["placed", *DIRECT_MESHES])
+    def test_static_solve_matches_dense_oracle(self, placed_block, name):
+        block, placement = placed_block
+        grid = PowerGridAnalyzer(
+            block, DIRECT_MESHES.get(name, placement), activity=0.6
+        )
+        voltages = grid.solve_static()
+        assert voltages.shape == (grid.width * grid.height,)
+        np.testing.assert_allclose(
+            voltages, dense_mesh_voltages(grid), rtol=0, atol=1e-12
+        )
+
     def test_static_solve_bounded_by_vdd(self, placed_block):
         block, placement = placed_block
         grid = PowerGridAnalyzer(block, placement, activity=0.3)
