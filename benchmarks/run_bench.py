@@ -320,11 +320,12 @@ def bench_sta(quick: bool) -> dict:
 def bench_fixpoint(quick: bool) -> dict:
     """Dataflow fixpoint engine over the DSC block set.
 
-    Runs every :mod:`repro.analysis` fixpoint (const, dual-dialect,
-    X-taint, launch, clock domains) across the generated blocks through
-    the lint families that consume them, serial vs process fan-out, and
-    asserts the canonical reports are byte-identical -- the determinism
-    contract of the engine.
+    Runs the three :mod:`repro.analysis` fixpoints (const,
+    dual-dialect, X-taint) across the generated blocks through the lint
+    families that consume them (the race family also walks clock paths
+    structurally), serial vs process fan-out, and asserts the canonical
+    reports are byte-identical -- the determinism contract of the
+    engine.
     """
     from repro.analysis import clear_analysis_memo
     from repro.lint import dsc_lint_targets, run_lint

@@ -1,16 +1,21 @@
 """Abstract-interpretation dataflow analysis over the netlist IR.
 
-Pluggable abstract domains (:mod:`repro.analysis.domains`), solved
-cone by cone through the artifact store (:mod:`repro.analysis.cones`;
-the monolithic worklist engine in :mod:`repro.analysis.engine` is the
-test oracle), power three semantic analyses
-(:mod:`repro.analysis.analyses`): constant
-propagation with dead-logic detection, static prediction of where the
-two simulator dialects of :mod:`repro.sim` diverge, and a zero-delay
-race detector.  The results surface as the ``CONST-00x`` / ``DEAD-00x``
-/ ``DIV-00x`` / ``RACE-00x`` lint families (:mod:`repro.lint.analysis`)
-and are cross-validated against real dual-dialect simulation by
+Three abstract domains (:mod:`repro.analysis.domains`: constants,
+dual-dialect value pairs and X-source taint), solved cone by cone
+through the artifact store (:mod:`repro.analysis.cones`; the
+monolithic worklist engine in :mod:`repro.analysis.engine` is the
+test oracle), power the semantic analyses of
+:mod:`repro.analysis.analyses`: constant propagation with dead-logic
+detection, static prediction of where the two simulator dialects of
+:mod:`repro.sim` diverge, and order-sensitive multi-driven nets.  The
+results surface as the ``CONST-00x`` / ``DEAD-00x`` / ``DIV-00x`` /
+``RACE-001`` lint families (:mod:`repro.lint.analysis`) and are
+cross-validated against real dual-dialect simulation by
 :mod:`repro.verification.crossval`.
+
+The package sits below :mod:`repro.lint` and imports nothing from it;
+the structural clock-path races (``RACE-002/003``) live with the CDC
+rules in :mod:`repro.lint.cdc`.
 """
 
 from .domains import (
@@ -50,7 +55,6 @@ from .analyses import (
     ModuleAnalysis,
     analyze_module,
     clear_analysis_memo,
-    clock_path_races,
     constant_cones,
     divergent_nets,
     divergent_output_ports,
@@ -98,7 +102,6 @@ __all__ = [
     "ModuleAnalysis",
     "analyze_module",
     "clear_analysis_memo",
-    "clock_path_races",
     "constant_cones",
     "divergent_nets",
     "divergent_output_ports",

@@ -9,10 +9,10 @@ query and lint rule so the engine runs once per module per domain):
   pairing the two simulator dialects under one stimulus;
 * ``xtaint`` -- which power-on X generators (un-reset flops, floating
   nets, spares) reach each net;
-* ``launch`` -- which flops reach each net through combinational logic
-  only (the race detector's single-cycle launch sets);
-* ``domains`` -- which clock domains' state reaches each net;
 * ``observable`` -- nets backward-reachable from an output/inout port.
+
+The clock-path race check needs no fixpoint: it walks flop-to-flop
+fan-in structurally, next to the CDC rules in :mod:`repro.lint.cdc`.
 
 Fan-out across modules and whole-module result caching live one layer
 up, in :func:`repro.lint.lint_modules` (the ``lint.module`` store
@@ -111,8 +111,6 @@ class ModuleAnalysis:
     const: FixpointResult
     dual: FixpointResult
     xtaint: FixpointResult
-    launch: FixpointResult
-    domains: FixpointResult
     observable: FrozenSet[str]
     reset_assured: FrozenSet[str]
 
@@ -125,14 +123,6 @@ _CACHE: "WeakKeyDictionary[Module, Dict[tuple, ModuleAnalysis]]" = (
 def clear_analysis_memo() -> None:
     """Drop the in-process ModuleAnalysis memo (tests, benchmarks)."""
     _CACHE.clear()
-
-
-def _cone_flops(module: Module, cone: Cone) -> List[str]:
-    """Sequential instances owned by one cone, sorted."""
-    return [
-        name for name in cone.instances
-        if module.instances[name].cell.is_sequential
-    ]
 
 
 def analyze_module(
@@ -204,59 +194,9 @@ def analyze_module(
 
     xtaint = run_fixpoint_cones(
         module,
-        TaintDomain(
-            flop_seed=x_flop_seed,
-            undriven_seed=x_undriven_seed,
-            through_flops=True,
-        ),
+        TaintDomain(flop_seed=x_flop_seed, undriven_seed=x_undriven_seed),
         partition,
         domain_token=lambda cone: ["xtaint", _assured_in(cone)],
-        store=store,
-        stats=stats,
-    )
-    launch = run_fixpoint_cones(
-        module,
-        TaintDomain(
-            flop_seed=lambda inst: frozenset({inst.name}),
-            through_flops=False,
-        ),
-        partition,
-        domain_token=lambda cone: ["launch"],
-        store=store,
-        stats=stats,
-    )
-
-    from ..lint.domains import trace_control_source
-
-    trace_memo: Dict[str, str] = {}
-
-    def _trace_domain(inst: Instance) -> str:
-        cached_domain = trace_memo.get(inst.name)
-        if cached_domain is None:
-            clock_pin = inst.cell.clock_pin
-            if clock_pin is None:
-                cached_domain = "unclocked"
-            else:
-                cached_domain = trace_control_source(
-                    module, inst.net_of(clock_pin)
-                ).domain
-            trace_memo[inst.name] = cached_domain
-        return cached_domain
-
-    def domain_seed(inst: Instance) -> FrozenSet[str]:
-        return frozenset({_trace_domain(inst)})
-
-    domains = run_fixpoint_cones(
-        module,
-        TaintDomain(flop_seed=domain_seed, through_flops=True),
-        partition,
-        domain_token=lambda cone: [
-            "domains",
-            [
-                [name, _trace_domain(module.instances[name])]
-                for name in _cone_flops(module, cone)
-            ],
-        ],
         store=store,
         stats=stats,
     )
@@ -268,8 +208,6 @@ def analyze_module(
         const=const,
         dual=dual,
         xtaint=xtaint,
-        launch=launch,
-        domains=domains,
         observable=observable_nets(module),
         reset_assured=reset_assured,
     )
@@ -471,43 +409,4 @@ def multi_driver_races(analysis: ModuleAnalysis) -> List[Tuple[str, str]]:
             f"port {net.driver_port!r} {format_mask(port_mask)} vs "
             f"{net.driver} {format_mask(driver_mask)}",
         ))
-    return out
-
-
-def clock_path_races(module: Module) -> List[Tuple[str, str, str]]:
-    """Flop-to-flop same-root paths whose capture order is event-order
-    sensitive: one clock path crosses an ICG the other does not
-    (``gated``), or the two paths differ in inverter parity
-    (``inverted``).  Returns (src, dst, kind) triples.
-    """
-    from ..lint.domains import trace_control_source
-
-    analysis = analyze_module(module)
-    traces = {}
-    for flop in module.sequential_instances:
-        clock_pin = flop.cell.clock_pin
-        if clock_pin is not None:
-            traces[flop.name] = trace_control_source(
-                module, flop.net_of(clock_pin)
-            )
-    out: List[Tuple[str, str, str]] = []
-    for dst_name in sorted(traces):
-        dst = module.instances[dst_name]
-        data_pin = dst.cell.data_pin
-        if data_pin is None:
-            continue
-        dst_trace = traces[dst_name]
-        launch = analysis.launch.net_values[dst.net_of(data_pin)]
-        for src_name in sorted(launch):
-            src_trace = traces.get(src_name)
-            if src_trace is None:
-                continue
-            if (src_trace.root, src_trace.kind) != (
-                dst_trace.root, dst_trace.kind
-            ):
-                continue  # different roots: a CDC problem, not a race
-            if src_trace.inverted != dst_trace.inverted:
-                out.append((src_name, dst_name, "inverted"))
-            elif src_trace.through_gate != dst_trace.through_gate:
-                out.append((src_name, dst_name, "gated"))
     return out

@@ -2,7 +2,7 @@
 
 Every domain assigns each net an element of a finite join-semilattice;
 the engine (:mod:`repro.analysis.engine`) computes the least fixpoint
-of the transfer functions.  Three domain families are provided:
+of the transfer functions.  Three domains are provided:
 
 * :class:`ConstantDomain` -- the value of a net is a *set* of possible
   four-value logic levels, encoded as a 3-bit mask over ``{0, 1, X}``
@@ -20,13 +20,10 @@ of the transfer functions.  Three domain families are provided:
   whose reachable set contains an off-diagonal pair is a *divergence
   candidate*: the two simulators can print different values for it.
 
-* :class:`TaintDomain` -- the value of a net is a frozen set of source
-  labels, unioned through every gate.  Specialised three ways by its
-  seeds: X-source taint (which power-on X generators reach a net),
-  single-cycle flop-launch taint (which flops reach a net through
-  combinational logic only -- the race detector's launch sets) and
-  clock-domain reachability (which clock domains' state reaches a
-  net).
+* :class:`TaintDomain` -- the value of a net is a frozen set of
+  X-source labels, unioned through every gate and carried across
+  flops: which power-on X generators (un-reset flops, floating nets)
+  can ever reach the net.
 
 All transfer functions enumerate concrete input combinations through
 :func:`repro.sim.evaluate_cell` -- the same code the simulator runs --
@@ -342,8 +339,8 @@ _EMPTY: Taint = frozenset()
 
 
 class TaintDomain:
-    """Set-union source tracking; seeds make it X-taint, launch sets
-    or clock-domain reachability."""
+    """Set-union X-source tracking: flops and floating nets seed the
+    labels, every gate unions them and every flop carries them."""
 
     bottom: Taint = _EMPTY
 
@@ -352,16 +349,12 @@ class TaintDomain:
         *,
         flop_seed: Callable[[Instance], Taint] = lambda inst: _EMPTY,
         undriven_seed: Callable[[Net], Taint] = lambda net: _EMPTY,
-        port_seed: Callable[[str], Taint] = lambda port: _EMPTY,
-        through_flops: bool = False,
     ) -> None:
         self.flop_seed = flop_seed
         self.undriven_seed = undriven_seed
-        self.port_seed = port_seed
-        self.through_flops = through_flops
 
     def input_value(self, port: str) -> Taint:
-        return self.port_seed(port)
+        return _EMPTY
 
     def undriven_value(self, net: Net) -> Taint:
         return self.undriven_seed(net)
@@ -378,8 +371,6 @@ class TaintDomain:
     def flop_next(
         self, inst: Instance, pins: Mapping[str, Taint], current: Taint
     ) -> Taint:
-        if not self.through_flops:
-            return _EMPTY
         cell = inst.cell
         out: Taint = _EMPTY
         for pin in (cell.data_pin, cell.scan_in_pin, cell.scan_enable_pin,

@@ -29,6 +29,7 @@ from .core import (
     run_lint,
     select_rules,
 )
+from .cdc import clock_path_races
 from .domains import (
     DomainMap,
     SourceTrace,
@@ -71,6 +72,7 @@ __all__ = [
     "register",
     "run_lint",
     "select_rules",
+    "clock_path_races",
     "DomainMap",
     "SourceTrace",
     "infer_clock_domains",

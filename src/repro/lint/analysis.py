@@ -1,11 +1,13 @@
 """Semantic lint rules backed by the dataflow engine.
 
-Where the structural/CDC/X families of PR 3 pattern-match the netlist,
-these rules consume the abstract-interpretation fixpoints of
+Where the structural/CDC/X families pattern-match the netlist, these
+rules consume the abstract-interpretation fixpoints of
 :mod:`repro.analysis` -- each family is a thin adapter from one
 analysis query to :class:`~repro.lint.core.Finding` objects, so
 waivers, fingerprints, canonical reports, the CLI and the flow gate
-all work unchanged.
+all work unchanged.  The clock-path races are the exception: they
+need no fixpoint, and come from the CDC fan-in walk
+(:func:`repro.lint.cdc.clock_path_races`).
 
 * ``CONST-001/002`` -- constant propagation: stuck nets and flops that
   can never toggle;
@@ -27,7 +29,6 @@ costs a single engine run per domain.
 from __future__ import annotations
 
 from ..analysis import (
-    clock_path_races,
     constant_cones,
     divergent_output_ports,
     multi_driver_races,
@@ -39,6 +40,7 @@ from ..analysis import (
 )
 from ..analysis.analyses import analyze_module
 from ..netlist.netlist import Module
+from .cdc import clock_path_races
 from .core import Finding, Rule, Severity, register
 
 

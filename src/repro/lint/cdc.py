@@ -16,6 +16,11 @@ Rules:
 * ``CDC-002`` -- clock derived from multi-input combinational logic
   (glitch-capable clock, also breaks domain inference);
 * ``CDC-003`` -- gated clock (ICG) noted for test planning (info).
+
+The same fan-in walk finds the zero-delay clock-path races that
+``RACE-002/003`` (:mod:`repro.lint.analysis`) report:
+:func:`clock_path_races` pairs flops that share a clock root but not
+its clock-gate crossing or inverter parity.
 """
 
 from __future__ import annotations
@@ -58,6 +63,39 @@ def _data_fanin_flops(module: Module, flop_name: str) -> dict[str, bool]:
         for pin in driver.cell.input_pins:
             stack.append((driver.net_of(pin), next_pure))
     return sources
+
+
+def clock_path_races(module: Module) -> list[tuple[str, str, str]]:
+    """Flop-to-flop same-root paths whose capture order is event-order
+    sensitive: one clock path crosses an ICG the other does not
+    (``gated``), or the two paths differ in inverter parity
+    (``inverted``).  Returns (src, dst, kind) triples.
+
+    Sources are the flops in a destination's D-pin fan-in; the walk
+    runs only for destinations whose clock root also clocks a flop
+    with different gating or parity, because no other can race.
+    """
+    traces = infer_clock_domains(module).trace_of
+    variants: dict[tuple[str, str], set[tuple[bool, bool]]] = {}
+    for trace in traces.values():
+        variants.setdefault((trace.root, trace.kind), set()).add(
+            (trace.inverted, trace.through_gate)
+        )
+    races: list[tuple[str, str, str]] = []
+    for dst in sorted(traces):
+        dst_trace = traces[dst]
+        root = (dst_trace.root, dst_trace.kind)
+        if len(variants[root]) < 2:
+            continue
+        for src in sorted(_data_fanin_flops(module, dst)):
+            src_trace = traces.get(src)
+            if src_trace is None or (src_trace.root, src_trace.kind) != root:
+                continue  # different roots: a CDC problem, not a race
+            if src_trace.inverted != dst_trace.inverted:
+                races.append((src, dst, "inverted"))
+            elif src_trace.through_gate != dst_trace.through_gate:
+                races.append((src, dst, "gated"))
+    return races
 
 
 def _is_sync_first_stage(module: Module, flop_name: str,

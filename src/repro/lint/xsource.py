@@ -47,13 +47,11 @@ def x_sources(module: Module) -> list[tuple[str, str, str]]:
     return sources
 
 
-def reachable_output_ports(module: Module, start_net: str,
-                           *, through_flops: bool) -> list[str]:
+def reachable_output_ports(module: Module, start_net: str) -> list[str]:
     """Output ports reachable from a net through the structure.
 
-    ``through_flops`` also crosses sequential elements -- the right
-    model for power-on X, which persists across clock edges until
-    overwritten.
+    The walk crosses sequential elements too -- the right model for
+    power-on X, which persists across clock edges until overwritten.
     """
     reached: set[str] = set()
     visited: set[str] = set()
@@ -67,8 +65,6 @@ def reachable_output_ports(module: Module, start_net: str,
         reached.update(net.load_ports)
         for load in net.loads:
             inst = module.instances[load.instance]
-            if inst.cell.is_sequential and not through_flops:
-                continue
             for pin in inst.cell.output_pins:
                 stack.append(inst.net_of(pin))
     out_ports = {p.name for p in module.ports.values()
@@ -103,7 +99,7 @@ def check_structural_x_to_output(rule: Rule, module: Module) -> list[Finding]:
     for kind, name, net in x_sources(module):
         if kind == "uninit_flop":
             continue
-        ports = reachable_output_ports(module, net, through_flops=True)
+        ports = reachable_output_ports(module, net)
         if ports:
             desc = ("undriven net" if kind == "undriven"
                     else "spare cell output")
@@ -122,7 +118,7 @@ def check_flop_x_to_output(rule: Rule, module: Module) -> list[Finding]:
     for kind, name, net in x_sources(module):
         if kind != "uninit_flop":
             continue
-        ports = reachable_output_ports(module, net, through_flops=True)
+        ports = reachable_output_ports(module, net)
         if ports:
             findings.append(rule.finding(
                 module.name, name,

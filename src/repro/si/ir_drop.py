@@ -12,7 +12,7 @@ the fix the paper's Section 4 names ("de-coupling cell insertion").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -132,10 +132,15 @@ class PowerGridAnalyzer:
             direction = preconditioned + (rho / previous) * direction
         return (VDD - drop).ravel()
 
+    @cached_property
+    def _static_drops_mv(self) -> np.ndarray:
+        """:meth:`solve_static`'s drops (mV), solved once per analyzer:
+        decaps change only the dynamic droop."""
+        return (VDD - self.solve_static()) * 1e3
+
     def analyze(self, *, limit_mv: float = 50.0) -> IrDropReport:
         """Static solve + dynamic droop estimate per node."""
-        voltages = self.solve_static()
-        drops_mv = (VDD - voltages) * 1e3
+        drops_mv = self._static_drops_mv
         occupancy = self._occupancy()
         dynamic = np.zeros_like(drops_mv)
         for (col, row), count in occupancy.items():
@@ -162,8 +167,7 @@ class PowerGridAnalyzer:
         Decaps occupy empty placement sites adjacent to hot nodes;
         returns the number inserted.
         """
-        voltages = self.solve_static()
-        drops_mv = (VDD - voltages) * 1e3
+        drops_mv = self._static_drops_mv
         occupancy = self._occupancy()
         occupied = set(occupancy)
         hot = sorted(

@@ -19,7 +19,6 @@ from repro.analysis import (
     ConstantDomain,
     DualConstantDomain,
     analyze_module,
-    clock_path_races,
     component_a,
     component_b,
     constant_cones,
@@ -37,7 +36,7 @@ from repro.analysis import (
     stuck_nets,
     unobservable_instances,
 )
-from repro.lint import Finding, Severity, run_lint
+from repro.lint import Finding, Severity, clock_path_races, run_lint
 from repro.netlist import Module, PinRef, make_default_library
 from repro.netlist.logic import Logic
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM

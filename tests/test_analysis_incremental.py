@@ -27,7 +27,6 @@ from repro.analysis import (
     TaintDomain,
     analyze_module,
     clear_analysis_memo,
-    clock_path_races,
     cone_partition_fingerprint,
     constant_cones,
     divergent_nets,
@@ -43,7 +42,7 @@ from repro.analysis import (
     unobservable_instances,
 )
 from repro.analysis.analyses import _uninit_mask
-from repro.lint import run_lint
+from repro.lint import clock_path_races, run_lint
 from repro.netlist import Module, make_default_library
 from repro.netlist.generators import block_from_budget
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM
@@ -80,18 +79,13 @@ def corpus(lib):
 
 
 def domains_for(module):
-    """The five production domains, with engine-identical parameters."""
+    """The three production domains, with engine-identical parameters."""
     uninit = _uninit_mask(VENDOR_A_SIM, VENDOR_B_SIM)
     yield ConstantDomain(VENDOR_A_SIM, uninit_mask=uninit)
     yield DualConstantDomain(VENDOR_A_SIM, VENDOR_B_SIM,
                              reset_assured=frozenset())
     yield TaintDomain(
         flop_seed=lambda inst: frozenset({f"flop:{inst.name}"}),
-        through_flops=True,
-    )
-    yield TaintDomain(
-        flop_seed=lambda inst: frozenset({inst.name}),
-        through_flops=False,
     )
 
 
@@ -139,19 +133,30 @@ class TestConeFixpointEquivalence:
                 assert cone.net_values == mono.net_values
                 assert cone.flop_state == mono.flop_state
 
-    def test_warm_rerun_all_hits_and_identical(self, lib):
+    def test_warm_rerun_all_hits_and_identical(self, lib, monkeypatch):
         module = block_from_budget("blk", lib, gate_budget=900, seed=9)
+        solved = []
+
+        def counting_run_fixpoint_cones(module, domain, *args, **kwargs):
+            solved.append(type(domain))
+            return run_fixpoint_cones(module, domain, *args, **kwargs)
+
+        monkeypatch.setattr("repro.analysis.analyses.run_fixpoint_cones",
+                            counting_run_fixpoint_cones)
         store = ArtifactStore()
         with using_store(store):
             cold_stats = ConeRunStats()
             cold = analyze_module(module, cone_stats=cold_stats)
+            # one cone-solved fixpoint per domain, no more
+            assert solved == [ConstantDomain, DualConstantDomain,
+                              TaintDomain]
             clear_analysis_memo()
             warm_stats = ConeRunStats()
             warm = analyze_module(module, cone_stats=warm_stats)
         assert cold_stats.hits == 0 and cold_stats.misses > 0
         assert warm_stats.misses == 0
         assert warm_stats.hits == cold_stats.misses
-        for name in ("const", "dual", "xtaint", "launch", "domains"):
+        for name in FIXPOINTS:
             a, b = getattr(cold, name), getattr(warm, name)
             assert a.net_values == b.net_values
             assert a.flop_state == b.flop_state
@@ -181,7 +186,7 @@ class TestConeFixpointEquivalence:
         assert after is not before
 
 
-FIXPOINTS = ("const", "dual", "xtaint", "launch", "domains")
+FIXPOINTS = ("const", "dual", "xtaint")
 
 QUERIES = (
     stuck_nets, never_toggling_flops, unobservable_instances,

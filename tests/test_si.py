@@ -165,6 +165,31 @@ class TestIrDrop:
             assert after.violating_nodes <= before.violating_nodes
         assert after.decaps_inserted == inserted
 
+    def test_static_mesh_solved_once_per_analyzer(self, placed_block,
+                                                  monkeypatch):
+        block, placement = placed_block
+        solves = []
+        solve_static = PowerGridAnalyzer.solve_static
+
+        def counting_solve_static(grid):
+            solves.append(grid)
+            return solve_static(grid)
+
+        monkeypatch.setattr(PowerGridAnalyzer, "solve_static",
+                            counting_solve_static)
+        grid = PowerGridAnalyzer(block, placement, activity=1.0)
+        before = grid.analyze(limit_mv=1.0)
+        assert grid.insert_decaps(limit_mv=1.0) > 0
+        after = grid.analyze(limit_mv=1.0)
+        assert solves == [grid]
+        # decaps move only the dynamic droop: a fresh solve with the
+        # same decap sites reports exactly the same numbers
+        fresh = PowerGridAnalyzer(block, placement, activity=1.0)
+        assert fresh.analyze(limit_mv=1.0) == before
+        fresh._decap_sites = set(grid._decap_sites)
+        assert fresh.analyze(limit_mv=1.0) == after
+        assert len(solves) == 2
+
     def test_bad_activity_rejected(self, placed_block):
         block, placement = placed_block
         with pytest.raises(ValueError):

@@ -10,6 +10,9 @@ report; each must match byte for byte:
 * the flow's per-block lint and analysis sums over ten seeded-bug
   blocks -- generated designs have no findings, so only these
   exercise the sums;
+* the canonical lint report of those ten blocks, cold and then warm
+  from one store, so every finding's rule, subject and message is
+  pinned, not just the sums;
 * the canonical service reports and store dump of the CI mix
   (``repro serve --tenants 2 --requests 2 --scale 0.004``);
 * the canonical JSON of CI's BMC run (``repro bmc --scale 0.002
@@ -34,8 +37,10 @@ import json
 import tempfile
 from pathlib import Path
 
+from repro.analysis import clear_analysis_memo
 from repro.cli import main as cli_main
 from repro.core import FLOW_STAGES, DesignServiceFlow, flow_stage_order
+from repro.lint import run_lint
 from repro.service import (
     STAGE_DEFS,
     BlockSpec,
@@ -134,6 +139,18 @@ class TestGoldens:
                 report.analysis_dead_findings) == (9, 16, 4, 2, 2, 3)
         assert report_json(cold) == golden("flow_seeded_bugs_0.01_0.json")
         assert report_json(warm) == golden("flow_seeded_bugs_0.01_0.json")
+
+    def test_seeded_bug_lint_report_cold_and_warm(self):
+        library = DesignServiceFlow(scale=0.01, seed=0).library
+        modules = [build(library) for build in SEEDED_BUGS]
+        store = ArtifactStore()
+        with using_store(store):
+            cold = run_lint(modules, workers=1).to_json()
+            clear_analysis_memo()
+            warm = run_lint(modules, workers=1).to_json()
+        assert store.counters()["lint.module"].hits == len(modules)
+        assert cold == golden("lint_seeded_bugs_0.01_0.json")
+        assert warm == golden("lint_seeded_bugs_0.01_0.json")
 
     def test_service_ci_mix(self, capsys):
         with tempfile.TemporaryDirectory() as tmp:
