@@ -8,7 +8,8 @@ legacy flat chip-level chain flow on tester time, and parallel
 sessions never lose to the serial full-width schedule.
 """
 
-from repro.dft import dsc_block_test_specs, schedule_block_tests
+from repro.dft import schedule_block_tests
+from repro.ip import dsc_block_test_specs
 
 from conftest import paper_row
 

@@ -12,7 +12,8 @@ netlist        gate-level netlist IR, cell library, generators
 lint           static design-rule analysis: structural, CDC, X, scan, SoC map
 sim            four-value logic simulation, vendor dialects
 verification   testbenches, regression running, cross-simulator compare
-formal         equivalence checking
+sat            CDCL SAT solver and CNF builder under ATPG, equivalence, BMC
+formal         equivalence checking and bounded model checking
 jpeg           baseline JPEG codec + hardware pipeline model
 mbist          memory BIST: fault models, March tests, BIST generator
 dft            scan insertion, fault simulation, ATPG

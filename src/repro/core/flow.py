@@ -113,6 +113,20 @@ FLOW_STAGE_DEFS: dict[str, FlowStage] = {
     stage.name: stage for stage in FLOW_STAGES
 }
 
+# Stage settings: they keep the lifecycle run laptop-sized, and every
+# FlowReport golden is recorded with them.
+BMC_DEPTH = 6  #: verify_props: BMC frames per property
+BMC_MAX_GATES = 200  #: verify_props: larger blocks are skipped
+REGRESSION_CYCLES = 24  #: verify: cycles per random bench
+REGRESSION_BENCHES = 2  #: verify: benches run under both dialects
+ATPG_RANDOM_PATTERNS = 384  #: insert_dft: random phase before SAT
+PLACER_ITERATIONS = 4000  #: implement: timing-driven placement
+SIGNOFF_PLACER_ITERATIONS = 3000  #: advanced_signoff: placement
+PACKAGE_ITERATIONS = 3000  #: package_design: pin-assignment annealing
+SPARE_CELLS = 24  #: tapeout: spare cells in the representative block
+PRODUCTION_MONTHS = 18  #: produce: months of mass production
+TAM_WIDTH = 8  #: schedule_tests: tester TAM width (scan chains)
+
 
 def flow_stage_order(*, with_extensions: bool = True) -> tuple[str, ...]:
     """The lifecycle run order: :data:`FLOW_STAGES` as declared,
@@ -410,16 +424,16 @@ class DesignServiceFlow:
 
     # -- stage 3e --------------------------------------------------------
 
-    def verify_props(self, *, depth: int = 6, max_gates: int = 200):
+    def verify_props(self):
         """Bounded model checking of auto-derived properties (S6).
 
         Properties are derived from analysis facts (constant nets,
         one-hot rings, reset-assured synchronizer settling) on every
-        materialised block up to ``max_gates`` gates, then checked to
-        ``depth`` frames by :func:`repro.formal.check_properties`.  The
-        SoC memory map additionally gets the pure-CNF bus-window
+        block up to :data:`BMC_MAX_GATES` gates, then checked to
+        :data:`BMC_DEPTH` frames by :func:`repro.formal.check_properties`.
+        The SoC memory map additionally gets the pure-CNF bus-window
         exclusivity proof -- the formal twin of the structural ``MAP``
-        rules.  The defaults keep the lifecycle run shallow: the
+        rules.  The settings keep the lifecycle run shallow: the
         X-aware unroller folds the reset-settle proofs away while it
         encodes, so the cost is encoding, which grows with frames x
         gates.
@@ -433,7 +447,7 @@ class DesignServiceFlow:
         from ..service.stages import bmc_payload, check_block_props
         from ..soc import DscSoc
 
-        config = {"depth": int(depth), "seed": int(self.seed)}
+        config = {"depth": BMC_DEPTH, "seed": int(self.seed)}
         live: dict[str, Any] = {}
 
         def check(name: str) -> dict[str, Any]:
@@ -443,10 +457,10 @@ class DesignServiceFlow:
         reports: dict[str, Any] = {}
         for name in self._block_names():
             gates = self.blocks[name].gate_count
-            if gates > max_gates:
+            if gates > BMC_MAX_GATES:
                 self.report.notes.append(
                     f"verify_props: {name} skipped "
-                    f"({gates} gates > {max_gates})"
+                    f"({gates} gates > {BMC_MAX_GATES})"
                 )
                 continue
             payload = self._block_payload(
@@ -462,7 +476,7 @@ class DesignServiceFlow:
             self.report.props_covered += counts["covered"]
             self.report.props_unreachable += counts["unreachable"]
             self.report.props_vacuous += counts["vacuous"]
-        self.report.bmc_depth = depth
+        self.report.bmc_depth = BMC_DEPTH
 
         bus_result = check_bus_exclusivity(DscSoc().bus)
         self.report.bus_windows_exclusive = bus_result.exclusive
@@ -475,14 +489,13 @@ class DesignServiceFlow:
 
     # -- stage 4 ---------------------------------------------------------
 
-    def verify(self, *, cycles: int = 24, benches_per_block: int = 2):
+    def verify(self):
         """Regression + cross-simulator consistency on every block."""
         representative = self._representative_block()
         benches = []
-        for index in range(benches_per_block):
-            stim = random_stimulus(
-                representative, cycles=cycles, seed=self.seed + index
-            )
+        for index in range(REGRESSION_BENCHES):
+            stim = random_stimulus(representative, cycles=REGRESSION_CYCLES,
+                                   seed=self.seed + index)
             benches.append(
                 Testbench(
                     name=f"random_{index}",
@@ -499,14 +512,14 @@ class DesignServiceFlow:
 
     # -- stage 5 ---------------------------------------------------------
 
-    def insert_dft(self, *, max_random_patterns: int = 384):
+    def insert_dft(self):
         """Scan insertion + ATPG on the representative block; MBIST
         plan over the 30 memory macros."""
         representative = self._representative_block()
         scanned, scan_report = insert_scan(representative, n_chains=2)
         self.blocks[representative.name] = scanned
         atpg = run_atpg(scanned, seed=self.seed,
-                        max_random_patterns=max_random_patterns)
+                        max_random_patterns=ATPG_RANDOM_PATTERNS)
         self.report.fault_coverage = atpg.coverage
 
         generator = BistGenerator(self.library)
@@ -517,7 +530,7 @@ class DesignServiceFlow:
 
     # -- stage 6 ---------------------------------------------------------
 
-    def implement(self, *, placer_iterations: int = 4000):
+    def implement(self):
         """Floorplan, place, route, CTS and STA-signoff."""
         memories = dsc_memory_set()
         macros = [HardMacro.from_area(m.name, m.area_um2) for m in memories]
@@ -534,7 +547,7 @@ class DesignServiceFlow:
         placer = AnnealingPlacer(representative, seed=self.seed)
         constraints = TimingConstraints(clock_period_ps=1e6 / self.target_mhz)
         placement, placement_report = placer.place(
-            iterations=placer_iterations, timing_constraints=constraints
+            iterations=PLACER_ITERATIONS, timing_constraints=constraints
         )
         router = GlobalRouter(representative, placement, edge_capacity=16)
         routing = router.route_all()
@@ -552,14 +565,14 @@ class DesignServiceFlow:
 
     # -- stage 7 ---------------------------------------------------------
 
-    def package_design(self, *, iterations: int = 3000):
+    def package_design(self):
         """Optimise the pin assignment down to a 2-layer substrate."""
         package = tfbga256()
         ring = dsc_pad_ring()
         initial = scrambled_assignment(package, ring, seed=self.seed)
         self.report.substrate_layers_initial = estimate_layers(initial)
         optimized, opt_report = optimize_assignment(
-            initial, iterations=iterations, seed=self.seed,
+            initial, iterations=PACKAGE_ITERATIONS, seed=self.seed,
             initial_temperature=0.3,
         )
         self.report.substrate_layers_final = estimate_layers(optimized)
@@ -567,12 +580,12 @@ class DesignServiceFlow:
 
     # -- stage 8 ---------------------------------------------------------
 
-    def tapeout(self, *, spare_count: int = 24):
+    def tapeout(self):
         """Spare cells in, formal sign-off, final database commit."""
         representative = self._representative_block()
         golden = self.database.head
         self._spare_plan = sprinkle_spare_cells(
-            representative, count=spare_count
+            representative, count=SPARE_CELLS
         )
         self.report.spare_cells = self._spare_plan.available
         formal = check_sequential_burn_in(
@@ -591,7 +604,7 @@ class DesignServiceFlow:
 
     # -- stage 9 ---------------------------------------------------------
 
-    def produce(self, *, months: int = 18):
+    def produce(self):
         """Qualification, yield ramp, mass production."""
         qual = run_qualification(seed=self.seed)
         self.report.qualification_passed = qual.passed
@@ -599,7 +612,7 @@ class DesignServiceFlow:
         self.report.initial_yield = ramp.expected_yield[0]
         self.report.final_yield = ramp.expected_yield[-1]
         production = simulate_production(
-            months=months, ramp=ramp, seed=self.seed
+            months=PRODUCTION_MONTHS, ramp=ramp, seed=self.seed
         )
         self.report.units_produced = production.total_units
         self.report.market_share = production.mean_market_share
@@ -630,19 +643,20 @@ class DesignServiceFlow:
             self.report.notes.append("system integration bus errors!")
         return soc
 
-    def schedule_tests(self, *, tam_width: int = 8):
+    def schedule_tests(self):
         """Stage 5b: hierarchical chip-level test scheduling."""
-        from ..dft import dsc_block_test_specs, schedule_block_tests
+        from ..dft import schedule_block_tests
+        from ..ip import dsc_block_test_specs
 
         schedule = schedule_block_tests(
-            dsc_block_test_specs(), tam_width=tam_width
+            dsc_block_test_specs(), tam_width=TAM_WIDTH
         )
         self.report.test_schedule_speedup_vs_flat = (
             schedule.speedup_vs_flat
         )
         return schedule
 
-    def advanced_signoff(self, *, placer_iterations: int = 3000):
+    def advanced_signoff(self):
         """Stage 6b: SI, DFM and low-power sign-off on the block."""
         from ..physical import AnnealingPlacer, GlobalRouter
         from ..si import CrosstalkAnalyzer, PowerGridAnalyzer
@@ -653,7 +667,7 @@ class DesignServiceFlow:
         representative = self._representative_block()
         constraints = TimingConstraints(clock_period_ps=1e6 / self.target_mhz)
         placer = AnnealingPlacer(representative, seed=self.seed)
-        placement, _ = placer.place(iterations=placer_iterations)
+        placement, _ = placer.place(iterations=SIGNOFF_PLACER_ITERATIONS)
 
         router = GlobalRouter(representative, placement, edge_capacity=6)
         crosstalk = CrosstalkAnalyzer(
@@ -721,7 +735,7 @@ class DesignServiceFlow:
                 for name in self._block_names()}
 
     def run_stage(self, name: str) -> Any:
-        """Run one lifecycle stage with its default arguments."""
+        """Run one lifecycle stage by name."""
         if name not in FLOW_STAGE_DEFS:
             raise ValueError(f"unknown flow stage {name!r}")
         return getattr(self, name)()

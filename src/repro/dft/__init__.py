@@ -36,7 +36,6 @@ from .hierarchical import (
     BlockTestSpec,
     ScheduledBlock,
     TestSchedule,
-    dsc_block_test_specs,
     schedule_block_tests,
 )
 
@@ -71,6 +70,5 @@ __all__ = [
     "BlockTestSpec",
     "ScheduledBlock",
     "TestSchedule",
-    "dsc_block_test_specs",
     "schedule_block_tests",
 ]

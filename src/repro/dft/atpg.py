@@ -10,8 +10,8 @@ as untested.  The paper reports 93% coverage after scan insertion --
 experiment E4 regenerates that number on the synthetic SoC netlist.
 
 The generator (Larrabee-style) runs on the repository's one CDCL
-solver, :class:`repro.formal.cdcl.Solver`, and its one gate encoder,
-:meth:`repro.formal.cnf.CnfBuilder.gate`.  The good circuit is encoded
+solver, :class:`repro.sat.Solver`, and its one gate encoder,
+:meth:`repro.sat.CnfBuilder.gate`.  The good circuit is encoded
 once (:meth:`CombinationalView.encode`).  Each fault adds its faulty
 fanout cone and an XOR miter over the pseudo outputs it reaches, as
 gates guarded by a fresh activation literal; the solve runs under that
@@ -28,11 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..formal.cdcl import Solver
-from ..formal.cnf import XOR2, CnfBuilder
 from ..netlist import Module
 from ..netlist.netlist import Instance
 from ..perf import stage_timer
+from ..sat import XOR2, CnfBuilder, Solver
 from .faults import Fault, collapse_faults, enumerate_faults
 from .faultsim import (
     CombinationalView,

@@ -36,7 +36,7 @@ from ..perf import fanout, stage_timer
 from .faults import Fault
 
 if TYPE_CHECKING:
-    from ..formal.cnf import CnfBuilder
+    from ..sat import CnfBuilder
 
 _WORD_BITS = 64
 

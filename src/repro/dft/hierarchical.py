@@ -7,7 +7,8 @@ and MBIST runs; the tester offers a limited test-access-mechanism
 (TAM) width and the die a power ceiling; blocks tested in parallel
 must fit both.  This module allocates TAM width per block and packs
 block tests into parallel sessions, reporting chip test time vs the
-naive serial schedule.
+naive serial schedule.  It is generic; the DSC controller's own test
+plan is built from its IP catalogue (``dsc_block_test_specs``).
 """
 
 from __future__ import annotations
@@ -211,49 +212,3 @@ def schedule_block_tests(
             )
         session += 1
     return schedule
-
-
-def dsc_block_test_specs() -> list[BlockTestSpec]:
-    """Test specs for the DSC controller's digital blocks.
-
-    Scan flops ~18% of each block's gate budget; pattern counts sized
-    for ~93% coverage of control-dominated logic; MBIST cycles from
-    the March C- runs of the block's memories.
-    """
-    from ..ip import dsc_ip_catalog
-    from ..mbist import MARCH_C_MINUS, dsc_memory_set
-
-    memories = {m.name: m for m in dsc_memory_set()}
-    memory_owner = {
-        "line_buffer": "image_pipe", "jpeg_block": "jpeg_codec",
-        "jpeg_qtable": "jpeg_codec", "jpeg_huff": "jpeg_codec",
-        "cpu_icache": "risc_dsp", "cpu_dcache": "risc_dsp",
-        "cpu_tcm": "risc_dsp", "usb_fifo": "usb11", "sd_fifo": "sd_mmc",
-        "lcd_buffer": "lcd_if", "tv_line": "tv_encoder",
-        "misc_reg": "system_fabric",
-    }
-    mbist_by_block: dict[str, int] = {}
-    for name, macro in memories.items():
-        prefix = name.rstrip("0123456789")
-        owner = memory_owner.get(prefix, "system_fabric")
-        mbist_by_block[owner] = (
-            mbist_by_block.get(owner, 0)
-            + MARCH_C_MINUS.test_cycles(macro.words)
-        )
-
-    specs = []
-    for ip in dsc_ip_catalog():
-        if ip.is_analog or ip.gate_budget == 0:
-            continue
-        scan_flops = max(8, int(ip.gate_budget * 0.18))
-        patterns = max(64, ip.gate_budget // 400)
-        specs.append(
-            BlockTestSpec(
-                name=ip.name,
-                scan_flops=scan_flops,
-                patterns=patterns,
-                mbist_cycles=mbist_by_block.get(ip.name, 0),
-                test_power_mw=20.0 + ip.gate_budget / 1000.0,
-            )
-        )
-    return specs

@@ -1,4 +1,4 @@
-"""Scan insertion.
+"""Scan design rules and scan insertion.
 
 Replaces every plain flip-flop in a module with its scan-equivalent
 cell and stitches the scan flops into shift chains, adding
@@ -6,24 +6,30 @@ cell and stitches the scan flops into shift chains, adding
 paper's Section-3 flow step "after scan insertion, the fault coverage
 was 93%".
 
-The insertion is performed on a copy by default so the functional
-netlist is preserved for equivalence checking (scan insertion must be
-formally transparent when ``scan_en`` is low).
+The scan design rules of the paper's S5 gate live here, next to the
+replacement map they check: ``SCAN-001`` an async reset ATPG cannot
+hold off in capture, ``SCAN-002`` a gated or derived clock,
+``SCAN-003`` a cell with no scan equivalent, ``SCAN-004`` a latch in
+the scan path.  :func:`insert_scan` gates on them, and the lint layer
+reports the same violations as findings.  Insertion works on a copy,
+so the functional netlist is preserved for equivalence checking (scan
+insertion must be formally transparent when ``scan_en`` is low).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from ..netlist import Logic, Module
+from ..netlist.clocks import trace_control_source
 from ..sim import LogicSimulator
-
-if TYPE_CHECKING:
-    from ..lint.core import Finding
 
 #: Functional flop -> scan flop replacement map.
 _SCAN_EQUIVALENT = {"DFF": "SDFF", "DFFR": "SDFFR"}
+
+#: One scan design-rule violation: ``(rule id, instance, message)``.
+ScanViolation = tuple[str, str, str]
 
 
 class _Placement(Protocol):
@@ -38,20 +44,107 @@ class ScanDrcError(ValueError):
     """Scan design-rule violations block insertion.
 
     Subclasses :class:`ValueError` so pre-DRC callers' error handling
-    keeps working.  Carries the offending lint findings.
+    keeps working.  Carries the offending :data:`ScanViolation` tuples.
     """
 
     def __init__(
-        self, module_name: str, findings: Iterable["Finding"]
+        self, module_name: str, violations: Iterable[ScanViolation]
     ) -> None:
-        self.findings = list(findings)
-        details = "; ".join(f.message for f in self.findings[:5])
-        extra = len(self.findings) - 5
+        self.violations = list(violations)
+        details = "; ".join(message for _, _, message
+                            in self.violations[:5])
+        extra = len(self.violations) - 5
         if extra > 0:
             details += f" (+{extra} more)"
         super().__init__(
             f"scan DRC failed for module {module_name}: {details}"
         )
+
+
+def reset_controllability_violations(
+    module: Module,
+) -> list[ScanViolation]:
+    """``SCAN-001``: async resets driven by logic, a flop or a tie
+    that holds them active."""
+    violations = []
+    for inst in module.sequential_instances:
+        reset_pin = inst.cell.reset_pin
+        if reset_pin is None:
+            continue
+        trace = trace_control_source(module, inst.net_of(reset_pin))
+        if trace.kind == "port" and not trace.through_gate:
+            continue
+        if trace.kind == "tie":
+            # Active-low reset tied high is permanently inactive: fine.
+            tied = module.instances[trace.root].cell.name
+            if (tied == "TIEHI") != trace.inverted:
+                continue
+            why = f"reset tied active through {trace.root}"
+        elif trace.kind == "flop":
+            why = f"reset generated by flop {trace.root}"
+        else:
+            why = (f"reset derived from combinational logic"
+                   f" at {trace.root}")
+        violations.append((
+            "SCAN-001", inst.name,
+            f"async reset of flop {inst.name} is not primary-input"
+            f" controllable in capture: {why}",
+        ))
+    return violations
+
+
+def scan_clock_violations(module: Module) -> list[ScanViolation]:
+    """``SCAN-002``: gated or derived clocks; scan shift needs a
+    directly controllable one."""
+    violations = []
+    for inst in module.sequential_instances:
+        clock_pin = inst.cell.clock_pin
+        if clock_pin is None:
+            continue  # latch: SCAN-004's business
+        trace = trace_control_source(module, inst.net_of(clock_pin))
+        if trace.kind == "port" and not trace.through_gate:
+            continue
+        if trace.through_gate:
+            why = (f"clock gated through ICG"
+                   f" {trace.path[0] if trace.path else '?'}")
+        else:
+            why = f"clock rooted at {trace.kind} {trace.root}"
+        violations.append((
+            "SCAN-002", inst.name,
+            f"flop {inst.name}: {why} blocks scan shift",
+        ))
+    return violations
+
+
+def scan_equivalent_violations(module: Module) -> list[ScanViolation]:
+    """``SCAN-003``: flops that are neither scan cells nor in the
+    replacement map (latches are SCAN-004's)."""
+    return [
+        ("SCAN-003", inst.name,
+         f"no scan equivalent for cell {inst.cell.name}"
+         f" (instance {inst.name})")
+        for inst in module.sequential_instances
+        if not inst.cell.is_latch and inst.cell.scan_in_pin is None
+        and inst.cell.name not in _SCAN_EQUIVALENT
+    ]
+
+
+def latch_violations(module: Module) -> list[ScanViolation]:
+    """``SCAN-004``: level-sensitive latches in the scan path."""
+    return [
+        ("SCAN-004", inst.name,
+         f"level-sensitive latch {inst.name} ({inst.cell.name})"
+         f" in scan path")
+        for inst in module.sequential_instances if inst.cell.is_latch
+    ]
+
+
+def scan_drc_violations(module: Module) -> list[ScanViolation]:
+    """Every scan design-rule violation, ``SCAN-001`` first."""
+    return [*reset_controllability_violations(module),
+            *scan_clock_violations(module),
+            *scan_equivalent_violations(module),
+            *latch_violations(module)]
 
 
 @dataclass(frozen=True)
@@ -90,9 +183,7 @@ def insert_scan(
     module: Module,
     *,
     n_chains: int = 1,
-    in_place: bool = False,
     chain_order: list[str] | None = None,
-    drc: bool = True,
 ) -> tuple[Module, ScanReport]:
     """Swap flops for scan flops and stitch ``n_chains`` chains.
 
@@ -100,13 +191,11 @@ def insert_scan(
     placement-aware order from :mod:`repro.physical`); default is
     name order, which is deterministic.
 
-    By default the scan design rules (:mod:`repro.lint.scandrc`) gate
-    insertion: uncontrollable resets, gated clocks, latches and
-    missing scan equivalents raise :class:`ScanDrcError` up front
-    instead of failing mid-rewrite.  Pass ``drc=False`` to skip the
-    gate (the legacy behaviour).
+    The scan design rules gate insertion: uncontrollable resets, gated
+    clocks, latches and missing scan equivalents raise
+    :class:`ScanDrcError` up front instead of failing mid-rewrite.
 
-    Returns the scanned module and a :class:`ScanReport`.
+    Returns the scanned copy of ``module`` and a :class:`ScanReport`.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
@@ -114,7 +203,7 @@ def insert_scan(
         raise ValueError(
             f"module {module.name} already contains scan infrastructure"
         )
-    scanned = module if in_place else module.copy(module.name + "_scan")
+    scanned = module.copy(module.name + "_scan")
     report = ScanReport(module_name=scanned.name)
 
     flop_names = [inst.name for inst in scanned.sequential_instances]
@@ -128,17 +217,15 @@ def insert_scan(
     if not flop_names:
         raise ValueError(f"module {module.name} has no flip-flops to scan")
 
-    if drc:
-        from ..lint import check_scan_drc  # lazy: avoid import cycle
-
-        violations = check_scan_drc(module)
-        if violations:
-            raise ScanDrcError(module.name, violations)
+    violations = scan_drc_violations(module)
+    if violations:
+        raise ScanDrcError(module.name, violations)
 
     area_before = scanned.total_area_um2
     scanned.add_port("scan_en", "input")
 
-    # Pass 1: replace every functional flop with its scan equivalent.
+    # Pass 1: replace every functional flop with its scan equivalent;
+    # the DRC passed, so every other flop is already a scan cell.
     scan_flops: list[str] = []
     for name in flop_names:
         inst = scanned.instances[name]
@@ -150,12 +237,8 @@ def insert_scan(
             connections["SI"] = f"__si_{name}"  # stitched in pass 2
             scanned.add_instance(name, _SCAN_EQUIVALENT[cell_name], connections)
             report.replaced_flops += 1
-        elif inst.cell.scan_in_pin is not None:
-            report.already_scan += 1
         else:
-            raise ValueError(
-                f"no scan equivalent for cell {cell_name} (instance {name})"
-            )
+            report.already_scan += 1
         scan_flops.append(name)
 
     # Pass 2: stitch chains of balanced length.

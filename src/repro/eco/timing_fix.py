@@ -3,8 +3,8 @@ by delay insertion.
 
 Reproduces the paper's "3 ECO changes to fix setup/hold time
 violation": the engine runs multi-corner NLDM STA
-(:class:`repro.sta.NldmTimingAnalyzer`), walks the worst violating
-paths, and applies the standard fix repertoire --
+(:class:`repro.sta.NldmTimingAnalyzer`, on its vectorized sweep), walks
+the worst violating paths, and applies the standard fix repertoire --
 
 * **setup**: upsize or LVT-swap cells on the critical path.  Every
   candidate move is *priced from the characterized library* (worst-arc
@@ -130,7 +130,6 @@ def _upsize_critical_path(
     library: CellLibrary,
     *,
     corners: Sequence[str] | None,
-    engine: str,
 ) -> tuple[int, int, set[str]]:
     """Resize / Vt-swap cells on the current worst-corner critical path.
 
@@ -145,7 +144,7 @@ def _upsize_critical_path(
     """
     touched: set[str] = set()
     analyzer = NldmTimingAnalyzer(module, constraints, library=library)
-    report = analyzer.analyze(corners=corners, engine=engine)
+    report = analyzer.analyze(corners=corners)
     worst = report.worst_corner
     if worst.wns_ps >= 0 or not worst.critical_path:
         return 0, 0, touched
@@ -183,7 +182,7 @@ def _upsize_critical_path(
         new_wns = NldmTimingAnalyzer(
             module, constraints, library=library,
         ).analyze(
-            corners=corners, engine=engine, with_critical_path=False,
+            corners=corners, with_critical_path=False,
         ).wns_ps
         if new_wns > best_wns:
             best_wns = new_wns
@@ -204,7 +203,6 @@ def fix_setup(
     max_passes: int = 10,
     library: CellLibrary | None = None,
     corners: Sequence[str] | None = None,
-    engine: str = "vectorized",
 ) -> tuple[Module, TimingFixReport]:
     """Iteratively resize/Vt-swap along critical paths until setup is
     clean at every analyzed corner.
@@ -218,7 +216,7 @@ def fix_setup(
     report = TimingFixReport()
     baseline = NldmTimingAnalyzer(
         revised, constraints, library=lib).analyze(
-        corners=corners, engine=engine, with_critical_path=False)
+        corners=corners, with_critical_path=False)
     report.wns_before_ps = baseline.wns_ps
     report.hold_wns_before_ps = baseline.hold_wns_ps
 
@@ -226,11 +224,11 @@ def fix_setup(
     for _ in range(max_passes):
         sta = NldmTimingAnalyzer(
             revised, constraints, library=lib).analyze(
-            corners=corners, engine=engine, with_critical_path=False)
+            corners=corners, with_critical_path=False)
         if sta.setup_clean:
             break
         resized, swapped, pass_touched = _upsize_critical_path(
-            revised, constraints, lib, corners=corners, engine=engine)
+            revised, constraints, lib, corners=corners)
         if resized + swapped == 0:
             break  # out of sizing headroom
         report.setup_passes += 1
@@ -240,7 +238,7 @@ def fix_setup(
 
     final = NldmTimingAnalyzer(
         revised, constraints, library=lib).analyze(
-        corners=corners, engine=engine, with_critical_path=False)
+        corners=corners, with_critical_path=False)
     report.wns_after_ps = final.wns_ps
     report.hold_wns_after_ps = final.hold_wns_ps
     report.closed = final.setup_clean
@@ -255,7 +253,6 @@ def fix_hold(
     max_passes: int = 10,
     library: CellLibrary | None = None,
     corners: Sequence[str] | None = None,
-    engine: str = "vectorized",
 ) -> tuple[Module, TimingFixReport]:
     """Insert delay buffers on flop D inputs that violate hold at any
     analyzed corner (the fast corner is the usual offender)."""
@@ -265,7 +262,7 @@ def fix_hold(
     report = TimingFixReport()
     baseline = NldmTimingAnalyzer(
         revised, constraints, library=lib).analyze(
-        corners=corners, engine=engine, with_critical_path=False)
+        corners=corners, with_critical_path=False)
     report.wns_before_ps = baseline.wns_ps
     report.hold_wns_before_ps = baseline.hold_wns_ps
 
@@ -273,8 +270,7 @@ def fix_hold(
     buffer_id = 0
     for _ in range(max_passes):
         analyzer = NldmTimingAnalyzer(revised, constraints, library=lib)
-        _, _, _, _, _, arr_h, _ = analyzer.sweep(
-            corners=corners, engine=engine)
+        _, _, _, _, _, arr_h, _ = analyzer.sweep(corners=corners)
         offenders = []
         for key, kind, net_idx in analyzer.graph.endpoints:
             if kind != "flop":
@@ -302,7 +298,7 @@ def fix_hold(
 
     final = NldmTimingAnalyzer(
         revised, constraints, library=lib).analyze(
-        corners=corners, engine=engine, with_critical_path=False)
+        corners=corners, with_critical_path=False)
     report.wns_after_ps = final.wns_ps
     report.hold_wns_after_ps = final.hold_wns_ps
     report.closed = final.hold_clean
@@ -317,17 +313,14 @@ def close_timing(
     max_passes: int = 10,
     library: CellLibrary | None = None,
     corners: Sequence[str] | None = None,
-    engine: str = "vectorized",
 ) -> tuple[Module, TimingFixReport]:
     """Full closure: setup passes, then hold passes."""
     revised, setup_report = fix_setup(
         module, constraints, max_passes=max_passes, library=library,
-        corners=corners, engine=engine,
-    )
+        corners=corners)
     revised, hold_report = fix_hold(
         revised, constraints, max_passes=max_passes, library=library,
-        corners=corners, engine=engine,
-    )
+        corners=corners)
     combined = TimingFixReport(
         setup_passes=setup_report.setup_passes,
         hold_passes=hold_report.hold_passes,

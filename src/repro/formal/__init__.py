@@ -2,15 +2,14 @@
 
 The paper's flow runs formal equivalence after every netlist
 transformation and leans on multi-simulator regression for everything
-else.  This package closes the gap with a self-contained formal stack:
+else.  This package closes the gap with a formal stack on the SAT
+engine of :mod:`repro.sat`, above the :mod:`repro.dft` scan view:
 
 * **equivalence** -- combinational and sequential compare between two
   netlists, reporting the first differing input/output vector;
 * **properties** -- assert/assume/cover properties over nets, with
   automatic derivation from analysis facts (constant nets, one-hot
   rings, synchronizer settling);
-* **cdcl / cnf** -- a deterministic CDCL SAT solver and a
-  structural-hashing dual-rail Tseitin builder;
 * **bmc** -- the bounded model checker: the levelized compiled-sim
   program unrolled frame by frame into CNF, per-property seeded
   solvers fanned out deterministically, counterexamples replayed on
@@ -34,8 +33,6 @@ from .bmc import (
     counterexample_stimulus,
     replay_counterexample,
 )
-from .cdcl import SatError, Solver, SolverStats
-from .cnf import CnfBuilder, Pair
 from .equivalence import (
     Divergence,
     EquivalenceResult,
@@ -71,7 +68,6 @@ __all__ = [
     "BmcError",
     "BmcReport",
     "BusExclusivityResult",
-    "CnfBuilder",
     "Counterexample",
     "Divergence",
     "EquivalenceResult",
@@ -80,18 +76,14 @@ __all__ = [
     "NetIs",
     "Not",
     "Or",
-    "Pair",
     "PropExpr",
     "Property",
     "PropertyCheck",
     "PropertyError",
     "PropertySet",
     "ReplayResult",
-    "SatError",
     "SemiformalResult",
     "SemiformalTrace",
-    "Solver",
-    "SolverStats",
     "Unroller",
     "check_bus_exclusivity",
     "check_combinational_equivalence",

@@ -3,7 +3,7 @@
 The unroller Tseitin-encodes the *levelized program* of
 :mod:`repro.sim.compiled` -- the same literal-class tables the
 bit-plane kernel sweeps -- frame by frame into CNF, with every net's
-four-value state carried as a :data:`~repro.formal.cnf.Pair`
+four-value state carried as a :data:`~repro.sat.Pair`
 ``(is1, is0)``.  Because the tables are enumerated through
 :func:`repro.sim.evaluate_cell`, dialect semantics (``x_pessimism``,
 ``uninitialized_flop``, the async-reset settle fixpoint, scan-enable
@@ -14,13 +14,13 @@ the simulator would produce.
 The encoding is X-aware.  A gate whose cell maps every binary input
 row to 0/1 and whose inputs are all binary pairs (``is0 == -is1``)
 gets one rail, ``(is1, -is1)``: one
-:meth:`~repro.formal.cnf.CnfBuilder.gate` of its boolean on-set.  Two
+:meth:`~repro.sat.CnfBuilder.gate` of its boolean on-set.  Two
 independent rails remain on nets that X can reach (power-on X flops
 without reset, X ties or initial states) and on ICG-gated flop state,
 whose hold-or-capture formula does not fold to complementary literals
 (correct, only slower).  Binary values therefore pass through levels
 and frames by literal identity, and the ``x AND -x`` fold of
-:meth:`~repro.formal.cnf.CnfBuilder.lit_and` makes every ``Known`` or
+:meth:`~repro.sat.CnfBuilder.lit_and` makes every ``Known`` or
 X test over such a net a constant while the CNF is built: a
 reset-settle proof is decided before the solver searches.
 
@@ -78,8 +78,7 @@ from ..sim.compiled import (
     compile_module,
 )
 from ..sim.simulator import SimulatorConfig
-from .cdcl import Solver
-from .cnf import CnfBuilder, Pair
+from ..sat import CnfBuilder, Pair, Solver
 from .properties import Property, PropertySet
 from .properties import PropertyError as PropertyError
 

@@ -5,13 +5,13 @@ netlist transformation (ECO patches, scan insertion, physical
 synthesis).  This module provides two checks in that spirit:
 
 * **Combinational equivalence** -- a proof on the repository's one SAT
-  engine, :class:`repro.formal.cdcl.Solver`.  Both designs are
+  engine, :class:`repro.sat.Solver`.  Both designs are
   flattened to their full-scan combinational views, and their compare
   points are matched by identity: a port by its name, a flop by its
   instance name (its Q a pseudo input, the net at its data pin a
   pseudo output, whatever the nets are called).  Both views are
   encoded through :meth:`CombinationalView.encode` into one
-  :class:`repro.formal.cnf.CnfBuilder`, whose gate layer hashes
+  :class:`repro.sat.CnfBuilder`, whose gate layer hashes
   structure: matched pseudo inputs share one variable, so logic the
   designs have in common -- resized and Vt-swapped cells, buffers --
   maps to the same literals.  The miter ORs the XOR of every matched
@@ -36,8 +36,7 @@ import numpy as np
 from ..netlist import Module
 from ..dft.faultsim import CombinationalView
 from ..sim import BatchSimulator, SimulatorConfig, diff_traces
-from .cdcl import Solver
-from .cnf import XOR2, CnfBuilder
+from ..sat import XOR2, CnfBuilder, Solver
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..netlist import Logic, Module
-from .cnf import CnfBuilder, Pair
+from ..sat import CnfBuilder, Pair
 
 __all__ = [
     "AtMostOne",

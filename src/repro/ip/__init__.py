@@ -8,6 +8,7 @@ from .catalog import (
     IpCatalog,
     IpSource,
     SOFT_IP_CHECKLIST,
+    dsc_block_test_specs,
     dsc_ip_catalog,
 )
 from .hardening import HardeningResult, harden, hardening_upgrades
@@ -26,6 +27,7 @@ __all__ = [
     "IpCatalog",
     "IpSource",
     "SOFT_IP_CHECKLIST",
+    "dsc_block_test_specs",
     "dsc_ip_catalog",
     "HardeningResult",
     "harden",

@@ -11,7 +11,8 @@ needed industrial hardening; analogue blocks came from the foundry.
 The catalogue model quantifies that experience: each block carries its
 source, language, deliverable checklist and silicon history, from
 which a maturity score and an expected number of integration revision
-cycles are derived (experiment E14).
+cycles are derived (experiment E14), and the chip's per-block test
+plan for :mod:`repro.dft.hierarchical` (:func:`dsc_block_test_specs`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from ..dft.hierarchical import BlockTestSpec
+from ..mbist import MARCH_C_MINUS, dsc_memory_set
 
 
 class IpSource(Enum):
@@ -344,3 +348,46 @@ def dsc_ip_catalog() -> IpCatalog:
         deliverables=full(set(HARD_IP_CHECKLIST)),
     ))
     return catalog
+
+
+def dsc_block_test_specs() -> list[BlockTestSpec]:
+    """Test specs for the DSC controller's digital blocks.
+
+    Scan flops ~18% of each block's gate budget; pattern counts sized
+    for ~93% coverage of control-dominated logic; MBIST cycles from
+    the March C- runs of the block's memories.
+    """
+    memories = {m.name: m for m in dsc_memory_set()}
+    memory_owner = {
+        "line_buffer": "image_pipe", "jpeg_block": "jpeg_codec",
+        "jpeg_qtable": "jpeg_codec", "jpeg_huff": "jpeg_codec",
+        "cpu_icache": "risc_dsp", "cpu_dcache": "risc_dsp",
+        "cpu_tcm": "risc_dsp", "usb_fifo": "usb11", "sd_fifo": "sd_mmc",
+        "lcd_buffer": "lcd_if", "tv_line": "tv_encoder",
+        "misc_reg": "system_fabric",
+    }
+    mbist_by_block: dict[str, int] = {}
+    for name, macro in memories.items():
+        prefix = name.rstrip("0123456789")
+        owner = memory_owner.get(prefix, "system_fabric")
+        mbist_by_block[owner] = (
+            mbist_by_block.get(owner, 0)
+            + MARCH_C_MINUS.test_cycles(macro.words)
+        )
+
+    specs = []
+    for ip in dsc_ip_catalog():
+        if ip.is_analog or ip.gate_budget == 0:
+            continue
+        scan_flops = max(8, int(ip.gate_budget * 0.18))
+        patterns = max(64, ip.gate_budget // 400)
+        specs.append(
+            BlockTestSpec(
+                name=ip.name,
+                scan_flops=scan_flops,
+                patterns=patterns,
+                mbist_cycles=mbist_by_block.get(ip.name, 0),
+                test_power_mw=20.0 + ip.gate_budget / 1000.0,
+            )
+        )
+    return specs

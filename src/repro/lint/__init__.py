@@ -1,13 +1,14 @@
 """Static design-rule analysis over the design database.
 
 The sign-off checks the paper's flow runs *without* simulation:
-structural netlist lint (the checks :meth:`repro.netlist.Module.validate`
-delegates to), clock/reset-domain inference and CDC detection, static
-X-source analysis (S2), scan design rules gating DFT insertion (S5),
-and the SoC memory-map/integration audit (S16).  Rules plug into a
-registry, findings carry stable fingerprints, waivers are first-class,
-and the engine fans out across modules deterministically via
-:mod:`repro.perf`.
+structural netlist lint, clock/reset-domain inference and CDC
+detection, static X-source analysis (S2), the scan design rules that
+gate DFT insertion (S5), and the SoC memory-map/integration audit
+(S16).  Rules plug into a registry, findings carry stable
+fingerprints, waivers are first-class, and the engine fans out across
+modules deterministically via :mod:`repro.perf`.  No layer below
+imports lint: the clock tracer and the scan rules live in
+:mod:`repro.netlist.clocks` and :mod:`repro.dft.scan`.
 """
 
 from .core import (
@@ -30,13 +31,7 @@ from .core import (
     select_rules,
 )
 from .cdc import clock_path_races
-from .domains import (
-    DomainMap,
-    SourceTrace,
-    infer_clock_domains,
-    infer_reset_domains,
-    trace_control_source,
-)
+from .domains import DomainMap, infer_clock_domains, infer_reset_domains
 from .properties import (
     PROP_RULE_IDS,
     findings_from_bmc,
@@ -49,7 +44,6 @@ from .sarif import (
 )
 from .scandrc import SCAN_RULE_IDS, check_scan_drc
 from .socmap import SocView, SocWindow, soc_view
-from .structural import structural_problems
 from .dsc import DSC_BUS_BINDING, DscLintTargets, dsc_lint_targets
 
 load_builtin_rules()
@@ -74,10 +68,8 @@ __all__ = [
     "select_rules",
     "clock_path_races",
     "DomainMap",
-    "SourceTrace",
     "infer_clock_domains",
     "infer_reset_domains",
-    "trace_control_source",
     "PROP_RULE_IDS",
     "findings_from_bmc",
     "findings_from_bus",
@@ -89,7 +81,6 @@ __all__ = [
     "SocView",
     "SocWindow",
     "soc_view",
-    "structural_problems",
     "DSC_BUS_BINDING",
     "DscLintTargets",
     "dsc_lint_targets",

@@ -32,12 +32,10 @@ other one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .core import Finding, Rule, Severity, register
-
-if TYPE_CHECKING:  # import cycle: repro.formal.bmc imports repro.lint
-    from ..formal.bmc import BmcReport, BusExclusivityResult
+from ..formal.bmc import BmcReport, BusExclusivityResult
+from .core import Finding, Rule, Severity, get_rule, register
 
 PROP_RULE_IDS = ("PROP-001", "PROP-002", "PROP-003", "PROP-004")
 
@@ -47,7 +45,7 @@ PROP_RULE_IDS = ("PROP-001", "PROP-002", "PROP-003", "PROP-004")
     "Assert property falsified by bounded model checking",
     scope="property",
 )
-def check_falsified(rule: Rule, report: "BmcReport") -> Iterable[Finding]:
+def check_falsified(rule: Rule, report: BmcReport) -> Iterable[Finding]:
     """One finding per falsified assert, pinned to the cex frame."""
     for check in report.checks:
         if check.kind != "assert" or check.status != "falsified":
@@ -71,7 +69,7 @@ def check_falsified(rule: Rule, report: "BmcReport") -> Iterable[Finding]:
     "Property proven vacuously (assumes unsatisfiable)",
     scope="property",
 )
-def check_vacuous(rule: Rule, report: "BmcReport") -> Iterable[Finding]:
+def check_vacuous(rule: Rule, report: BmcReport) -> Iterable[Finding]:
     """One finding per vacuous pass."""
     for check in report.checks:
         if not check.vacuous:
@@ -91,7 +89,7 @@ def check_vacuous(rule: Rule, report: "BmcReport") -> Iterable[Finding]:
     scope="property",
 )
 def check_unreachable(
-    rule: Rule, report: "BmcReport"
+    rule: Rule, report: BmcReport
 ) -> Iterable[Finding]:
     """One finding per unreachable cover."""
     for check in report.checks:
@@ -111,7 +109,7 @@ def check_unreachable(
     scope="property",
 )
 def check_bus_overlap(
-    rule: Rule, result: "BusExclusivityResult"
+    rule: Rule, result: BusExclusivityResult
 ) -> Iterable[Finding]:
     """One finding per proven-overlapping window pair."""
     if result.exclusive or result.overlapping is None:
@@ -125,10 +123,8 @@ def check_bus_overlap(
     )
 
 
-def findings_from_bmc(report: "BmcReport") -> list[Finding]:
+def findings_from_bmc(report: BmcReport) -> list[Finding]:
     """All ``PROP`` findings a BMC report implies, in sort order."""
-    from .core import get_rule
-
     findings: list[Finding] = []
     for rule_id in ("PROP-001", "PROP-002", "PROP-003"):
         rule = get_rule(rule_id)
@@ -137,9 +133,7 @@ def findings_from_bmc(report: "BmcReport") -> list[Finding]:
     return findings
 
 
-def findings_from_bus(result: "BusExclusivityResult") -> list[Finding]:
+def findings_from_bus(result: BusExclusivityResult) -> list[Finding]:
     """The ``PROP-004`` findings of one bus-exclusivity check."""
-    from .core import get_rule
-
     rule = get_rule("PROP-004")
     return list(rule.check(rule, result))

@@ -1,126 +1,52 @@
-"""Scan design-rule checks (testability DRC).
+"""Scan design-rule checks (testability DRC) as lint findings.
 
-The paper's S5 gate: scan insertion and the 93% ATPG coverage only
-work when every flop is scannable -- a free-running clock in shift
-mode, an async set/reset that ATPG can hold off during capture, and a
-scan-equivalent cell to swap in.  These rules run *before*
-:func:`repro.dft.insert_scan` (which invokes them as its default DRC
-gate) so unscannable structures are reported statically instead of
-blowing up mid-insertion or silently capping coverage.
-
-Rules:
-
-* ``SCAN-001`` -- async reset not primary-input controllable during
-  capture (driven by logic, another flop, or tied active);
-* ``SCAN-002`` -- gated or derived clock on a to-be-scanned flop
-  (scan shift needs a directly controllable clock);
-* ``SCAN-003`` -- sequential cell with no scan equivalent;
-* ``SCAN-004`` -- level-sensitive latch in the scan path.
+The paper's S5 gate.  The ``SCAN-001``..``SCAN-004`` checks live in
+:mod:`repro.dft.scan`, next to the scan-equivalent map they check
+against, because :func:`repro.dft.insert_scan` gates on them.  This
+module registers each as a lint rule, so unscannable structures are
+reported statically -- with waivers, fingerprints and SARIF -- instead
+of blowing up mid-insertion or silently capping coverage.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+from ..dft.scan import (
+    ScanViolation,
+    latch_violations,
+    reset_controllability_violations,
+    scan_clock_violations,
+    scan_equivalent_violations,
+)
 from ..netlist.netlist import Module
-from .core import Finding, Rule, Severity, register
-from .domains import trace_control_source
+from .core import Finding, Rule, Severity, get_rule, register
 
 
-@register("SCAN-001", Severity.ERROR, "scan",
-          "async reset not controllable in capture")
-def check_reset_controllability(rule: Rule, module: Module) -> list[Finding]:
-    findings = []
-    for inst in module.sequential_instances:
-        reset_pin = inst.cell.reset_pin
-        if reset_pin is None:
-            continue
-        trace = trace_control_source(module, inst.net_of(reset_pin))
-        if trace.kind == "port" and not trace.through_gate:
-            continue
-        if trace.kind == "tie":
-            # Active-low reset tied high is permanently inactive: fine.
-            tied = module.instances[trace.root].cell.name
-            if (tied == "TIEHI") != trace.inverted:
-                continue
-            why = f"reset tied active through {trace.root}"
-        elif trace.kind == "flop":
-            why = f"reset generated by flop {trace.root}"
-        else:
-            why = (f"reset derived from combinational logic"
-                   f" at {trace.root}")
-        findings.append(rule.finding(
-            module.name, inst.name,
-            f"async reset of flop {inst.name} is not primary-input"
-            f" controllable in capture: {why}",
-        ))
-    return findings
+def _scan_rule(rule_id: str, title: str,
+               violations: Callable[[Module], list[ScanViolation]]) -> None:
+    """Register one :mod:`repro.dft.scan` check as a lint rule."""
+
+    @register(rule_id, Severity.ERROR, "scan", title)
+    def check(rule: Rule, module: Module) -> list[Finding]:
+        return [rule.finding(module.name, instance, message)
+                for _, instance, message in violations(module)]
 
 
-@register("SCAN-002", Severity.ERROR, "scan",
-          "gated or derived clock on scan flop")
-def check_scan_clocks(rule: Rule, module: Module) -> list[Finding]:
-    findings = []
-    for inst in module.sequential_instances:
-        clock_pin = inst.cell.clock_pin
-        if clock_pin is None:
-            continue  # latch: SCAN-004's business
-        trace = trace_control_source(module, inst.net_of(clock_pin))
-        if trace.kind == "port" and not trace.through_gate:
-            continue
-        if trace.through_gate:
-            why = (f"clock gated through ICG"
-                   f" {trace.path[0] if trace.path else '?'}")
-        else:
-            why = f"clock rooted at {trace.kind} {trace.root}"
-        findings.append(rule.finding(
-            module.name, inst.name,
-            f"flop {inst.name}: {why} blocks scan shift",
-        ))
-    return findings
+_scan_rule("SCAN-001", "async reset not controllable in capture",
+           reset_controllability_violations)
+_scan_rule("SCAN-002", "gated or derived clock on scan flop",
+           scan_clock_violations)
+_scan_rule("SCAN-003", "no scan equivalent for sequential cell",
+           scan_equivalent_violations)
+_scan_rule("SCAN-004", "latch in scan path", latch_violations)
 
-
-@register("SCAN-003", Severity.ERROR, "scan",
-          "no scan equivalent for sequential cell")
-def check_scan_equivalents(rule: Rule, module: Module) -> list[Finding]:
-    from ..dft.scan import _SCAN_EQUIVALENT  # lazy: avoid import cycle
-
-    findings = []
-    for inst in module.sequential_instances:
-        cell = inst.cell
-        if cell.is_latch:
-            continue  # SCAN-004 reports latches
-        if cell.scan_in_pin is not None:
-            continue  # already a scan cell
-        if cell.name in _SCAN_EQUIVALENT:
-            continue
-        findings.append(rule.finding(
-            module.name, inst.name,
-            f"no scan equivalent for cell {cell.name}"
-            f" (instance {inst.name})",
-        ))
-    return findings
-
-
-@register("SCAN-004", Severity.ERROR, "scan", "latch in scan path")
-def check_latches(rule: Rule, module: Module) -> list[Finding]:
-    findings = []
-    for inst in module.sequential_instances:
-        if inst.cell.is_latch:
-            findings.append(rule.finding(
-                module.name, inst.name,
-                f"level-sensitive latch {inst.name} ({inst.cell.name})"
-                f" in scan path",
-            ))
-    return findings
-
-
-#: The rule ids :func:`check_scan_drc` (and ``insert_scan``) gate on.
+#: The rule ids :func:`check_scan_drc` runs, in order.
 SCAN_RULE_IDS = ("SCAN-001", "SCAN-002", "SCAN-003", "SCAN-004")
 
 
 def check_scan_drc(module: Module) -> list[Finding]:
     """Run the scan-DRC family over one module, serially."""
-    from .core import get_rule
-
     findings: list[Finding] = []
     for rule_id in SCAN_RULE_IDS:
         rule = get_rule(rule_id)

@@ -1,10 +1,8 @@
 """Structural lint rules: connectivity problems a netlist can carry.
 
-This family subsumes (and is delegated to by) the historical
-``Module.validate()``: undriven and unloaded nets, unconnected pins
-and combinational loops, extended with multi-driven nets and floating
-input ports.  All checks are purely structural -- no simulation, no
-library timing data.
+Undriven and unloaded nets, unconnected pins, combinational loops,
+multi-driven nets and floating input ports.  All checks are purely
+structural -- no simulation, no library timing data.
 """
 
 from __future__ import annotations
@@ -107,23 +105,3 @@ def check_floating_inputs(rule: Rule, module: Module) -> list[Finding]:
                 f"input port {port.name!r} is floating (no loads)",
             ))
     return findings
-
-
-#: The rules (in order) whose messages reproduce ``Module.validate()``.
-_VALIDATE_RULES = ("STR-001", "STR-002", "STR-003", "STR-004",
-                   "STR-005", "STR-006")
-
-
-def structural_problems(module: Module) -> list[str]:
-    """Legacy ``Module.validate()`` surface: messages only.
-
-    Runs the structural rule family serially in registration order and
-    flattens the findings to the historical ``list[str]`` form.
-    """
-    from .core import get_rule
-
-    problems: list[str] = []
-    for rule_id in _VALIDATE_RULES:
-        rule = get_rule(rule_id)
-        problems.extend(f.message for f in rule.check(rule, module))
-    return problems

@@ -1,5 +1,5 @@
 """Gate-level netlist substrate: logic values, cell library, netlist IR,
-synthetic generators and statistics."""
+clock and reset tracing, synthetic generators and statistics."""
 
 from .logic import (
     Logic,
@@ -18,6 +18,7 @@ from .logic import (
 )
 from .library import Cell, PinSpec, StdCellLibrary, make_default_library
 from .netlist import Instance, Module, Net, NetlistError, PinRef, Port
+from .clocks import SourceTrace, trace_control_source
 from .generators import (
     block_from_budget,
     counter,
@@ -57,6 +58,8 @@ __all__ = [
     "NetlistError",
     "PinRef",
     "Port",
+    "SourceTrace",
+    "trace_control_source",
     "block_from_budget",
     "counter",
     "one_hot_ring",

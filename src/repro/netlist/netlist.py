@@ -356,17 +356,6 @@ class Module:
                     path.pop()
         return None
 
-    def validate(self) -> list[str]:
-        """Structural lint: returns a list of human-readable problems.
-
-        Delegates to the structural rule family of :mod:`repro.lint`
-        (the single source of truth for structural checks); the legacy
-        ``list[str]`` return type is preserved for API compatibility.
-        """
-        from ..lint.structural import structural_problems
-
-        return structural_problems(self)
-
     def copy(self, name: str | None = None) -> "Module":
         """Deep structural copy (shares the immutable library/cells)."""
         dup = Module(name or self.name, self.library)

@@ -133,7 +133,6 @@ def _sta(module: "Module", config: Mapping[str, Any]) -> Payload:
     )
     report = analyze_timing(
         module, constraints, corners=[str(config["corner"])],
-        engine="vectorized",
     )
     return {
         "corner": str(config["corner"]),

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..netlist import Logic, Module
+from ..netlist.clocks import trace_control_source
 from ..netlist.library import Cell
 from ..netlist.logic import logic_and
 from ..netlist.netlist import Instance, NetlistError
@@ -135,8 +136,6 @@ def resolve_clock_connection(
     clocked by this port at all (another port, an inverted/derived
     clock, a flop-driven ripple clock, ...).
     """
-    from ..lint.domains import trace_control_source
-
     trace = trace_control_source(module, net_name)
     if trace.kind != "port" or trace.root != clock_port or trace.inverted:
         return None

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import TaintDomain, run_fixpoint
-from repro.lint import clock_path_races, trace_control_source
-from repro.netlist import Module, make_default_library
+from repro.lint import clock_path_races
+from repro.netlist import Module, make_default_library, trace_control_source
 from repro.netlist.generators import block_from_budget
 from tests.test_stage_table import SEEDED_BUGS
 

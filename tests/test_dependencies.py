@@ -1,12 +1,18 @@
-"""numpy is the only runtime dependency, and analysis sits below lint.
+"""numpy is the only runtime dependency, and the packages form layers.
 
 The whole flow -- the IR-drop mesh solve, the yield models and the
 reliability models included -- runs without scipy or networkx, and the
 closed-form normal CDFs read what ``scipy.stats.norm.cdf`` read.
-:mod:`repro.analysis`, and the property derivation built on it, run
-without loading any :mod:`repro.lint` module.
+
+The subpackages of ``repro`` import each other in one direction only:
+their import graph is acyclic, so each layer runs without loading the
+layers above it.  Simulation loads only the netlist and the perf
+timers, DFT runs without the formal, coverage, verification and lint
+layers, and :mod:`repro.analysis`, with the property derivation built
+on it, runs without loading any :mod:`repro.lint` module.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -67,6 +73,50 @@ ANALYSIS_WITHOUT_LINT_RUN = textwrap.dedent("""
 """)
 
 
+SIM_ONLY_RUN = textwrap.dedent("""
+    import sys
+
+    from repro.netlist import Logic, Module, make_default_library
+    from repro.sim import BatchSimulator, LogicSimulator
+
+    module = Module("icg_flop", make_default_library(0.25))
+    for port in ("clk", "en", "d"):
+        module.add_port(port, "input")
+    module.add_port("q", "output")
+    module.add_instance("u_icg", "ICG",
+                        {"CK": "clk", "EN": "en", "GCK": "gclk"})
+    module.add_instance("f0", "DFF", {"D": "d", "CK": "gclk", "Q": "q"})
+    for sim in (LogicSimulator(module), BatchSimulator(module, lanes=1)):
+        sim.set_inputs({"clk": 0, "en": 1, "d": 1})
+        sim.clock_edge("clk")
+        assert sim.read("q") is Logic.ONE
+    layers = {"repro.netlist", "repro.sim", "repro.perf"}
+    loaded = sorted(name for name in sys.modules
+                    if name.startswith("repro.")
+                    and ".".join(name.split(".")[:2]) not in layers)
+    assert not loaded, loaded
+""")
+
+
+DFT_WITHOUT_FORMAL_RUN = textwrap.dedent("""
+    import sys
+
+    from repro.dft import insert_scan, run_atpg
+    from repro.netlist import make_default_library
+    from repro.netlist.generators import block_from_budget
+
+    block = block_from_budget("blk", make_default_library(0.25),
+                              gate_budget=200, seed=1)
+    scanned, _ = insert_scan(block, n_chains=2)
+    assert run_atpg(scanned, seed=0, max_random_patterns=64).coverage > 0
+    above = {"repro.formal", "repro.coverage", "repro.verification",
+             "repro.lint"}
+    loaded = sorted(name for name in sys.modules
+                    if ".".join(name.split(".")[:2]) in above)
+    assert not loaded, loaded
+""")
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this tree."""
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -88,6 +138,119 @@ def test_flow_runs_without_scipy_or_networkx():
 def test_analysis_runs_without_lint():
     result = run_python(ANALYSIS_WITHOUT_LINT_RUN)
     assert result.returncode == 0, result.stderr
+
+
+def test_simulation_loads_only_netlist_sim_and_perf():
+    result = run_python(SIM_ONLY_RUN)
+    assert result.returncode == 0, result.stderr
+
+
+def test_dft_runs_without_formal_or_lint():
+    result = run_python(DFT_WITHOUT_FORMAL_RUN)
+    assert result.returncode == 0, result.stderr
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") \
+        or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def _imported_modules(tree: ast.Module, module: str,
+                      is_package: bool) -> set[str]:
+    """Absolute names of every ``repro`` module ``module`` imports: at
+    module level or inside functions, relative or absolute, but not
+    under ``if TYPE_CHECKING:``."""
+    here = module.split(".") if is_package else module.split(".")[:-1]
+    found: set[str] = set()
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = here[:len(here) - node.level + 1]
+                target = ".".join(base + ([node.module] if node.module
+                                          else []))
+            else:
+                target = node.module or ""
+            found.add(target)
+            # ``from repro import sim`` imports a subpackage by name.
+            found.update(f"{target}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return {name for name in found if name.startswith("repro.")}
+
+
+def package_import_graph() -> dict[str, set[str]]:
+    """Subpackage of ``repro`` -> the other subpackages it imports."""
+    root = Path(repro.__file__).resolve().parent
+    packages = {path.parent.name for path in root.glob("*/__init__.py")}
+    graph: dict[str, set[str]] = {name: set() for name in packages}
+    for path in root.glob("*/**/*.py"):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        is_package = parts[-1] == "__init__"
+        module = ".".join(parts[:-1] if is_package else parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in _imported_modules(tree, module, is_package):
+            target = name.split(".")[1]
+            if target in packages and target != parts[1]:
+                graph[parts[1]].add(target)
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle of ``graph``, or None when it is a DAG."""
+    state: dict[str, int] = {}  # 1 on the DFS path, 2 finished
+    path: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        state[node] = 1
+        path.append(node)
+        for target in sorted(graph[node]):
+            if state.get(target) == 1:
+                return path[path.index(target):] + [target]
+            if target not in state:
+                cycle = visit(target)
+                if cycle:
+                    return cycle
+        state[node] = 2
+        path.pop()
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            cycle = visit(node)
+            if cycle:
+                return cycle
+    return None
+
+
+def test_package_import_graph_is_acyclic():
+    graph = package_import_graph()
+    assert {"netlist", "sim", "sat", "dft", "formal", "lint"} <= set(graph)
+    assert "sat" in graph["dft"] and "sat" in graph["formal"]
+    cycle = find_cycle(graph)
+    assert cycle is None, " -> ".join(cycle)
+
+
+def test_import_graph_walk_sees_every_import_form():
+    tree = ast.parse(textwrap.dedent("""
+        import repro.perf
+        from repro.sim import compiled
+        from ..lint import run_lint
+        from .. import store
+        if TYPE_CHECKING:
+            from ..formal import BmcReport
+
+        def late():
+            from ..analysis.cones import ConeCache
+    """))
+    found = _imported_modules(tree, "repro.dft.scan", is_package=False)
+    packages = {name.split(".")[1] for name in found}
+    assert packages == {"perf", "sim", "lint", "store", "analysis"}
 
 
 #: Values recorded with ``scipy.stats.norm.cdf`` before it was replaced.

@@ -18,6 +18,7 @@ from repro.physical import FloorplanError, HardMacro, build_floorplan
 from repro.eco import EcoError, EcoPatch, EcoEdit, apply_patch
 from repro.core import DesignServiceFlow
 from repro.ip import IpCatalog, IpBlock, IpSource, HdlLanguage, harden
+from repro.lint import run_lint
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +126,8 @@ class TestNetlistEdgeCases:
         assert m.topological_combinational_order() == []
         # Lint flags the dangling input -- exactly what a hand-off
         # review should see.
-        assert any("unloaded" in problem for problem in m.validate())
+        findings = run_lint([m], rules=["structural"], workers=1).findings
+        assert any("unloaded" in finding.message for finding in findings)
 
     def test_instance_net_of_unconnected(self, lib):
         inst = Instance("u", lib["INV_X1"], {})

@@ -11,10 +11,10 @@ from repro.dft.faultsim import CombinationalView
 from repro.eco import fix_hold
 from repro.formal import (
     InterfaceMismatch,
-    Solver,
     check_combinational_equivalence,
     check_sequential_burn_in,
 )
+from repro.sat import Solver
 from repro.sta import TimingConstraints
 
 

@@ -23,8 +23,6 @@ from repro.formal import (
     Known,
     NetIs,
     Property,
-    SatError,
-    Solver,
     Unroller,
     check_bus_exclusivity,
     check_properties,
@@ -32,7 +30,6 @@ from repro.formal import (
     replay_counterexample,
     semiformal_verify,
 )
-from repro.formal.cnf import CnfBuilder
 from repro.lint import findings_from_bmc, findings_from_bus
 from repro.netlist import (
     Cell,
@@ -43,6 +40,7 @@ from repro.netlist import (
     one_hot_ring,
     pipeline_block,
 )
+from repro.sat import CnfBuilder, SatError, Solver
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM, LogicSimulator
 from repro.sim.compiled import clear_program_cache
 

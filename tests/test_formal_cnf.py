@@ -1,4 +1,4 @@
-"""Tests for the gate layer of :class:`repro.formal.cnf.CnfBuilder`.
+"""Tests for the gate layer of :class:`repro.sat.CnfBuilder`.
 
 ``CnfBuilder.gate`` is the one place where cell logic becomes clauses
 for SAT ATPG, combinational equivalence and the BMC unroller, so its
@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dft.faultsim import CombinationalView
-from repro.formal.cdcl import Solver
-from repro.formal.cnf import CnfBuilder
+from repro.sat import CnfBuilder, Solver
 from repro.netlist import make_default_library, pipeline_block
 
 #: Truth tables over inputs (A, B): bit ``r`` is the output for row

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.lint import run_lint
 from repro.netlist import (
     block_from_budget,
     collect_stats,
@@ -25,7 +26,8 @@ class TestRandomCloud:
         )
         assert m.gate_count >= 200 + 4  # gates + folding + output buffers
         m.topological_combinational_order()  # must not raise
-        assert m.validate() == []  # no dead logic, no floating nets
+        # No dead logic, no floating nets.
+        assert run_lint([m], rules=["structural"], workers=1).findings == []
 
     def test_deterministic_given_seed(self, lib):
         a = random_combinational_cloud(
@@ -57,7 +59,7 @@ class TestCounter:
         m = counter("cnt", lib, width=8)
         assert len(m.sequential_instances) == 8
         assert "rst_n" in m.ports
-        assert m.validate() == []
+        assert run_lint([m], rules=["structural"], workers=1).findings == []
 
     def test_no_reset_variant(self, lib):
         m = counter("cnt", lib, width=4, with_reset=False)

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.dft import (
-    BlockTestSpec,
-    dsc_block_test_specs,
-    schedule_block_tests,
-)
+from repro.dft import BlockTestSpec, schedule_block_tests
+from repro.ip import dsc_block_test_specs
 from repro.verification import (
     CampaignSpec,
     VerificationPlatform,

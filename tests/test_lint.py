@@ -2,8 +2,8 @@
 
 Each builder plants exactly one class of design bug and the test
 asserts the intended rule fires on the intended subject (by stable
-fingerprint), plus the clean-design, waiver and validate()-delegation
-contracts.
+fingerprint), plus the clean-design and waiver contracts, and that
+scan insertion gates on exactly the violations the SCAN rules report.
 """
 
 import pytest
@@ -19,8 +19,6 @@ from repro.lint import (
     dsc_lint_targets,
     infer_clock_domains,
     run_lint,
-    structural_problems,
-    trace_control_source,
 )
 from repro.netlist import (
     Cell,
@@ -30,6 +28,7 @@ from repro.netlist import (
     PinSpec,
     counter,
     make_default_library,
+    trace_control_source,
 )
 from repro.soc import RegisterFile, SystemBus
 
@@ -48,7 +47,7 @@ def findings_for(module, rules):
 
 
 # ---------------------------------------------------------------------------
-# Structural rules / validate() delegation
+# Structural rules
 # ---------------------------------------------------------------------------
 
 def build_multi_driven(lib):
@@ -94,23 +93,21 @@ class TestStructuralRules:
         for f in found:
             subjects.setdefault(f.rule_id, []).append(f.subject)
         assert subjects["STR-001"] == ["floating"]
-        # The unloaded input-port net counts as driven-but-unloaded too
-        # (the legacy validate() contract) alongside the port-level rule.
+        # The unloaded input-port net counts as driven-but-unloaded too,
+        # alongside the port-level rule.
         assert subjects["STR-002"] == ["dead", "unused"]
         assert subjects["STR-006"] == ["unused"]
 
-    def test_validate_delegates(self, lib):
-        m = build_comb_loop(lib)
-        problems = m.validate()
-        assert problems == structural_problems(m)
-        assert any("combinational loop" in p for p in problems)
+    def test_structural_family_reports_loop(self, lib):
+        found = findings_for(build_comb_loop(lib), ["structural"])
+        assert any("combinational loop" in f.message for f in found)
 
     def test_validate_keeps_legacy_messages(self, lib):
         m = Module("t", lib)
         m.add_instance("u0", "INV_X1", {"A": "floating", "Y": "dead"})
-        problems = m.validate()
-        assert any("no driver" in p for p in problems)
-        assert any("unloaded" in p for p in problems)
+        messages = [f.message for f in findings_for(m, ["structural"])]
+        assert any("no driver" in message for message in messages)
+        assert any("unloaded" in message for message in messages)
 
     def test_topo_order_error_names_instances(self, lib):
         m = build_comb_loop(lib)
@@ -250,6 +247,18 @@ def build_gated_clock(lib):
     return m
 
 
+def build_tied_reset(lib, tie):
+    """A DFFR whose active-low reset is tied through ``tie``."""
+    m = Module("tied", lib)
+    for port in ("clk", "din"):
+        m.add_port(port, "input")
+    m.add_port("q", "output")
+    m.add_instance("u_tie", tie, {"Y": "rn"})
+    m.add_instance("f0", "DFFR",
+                   {"D": "din", "CK": "clk", "RN": "rn", "Q": "q"})
+    return m
+
+
 def _exotic_lib(*, latch: bool):
     lib = make_default_library(0.25)
     if latch:
@@ -269,6 +278,26 @@ def _exotic_lib(*, latch: bool):
     return lib
 
 
+def build_no_scan_equivalent():
+    """A flop cell the scan map has no replacement for (SCAN-003)."""
+    m = Module("ns", _exotic_lib(latch=False))
+    for port in ("clk", "din"):
+        m.add_port(port, "input")
+    m.add_port("q", "output")
+    m.add_instance("f0", "DFFX", {"D": "din", "CK": "clk", "Q": "q"})
+    return m
+
+
+def build_latch():
+    """A level-sensitive latch in the scan path (SCAN-004)."""
+    m = Module("lt", _exotic_lib(latch=True))
+    for port in ("en", "din"):
+        m.add_port(port, "input")
+    m.add_port("q", "output")
+    m.add_instance("l0", "DLAT", {"D": "din", "E": "en", "Q": "q"})
+    return m
+
+
 class TestScanDrc:
     def test_logic_reset_fingerprint(self, lib):
         found = findings_for(build_logic_reset(lib), ["SCAN-001"])
@@ -276,24 +305,11 @@ class TestScanDrc:
             [fingerprint("SCAN-001", "sr", "f0")]
 
     def test_tied_inactive_reset_is_clean(self, lib):
-        m = Module("tr", lib)
-        for port in ("clk", "din"):
-            m.add_port(port, "input")
-        m.add_port("q", "output")
-        m.add_instance("u_tie", "TIEHI", {"Y": "rn"})
-        m.add_instance("f0", "DFFR",
-                       {"D": "din", "CK": "clk", "RN": "rn", "Q": "q"})
+        m = build_tied_reset(lib, "TIEHI")
         assert findings_for(m, ["SCAN-001"]) == []
 
     def test_tied_active_reset_flagged(self, lib):
-        m = Module("ta", lib)
-        for port in ("clk", "din"):
-            m.add_port(port, "input")
-        m.add_port("q", "output")
-        m.add_instance("u_tie", "TIELO", {"Y": "rn"})
-        m.add_instance("f0", "DFFR",
-                       {"D": "din", "CK": "clk", "RN": "rn", "Q": "q"})
-        found = findings_for(m, ["SCAN-001"])
+        found = findings_for(build_tied_reset(lib, "TIELO"), ["SCAN-001"])
         assert [f.subject for f in found] == ["f0"]
 
     def test_gated_clock_fingerprint(self, lib):
@@ -302,24 +318,12 @@ class TestScanDrc:
             [fingerprint("SCAN-002", "gc", "f0")]
 
     def test_no_scan_equivalent(self):
-        lib = _exotic_lib(latch=False)
-        m = Module("ns", lib)
-        for port in ("clk", "din"):
-            m.add_port(port, "input")
-        m.add_port("q", "output")
-        m.add_instance("f0", "DFFX", {"D": "din", "CK": "clk", "Q": "q"})
-        found = findings_for(m, ["SCAN-003"])
+        found = findings_for(build_no_scan_equivalent(), ["SCAN-003"])
         assert [f.fingerprint for f in found] == \
             [fingerprint("SCAN-003", "ns", "f0")]
 
     def test_latch_rejected(self):
-        lib = _exotic_lib(latch=True)
-        m = Module("lt", lib)
-        for port in ("en", "din"):
-            m.add_port(port, "input")
-        m.add_port("q", "output")
-        m.add_instance("l0", "DLAT", {"D": "din", "E": "en", "Q": "q"})
-        found = check_scan_drc(m)
+        found = check_scan_drc(build_latch())
         assert [f.rule_id for f in found] == ["SCAN-004"]
         assert found[0].fingerprint == fingerprint("SCAN-004", "lt", "l0")
 
@@ -327,11 +331,24 @@ class TestScanDrc:
         m = build_gated_clock(lib)
         with pytest.raises(ScanDrcError, match="scan DRC failed"):
             insert_scan(m)
-        # The gate is a ValueError subclass and can be bypassed.
+        # The gate is a ValueError subclass.
         with pytest.raises(ValueError):
             insert_scan(m)
-        scanned, report = insert_scan(m, drc=False)
-        assert report.replaced_flops == 1
+
+    @pytest.mark.parametrize("build", [
+        build_gated_clock,
+        lambda lib: build_tied_reset(lib, "TIELO"),
+        lambda lib: build_no_scan_equivalent(),
+        lambda lib: build_latch(),
+    ], ids=["gated-clock", "tied-reset", "no-scan-equivalent", "latch"])
+    def test_insert_scan_violations_match_lint(self, lib, build):
+        m = build(lib)
+        with pytest.raises(ScanDrcError) as error:
+            insert_scan(m)
+        assert error.value.violations == [
+            (f.rule_id, f.subject, f.message) for f in check_scan_drc(m)
+        ]
+        assert error.value.violations
 
     def test_insert_scan_clean_module_unaffected(self, lib):
         m = counter("cnt", lib, width=4, with_reset=True)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lint import run_lint
 from repro.netlist import Module, NetlistError, make_default_library
 
 
@@ -28,7 +29,7 @@ class TestConstruction:
         assert set(m.ports) == {"a", "b", "sum", "carry"}
         assert m.nets["a"].fanout == 2
         assert m.nets["sum"].driver.instance == "u_sum"
-        assert m.validate() == []
+        assert run_lint([m], rules=["structural"], workers=1).findings == []
 
     def test_duplicate_instance_rejected(self, lib):
         m = build_half_adder(lib)
@@ -134,8 +135,8 @@ class TestAnalysis:
         m.nets["floaty"].loads.append(None)  # fake a load
         m.nets["floaty"].loads.pop()
         m.add_instance("u0", "INV_X1", {"A": "floaty", "Y": "y"})
-        problems = m.validate()
-        assert any("no driver" in p for p in problems)
+        findings = run_lint([m], rules=["structural"], workers=1).findings
+        assert any("no driver" in f.message for f in findings)
 
     def test_copy_is_independent(self, lib):
         m = build_half_adder(lib)
