@@ -30,6 +30,7 @@ from .domains import (
     TaintDomain,
     XBIT,
     ZERO,
+    clear_transfer_tables,
     component_a,
     component_b,
     diagonal,
@@ -79,6 +80,7 @@ __all__ = [
     "TaintDomain",
     "XBIT",
     "ZERO",
+    "clear_transfer_tables",
     "component_a",
     "component_b",
     "diagonal",

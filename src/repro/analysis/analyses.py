@@ -169,9 +169,7 @@ def analyze_module(
     reset_assured = _flop_reset_assured(module, const)
 
     def _assured_in(cone: Cone) -> List[str]:
-        return sorted(
-            name for name in cone.instances if name in reset_assured
-        )
+        return sorted(reset_assured.intersection(cone.instances))
 
     dual = run_fixpoint_cones(
         module,

@@ -25,19 +25,44 @@ collapsed first so ownership is well defined on loops, and ownership
 is a purely local property: an ECO that swaps a cell or rewires a net
 only changes the cones whose content or downstream reachability it
 actually touched.
+
+Compiled view: :func:`partition_cones` reads the module once, into
+integer ids -- nets in module net order (the numbering of
+:attr:`repro.sim.compiled.CompiledProgram.net_index`), instances in
+module order, each instance's input and output net ids, each net's
+readers -- and computes SCCs (Tarjan), anchors and ownership on those
+ids.  What a cone solve reads is kept in a :class:`ConeView`, with a
+:class:`ConeCode` per cone: its boundary, internal and port-seeded net
+ids and its seeded worklist.  The view rides on the
+:class:`ConePartition`, so every domain solved over one partition
+shares it.  A cone solve works on module-sized lists indexed by those
+ids, with each cell type's transfer function looked up once per run
+(the constant and dual domains serve process-wide transfer tables, see
+:mod:`repro.analysis.domains`).  Each lookup hashes its store key once;
+a miss puts under the same key.
 """
 
 from __future__ import annotations
 
 import hashlib
+from operator import itemgetter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, List, NamedTuple, Sequence,
+    Tuple,
+)
 
 from collections import deque
 
 from ..netlist import Module
-from ..netlist.netlist import NetlistError
-from ..store import ArtifactStore, canonical_json, get_default_store
+from ..netlist.library import Cell
+from ..netlist.netlist import Instance, NetlistError
+from ..store import (
+    ArtifactStore,
+    canonical_json,
+    content_key,
+    get_default_store,
+)
 from .engine import AbstractDomain, FixpointResult, Value
 
 #: Bump to invalidate every cached cone result (new domain semantics,
@@ -70,45 +95,89 @@ class Cone:
     content_fingerprint: str
 
 
+class ConeCode(NamedTuple):
+    """One cone's solve code, in the view's integer ids."""
+
+    #: Net ids of ``Cone.boundary_nets``, ``Cone.internal_nets`` and
+    #: ``Cone.port_seeded_nets``.
+    boundary: Tuple[int, ...]
+    internal: Tuple[int, ...]
+    port_seeded: Tuple[int, ...]
+    #: Sequential members in name order, and their names.
+    flops: Tuple[int, ...]
+    flop_names: Tuple[str, ...]
+    #: Every owned instance, as the seeded worklist: the combinational
+    #: ones in the module's combinational order, then the flops.
+    order: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class ConeView:
+    """A module compiled to integer ids, with every cone's solve code.
+
+    Net ids follow module net order, the numbering of
+    :attr:`repro.sim.compiled.CompiledProgram.net_index`; instance
+    indexes follow module instance order.  Built once by
+    :func:`partition_cones` and shared by every domain solved over the
+    partition.
+    """
+
+    net_names: Tuple[str, ...]
+    net_index: Dict[str, int]
+    instances: Tuple[Instance, ...]
+    #: Distinct cells in first-use order, and each instance's index
+    #: into them: a domain's cell functions are looked up per cell.
+    cells: Tuple[Cell, ...]
+    cell_ids: Tuple[int, ...]
+    sequential: Tuple[bool, ...]
+    #: Per instance: output net ids in pin order, and a function
+    #: reading its input values (pin order) out of a net-value list.
+    outputs: Tuple[Tuple[int, ...], ...]
+    gather: Tuple[Callable[[Sequence[Value]], Tuple[Value, ...]], ...]
+    #: Per net id: the instances reading it, in instance-name order
+    #: (once per pin) -- the order a solve wakes a net's consumers in.
+    loads: Sequence[Sequence[int]]
+    #: Nets driven by an input port only, and loaded nets driven by
+    #: nothing: the module-level seeds.
+    port_sources: Tuple[int, ...]
+    floating: Tuple[int, ...]
+    #: Per instance: the index of the cone that owns it.
+    cone_of: Sequence[int]
+    #: Per cone, in partition order.
+    codes: Tuple[ConeCode, ...]
+    #: Per net id: indexes of the cones reading it as a boundary net.
+    readers: Sequence[Sequence[int]]
+
+
 @dataclass
 class ConePartition:
-    """A module's cones in deterministic (anchor-sorted) order."""
+    """A module's cones in deterministic (anchor-sorted) order, with
+    the compiled view every cone solve runs on."""
 
     module: Module
     cones: List[Cone]
-    #: net name -> indexes of cones reading it as a boundary net.
-    readers: Dict[str, List[int]]
-    #: Module-wide topological order of combinational instance names
-    #: (name-sorted fallback on a combinational loop), used to seed
-    #: each cone's local worklist exactly like the monolithic engine.
-    comb_order: Dict[str, int]
+    view: ConeView
 
 
 def _cone_content_fingerprint(
     module: Module,
     anchor: str,
-    instances: Sequence[str],
+    instances: Sequence[tuple],
     internal_nets: Sequence[str],
     boundary_nets: Sequence[str],
     port_seeded_nets: Sequence[str],
 ) -> str:
     """Structural digest of one cone.
 
-    Covers the owned instances (cell identity + full pin map), the
-    internal/boundary net membership, the port-seed flags and the
-    library identity -- everything the local solve reads besides the
-    boundary *values* (those key the store entry separately).
+    Covers the owned instances (``(name, cell name, sorted pin map)``
+    each), the internal/boundary net membership, the port-seed flags
+    and the library identity -- everything the local solve reads
+    besides the boundary *values* (those key the store entry
+    separately).
     """
     body = repr((
         anchor,
-        tuple(
-            (
-                name,
-                module.instances[name].cell.name,
-                tuple(sorted(module.instances[name].connections.items())),
-            )
-            for name in instances
-        ),
+        tuple(instances),
         tuple(internal_nets),
         tuple(boundary_nets),
         tuple(port_seeded_nets),
@@ -118,188 +187,266 @@ def _cone_content_fingerprint(
     return hashlib.sha256(body.encode()).hexdigest()
 
 
+def _no_inputs(values: Sequence[Value]) -> Tuple[Value, ...]:
+    return ()
+
+
+def _gatherer(
+    nets: Tuple[int, ...]
+) -> Callable[[Sequence[Value]], Tuple[Value, ...]]:
+    """``values -> tuple(values[n] for n in nets)``, as cheaply as a
+    call can be (an ``itemgetter`` returns a bare value for one net)."""
+    if len(nets) > 1:
+        return itemgetter(*nets)
+    if nets:
+        n = nets[0]
+
+        def one_input(values: Sequence[Value]) -> Tuple[Value, ...]:
+            return (values[n],)
+        return one_input
+    return _no_inputs
+
+
 def _combinational_sccs(
-    module: Module, comb_names: List[str]
-) -> Tuple[Dict[str, int], List[List[str]]]:
+    comb: Sequence[int], successors: Sequence[Sequence[int]]
+) -> Tuple[List[int], List[List[int]]]:
     """Iterative Tarjan over the combinational instance graph.
 
-    Returns (instance -> component id, components).  Component member
-    lists are sorted; component ids follow discovery order (only used
-    as dict keys, never for ordering).
+    ``successors[i]`` lists the combinational instances reading an
+    output of instance ``i``.  Returns (instance -> component id,
+    components).  Components come out in reverse topological order of
+    the condensation: every component reachable from one precedes it.
     """
-    adjacency: Dict[str, List[str]] = {name: [] for name in comb_names}
-    comb_set = set(comb_names)
-    for name in comb_names:
-        inst = module.instances[name]
-        for pin in inst.cell.output_pins:
-            net = module.nets[inst.net_of(pin)]
-            for load in net.loads:
-                if load.instance in comb_set:
-                    adjacency[name].append(load.instance)
-
-    index_of: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: List[str] = []
-    component_of: Dict[str, int] = {}
-    components: List[List[str]] = []
+    size = len(successors)
+    index_of = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
+    stack: List[int] = []
+    component_of = [-1] * size
+    components: List[List[int]] = []
     counter = 0
 
-    for root in comb_names:
-        if root in index_of:
+    for root in comb:
+        if index_of[root] >= 0:
             continue
-        work: List[Tuple[str, int]] = [(root, 0)]
+        work: List[Tuple[int, int]] = [(root, 0)]
         while work:
             node, edge_index = work[-1]
             if edge_index == 0:
                 index_of[node] = low[node] = counter
                 counter += 1
                 stack.append(node)
-                on_stack.add(node)
+                on_stack[node] = True
             advanced = False
-            targets = adjacency[node]
+            targets = successors[node]
             while edge_index < len(targets):
                 target = targets[edge_index]
                 edge_index += 1
-                if target not in index_of:
+                if index_of[target] < 0:
                     work[-1] = (node, edge_index)
                     work.append((target, 0))
                     advanced = True
                     break
-                if target in on_stack:
-                    low[node] = min(low[node], index_of[target])
+                if on_stack[target] and index_of[target] < low[node]:
+                    low[node] = index_of[target]
             if advanced:
                 continue
             work.pop()
             if low[node] == index_of[node]:
-                component: List[str] = []
+                component: List[int] = []
                 while True:
                     member = stack.pop()
-                    on_stack.discard(member)
+                    on_stack[member] = False
                     component.append(member)
                     if member == node:
                         break
-                cid = len(components)
-                components.append(sorted(component))
                 for member in component:
-                    component_of[member] = cid
+                    component_of[member] = len(components)
+                components.append(component)
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
     return component_of, components
 
 
 def partition_cones(module: Module) -> ConePartition:
-    """Partition a module's instances into anchored fanin cones."""
-    comb_names = sorted(
-        inst.name for inst in module.combinational_instances
-    )
-    component_of, components = _combinational_sccs(module, comb_names)
+    """Partition a module's instances into anchored fanin cones.
 
-    # Direct anchors per component: sequential loads and output ports
-    # reached by any member's output net, expressed as orderable
-    # ``(kind, name)`` labels ("f" < "p" by design: flop ownership
-    # wins so a cone is the logic feeding one state element).
-    direct: List[set[Tuple[str, str]]] = [set() for _ in components]
-    successors: List[set[int]] = [set() for _ in components]
+    The module is read once, into the integer ids of a
+    :class:`ConeView`; SCCs, anchors, ownership and every cone's solve
+    code are computed on those ids.
+    """
+    net_names = tuple(module.nets)
+    net_index = dict(zip(net_names, range(len(net_names))))
+    instances = tuple(module.instances.values())
+    names = tuple(module.instances)
+    inst_index = dict(zip(names, range(len(names))))
+
+    cells: List[Cell] = []
+    cell_slot: Dict[int, int] = {}
+    cell_ids: List[int] = []
+    inputs: List[Tuple[int, ...]] = []
+    outputs: List[Tuple[int, ...]] = []
+    net_id = net_index.__getitem__
+    for inst in instances:
+        cell = inst.cell
+        slot = cell_slot.get(id(cell))
+        if slot is None:
+            slot = cell_slot[id(cell)] = len(cells)
+            cells.append(cell)
+        cell_ids.append(slot)
+        pin_net = inst.connections.__getitem__
+        inputs.append(tuple(map(net_id, map(pin_net, cell.input_pins))))
+        outputs.append(tuple(map(net_id, map(pin_net, cell.output_pins))))
+    sequential = tuple(cells[slot].is_sequential for slot in cell_ids)
+
+    # One pass over the nets: drivers, seeds and output-port anchors.
+    driver = [-1] * len(net_names)
+    port_driven = [False] * len(net_names)
+    port_sources: List[int] = []
+    floating: List[int] = []
+    port_anchors: Dict[int, List[Tuple[str, str]]] = {}
+    for n, net in enumerate(module.nets.values()):
+        if net.driver is not None:
+            driver[n] = inst_index[net.driver.instance]
+        elif net.driver_port is not None:
+            port_sources.append(n)
+        elif net.loads or net.load_ports:
+            floating.append(n)
+        port_driven[n] = net.driver_port is not None
+        if net.load_ports:
+            port_anchors[n] = [
+                ("p", port) for port in net.load_ports
+                if module.ports[port].direction in ("output", "inout")
+            ]
+
+    loads: List[List[int]] = [[] for _ in net_names]
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        for n in inputs[i]:
+            loads[n].append(i)
+    comb = [i for i, seq in enumerate(sequential) if not seq]
+    successors: List[List[int]] = [[] for _ in names]
+    for i in comb:
+        successors[i] = [
+            j for n in outputs[i] for j in loads[n] if not sequential[j]
+        ]
+    component_of, components = _combinational_sccs(comb, successors)
+
+    # Min-anchor propagation over the component DAG, sinks first (Tarjan
+    # emits every component after the components it reaches).  An
+    # anchor is an orderable ``(kind, name)`` label ("f" < "p" by
+    # design: flop ownership wins so a cone is the logic feeding one
+    # state element); a component reaching none is dead logic and
+    # anchors itself.
+    anchor_of: List[Tuple[str, str]] = []
     for cid, members in enumerate(components):
-        for name in members:
-            inst = module.instances[name]
-            for pin in inst.cell.output_pins:
-                net = module.nets[inst.net_of(pin)]
-                for port in net.load_ports:
-                    if module.ports[port].direction in ("output", "inout"):
-                        direct[cid].add(("p", port))
-                for load in net.loads:
-                    sink = module.instances[load.instance]
-                    if sink.cell.is_sequential:
-                        direct[cid].add(("f", load.instance))
-                    else:
-                        target = component_of[load.instance]
-                        if target != cid:
-                            successors[cid].add(target)
+        candidates: set[Tuple[str, str]] = set()
+        for i in members:
+            for n in outputs[i]:
+                candidates.update(port_anchors.get(n, ()))
+                for j in loads[n]:
+                    if sequential[j]:
+                        candidates.add(("f", names[j]))
+                    elif component_of[j] != cid:
+                        candidates.add(anchor_of[component_of[j]])
+        anchor_of.append(
+            min(candidates) if candidates
+            else ("d", min(names[i] for i in members))
+        )
 
-    # Reverse-topological min-anchor propagation over the component
-    # DAG (iterative DFS; the condensation is acyclic by construction).
-    anchor_of: Dict[int, Tuple[str, str]] = {}
-
-    def resolve(start: int) -> Tuple[str, str]:
-        work: List[int] = [start]
-        while work:
-            cid = work[-1]
-            if cid in anchor_of:
-                work.pop()
-                continue
-            missing = [s for s in successors[cid] if s not in anchor_of]
-            if missing:
-                work.extend(missing)
-                continue
-            candidates = set(direct[cid])
-            candidates.update(anchor_of[s] for s in successors[cid])
-            if not candidates:
-                candidates = {("d", components[cid][0])}
-            anchor_of[cid] = min(candidates)
-            work.pop()
-        return anchor_of[start]
-
-    ownership: Dict[Tuple[str, str], List[str]] = {}
+    ownership: Dict[Tuple[str, str], List[int]] = {}
     for cid, members in enumerate(components):
-        ownership.setdefault(resolve(cid), []).extend(members)
-    for flop in module.sequential_instances:
-        ownership.setdefault(("f", flop.name), []).append(flop.name)
+        ownership.setdefault(anchor_of[cid], []).extend(members)
+    for i, seq in enumerate(sequential):
+        if seq:
+            ownership.setdefault(("f", names[i]), []).append(i)
 
+    # The seeded worklist order: topological, or name order on a loop.
     try:
-        ordered = module.topological_combinational_order()
-        comb_order = {inst.name: i for i, inst in enumerate(ordered)}
+        comb_order = [
+            inst_index[inst.name]
+            for inst in module.topological_combinational_order()
+        ]
     except NetlistError:
-        comb_order = {name: i for i, name in enumerate(comb_names)}
+        comb_order = sorted(comb, key=names.__getitem__)
+    comb_rank = [0] * len(names)
+    for position, i in enumerate(comb_order):
+        comb_rank[i] = position
 
+    net_name = net_names.__getitem__
+    cone_of = [0] * len(names)
     cones: List[Cone] = []
+    codes: List[ConeCode] = []
+    readers: List[List[int]] = [[] for _ in net_names]
     for kind, name in sorted(ownership):
-        members = sorted(ownership[(kind, name)])
-        member_set = set(members)
-        internal: set[str] = set()
-        reads: set[str] = set()
-        for member in members:
-            inst = module.instances[member]
-            for pin in inst.cell.output_pins:
-                internal.add(inst.net_of(pin))
-            for pin in inst.cell.input_pins:
-                reads.add(inst.net_of(pin))
-        boundary = sorted(reads - internal)
-        port_seeded = sorted(
-            net for net in internal
-            if module.nets[net].driver_port is not None
-        )
+        index = len(cones)
+        members = sorted(ownership[(kind, name)], key=names.__getitem__)
+        internal_set: set[int] = set()
+        read_set: set[int] = set()
+        cone_flops: List[int] = []
+        for i in members:
+            cone_of[i] = index
+            internal_set.update(outputs[i])
+            read_set.update(inputs[i])
+            if sequential[i]:
+                cone_flops.append(i)
+        internal = tuple(sorted(internal_set, key=net_name))
+        boundary = tuple(sorted(read_set - internal_set, key=net_name))
+        port_seeded = tuple(n for n in internal if port_driven[n])
         # Sanity: internal nets are driven by cone members only.
-        assert all(
-            module.nets[net].driver is not None
-            and module.nets[net].driver.instance in member_set
-            for net in internal
-        )
+        assert set(members).issuperset(map(driver.__getitem__, internal))
         anchor = f"{kind}:{name}"
-        internal_nets = tuple(sorted(internal))
-        boundary_nets = tuple(boundary)
-        port_seeded_nets = tuple(port_seeded)
+        internal_nets = tuple(map(net_name, internal))
+        boundary_nets = tuple(map(net_name, boundary))
+        port_seeded_nets = tuple(map(net_name, port_seeded))
         cones.append(Cone(
             anchor=anchor,
-            instances=tuple(members),
+            instances=tuple(names[i] for i in members),
             internal_nets=internal_nets,
             boundary_nets=boundary_nets,
             port_seeded_nets=port_seeded_nets,
             content_fingerprint=_cone_content_fingerprint(
-                module, anchor, members, internal_nets, boundary_nets,
-                port_seeded_nets,
+                module, anchor,
+                [
+                    (names[i], instances[i].cell.name,
+                     tuple(sorted(instances[i].connections.items())))
+                    for i in members
+                ],
+                internal_nets, boundary_nets, port_seeded_nets,
             ),
         ))
+        codes.append(ConeCode(
+            boundary=boundary,
+            internal=internal,
+            port_seeded=port_seeded,
+            flops=tuple(cone_flops),
+            flop_names=tuple(map(names.__getitem__, cone_flops)),
+            order=tuple(sorted(
+                (i for i in members if not sequential[i]),
+                key=comb_rank.__getitem__,
+            ) + cone_flops),
+        ))
+        for n in boundary:
+            readers[n].append(index)
 
-    readers: Dict[str, List[int]] = {}
-    for index, cone in enumerate(cones):
-        for net in cone.boundary_nets:
-            readers.setdefault(net, []).append(index)
-    return ConePartition(
-        module=module, cones=cones, readers=readers, comb_order=comb_order
+    view = ConeView(
+        net_names=net_names,
+        net_index=net_index,
+        instances=instances,
+        cells=tuple(cells),
+        cell_ids=tuple(cell_ids),
+        sequential=sequential,
+        outputs=tuple(outputs),
+        gather=tuple(map(_gatherer, inputs)),
+        loads=loads,
+        port_sources=tuple(port_sources),
+        floating=tuple(floating),
+        cone_of=cone_of,
+        codes=tuple(codes),
+        readers=readers,
     )
+    return ConePartition(module=module, cones=cones, view=view)
 
 
 # -- value codecs ----------------------------------------------------------
@@ -321,98 +468,91 @@ def decode_value(value: Any) -> Value:
 
 # -- local solve -----------------------------------------------------------
 
+class _Scratch(NamedTuple):
+    """Module-sized work arrays one run's cone solves share.
+
+    A solve sets the values of its own boundary and internal nets and
+    the state of its own flops before reading any, and leaves every
+    in-work flag clear, so nothing needs resetting between solves.
+    """
+
+    values: List[Value]
+    state: List[Value]
+    in_work: List[bool]
+
+
 def _solve_cone(
-    module: Module,
+    view: ConeView,
+    index: int,
     domain: AbstractDomain,
-    cone: Cone,
-    partition: ConePartition,
-    boundary_values: Dict[str, Value],
-) -> Tuple[Dict[str, Value], Dict[str, Value], int]:
-    """Least fixpoint of one cone with its boundary held fixed.
+    apply: Sequence[Callable[[Tuple[Value, ...]], Value]],
+    boundary_values: Sequence[Value],
+    scratch: _Scratch,
+) -> Tuple[List[Value], List[Value], int]:
+    """Least fixpoint of cone ``index`` with its boundary held fixed.
 
     Mirrors the monolithic engine exactly -- same seeds, same
     worklist discipline, same visit accounting -- restricted to the
-    cone's instances.  Returns (internal net values, flop states,
-    visits).
+    cone's instances.  ``apply[i]`` is instance ``i``'s transfer (or
+    next-state) function.  Returns (internal net values, flop states
+    in name order, visits).
     """
+    code = view.codes[index]
     bottom = domain.bottom
-    values: Dict[str, Value] = dict(boundary_values)
-    for net in cone.internal_nets:
-        values[net] = bottom
-    state: Dict[str, Value] = {}
+    values, state, in_work = scratch
+    for n, value in zip(code.boundary, boundary_values):
+        values[n] = value
+    for n in code.internal:
+        values[n] = bottom
+    loads, cone_of = view.loads, view.cone_of
+    work: Deque[int] = deque()
+    push = work.append
 
-    consumers: Dict[str, List[str]] = {}
-    for name in cone.instances:
-        inst = module.instances[name]
-        for pin in inst.cell.input_pins:
-            consumers.setdefault(inst.net_of(pin), []).append(name)
+    def raise_net(n: int, value: Value) -> None:
+        joined = values[n] | value
+        if joined != values[n]:
+            values[n] = joined
+            for reader in loads[n]:
+                if cone_of[reader] == index and not in_work[reader]:
+                    in_work[reader] = True
+                    push(reader)
 
-    work: Deque[str] = deque()
-    in_work: set[str] = set()
+    gather, outputs, sequential = view.gather, view.outputs, view.sequential
+    for n in code.port_seeded:
+        raise_net(n, domain.input_value(view.net_names[n]))
+    for i in code.flops:
+        state[i] = bottom | domain.flop_initial(view.instances[i])
+        for n in outputs[i]:
+            raise_net(n, state[i])
+    for i in code.order:
+        if not in_work[i]:
+            in_work[i] = True
+            push(i)
 
-    def push(name: str) -> None:
-        if name not in in_work:
-            in_work.add(name)
-            work.append(name)
-
-    def raise_net(name: str, value: Value) -> None:
-        joined = values[name] | value
-        if joined != values[name]:
-            values[name] = joined
-            for consumer in consumers.get(name, ()):
-                push(consumer)
-
-    for net in cone.port_seeded_nets:
-        raise_net(net, domain.input_value(net))
-
-    flops = sorted(
-        name for name in cone.instances
-        if module.instances[name].cell.is_sequential
-    )
-    for name in flops:
-        state[name] = state.get(name, bottom) | \
-            domain.flop_initial(module.instances[name])
-        for pin in module.instances[name].cell.output_pins:
-            raise_net(module.instances[name].net_of(pin), state[name])
-
-    comb_order = partition.comb_order
-    for name in sorted(
-        (n for n in cone.instances if n not in state),
-        key=lambda n: comb_order.get(n, 0),
-    ):
-        push(name)
-    for name in flops:
-        push(name)
-
+    pop = work.popleft
     visits = 0
     while work:
-        name = work.popleft()
-        in_work.discard(name)
+        i = pop()
+        in_work[i] = False
         visits += 1
-        inst = module.instances[name]
-        cell = inst.cell
-        if cell.is_sequential:
-            pins = {
-                pin: values[inst.net_of(pin)] for pin in cell.input_pins
-            }
-            nxt = domain.flop_next(inst, pins, state[name])
-            joined = state[name] | nxt
-            if joined != state[name]:
-                state[name] = joined
-                for pin in cell.output_pins:
-                    raise_net(inst.net_of(pin), joined)
-                push(name)
-        else:
-            inputs = tuple(
-                values[inst.net_of(pin)] for pin in cell.input_pins
-            )
-            result = domain.transfer(inst, inputs)
-            for pin in cell.output_pins:
-                raise_net(inst.net_of(pin), result)
+        result = apply[i](gather[i](values))
+        if sequential[i]:
+            # State feeds back into next-state (e.g. a latch holding):
+            # on a change, raise Q and revisit until stable.
+            current = state[i]
+            result = current | result
+            if result == current:
+                continue
+            state[i] = result
+        for n in outputs[i]:
+            raise_net(n, result)
+        if sequential[i] and not in_work[i]:
+            in_work[i] = True
+            push(i)
 
     return (
-        {net: values[net] for net in cone.internal_nets},
-        state,
+        [values[n] for n in code.internal],
+        [state[i] for i in code.flops],
         visits,
     )
 
@@ -447,85 +587,107 @@ def run_fixpoint_cones(
     different semantics.
 
     Each cone's local solve is fetched from (or computed into) the
-    store keyed by ``(content fingerprint, boundary values, token)``.
+    store keyed by ``(content fingerprint, boundary values, token)``;
+    the key is hashed once per lookup and reused by the put on a miss.
     The outer loop re-queues reader cones whenever a published net
     value grows; on the finite lattices in use this block-chaotic
     iteration converges to the module's unique least fixpoint.
     """
     if store is None:
         store = get_default_store()
-    domain_bottom = domain.bottom
-    values: Dict[str, Value] = {
-        name: domain_bottom for name in module.nets
-    }
-    state: Dict[str, Value] = {}
+    view = partition.view
+    bottom = domain.bottom
+    # Mask domains encode as themselves; only set values need a codec.
+    plain = isinstance(bottom, int)
+    functions = [
+        domain.cell_next(cell) if cell.is_sequential
+        else domain.cell_transfer(cell)
+        for cell in view.cells
+    ]
+    apply = [functions[slot] for slot in view.cell_ids]
+    net_names = view.net_names
+    values: List[Value] = [bottom] * len(net_names)
     # Source-net seeds: input/inout port nets with no instance driver,
     # and floating-but-loaded nets (port-driven *and* instance-driven
     # nets are seeded inside their owning cone instead).
-    for name, net in module.nets.items():
-        if net.driver is not None:
-            continue
-        if net.driver_port is not None:
-            values[name] = values[name] | domain.input_value(name)
-        elif net.fanout > 0:
-            values[name] = values[name] | domain.undriven_value(net)
+    for n in view.port_sources:
+        values[n] = bottom | domain.input_value(net_names[n])
+    for n in view.floating:
+        values[n] = bottom | domain.undriven_value(
+            module.nets[net_names[n]]
+        )
+    state: Dict[str, Value] = {}
+    scratch = _Scratch(
+        values=[bottom] * len(net_names),
+        state=[bottom] * len(view.instances),
+        in_work=[False] * len(view.instances),
+    )
 
-    pending: Deque[int] = deque(range(len(partition.cones)))
-    in_pending = set(pending)
+    cones, codes, readers = partition.cones, view.codes, view.readers
+    pending: Deque[int] = deque(range(len(cones)))
+    in_pending = [True] * len(cones)
     visits = 0
+    flops: Iterable[Tuple[str, Value]]
+    updates: Iterable[Tuple[int, Value]]
     while pending:
         index = pending.popleft()
-        in_pending.discard(index)
-        cone = partition.cones[index]
-        boundary = [
-            encode_value(values[net]) for net in cone.boundary_nets
-        ]
-        token = domain_token(cone)
-        fingerprints = (cone.content_fingerprint,)
-        config = [token, boundary]
-        payload = store.get(
-            CONE_STORE_DOMAIN, ANALYSIS_VERSION, fingerprints, config
+        in_pending[index] = False
+        cone, code = cones[index], codes[index]
+        boundary = [values[n] for n in code.boundary]
+        key = content_key(
+            CONE_STORE_DOMAIN, ANALYSIS_VERSION,
+            (cone.content_fingerprint,),
+            [
+                domain_token(cone),
+                boundary if plain else [encode_value(v) for v in boundary],
+            ],
         )
+        payload = store.get_by_key(CONE_STORE_DOMAIN, key)
         if payload is None:
-            boundary_values = {
-                net: values[net] for net in cone.boundary_nets
-            }
             nets, flop_state, cone_visits = _solve_cone(
-                module, domain, cone, partition, boundary_values
+                view, index, domain, apply, boundary, scratch
             )
-            payload = {
-                "nets": {
-                    net: encode_value(value)
-                    for net, value in nets.items()
-                },
-                "flops": {
-                    name: encode_value(value)
-                    for name, value in flop_state.items()
-                },
+            if plain:
+                encoded_nets, encoded_flops = nets, flop_state
+            else:
+                encoded_nets = [encode_value(v) for v in nets]
+                encoded_flops = [encode_value(v) for v in flop_state]
+            store.put_by_key(CONE_STORE_DOMAIN, key, {
+                "nets": dict(zip(cone.internal_nets, encoded_nets)),
+                "flops": dict(zip(code.flop_names, encoded_flops)),
                 "visits": cone_visits,
-            }
-            store.put(
-                CONE_STORE_DOMAIN, ANALYSIS_VERSION, fingerprints,
-                payload, config,
-            )
+            })
             if stats is not None:
                 stats.misses += 1
                 stats.missed_anchors.append(cone.anchor)
-        elif stats is not None:
-            stats.hits += 1
-        visits += int(payload["visits"])
-        for name, encoded in payload["flops"].items():
-            state[name] = decode_value(encoded)
-        for name, encoded in payload["nets"].items():
-            decoded = decode_value(encoded)
-            if decoded != values[name]:
-                values[name] = decoded
-                for reader in partition.readers.get(name, ()):
-                    if reader != index and reader not in in_pending:
-                        in_pending.add(reader)
+            flops = zip(code.flop_names, flop_state)
+            updates = zip(code.internal, nets)
+        else:
+            if stats is not None:
+                stats.hits += 1
+            cone_visits = int(payload["visits"])
+            flops = payload["flops"].items()
+            updates = zip(
+                map(view.net_index.__getitem__, payload["nets"]),
+                payload["nets"].values(),
+            )
+            if not plain:
+                flops = [(name, decode_value(v)) for name, v in flops]
+                updates = [(n, decode_value(v)) for n, v in updates]
+        visits += cone_visits
+        for name, value in flops:
+            state[name] = value
+        for n, value in updates:
+            if value != values[n]:
+                values[n] = value
+                for reader in readers[n]:
+                    if reader != index and not in_pending[reader]:
+                        in_pending[reader] = True
                         pending.append(reader)
     return FixpointResult(
-        net_values=values, flop_state=state, visits=visits
+        net_values=dict(zip(net_names, values)),
+        flop_state=state,
+        visits=visits,
     )
 
 

@@ -30,6 +30,21 @@ All transfer functions enumerate concrete input combinations through
 so the abstraction is correct by construction with respect to the
 simulator, not a hand-written re-statement of gate semantics.
 
+Each domain hands out one function per cell type: ``cell_transfer(cell)``
+for combinational cells and ``cell_next(cell)`` for sequential ones,
+both over the input values in ``cell.input_pins`` order.  The cone
+solve (:mod:`repro.analysis.cones`) looks them up once per cell type
+and run; ``transfer`` and ``flop_next``, the per-instance protocol the
+monolithic engine calls, route through the same functions.  For the
+constant and dual domains these functions are **process-wide transfer
+tables**: one memo per ``(cell, dialect configs)``, filled on demand,
+so every module, domain instance and run in a process enumerates a
+given gate input combination once.  Tables are keyed by the
+:class:`~repro.netlist.library.Cell` object and the
+:class:`~repro.sim.SimulatorConfig` objects, never by cell name, so two
+libraries or two dialects that share a cell name never share a table.
+:func:`clear_transfer_tables` empties them.
+
 Modelling assumptions (shared with the cross-validation harness in
 :mod:`repro.verification.crossval`):
 
@@ -43,10 +58,12 @@ Modelling assumptions (shared with the cross-validation harness in
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
-from typing import Callable, FrozenSet, Mapping, Tuple
+from typing import Any, Callable, FrozenSet, Mapping, Tuple
 
 from ..netlist import Logic
+from ..netlist.library import Cell
 from ..netlist.netlist import Instance, Net
 from ..sim import SimulatorConfig, VENDOR_A_SIM, VENDOR_B_SIM, evaluate_cell
 
@@ -137,6 +154,156 @@ def format_pair_mask(mask: int) -> str:
     ) + "}"
 
 
+# -- process-wide transfer tables -------------------------------------------
+
+class _Table(dict):
+    """One cell's abstract function: input values -> output value.
+
+    A dict filled on demand by ``compute``, so a hit is one C-level
+    lookup; a cone solve calls ``table.__getitem__`` directly.
+    """
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[Tuple[Any, ...]], Any]) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: Tuple[Any, ...]) -> Any:
+        value = self[key] = self.compute(key)
+        return value
+
+
+#: ``(kind, cell, *configs)`` -> table, shared by every domain instance.
+_TABLES: dict[tuple, _Table] = {}
+
+
+def _table(key: tuple, compute: Callable[[Tuple[Any, ...]], Any]
+           ) -> Callable[[Tuple[Any, ...]], Any]:
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _Table(compute)
+    return table.__getitem__
+
+
+def clear_transfer_tables() -> None:
+    """Empty the process-wide transfer tables (tests, benchmarks)."""
+    _TABLES.clear()
+
+
+def _pins(cell: Cell, values: Tuple[Any, ...]) -> dict[str, Any]:
+    return dict(zip(cell.input_pins, values))
+
+
+def _const_transfer(
+    cell: Cell, config: SimulatorConfig, input_masks: Tuple[int, ...]
+) -> int:
+    pins = cell.input_pins
+    out = BOT
+    for combo in product(*(mask_levels(m) for m in input_masks)):
+        result = evaluate_cell(cell, dict(zip(pins, combo)), config)
+        out |= level_bit(result)
+    return out
+
+
+def _const_next(cell: Cell, values: Tuple[int, ...]) -> int:
+    pins = _pins(cell, values)
+    if cell.is_latch:
+        # Transparent or holding: D now, or held state (the engine
+        # joins ``current`` in, so returning D covers both).
+        return pins.get(cell.data_pin or "", TOP)
+    data = BOT
+    se_mask = pins[cell.scan_enable_pin] if cell.scan_enable_pin else ZERO
+    for se in mask_levels(se_mask):
+        if se is Logic.ONE:
+            data |= pins.get(cell.scan_in_pin or "", BOT)
+        elif se is Logic.ZERO:
+            data |= pins.get(cell.data_pin or "", BOT)
+        else:
+            data |= XBIT
+    if cell.reset_pin is None:
+        return data
+    out = BOT
+    for reset in mask_levels(pins[cell.reset_pin]):
+        if reset is Logic.ZERO:
+            out |= ZERO
+        elif reset is Logic.X:
+            out |= XBIT
+        else:
+            out |= data
+    return out
+
+
+def _dual_transfer(
+    cell: Cell,
+    config_a: SimulatorConfig,
+    config_b: SimulatorConfig,
+    input_masks: Tuple[int, ...],
+) -> int:
+    pins = cell.input_pins
+    out = BOT
+    for combo in product(*(mask_pairs(m) for m in input_masks)):
+        result_a = evaluate_cell(
+            cell, {p: v[0] for p, v in zip(pins, combo)}, config_a
+        )
+        result_b = evaluate_cell(
+            cell, {p: v[1] for p, v in zip(pins, combo)}, config_b
+        )
+        out |= pair_bit(result_a, result_b)
+    return out
+
+
+def _captured_pairs(se_mask: int, d_mask: int, si_mask: int) -> int:
+    """Pairs capturable through the scan-enable mux."""
+    data = BOT
+    x_pair = pair_bit(Logic.X, Logic.X)
+    for se_a, se_b in mask_pairs(se_mask):
+        if se_a is se_b:
+            if se_a is Logic.ONE:
+                data |= si_mask
+            elif se_a is Logic.ZERO:
+                data |= d_mask
+            else:
+                data |= x_pair
+        else:
+            # The dialects select different sources: correlation is
+            # lost, so take the component-wise cross product.
+            src = {Logic.ZERO: d_mask, Logic.ONE: si_mask}
+            comp_a = (component_a(src[se_a]) if se_a in src else XBIT)
+            comp_b = (component_b(src[se_b]) if se_b in src else XBIT)
+            for va in mask_levels(comp_a):
+                for vb in mask_levels(comp_b):
+                    data |= pair_bit(va, vb)
+    return data
+
+
+def _dual_next(cell: Cell, values: Tuple[int, ...]) -> int:
+    pins = _pins(cell, values)
+    if cell.is_latch:
+        return pins.get(cell.data_pin or "", PAIR_TOP)
+    se_mask = (
+        pins[cell.scan_enable_pin]
+        if cell.scan_enable_pin
+        else pair_bit(Logic.ZERO, Logic.ZERO)
+    )
+    data = _captured_pairs(
+        se_mask,
+        pins.get(cell.data_pin or "", BOT),
+        pins.get(cell.scan_in_pin or "", BOT),
+    )
+    if cell.reset_pin is None:
+        return data
+    out = BOT
+    for rn_a, rn_b in mask_pairs(pins[cell.reset_pin]):
+        for da, db in mask_pairs(data):
+            na = Logic.ZERO if rn_a is Logic.ZERO else (
+                Logic.X if rn_a is Logic.X else da)
+            nb = Logic.ZERO if rn_b is Logic.ZERO else (
+                Logic.X if rn_b is Logic.X else db)
+            out |= pair_bit(na, nb)
+    return out
+
+
 # -- domains ----------------------------------------------------------------
 
 class ConstantDomain:
@@ -159,7 +326,6 @@ class ConstantDomain:
         self.config = config or SimulatorConfig()
         self.uninit_mask = uninit_mask
         self.port_mask = port_mask
-        self._transfer_memo: dict[tuple, int] = {}
 
     def input_value(self, port: str) -> int:
         return self.port_mask
@@ -167,19 +333,17 @@ class ConstantDomain:
     def undriven_value(self, net: Net) -> int:
         return XBIT
 
+    def cell_transfer(self, cell: Cell) -> Callable[[Tuple[int, ...]], int]:
+        return _table(
+            ("const", cell, self.config),
+            partial(_const_transfer, cell, self.config),
+        )
+
+    def cell_next(self, cell: Cell) -> Callable[[Tuple[int, ...]], int]:
+        return _table(("const.next", cell), partial(_const_next, cell))
+
     def transfer(self, inst: Instance, input_masks: Tuple[int, ...]) -> int:
-        key = (inst.cell.name, input_masks)
-        cached = self._transfer_memo.get(key)
-        if cached is not None:
-            return cached
-        cell = inst.cell
-        pins = cell.input_pins
-        out = BOT
-        for combo in product(*(mask_levels(m) for m in input_masks)):
-            result = evaluate_cell(cell, dict(zip(pins, combo)), self.config)
-            out |= level_bit(result)
-        self._transfer_memo[key] = out
-        return out
+        return self.cell_transfer(inst.cell)(input_masks)
 
     def flop_initial(self, inst: Instance) -> int:
         return self.uninit_mask
@@ -188,32 +352,7 @@ class ConstantDomain:
         self, inst: Instance, pins: Mapping[str, int], current: int
     ) -> int:
         cell = inst.cell
-        if cell.is_latch:
-            # Transparent or holding: D now, or held state (the engine
-            # joins ``current`` in, so returning D covers both).
-            return pins.get(cell.data_pin or "", TOP)
-        data = BOT
-        se_mask = (
-            pins[cell.scan_enable_pin] if cell.scan_enable_pin else ZERO
-        )
-        for se in mask_levels(se_mask):
-            if se is Logic.ONE:
-                data |= pins.get(cell.scan_in_pin or "", BOT)
-            elif se is Logic.ZERO:
-                data |= pins.get(cell.data_pin or "", BOT)
-            else:
-                data |= XBIT
-        if cell.reset_pin is None:
-            return data
-        out = BOT
-        for reset in mask_levels(pins[cell.reset_pin]):
-            if reset is Logic.ZERO:
-                out |= ZERO
-            elif reset is Logic.X:
-                out |= XBIT
-            else:
-                out |= data
-        return out
+        return self.cell_next(cell)(tuple(pins[p] for p in cell.input_pins))
 
 
 class DualConstantDomain:
@@ -237,8 +376,6 @@ class DualConstantDomain:
         self.config_a = config_a
         self.config_b = config_b
         self.reset_assured = reset_assured
-        self._transfer_memo: dict[tuple, int] = {}
-        self._next_memo: dict[tuple, int] = {}
 
     def input_value(self, port: str) -> int:
         # Binary stimulus, identical under both dialects.
@@ -248,24 +385,17 @@ class DualConstantDomain:
         # Both dialects read a floating net as X: identical, benign.
         return pair_bit(Logic.X, Logic.X)
 
+    def cell_transfer(self, cell: Cell) -> Callable[[Tuple[int, ...]], int]:
+        return _table(
+            ("dual", cell, self.config_a, self.config_b),
+            partial(_dual_transfer, cell, self.config_a, self.config_b),
+        )
+
+    def cell_next(self, cell: Cell) -> Callable[[Tuple[int, ...]], int]:
+        return _table(("dual.next", cell), partial(_dual_next, cell))
+
     def transfer(self, inst: Instance, input_masks: Tuple[int, ...]) -> int:
-        key = (inst.cell.name, input_masks)
-        cached = self._transfer_memo.get(key)
-        if cached is not None:
-            return cached
-        cell = inst.cell
-        pins = cell.input_pins
-        out = BOT
-        for combo in product(*(mask_pairs(m) for m in input_masks)):
-            result_a = evaluate_cell(
-                cell, {p: v[0] for p, v in zip(pins, combo)}, self.config_a
-            )
-            result_b = evaluate_cell(
-                cell, {p: v[1] for p, v in zip(pins, combo)}, self.config_b
-            )
-            out |= pair_bit(result_a, result_b)
-        self._transfer_memo[key] = out
-        return out
+        return self.cell_transfer(inst.cell)(input_masks)
 
     def flop_initial(self, inst: Instance) -> int:
         if inst.name in self.reset_assured:
@@ -274,63 +404,11 @@ class DualConstantDomain:
             self.config_a.uninitialized_flop, self.config_b.uninitialized_flop
         )
 
-    def _captured_data(
-        self, se_mask: int, d_mask: int, si_mask: int
-    ) -> int:
-        """Pairs capturable through the scan-enable mux."""
-        data = BOT
-        x_pair = pair_bit(Logic.X, Logic.X)
-        for se_a, se_b in mask_pairs(se_mask):
-            if se_a is se_b:
-                if se_a is Logic.ONE:
-                    data |= si_mask
-                elif se_a is Logic.ZERO:
-                    data |= d_mask
-                else:
-                    data |= x_pair
-            else:
-                # The dialects select different sources: correlation is
-                # lost, so take the component-wise cross product.
-                src = {Logic.ZERO: d_mask, Logic.ONE: si_mask}
-                comp_a = (component_a(src[se_a]) if se_a in src else XBIT)
-                comp_b = (component_b(src[se_b]) if se_b in src else XBIT)
-                for va in mask_levels(comp_a):
-                    for vb in mask_levels(comp_b):
-                        data |= pair_bit(va, vb)
-        return data
-
     def flop_next(
         self, inst: Instance, pins: Mapping[str, int], current: int
     ) -> int:
         cell = inst.cell
-        if cell.is_latch:
-            return pins.get(cell.data_pin or "", PAIR_TOP)
-        d_mask = pins.get(cell.data_pin or "", BOT)
-        si_mask = pins.get(cell.scan_in_pin or "", BOT)
-        se_mask = (
-            pins[cell.scan_enable_pin]
-            if cell.scan_enable_pin
-            else pair_bit(Logic.ZERO, Logic.ZERO)
-        )
-        rn_mask = pins[cell.reset_pin] if cell.reset_pin else -1
-        key = (cell.name, se_mask, d_mask, si_mask, rn_mask)
-        cached = self._next_memo.get(key)
-        if cached is not None:
-            return cached
-        data = self._captured_data(se_mask, d_mask, si_mask)
-        if cell.reset_pin is None:
-            self._next_memo[key] = data
-            return data
-        out = BOT
-        for rn_a, rn_b in mask_pairs(pins[cell.reset_pin]):
-            for da, db in mask_pairs(data):
-                na = Logic.ZERO if rn_a is Logic.ZERO else (
-                    Logic.X if rn_a is Logic.X else da)
-                nb = Logic.ZERO if rn_b is Logic.ZERO else (
-                    Logic.X if rn_b is Logic.X else db)
-                out |= pair_bit(na, nb)
-        self._next_memo[key] = out
-        return out
+        return self.cell_next(cell)(tuple(pins[p] for p in cell.input_pins))
 
 
 Taint = FrozenSet[str]
@@ -359,11 +437,20 @@ class TaintDomain:
     def undriven_value(self, net: Net) -> Taint:
         return self.undriven_seed(net)
 
+    def cell_transfer(
+        self, cell: Cell
+    ) -> Callable[[Tuple[Taint, ...]], Taint]:
+        return _union
+
+    def cell_next(self, cell: Cell) -> Callable[[Tuple[Taint, ...]], Taint]:
+        carried = (cell.data_pin, cell.scan_in_pin, cell.scan_enable_pin,
+                   cell.reset_pin)
+        return partial(_union_at, tuple(
+            i for i, pin in enumerate(cell.input_pins) if pin in carried
+        ))
+
     def transfer(self, inst: Instance, input_masks: Tuple[Taint, ...]) -> Taint:
-        out: Taint = _EMPTY
-        for taint in input_masks:
-            out |= taint
-        return out
+        return _union(input_masks)
 
     def flop_initial(self, inst: Instance) -> Taint:
         return self.flop_seed(inst)
@@ -372,9 +459,12 @@ class TaintDomain:
         self, inst: Instance, pins: Mapping[str, Taint], current: Taint
     ) -> Taint:
         cell = inst.cell
-        out: Taint = _EMPTY
-        for pin in (cell.data_pin, cell.scan_in_pin, cell.scan_enable_pin,
-                    cell.reset_pin):
-            if pin is not None:
-                out |= pins.get(pin, _EMPTY)
-        return out
+        return self.cell_next(cell)(tuple(pins[p] for p in cell.input_pins))
+
+
+def _union(taints: Tuple[Taint, ...]) -> Taint:
+    return _EMPTY.union(*taints)
+
+
+def _union_at(positions: Tuple[int, ...], taints: Tuple[Taint, ...]) -> Taint:
+    return _EMPTY.union(*[taints[i] for i in positions])

@@ -11,7 +11,13 @@ protocol (see :mod:`repro.analysis.domains`):
   and spares are the zero-input case);
 * ``flop_initial(inst)`` / ``flop_next(inst, pins, current)`` -- the
   sequential cells, mirroring the simulator's sample-then-update edge
-  semantics (scan-enable mux, asynchronous reset).
+  semantics (scan-enable mux, asynchronous reset);
+* ``cell_transfer(cell)`` / ``cell_next(cell)`` -- the same two
+  functions for one cell type, over input values in
+  ``cell.input_pins`` order: what the compiled cone solve
+  (:mod:`repro.analysis.cones`) calls.  This engine calls the
+  per-instance forms and stays the reference the cone solve is tested
+  against.
 
 Values only ever grow (monotone joins on finite lattices), and an
 instance re-enters the worklist only when one of its input nets
@@ -29,9 +35,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Protocol, Tuple
+from typing import Any, Callable, Dict, Protocol, Tuple
 
 from ..netlist import Module
+from ..netlist.library import Cell
 from ..netlist.netlist import Instance, Net, NetlistError
 
 Value = Any
@@ -53,6 +60,14 @@ class AbstractDomain(Protocol):
     def flop_next(
         self, inst: Instance, pins: Dict[str, Value], current: Value
     ) -> Value: ...
+
+    def cell_transfer(
+        self, cell: Cell
+    ) -> Callable[[Tuple[Value, ...]], Value]: ...
+
+    def cell_next(
+        self, cell: Cell
+    ) -> Callable[[Tuple[Value, ...]], Value]: ...
 
 
 @dataclass

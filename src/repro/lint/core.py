@@ -552,13 +552,16 @@ class LintDelta:
 # Engine
 # ---------------------------------------------------------------------------
 
-def _lint_module_task(task: tuple) -> list[Finding]:
+def _lint_module_task(shared: tuple, index: int) -> list[Finding]:
     """Worker: run the named module-scope rules over one module.
 
-    Module-level and self-contained so it pickles into worker
-    processes; the registry is (re)populated on first use there.
+    ``shared`` is ``(modules, rule_ids)``, handed to each pool worker
+    once; a task is only the index of its module.  Module-level so it
+    pickles into worker processes; the registry is (re)populated on
+    first use there.
     """
-    module, rule_ids = task
+    modules, rule_ids = shared
+    module = modules[index]
     load_builtin_rules()
     findings: list[Finding] = []
     for rule_id in rule_ids:
@@ -601,9 +604,12 @@ def lint_modules(
         else:
             missing.append(index)
     if missing:
-        tasks = [(modules[index], rule_ids) for index in missing]
-        results = fanout(_lint_module_task, tasks, workers=workers,
-                         stage="lint.modules")
+        # The modules travel once per pool worker, not once per task.
+        results = fanout(
+            _lint_module_task, range(len(missing)), workers=workers,
+            stage="lint.modules",
+            shared=([modules[index] for index in missing], rule_ids),
+        )
         for index, found in zip(missing, results):
             per_module[index] = found
             store.put(

@@ -33,6 +33,18 @@ class PinRef:
         return f"{self.instance}.{self.pin}"
 
 
+def _without_pin(
+    loads: list[PinRef], instance: str, pin: str
+) -> list[PinRef]:
+    """``loads`` minus one pin, in order.  Compares the two fields
+    directly: ECO loops (scan insertion removes and re-adds every
+    flop) filter clock and reset nets with thousands of loads, where
+    the generated ``PinRef.__eq__`` dominated."""
+    return [
+        ref for ref in loads if ref.pin != pin or ref.instance != instance
+    ]
+
+
 @dataclass
 class Port:
     """A module-level port."""
@@ -174,7 +186,7 @@ class Module:
             if net.driver == ref:
                 net.driver = None
             else:
-                net.loads = [l for l in net.loads if l != ref]
+                net.loads = _without_pin(net.loads, name, pin_name)
         self._invalidate()
         return inst
 
@@ -191,7 +203,7 @@ class Module:
                 old_net.driver = None
             net.driver = ref
         else:
-            old_net.loads = [l for l in old_net.loads if l != ref]
+            old_net.loads = _without_pin(old_net.loads, instance, pin)
             net.loads.append(ref)
         inst.connections[pin] = new_net
         self._invalidate()

@@ -13,6 +13,10 @@ every parallel entry point in the flow builds on:
   per-task seeds / spawned ``numpy.random.Generator`` streams, so the
   answer is a pure function of the task list.
 
+Data every task reads (the modules a lint pass fans out over) goes in
+``shared``: it reaches each pool worker once, through the pool
+initializer, and the tasks carry only what tells them apart.
+
 Worker-count resolution: explicit argument, else the ``REPRO_WORKERS``
 environment variable, else ``os.cpu_count()``.  If the pool cannot be
 used (unpicklable work, restricted environment), :func:`fanout` falls
@@ -24,6 +28,7 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -37,7 +42,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 POOL_ERRORS = (pickle.PicklingError, AttributeError, TypeError, OSError,
                ImportError, BrokenProcessPool)
 
-_Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 
 
@@ -76,6 +80,20 @@ def _guarded_call(
         return False, (label, exc)
 
 
+#: This pool worker's copy of a fan-out's ``shared`` value.
+_SHARED: Any = None
+
+
+def _install_shared(shared: Any) -> None:
+    """Pool initializer: keep ``shared`` for every task of this worker."""
+    global _SHARED
+    _SHARED = shared
+
+
+def _with_shared(worker: Callable[[Any, Any], Any], task: Any) -> Any:
+    return worker(_SHARED, task)
+
+
 def resolve_workers(workers: int | None = None) -> int:
     """Effective worker count: argument > env > cpu count (min 1)."""
     if workers is None:
@@ -91,12 +109,13 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def fanout(
-    worker: Callable[[_Task], _Result],
-    tasks: Sequence[_Task],
+    worker: Callable[..., _Result],
+    tasks: Sequence[Any],
     *,
     workers: int | None = None,
     stage: str | None = None,
     labels: Sequence[str] | None = None,
+    shared: Any = None,
 ) -> list[_Result]:
     """Run ``worker`` over ``tasks``; results in task order.
 
@@ -111,8 +130,26 @@ def fanout(
     surfaces as :class:`FanoutTaskError` carrying the failing task's
     label and the stage, with the original exception as its cause --
     instead of a bare traceback that does not say which task died.
+
+    When ``shared`` is given, ``worker`` is called as ``worker(shared,
+    task)``.  Each pool worker receives ``shared`` once, through the
+    pool initializer: inherited without pickling under the ``fork``
+    start method, pickled once per worker under the others.  That is a
+    known trade-off: under ``spawn`` or ``forkserver`` every worker
+    unpickles all of ``shared``, where data carried by the tasks is
+    unpickled once in total.  ``lint_modules(workers=4)`` over nine
+    DSC blocks took 0.43-0.47 s with ``shared`` against 0.96-0.99 s
+    with a module per task under ``fork``, but 2.2-2.8 s against
+    1.7-2.0 s under ``forkserver`` (2-core host).
     """
     tasks = list(tasks)
+    pool_kwargs: dict[str, Any] = {}
+    call: Callable[[Any], Any] = worker
+    pool_call: Callable[[Any], Any] = worker
+    if shared is not None:
+        call = partial(worker, shared)
+        pool_call = partial(_with_shared, worker)
+        pool_kwargs = {"initializer": _install_shared, "initargs": (shared,)}
     n_workers = min(resolve_workers(workers), len(tasks))
     task_labels: list[str] | None = None
     if labels is not None:
@@ -136,11 +173,11 @@ def fanout(
 
     def _run_serial() -> list[_Result]:
         if task_labels is None:
-            return [worker(task) for task in tasks]
+            return [call(task) for task in tasks]
         results = []
         for task, label in zip(tasks, task_labels):
             try:
-                results.append(worker(task))
+                results.append(call(task))
             except FanoutTaskError:
                 raise
             except Exception as exc:  # noqa: BLE001 - re-raised labelled
@@ -151,12 +188,13 @@ def fanout(
         if n_workers <= 1:
             return _run_serial()
         try:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            with ProcessPoolExecutor(max_workers=n_workers,
+                                     **pool_kwargs) as pool:
                 if task_labels is None:
-                    return list(pool.map(worker, tasks))
+                    return list(pool.map(pool_call, tasks))
                 outcomes = list(pool.map(
                     _guarded_call,
-                    [(worker, task, label)
+                    [(pool_call, task, label)
                      for task, label in zip(tasks, task_labels)],
                 ))
         except POOL_ERRORS:

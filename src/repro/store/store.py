@@ -56,6 +56,14 @@ class StoreError(Exception):
     """Problem with the store itself (corrupt file, bad payload)."""
 
 
+#: The encoder behind :func:`canonical_json`, built once: the form is
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"),
+#: allow_nan=False)`` without a new encoder per call.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
 def canonical_json(payload: Any) -> str:
     """The one serialized form of a payload: sorted keys, no spaces.
 
@@ -64,10 +72,7 @@ def canonical_json(payload: Any) -> str:
     persistence.
     """
     try:
-        return json.dumps(
-            payload, sort_keys=True, separators=(",", ":"),
-            allow_nan=False,
-        )
+        return _CANONICAL.encode(payload)
     except (TypeError, ValueError) as exc:
         raise StoreError(f"payload is not canonical-JSON-able: {exc}") \
             from None
@@ -160,7 +165,16 @@ class ArtifactStore:
         returns a fresh object decoded from the canonical JSON, never
         a reference another caller could have mutated.
         """
-        key = content_key(domain, version, fingerprints, config)
+        return self.get_by_key(
+            domain, content_key(domain, version, fingerprints, config)
+        )
+
+    def get_by_key(self, domain: str, key: str) -> Any:
+        """:meth:`get` for a key :func:`content_key` already computed.
+
+        A client that puts on a miss hashes its key once and hands the
+        same key to :meth:`put_by_key`.
+        """
         counters = self._domain_counters(domain)
         entry = self._entries.get(key)
         if entry is None:
@@ -181,7 +195,13 @@ class ArtifactStore:
         config: Any = None,
     ) -> str:
         """Store a payload under its content address; returns the key."""
-        key = content_key(domain, version, fingerprints, config)
+        return self.put_by_key(
+            domain, content_key(domain, version, fingerprints, config),
+            payload,
+        )
+
+    def put_by_key(self, domain: str, key: str, payload: Any) -> str:
+        """:meth:`put` under a key :func:`content_key` already computed."""
         self._entries[key] = (domain, canonical_json(payload))
         self._entries.move_to_end(key)
         counters = self._domain_counters(domain)
@@ -208,11 +228,12 @@ class ArtifactStore:
         never see a type (tuple vs list...) that only a cold run
         produces.
         """
-        cached = self.get(domain, version, fingerprints, config)
+        key = content_key(domain, version, fingerprints, config)
+        cached = self.get_by_key(domain, key)
         if cached is not None:
             return cached
         payload = compute()
-        self.put(domain, version, fingerprints, payload, config)
+        self.put_by_key(domain, key, payload)
         return json.loads(canonical_json(payload))
 
     # -- observability ------------------------------------------------

@@ -6,10 +6,13 @@ clock, never the answer (the same contract the coverage database
 keeps, see ``tests/test_coverage_determinism.py``).
 """
 
+import multiprocessing
+
 import pytest
 
-from repro.lint import dsc_lint_targets, run_lint
+from repro.lint import dsc_lint_targets, lint_modules, run_lint
 from repro.netlist import Module, counter, make_default_library
+from repro.store import ArtifactStore, using_store
 
 LIB = make_default_library(0.25)
 
@@ -52,3 +55,27 @@ def test_rule_selection_stable_under_parallelism():
     parallel = run_lint(dirty_modules(), rules=["structural", "xprop"],
                         workers=4)
     assert serial.to_json() == parallel.to_json()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the module list only under fork",
+)
+def test_fanout_pickles_no_module(monkeypatch):
+    """The modules reach pool workers through the pool initializer, so
+    under fork no task carries (and pickles) a Module graph."""
+    pickled = []
+
+    def counting_reduce_ex(self, protocol):
+        pickled.append(self.name)
+        return object.__reduce_ex__(self, protocol)
+
+    monkeypatch.setattr(Module, "__reduce_ex__", counting_reduce_ex,
+                        raising=False)
+    modules = dirty_modules()
+    with using_store(ArtifactStore()):
+        parallel = lint_modules(modules, workers=2)
+    with using_store(ArtifactStore()):
+        serial = lint_modules(dirty_modules(), workers=1)
+    assert pickled == []
+    assert [f.to_dict() for f in parallel] == [f.to_dict() for f in serial]

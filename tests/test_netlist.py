@@ -4,6 +4,7 @@ import pytest
 
 from repro.lint import run_lint
 from repro.netlist import Module, NetlistError, make_default_library
+from repro.netlist.netlist import PinRef
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,34 @@ class TestEditing:
         m.rewire_pin("u_carry", "Y", "carry2")
         assert m.nets["carry"].driver is None
         assert m.nets["carry2"].driver.instance == "u_carry"
+
+    def test_rewire_moves_only_the_named_pin(self, lib):
+        """Two input pins of one instance on one net: rewiring one of
+        them moves that pin's load alone, and keeps the others in
+        order."""
+        m = Module("t", lib)
+        for port in ("a", "b"):
+            m.add_port(port, "input")
+        m.add_instance("u0", "AND2_X1", {"A": "a", "B": "a", "Y": "y0"})
+        m.add_instance("u1", "INV_X1", {"A": "a", "Y": "y1"})
+        m.rewire_pin("u0", "A", "b")
+        assert m.nets["a"].loads == [PinRef("u0", "B"), PinRef("u1", "A")]
+        assert m.nets["b"].loads == [PinRef("u0", "A")]
+        assert m.instances["u0"].connections == {"A": "b", "B": "a",
+                                                 "Y": "y0"}
+
+    def test_remove_instance_keeps_remaining_loads_in_order(self, lib):
+        m = Module("t", lib)
+        m.add_port("a", "input")
+        for index in range(4):
+            m.add_instance(f"u{index}", "AND2_X1",
+                           {"A": "a", "B": "a", "Y": f"y{index}"})
+        m.remove_instance("u1")
+        assert m.nets["a"].loads == [
+            PinRef(name, pin) for name in ("u0", "u2", "u3")
+            for pin in ("A", "B")
+        ]
+        assert m.nets["y1"].driver is None
 
     def test_swap_cell_drive_strength(self, lib):
         m = build_half_adder(lib)
