@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Tuple
 from weakref import WeakKeyDictionary
 
@@ -114,6 +115,12 @@ class ModuleAnalysis:
     observable: FrozenSet[str]
     reset_assured: FrozenSet[str]
 
+    @cached_property
+    def stuck(self) -> List[Tuple[str, str]]:
+        """:func:`stuck_nets`, walked once per analysis: CONST-001,
+        DEAD-002 and the derived safety properties all read it."""
+        return _find_stuck_nets(self)
+
 
 _CACHE: "WeakKeyDictionary[Module, Dict[tuple, ModuleAnalysis]]" = (
     WeakKeyDictionary()
@@ -135,9 +142,10 @@ def analyze_module(
     """Run (or fetch cached) fixpoints for one module.
 
     The in-process memo is keyed on module *content* (its fingerprint)
-    plus the dialect pair, so one lint pass shares a single engine run
-    per domain across the four rule families -- and an in-place ECO
-    edit invalidates the memo instead of serving stale fixpoints.
+    plus the dialect pair's fields (never their names, see
+    :func:`_dialect`), so one lint pass shares a single engine run per
+    domain across the four rule families -- and an in-place ECO edit
+    invalidates the memo instead of serving stale fixpoints.
 
     Each domain is solved cone by cone through the ambient
     :class:`repro.store.ArtifactStore` (see
@@ -148,7 +156,8 @@ def analyze_module(
     so bypasses the memo (the store is still consulted).
     """
     per_module = _CACHE.setdefault(module, {})
-    key = (module.fingerprint(), config_a.name, config_b.name)
+    dialect_a, dialect_b = _dialect(config_a), _dialect(config_b)
+    key = (module.fingerprint(), dialect_a, dialect_b)
     cached = per_module.get(key)
     if cached is not None and cone_stats is None:
         return cached
@@ -162,7 +171,7 @@ def analyze_module(
         module,
         ConstantDomain(config_a, uninit_mask=uninit),
         partition,
-        domain_token=lambda cone: ["const", config_a.name, uninit],
+        domain_token=lambda cone: ["const", dialect_a, uninit],
         store=store,
         stats=stats,
     )
@@ -176,7 +185,7 @@ def analyze_module(
         DualConstantDomain(config_a, config_b, reset_assured=reset_assured),
         partition,
         domain_token=lambda cone: [
-            "dual", config_a.name, config_b.name, _assured_in(cone)
+            "dual", dialect_a, dialect_b, _assured_in(cone)
         ],
         store=store,
         stats=stats,
@@ -213,6 +222,14 @@ def analyze_module(
     return analysis
 
 
+def _dialect(config: SimulatorConfig) -> Tuple[int, bool, int]:
+    """What a fixpoint reads of a dialect: every field but its name.
+    Two configs that share a name but differ in content must never
+    share a memo entry or a cone result."""
+    return (int(config.uninitialized_flop), config.x_pessimism,
+            config.max_settle_rounds)
+
+
 def _uninit_mask(config_a: SimulatorConfig, config_b: SimulatorConfig) -> int:
     """Single-dialect power-on set covering both dialects."""
     mask = 0
@@ -232,6 +249,10 @@ def stuck_nets(analysis: ModuleAnalysis) -> List[Tuple[str, str]]:
     Tie-cell outputs are exempt (a constant is their job); everything
     else stuck at 0 or 1 is frozen logic.  Returns (net, value) pairs.
     """
+    return list(analysis.stuck)
+
+
+def _find_stuck_nets(analysis: ModuleAnalysis) -> List[Tuple[str, str]]:
     module = analysis.module
     out: List[Tuple[str, str]] = []
     for name in sorted(module.nets):

@@ -68,7 +68,7 @@ from .engine import AbstractDomain, FixpointResult, Value
 #: Bump to invalidate every cached cone result (new domain semantics,
 #: new payload schema).  Per-module lint findings carry their own
 #: :data:`repro.lint.LINT_VERSION`; bump it too when findings change.
-ANALYSIS_VERSION = "1"
+ANALYSIS_VERSION = "2"
 
 #: Store domain under which per-cone transfer results are filed.
 CONE_STORE_DOMAIN = "analysis.cone"

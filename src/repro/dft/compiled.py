@@ -7,26 +7,37 @@ per fault per batch.  This module takes the same route the compiled
 functional backend took -- compile once, sweep flat -- and applies it
 to the *fault universe*:
 
-* **Good program.**  The combinational network is levelized once
+* **Integer compile.**  Each view is compiled once into integer
+  tables (:class:`_ViewCompile`): per combinational instance, in
+  topological order, its output slot, input slots, level
   (:func:`repro.sim.compiled.levelize_combinational` -- the same
   levelization the functional bit-plane engine uses, so level
-  boundaries agree across engines by construction) and flattened into
-  per-level literal matrices.  Patterns ride the 64 bit-lanes of each
-  ``uint64`` word; one fancy-index + ``bitwise_and.reduce`` +
-  ``bitwise_or.reduceat`` per level evaluates every gate across the
-  whole batch.
+  boundaries agree across engines by construction) and cell code; per
+  cell, its minterm rows and, per (input pin, stuck-at), the rows with
+  that literal folded out; and per instance its fanout cone as a
+  Python-int bitset, filled in one reverse-topological pass.  Every
+  program below is numpy gathers over these tables.
+
+* **Good program.**  Per-level literal matrices of the fault-free
+  machine.  Patterns ride the 64 bit-lanes of each ``uint64`` word;
+  one fancy-index + ``bitwise_and.reduce`` + ``bitwise_or.reduceat``
+  per level evaluates every gate across the whole batch.
 
 * **Fault program.**  Every active fault gets a private *overlay
   slot* per gate in its fanout cone.  Stem (output-pin) faults are
   constant forces written onto the overlay before the sweep; branch
   (input-pin) faults are realized by folding the forced literal out
-  of the site gate's minterm rows.  All cones are concatenated into
-  one flat program sorted by level, so a single level sweep -- the
-  same three numpy calls -- advances *every* faulty machine at once,
-  and forces are injected at the level boundaries of the shared
-  levelized program.  Detection is ``good ^ faulty`` at the
-  observation points (pseudo outputs reached by each cone), OR-folded
-  per fault with one ``reduceat``.
+  of the site gate's minterm rows.  The cone rows of every fault site
+  form one template table (cone members read off the bitsets, inputs
+  inside the cone marked as overlay literals), and each fault's rows
+  are that template offset by the fault's overlay base -- gathered for
+  the whole universe with one ``repeat`` plus a ragged ``arange``.
+  All cones are concatenated into one flat program sorted by level,
+  so a single level sweep -- the same three numpy calls -- advances
+  *every* faulty machine at once, and forces are injected at the
+  level boundaries of the shared levelized program.  Detection is
+  ``good ^ faulty`` at the observation points (pseudo outputs reached
+  by each cone), OR-folded per fault with one ``reduceat``.
 
 * **Fault dropping.**  A batch is graded in word *chunks* (64, 64,
   128, 256, ... patterns): after each chunk, newly detected faults
@@ -37,7 +48,8 @@ to the *fault universe*:
   batch flat, and therefore to the reference kernel.
 
 Programs are cached per view in a :class:`~weakref.WeakKeyDictionary`
-(never pickled; pool workers rebuild their own), and the kernel is
+(never pickled; pool workers rebuild their own; nothing cached refers
+back to the view, so an entry dies with it), and the kernel is
 ``engine="compiled"``, the default of
 :func:`repro.dft.faultsim.random_pattern_fault_sim` and
 :func:`repro.dft.atpg.run_atpg`.  Throughput counters report under
@@ -47,12 +59,12 @@ the ``dft.fault_sim.compiled`` perf stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from ..netlist.netlist import Instance
+from ..netlist.library import Cell
 from ..perf import stage_timer
 from ..sim.compiled import levelize_combinational
 from .faults import Fault
@@ -73,6 +85,10 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: chunk would cost more than the stale rows it trims.
 _RESELECT_RATIO = 0.5
 
+#: Bytes of cone bitsets unpacked at a time: bounds the transient
+#: memory of :meth:`_ViewCompile.cone_tables` whatever the block size.
+_UNPACK_BYTES = 1 << 20
+
 
 def _first_set_bits(det: np.ndarray) -> np.ndarray:
     """Per row of a ``(faults, words)`` array: index of the lowest set
@@ -90,6 +106,300 @@ def _first_set_bits(det: np.ndarray) -> np.ndarray:
     return np.where(has_hit, word_index * _WORD_BITS + bit, -1)
 
 
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` for every (start, count) pair,
+    concatenated, without a Python loop."""
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return (np.repeat(np.asarray(starts, dtype=np.int64) - offsets, counts)
+            + np.arange(int(counts.sum()), dtype=np.int64))
+
+
+def _row_table(
+    rows: list[tuple[list[int], list[int]]], width: int, pad: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(position, invert, length) arrays of literal rows, padded to
+    ``width`` with the ``pad`` position."""
+    pos = np.full((len(rows), width), pad, dtype=np.int64)
+    inv = np.zeros((len(rows), width), dtype=np.int32)
+    for k, (row_pos, row_inv) in enumerate(rows):
+        pos[k, : len(row_pos)] = row_pos
+        inv[k, : len(row_inv)] = row_inv
+    return pos, inv, np.array([len(p) for p, _ in rows], dtype=np.int64)
+
+
+class _ConeTables(NamedTuple):
+    """Flat cone templates of a list of fault sites.
+
+    Per site: its cone size, then ``count`` template rows covering the
+    cone *downstream* of the site in topological order, then
+    ``det_count`` observation points, in pseudo-output order.  A
+    template literal is ``2*code + invert``: the code is a slot, or --
+    where ``overlay`` is set -- the cone-local index of the member
+    driving that input (the site itself is local 0), which a fault
+    offsets by its overlay base.
+    """
+
+    cone_size: np.ndarray
+    count: np.ndarray
+    lit: np.ndarray
+    overlay: np.ndarray
+    level: np.ndarray
+    #: cone-local index of the row's own member (its output).
+    local: np.ndarray
+    #: literals in the row before padding.
+    length: np.ndarray
+    det_count: np.ndarray
+    det_local: np.ndarray
+    det_good: np.ndarray
+
+
+class _ViewCompile:
+    """Integer tables of one view, shared by every program built on it.
+
+    Instances are numbered in :attr:`CombinationalView._order`.  A
+    literal *position* indexes a row of :attr:`ext`: columns
+    ``0..width-1`` are the instance's input slots, column ``width``
+    (``pad``) is the constant-1 slot -- the AND identity, also the
+    literal of a row with nothing left to test -- and column
+    ``width + 1`` (``const0``) the constant-0 slot.  A literal is the
+    value-array row ``2*slot + invert``.
+    """
+
+    def __init__(self, view: CombinationalView) -> None:
+        module = view.module
+        net_slot = {net: index for index, net in enumerate(module.nets)}
+        n_nets = len(net_slot)
+        self.const0 = n_nets
+        self.const1 = n_nets + 1
+        self.n_slots = n_nets + 2
+        self.pi_slots = np.array(
+            [net_slot[net] for net in view.pseudo_inputs], dtype=np.intp
+        )
+        net_level, _ = levelize_combinational(module)
+
+        cell_code: dict[str, int] = {}
+        cells: list[Cell] = []
+        pin_pos: list[dict[str, int]] = []
+        code: list[int] = []
+        out_slot: list[int] = []
+        level: list[int] = []
+        in_flat: list[int] = []
+        n_in: list[int] = []
+        driver = [-1] * self.n_slots
+        loads: list[list[int]] = []
+        #: instance name -> (instance number, pin -> input position,
+        #: -1 for the output).
+        self.sites: dict[str, tuple[int, dict[str, int]]] = {}
+        for index, inst in enumerate(view._order):
+            cell = inst.cell
+            c = cell_code.setdefault(cell.name, len(cell_code))
+            if c == len(cells):
+                cells.append(cell)
+                pin_pos.append({
+                    pin.name: (cell.input_pins.index(pin.name)
+                               if pin.direction == "input" else -1)
+                    for pin in cell.pins
+                })
+            nets = inst.connections
+            ins = [net_slot[nets[pin]] for pin in cell.input_pins]
+            for slot in ins:
+                if driver[slot] >= 0:
+                    loads[driver[slot]].append(index)
+            out_net = nets[cell.output_pins[0]]
+            driver[net_slot[out_net]] = index
+            loads.append([])
+            self.sites[inst.name] = (index, pin_pos[c])
+            code.append(c)
+            out_slot.append(net_slot[out_net])
+            level.append(net_level[out_net])
+            in_flat.extend(ins)
+            n_in.append(len(ins))
+        n = len(code)
+        self.n_inst = n
+        width = max(n_in, default=0) or 1
+        self.width = width
+        pad, const0 = width, width + 1
+
+        self.code = np.array(code, dtype=np.int64)
+        self.out_slot = np.array(out_slot, dtype=np.int64)
+        self.level = np.array(level, dtype=np.int64)
+        #: per instance: input slots, then the const1 and const0 slots.
+        ext = np.full((n, width + 2), self.const1, dtype=np.int64)
+        ext[:, const0] = self.const0
+        counts = np.array(n_in, dtype=np.int64)
+        ext[np.repeat(np.arange(n), counts),
+            _ragged(np.zeros(n, dtype=np.int64), counts)] = in_flat
+        self.ext = ext
+        slot_driver = np.array(driver, dtype=np.int64)
+        #: driving instance of every ext literal, -1 outside the network.
+        self.ext_driver = slot_driver[ext]
+
+        # Per cell: minterm rows (constant cells become one const0 or
+        # const1 row), and per (input position, stuck-at) the folded
+        # rows a branch fault leaves on its site gate.
+        rows: list[tuple[list[int], list[int]]] = []
+        fold: list[tuple[list[int], list[int]]] = []
+        row_start: list[int] = []
+        fold_start = np.zeros(len(cells) * width * 2, dtype=np.int64)
+        fold_count = np.zeros(len(cells) * width * 2, dtype=np.int64)
+        for c, cell in enumerate(cells):
+            minterms = view._minterms[cell.name]
+            inputs = cell.input_pins
+            row_start.append(len(rows))
+            if not minterms:
+                rows.append(([const0], [0]))
+            elif not minterms[0]:
+                rows.append(([pad], [0]))
+            else:
+                rows.extend(
+                    (list(range(len(inputs))), [1 - bit for bit in minterm])
+                    for minterm in minterms
+                )
+            for j in range(len(inputs)):
+                for stuck in (0, 1):
+                    key = (c * width + j) * 2 + stuck
+                    kept = [
+                        ([k for k in range(len(inputs)) if k != j],
+                         [1 - minterm[k] for k in range(len(inputs))
+                          if k != j])
+                        for minterm in minterms if minterm[j] == stuck
+                    ]
+                    kept = [row if row[0] else ([pad], [0]) for row in kept]
+                    fold_start[key] = len(fold)
+                    fold.extend(kept or [([const0], [0])])
+                    fold_count[key] = len(fold) - fold_start[key]
+        self.row_start = np.array(row_start, dtype=np.int64)
+        self.row_count = np.diff(np.append(self.row_start, len(rows)))
+        self.row_pos, self.row_inv, self.row_len = _row_table(
+            rows, width, pad)
+        self.fold_start, self.fold_count = fold_start, fold_count
+        self.fold_pos, self.fold_inv, self.fold_len = _row_table(
+            fold, width, pad)
+
+        # Fanout cones: bit k of cones[j] is set when instance j + k is
+        # in instance j's cone (bit 0, the instance itself, always is);
+        # loads follow their drivers in the order.
+        cones = [0] * n
+        for index in range(n - 1, -1, -1):
+            cone = 1
+            for load in loads[index]:
+                cone |= cones[load] << (load - index)
+            cones[index] = cone
+        self.cones = cones
+
+        # Pseudo outputs per driving instance, in pseudo-output order.
+        po_slot = np.array(
+            [net_slot[net] for net in view.pseudo_outputs], dtype=np.int64
+        )
+        po_driver = slot_driver[po_slot]
+        po_index = np.flatnonzero(po_driver >= 0)
+        po_index = po_index[np.argsort(po_driver[po_index], kind="stable")]
+        self.po_index = po_index
+        self.po_slot = po_slot
+        self.po_count = np.bincount(po_driver[po_index], minlength=n)
+        self.po_start = np.cumsum(self.po_count) - self.po_count
+
+    def good_levels(
+        self,
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-level (literal matrix, reduceat segments, output slots)
+        of the fault-free machine, each matrix as wide as its level's
+        widest row."""
+        if not self.n_inst:
+            return []
+        order = np.argsort(self.level, kind="stable")
+        counts = self.row_count[self.code[order]]
+        rows = _ragged(self.row_start[self.code[order]], counts)
+        lit = (self.ext[np.repeat(order, counts)[:, None], self.row_pos[rows]]
+               * 2 + self.row_inv[rows])
+        length = self.row_len[rows]
+        row_first = np.append(np.cumsum(counts) - counts, rows.size)
+        bounds = np.concatenate([
+            [0], np.flatnonzero(np.diff(self.level[order])) + 1, [order.size]
+        ])
+        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            lo, hi = row_first[a], row_first[b]
+            levels.append((
+                np.ascontiguousarray(
+                    lit[lo:hi, : length[lo:hi].max()], dtype=np.intp),
+                (row_first[a:b] - lo).astype(np.intp),
+                self.out_slot[order[a:b]].astype(np.intp),
+            ))
+        return levels
+
+    def cone_tables(self, sites: np.ndarray) -> _ConeTables:
+        """Cone templates of ``sites`` (instance numbers), in order."""
+        # (site, member) pairs: the set bits of each site's cone, read a
+        # byte at a time and a block of sites at a time, members
+        # ascending within a site.
+        site_list = sites.tolist()
+        n_bytes = (max((self.cones[s].bit_length() for s in site_list),
+                       default=0) + 7) // 8
+        step = max(1, _UNPACK_BYTES // max(n_bytes, 1))
+        site_parts = [np.zeros(0, dtype=np.int64)]
+        member_parts = [np.zeros(0, dtype=np.int64)]
+        for lo in range(0, len(site_list), step):
+            block = site_list[lo:lo + step]
+            packed = np.frombuffer(
+                b"".join(self.cones[s].to_bytes(n_bytes, "little")
+                         for s in block),
+                dtype=np.uint8,
+            ).reshape(len(block), n_bytes)
+            rows, cols = np.nonzero(packed)
+            hit, bit = np.nonzero(np.unpackbits(
+                packed[rows, cols][:, None], axis=1, bitorder="little"))
+            site_parts.append(lo + rows[hit])
+            member_parts.append(sites[lo + rows[hit]] + cols[hit] * 8 + bit)
+        pair_site = np.concatenate(site_parts)
+        member = np.concatenate(member_parts)
+        cone_size = np.bincount(pair_site, minlength=sites.size)
+        local = np.arange(member.size) - np.repeat(
+            np.cumsum(cone_size) - cone_size, cone_size)
+
+        # Members downstream of the site, and per input the cone-local
+        # index of its driver: the pairs are sorted by (site, member),
+        # so a search finds the driver's pair when it is in the cone.
+        inner = local > 0
+        inner_member = member[inner]
+        key = pair_site * self.n_inst + member
+        drv = self.ext_driver[inner_member]
+        query = pair_site[inner][:, None] * self.n_inst + drv
+        at = np.minimum(np.searchsorted(key, query), key.size - 1)
+        input_local = np.where(
+            (drv >= 0) & (key[at] == query), local[at], -1)
+
+        # Template rows: the minterm rows of every inner member.
+        counts = self.row_count[self.code[inner_member]]
+        cell_rows = _ragged(self.row_start[self.code[inner_member]], counts)
+        pair = np.repeat(np.arange(inner_member.size), counts)
+        pos = self.row_pos[cell_rows]
+        code = input_local[pair[:, None], pos]
+        overlay = code >= 0
+        code = np.where(
+            overlay, code, self.ext[inner_member[pair][:, None], pos])
+
+        # Observation points: pseudo outputs a cone member drives.
+        driven = self.po_count[member]
+        entry = np.repeat(np.arange(member.size), driven)
+        po = self.po_index[_ragged(self.po_start[member], driven)]
+        det = np.lexsort((po, pair_site[entry]))
+        entry, po = entry[det], po[det]
+        return _ConeTables(
+            cone_size=cone_size,
+            count=np.bincount(pair_site[inner][pair], minlength=sites.size),
+            lit=(code * 2 + self.row_inv[cell_rows]).astype(np.int32),
+            overlay=overlay,
+            level=self.level[inner_member][pair],
+            local=local[inner][pair],
+            length=self.row_len[cell_rows],
+            det_count=np.bincount(pair_site[entry], minlength=sites.size),
+            det_local=local[entry],
+            det_good=self.po_slot[po],
+        )
+
+
 class _GoodProgram:
     """Flat levelized program for the fault-free machine.
 
@@ -98,68 +408,17 @@ class _GoodProgram:
     index ``2*slot + invert`` and no XOR pass is needed in the sweep.
     """
 
-    def __init__(self, view: CombinationalView) -> None:
-        self.view = view
-        module = view.module
-        self.net_slot: dict[str, int] = {
-            net: index for index, net in enumerate(module.nets)
-        }
-        n_nets = len(self.net_slot)
-        self.const0 = n_nets
-        self.const1 = n_nets + 1
-        self.n_slots = n_nets + 2
+    def __init__(self, view: CombinationalView,
+                 compiled: _ViewCompile) -> None:
+        self.const1 = compiled.const1
+        self.n_slots = compiled.n_slots
         self.pi_nets: list[str] = list(view.pseudo_inputs)
-        self.pi_slots = np.array(
-            [self.net_slot[net] for net in self.pi_nets], dtype=np.intp
-        )
+        self.pi_slots = compiled.pi_slots
+        self.levels = compiled.good_levels()
 
         #: reusable value/complement workspace (grow-only, see
         #: :meth:`evaluate`).
         self._values_buf: np.ndarray | None = None
-
-        net_level, by_level = levelize_combinational(module)
-        self.inst_level: dict[str, int] = {}
-        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for level_index, insts in enumerate(by_level):
-            rows: list[list[int]] = []
-            seg: list[int] = []
-            out: list[int] = []
-            for inst in insts:
-                self.inst_level[inst.name] = level_index + 1
-                seg.append(len(rows))
-                rows.extend(self._instance_rows(inst))
-                out.append(
-                    self.net_slot[inst.net_of(inst.cell.output_pins[0])]
-                )
-            n_max = max(len(row) for row in rows)
-            pad = self.const1 * 2  # constant-1 literal: AND identity
-            lit = np.array(
-                [row + [pad] * (n_max - len(row)) for row in rows],
-                dtype=np.intp,
-            )
-            self.levels.append((
-                lit,
-                np.array(seg, dtype=np.intp),
-                np.array(out, dtype=np.intp),
-            ))
-
-    def _instance_rows(self, inst: Instance) -> list[list[int]]:
-        """Minterm literal rows (``2*slot + invert`` indices) for one
-        instance; constant cells become a single const literal."""
-        minterms = self.view._minterms[inst.cell.name]
-        if not minterms:
-            return [[self.const0 * 2]]
-        if not minterms[0]:
-            return [[self.const1 * 2]]
-        in_slots = [
-            self.net_slot[inst.net_of(pin)]
-            for pin in inst.cell.input_pins
-        ]
-        return [
-            [in_slots[j] * 2 + (0 if bit else 1)
-             for j, bit in enumerate(minterm)]
-            for minterm in minterms
-        ]
 
     def pack_stimulus(
         self, bits: Mapping[str, np.ndarray], width: int
@@ -209,139 +468,6 @@ class _GoodProgram:
         return values
 
 
-class _SiteTemplate:
-    """Shared cone structure for every fault on one site.
-
-    Rows cover the cone *downstream* of the site gate with overlay
-    references encoded as negative slot codes; per-fault assembly only
-    offsets them by the fault's overlay base, so the Python cost of
-    building a universe is paid once per site, not once per fault.
-    """
-
-    def __init__(self, good: _GoodProgram, instance: str) -> None:
-        view = good.view
-        cone = view.fanout_cone(instance)
-        overlay: dict[str, int] = {}
-        for member in cone:
-            overlay[member.net_of(member.cell.output_pins[0])] = len(overlay)
-        self.overlay = overlay
-        self.n_overlay = len(overlay)
-        site = view.module.instances[instance]
-        self.site_out_local = overlay[
-            site.net_of(site.cell.output_pins[0])
-        ]
-
-        slot_rows: list[list[int]] = []
-        inv_rows: list[list[int]] = []
-        level_of_row: list[int] = []
-        group_of_row: list[int] = []
-        out_of_group: list[int] = []
-        group = 0
-        for member in cone:
-            if member.name == instance:
-                continue
-            rows = self._member_rows(good, member)
-            out_local = overlay[
-                member.net_of(member.cell.output_pins[0])
-            ]
-            for slots, invs in rows:
-                slot_rows.append(slots)
-                inv_rows.append(invs)
-                level_of_row.append(good.inst_level[member.name])
-                group_of_row.append(group)
-            out_of_group.append(out_local)
-            group += 1
-        self.n_groups = group
-        n_max = max((len(row) for row in slot_rows), default=1)
-        self.n_max = n_max
-        n_rows = len(slot_rows)
-        self.slot = np.array(
-            [row + [good.const1] * (n_max - len(row)) for row in slot_rows],
-            dtype=np.int64,
-        ).reshape(n_rows, n_max)
-        self.inv = np.array(
-            [row + [0] * (n_max - len(row)) for row in inv_rows],
-            dtype=np.int64,
-        ).reshape(n_rows, n_max)
-        self.level = np.array(level_of_row, dtype=np.int64)
-        self.group = np.array(group_of_row, dtype=np.int64)
-        self.out_local = np.array(out_of_group, dtype=np.int64)
-        # Observation points this cone can reach.
-        self.det_local = np.array(
-            [overlay[net] for net in view.pseudo_outputs if net in overlay],
-            dtype=np.int64,
-        )
-        self.det_good = np.array(
-            [good.net_slot[net] for net in view.pseudo_outputs
-             if net in overlay],
-            dtype=np.int64,
-        )
-
-    def _member_rows(
-        self, good: _GoodProgram, member: Instance
-    ) -> list[tuple[list[int], list[int]]]:
-        """(slot-codes, inverts) rows for a downstream cone member;
-        cone-internal nets use negative overlay codes."""
-        view = good.view
-        minterms = view._minterms[member.cell.name]
-        if not minterms:
-            return [([good.const0], [0])]
-        if not minterms[0]:
-            return [([good.const1], [0])]
-        pins = member.cell.input_pins
-        rows: list[tuple[list[int], list[int]]] = []
-        for minterm in minterms:
-            slots: list[int] = []
-            invs: list[int] = []
-            for j, bit in enumerate(minterm):
-                net = member.net_of(pins[j])
-                local = self.overlay.get(net)
-                slots.append(
-                    good.net_slot[net] if local is None else -(local + 1)
-                )
-                invs.append(0 if bit else 1)
-            rows.append((slots, invs))
-        return rows
-
-
-def _site_rows_for_fault(
-    good: _GoodProgram, template: _SiteTemplate, fault: Fault
-) -> list[tuple[list[int], list[int]]] | None:
-    """Site-gate rows with the faulted input literal folded out, or
-    ``None`` for a stem (output-pin) fault, which is a pure force."""
-    view = good.view
-    site = view.module.instances[fault.instance]
-    if site.cell.pin(fault.pin).direction == "output":
-        return None
-    minterms = view._minterms[site.cell.name]
-    pins = site.cell.input_pins
-    rows: list[tuple[list[int], list[int]]] = []
-    for minterm in minterms:
-        slots: list[int] = []
-        invs: list[int] = []
-        contradicted = False
-        for j, bit in enumerate(minterm):
-            if pins[j] == fault.pin:
-                if bit == fault.stuck_at:
-                    continue  # forced literal is always true: drop it
-                contradicted = True
-                break
-            net = site.net_of(pins[j])
-            local = template.overlay.get(net)
-            slots.append(
-                good.net_slot[net] if local is None else -(local + 1)
-            )
-            invs.append(0 if bit else 1)
-        if contradicted:
-            continue
-        if not slots:
-            slots, invs = [good.const1], [0]
-        rows.append((slots, invs))
-    if not rows:
-        rows.append(([good.const0], [0]))
-    return rows
-
-
 @dataclass
 class _Selection:
     """Program rows restricted to the currently active faults."""
@@ -360,139 +486,115 @@ class _Selection:
 
 
 class FaultProgram:
-    """A fused flat program covering one fault universe on one view."""
+    """A fused flat program covering one fault universe on one view.
+
+    Faults are laid out grouped by site, sites in first-occurrence
+    order.  Each fault owns one overlay slot per member of its site's
+    cone (its *base* is the running sum of cone sizes) and, if it is a
+    branch fault, the folded site rows ahead of its cone template rows;
+    rows are then stably sorted by level.
+    """
 
     def __init__(
         self, good: _GoodProgram, faults: Sequence[Fault],
-        templates: dict[str, _SiteTemplate],
+        compiled: _ViewCompile,
     ) -> None:
         self.good = good
         self.faults: list[Fault] = list(faults)
         self.fault_index: dict[Fault, int] = {
             fault: index for index, fault in enumerate(self.faults)
         }
-        by_site: dict[str, list[Fault]] = {}
+        n_faults = len(self.faults)
+        # A repeated fault grades under its last position.
+        fid = np.array([self.fault_index[f] for f in self.faults],
+                       dtype=np.int64)
+        # Group by site, sites in first-occurrence order.
+        site_rank: dict[int, int] = {}
+        ranks: list[int] = []
+        pins: list[int] = []
         for fault in self.faults:
-            by_site.setdefault(fault.instance, []).append(fault)
+            index, pin_pos = compiled.sites[fault.instance]
+            ranks.append(site_rank.setdefault(index, len(site_rank)))
+            pins.append(pin_pos[fault.pin])
+        rank = np.array(ranks, dtype=np.int64)
+        grouped = np.argsort(rank, kind="stable")
+        site_of = rank[grouped]
+        sites = np.array(list(site_rank), dtype=np.int64)
+        site = sites[site_of]
+        pin = np.array(pins, dtype=np.int64)[grouped]
+        stuck = np.array([fault.stuck_at for fault in self.faults],
+                         dtype=np.int64)[grouped]
+        fid = fid[grouped]
+        tables = compiled.cone_tables(sites)
 
-        slot_parts: list[np.ndarray] = []
-        inv_parts: list[np.ndarray] = []
-        level_parts: list[np.ndarray] = []
-        group_parts: list[np.ndarray] = []
-        out_parts: list[np.ndarray] = []
-        fid_parts: list[np.ndarray] = []
-        det_overlay_parts: list[np.ndarray] = []
-        det_good_parts: list[np.ndarray] = []
-        det_fid_parts: list[np.ndarray] = []
-        stem0: list[int] = []
-        stem1: list[int] = []
-        stem0_fid: list[int] = []
-        stem1_fid: list[int] = []
-        overlay_base = good.n_slots
-        group_base = 0
-        n_max = 1
-        for site, site_faults in by_site.items():
-            template = templates.get(site)
-            if template is None:
-                template = templates[site] = _SiteTemplate(good, site)
-            n_max = max(n_max, template.n_max)
-            site_level = good.inst_level[site]
-            for fault in site_faults:
-                fid = self.fault_index[fault]
-                site_rows = _site_rows_for_fault(good, template, fault)
-                site_out = overlay_base + template.site_out_local
-                if site_rows is None:
-                    (stem1 if fault.stuck_at else stem0).append(site_out)
-                    (stem1_fid if fault.stuck_at else stem0_fid).append(fid)
-                else:
-                    count = len(site_rows)
-                    width = max(
-                        template.n_max,
-                        max(len(slots) for slots, _ in site_rows),
-                    )
-                    n_max = max(n_max, width)
-                    slots_arr = np.full((count, width), good.const1,
-                                        dtype=np.int64)
-                    inv_arr = np.zeros((count, width), dtype=np.int64)
-                    for k, (slots, invs) in enumerate(site_rows):
-                        slots_arr[k, : len(slots)] = slots
-                        inv_arr[k, : len(invs)] = invs
-                    slots_arr = np.where(
-                        slots_arr < 0, overlay_base + (-slots_arr - 1),
-                        slots_arr,
-                    )
-                    slot_parts.append(slots_arr)
-                    inv_parts.append(inv_arr)
-                    level_parts.append(
-                        np.full(count, site_level, dtype=np.int64)
-                    )
-                    group_parts.append(
-                        np.full(count, group_base, dtype=np.int64)
-                    )
-                    out_parts.append(
-                        np.full(count, site_out, dtype=np.int64)
-                    )
-                    fid_parts.append(np.full(count, fid, dtype=np.int64))
-                if template.slot.shape[0]:
-                    slots_arr = np.where(
-                        template.slot < 0,
-                        overlay_base + (-template.slot - 1),
-                        template.slot,
-                    )
-                    slot_parts.append(slots_arr)
-                    inv_parts.append(template.inv)
-                    level_parts.append(template.level)
-                    group_parts.append(template.group + (group_base + 1))
-                    out_parts.append(
-                        template.out_local[template.group] + overlay_base
-                    )
-                    fid_parts.append(
-                        np.full(template.slot.shape[0], fid, dtype=np.int64)
-                    )
-                group_base += template.n_groups + 1
-                det_overlay_parts.append(template.det_local + overlay_base)
-                det_good_parts.append(template.det_good)
-                det_fid_parts.append(
-                    np.full(template.det_local.size, fid, dtype=np.int64)
-                )
-                overlay_base += template.n_overlay
-        self.n_slots = overlay_base
-        self.stem0 = np.array(stem0, dtype=np.intp)
-        self.stem1 = np.array(stem1, dtype=np.intp)
-        self.stem0_fault = np.array(stem0_fid, dtype=np.int64)
-        self.stem1_fault = np.array(stem1_fid, dtype=np.int64)
+        cone_size = tables.cone_size[site_of]
+        base = good.n_slots + np.cumsum(cone_size) - cone_size
+        self.n_slots = good.n_slots + int(cone_size.sum())
+        stem = pin < 0
+        self.stem0 = base[stem & (stuck == 0)].astype(np.intp)
+        self.stem1 = base[stem & (stuck == 1)].astype(np.intp)
+        self.stem0_fault = fid[stem & (stuck == 0)]
+        self.stem1_fault = fid[stem & (stuck == 1)]
 
-        def concat(parts: list[np.ndarray]) -> np.ndarray:
-            if not parts:
-                return np.zeros(0, dtype=np.int64)
-            return np.concatenate(parts)
+        # Folded site rows of the branch faults, in fault order.
+        branch = np.flatnonzero(~stem)
+        key = ((compiled.code[site[branch]] * compiled.width + pin[branch])
+               * 2 + stuck[branch])
+        site_count = np.zeros(n_faults, dtype=np.int64)
+        site_count[branch] = compiled.fold_count[key]
+        fold_rows = _ragged(compiled.fold_start[key],
+                            compiled.fold_count[key])
+        site_inst = np.repeat(site[branch], compiled.fold_count[key])
+        n_max = max(1, int(tables.length.max(initial=0)),
+                    int(compiled.fold_len[fold_rows].max(initial=0)))
 
-        def concat_padded(
-            parts: list[np.ndarray], fill: int
-        ) -> np.ndarray:
-            padded = []
-            for part in parts:
-                if part.shape[1] < n_max:
-                    extra = np.full(
-                        (part.shape[0], n_max - part.shape[1]), fill,
-                        dtype=part.dtype,
-                    )
-                    part = np.concatenate([part, extra], axis=1)
-                padded.append(part)
-            if not padded:
-                return np.zeros((0, n_max), dtype=np.int64)
-            return np.concatenate(padded)
+        # One source table: cone templates, then folded site rows.
+        n_template = tables.lit.shape[0]
+        src_lit = np.concatenate([
+            tables.lit[:, :n_max],
+            (compiled.ext[site_inst[:, None],
+                          compiled.fold_pos[fold_rows, :n_max]] * 2
+             + compiled.fold_inv[fold_rows, :n_max]).astype(np.int32),
+        ])
+        src_overlay = np.concatenate([
+            tables.overlay[:, :n_max],
+            np.zeros((fold_rows.size, n_max), dtype=bool),
+        ])
+        src_level = np.concatenate(
+            [tables.level, compiled.level[site_inst]])
+        src_local = np.concatenate(
+            [tables.local, np.zeros(fold_rows.size, dtype=np.int64)])
 
-        slot = concat_padded(slot_parts, good.const1)
-        inv = concat_padded(inv_parts, 0)
-        level = concat(level_parts)
+        # Per fault: its site rows, then its site's template rows.
+        template_count = tables.count[site_of]
+        template_start = (np.cumsum(tables.count)
+                          - tables.count)[site_of]
+        starts = np.empty(2 * n_faults, dtype=np.int64)
+        counts = np.empty(2 * n_faults, dtype=np.int64)
+        starts[0::2] = n_template + np.cumsum(site_count) - site_count
+        starts[1::2] = template_start
+        counts[0::2] = site_count
+        counts[1::2] = template_count
+        src = _ragged(starts, counts)
+        row_fault = np.repeat(np.arange(n_faults, dtype=np.int64),
+                              site_count + template_count)
+        # Sort keys in the smallest type that holds every level: on 8-
+        # and 16-bit keys numpy's stable sort is a radix sort.
+        level = src_level[src].astype(
+            np.min_scalar_type(src_level.max(initial=0)))
         order = np.argsort(level, kind="stable")
         level = level[order]
+        src = src[order]
+        row_fault = row_fault[order]
+
+        row_base = base[row_fault]
         #: literal matrix over the doubled value array: 2*slot + inv.
-        self.lit = (slot[order] * 2 + inv[order]).astype(np.intp)
-        self.group = concat(group_parts)[order]
-        self.out_of_row = concat(out_parts)[order]
-        self.fault_of_row = concat(fid_parts)[order]
+        self.lit = src_lit[src].astype(np.intp)
+        np.add(self.lit, (row_base * 2)[:, None], out=self.lit,
+               where=src_overlay[src])
+        self.out_of_row = row_base + src_local[src]
+        self.group = self.out_of_row - good.n_slots
+        self.fault_of_row = fid[row_fault]
         boundaries = np.flatnonzero(np.diff(level)) + 1
         self.level_bounds: list[tuple[int, int]] = [
             (int(a), int(b))
@@ -502,9 +604,14 @@ class FaultProgram:
             )
             if a != b
         ]
-        self.det_overlay = concat(det_overlay_parts).astype(np.intp)
-        self.det_good = concat(det_good_parts).astype(np.intp)
-        self.det_fault = concat(det_fid_parts)
+
+        det_count = tables.det_count[site_of]
+        det = _ragged((np.cumsum(tables.det_count)
+                       - tables.det_count)[site_of], det_count)
+        self.det_overlay = (np.repeat(base, det_count)
+                            + tables.det_local[det]).astype(np.intp)
+        self.det_good = tables.det_good[det].astype(np.intp)
+        self.det_fault = np.repeat(fid, det_count)
         #: precomputed full-universe selection: the first (and biggest)
         #: chunk of the first batch selects everything.
         self.full_selection = self.select(None)
@@ -680,10 +787,11 @@ def grade_batch(
     return hits
 
 
-#: Per-view program cache: (site templates, good program, universe
-#: program).  WeakKeyDictionary so views die naturally, and nothing
-#: here is ever pickled -- pool workers rebuild from the view.
-_CACHE: "WeakKeyDictionary[CombinationalView, tuple[_GoodProgram, dict[str, _SiteTemplate], list[FaultProgram]]]" = (
+#: Per-view program cache: (good program, integer compile, universe
+#: program).  WeakKeyDictionary so views die naturally (no entry
+#: refers back to its view), and nothing here is ever pickled -- pool
+#: workers rebuild from the view.
+_CACHE: "WeakKeyDictionary[CombinationalView, tuple[_GoodProgram, _ViewCompile, list[FaultProgram]]]" = (
     WeakKeyDictionary()
 )
 
@@ -697,15 +805,14 @@ def compile_fault_program(
     batch by batch, so one build serves the whole run."""
     entry = _CACHE.get(view)
     if entry is None:
-        good = _GoodProgram(view)
-        templates: dict[str, _SiteTemplate] = {}
-        entry = (good, templates, [])
+        compiled = _ViewCompile(view)
+        entry = (_GoodProgram(view, compiled), compiled, [])
         _CACHE[view] = entry
-    good, templates, programs = entry
+    good, compiled, programs = entry
     for program in programs:
         if all(fault in program.fault_index for fault in faults):
             return program
-    program = FaultProgram(good, faults, templates)
+    program = FaultProgram(good, faults, compiled)
     # Keep only the newest program: universes grow monotonically
     # within a flow (ATPG grades subsets of the fault-sim universe).
     programs.clear()

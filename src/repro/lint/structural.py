@@ -7,7 +7,7 @@ structural -- no simulation, no library timing data.
 
 from __future__ import annotations
 
-from ..netlist.netlist import Module
+from ..netlist.netlist import Module, NetlistError
 from .core import Finding, Rule, Severity, register
 
 
@@ -62,9 +62,17 @@ def check_unconnected_pins(rule: Rule, module: Module) -> list[Finding]:
 @register("STR-004", Severity.ERROR, "structural",
           "combinational loop")
 def check_combinational_loops(rule: Rule, module: Module) -> list[Finding]:
-    """Reports the actual instance cycle, not just that one exists."""
-    cycle = module.find_combinational_cycle()
-    if cycle is None:
+    """Reports the actual instance cycle, not just that one exists.
+
+    The module's cached topological order proves it loop-free; only a
+    module that order rejects is searched for the cycle.
+    """
+    try:
+        module.topological_combinational_order()
+        return []
+    except NetlistError:
+        cycle = module.find_combinational_cycle()
+    if cycle is None:  # pragma: no cover - the order only fails on a loop
         return []
     path = " -> ".join(cycle + [cycle[0]])
     return [rule.finding(

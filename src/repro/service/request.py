@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 from ..store import canonical_json
@@ -115,10 +116,12 @@ class FlowRequest:
             "clock_period_ps": float(self.clock_period_ps),
         }
 
-    @property
+    @cached_property
     def request_id(self) -> str:
         """Content hash of the request -- stable across submission
-        order, worker count and process, so reports key on it."""
+        order, worker count and process, so reports key on it.  The
+        request is frozen, so the hash is computed once: the service
+        reads it for every block and every finished unit."""
         body = canonical_json(["flow-request", self.to_dict()])
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 

@@ -5,10 +5,13 @@
 transfer tables behind the constant and dual domains.  None of that may
 show in a result:
 
-* a cone store recorded before the compiled engine existed
-  (``tests/goldens/analysis_cone_store.json``) still answers every cone
-  lookup, so keys and payloads are unchanged;
-* the shared tables never carry a result across dialects or libraries;
+* a recorded cone store (``tests/goldens/analysis_cone_store.json``)
+  answers every cone lookup and a cold run rewrites it byte for byte,
+  so keys and payloads move only on purpose -- it was last re-recorded
+  when the const and dual keys began naming the dialects' fields
+  instead of their names, with every payload unchanged;
+* the shared tables, the memo and the store never carry a result across
+  dialects or libraries, even between configs that share a name;
 * the cone-by-cone solve equals the monolithic ``FixpointEngine`` on
   generated blocks edited to reach the view's corner cases.
 """
@@ -148,6 +151,32 @@ class TestTransferTables:
         assert shared == fresh
         # The flipped X policy really is a different answer.
         assert fresh[0] != fresh[1]
+
+    def test_same_name_other_content_is_a_miss(self):
+        """Configs that keep the default names but turn X pessimism on
+        are served neither the default pair's memo entry nor its cones
+        (both were keyed on the names once)."""
+        module = build_mux_equal_legs(make_default_library(0.25))
+        pessimistic = (
+            dataclasses.replace(VENDOR_A_SIM, x_pessimism=True),
+            dataclasses.replace(VENDOR_B_SIM, x_pessimism=True),
+        )
+        fresh = cold_fixpoints(module, *pessimistic)
+        assert fresh != cold_fixpoints(module)
+        clear_analysis_memo()
+        with using_store(ArtifactStore()):
+            analyze_module(module)
+            after_memo = fixpoints_json(analyze_module(module, *pessimistic))
+        clear_analysis_memo()
+        stats = ConeRunStats()
+        with using_store(ArtifactStore()):
+            analyze_module(module)
+            clear_analysis_memo()
+            after_store = fixpoints_json(
+                analyze_module(module, *pessimistic, cone_stats=stats))
+        assert after_memo == fresh
+        assert after_store == fresh
+        assert stats.misses > 0
 
     def test_a_warm_table_enumerates_nothing(self, monkeypatch):
         module = block_from_budget("tbl", make_default_library(0.25),

@@ -10,11 +10,14 @@ return the same report through either engine, grading of the SAT
 generator's patterns included.
 """
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.netlist import Module, make_default_library, pipeline_block
+from repro.netlist.generators import block_from_budget
 from repro.dft import (
     CombinationalView,
     Fault,
@@ -281,6 +284,37 @@ class TestCompiledKernelUnit:
                 view, bits, width, remaining)
             remaining = [f for f in remaining if f not in hits]
 
+    def test_program_independent_of_unpack_block(self, lib, monkeypatch):
+        """Cone bitsets unpacked one site at a time build the same
+        program as one block does; a repeated fault grades under its
+        last position."""
+        from repro.dft import compiled
+
+        module = pipeline_block("blocks", lib, stages=2, width=6,
+                                cloud_gates=30, seed=4)
+        scanned, _ = insert_scan(module, n_chains=2)
+        view = CombinationalView(scanned)
+        faults = collapse_faults(scanned, enumerate_faults(scanned))
+        universe = faults + faults[:5]
+        clear_fault_program_cache()
+        whole = compile_fault_program(view, universe)
+        clear_fault_program_cache()
+        monkeypatch.setattr(compiled, "_UNPACK_BYTES", 1)
+        split = compile_fault_program(view, universe)
+        assert split is not whole
+        for name in ("lit", "group", "out_of_row", "fault_of_row",
+                     "det_overlay", "det_good", "det_fault", "stem0",
+                     "stem1", "stem0_fault", "stem1_fault"):
+            assert np.array_equal(getattr(split, name),
+                                  getattr(whole, name)), name
+        assert split.level_bounds == whole.level_bounds
+        assert split.n_slots == whole.n_slots
+        assert not np.isin(np.arange(5), split.fault_of_row).any()
+        assert not np.isin(np.arange(5), split.det_fault).any()
+        bits = view.random_pattern_bits(np.random.default_rng(4), 64)
+        assert grade_batch(split, bits, 64, faults) == (
+            _batch_first_hits_bigint(view, bits, 64, faults))
+
     def test_single_fault_universe(self, lib):
         module = counter_module(lib)
         view = CombinationalView(module)
@@ -289,3 +323,122 @@ class TestCompiledKernelUnit:
         bits = view.random_pattern_bits(np.random.default_rng(0), 8)
         hits = grade_batch(program, bits, 8, [fault])
         assert hits == _batch_first_hits_bigint(view, bits, 8, [fault])
+
+
+def _edit_block(module, position, edit, index):
+    """Wire one corner of the fault-program build into a generated
+    block, reading only nets upstream of the edited pin (no loops)."""
+    order = module.topological_combinational_order()
+    gates = [inst for inst in order if inst.cell.input_pins]
+    target = gates[index % len(gates)]
+    pin = target.cell.input_pins[index % len(target.cell.input_pins)]
+    upstream = [
+        name for name, port in module.ports.items()
+        if port.direction == "input"
+        and name not in CombinationalView.CONTROL_PORTS
+    ] + [flop.net_of("Q") for flop in module.sequential_instances] + [
+        inst.net_of(inst.cell.output_pins[0])
+        for inst in order[: order.index(target)]
+    ]
+    source = upstream[(index * 7) % len(upstream)]
+    other = upstream[(index * 13 + 1) % len(upstream)]
+    tag = f"__{edit}{position}"
+    if edit == "tie":
+        module.add_instance(tag, "TIEHI" if index % 2 else "TIELO",
+                            {"Y": f"{tag}_y"})
+        module.rewire_pin(target.name, pin, f"{tag}_y")
+    elif edit == "port_and_d":
+        # One net observed twice: an output port that is also a flop D.
+        flops = module.sequential_instances
+        flop = flops[index % len(flops)]
+        module.add_port(f"{tag}_po", "output")
+        module.add_instance(tag, "BUF_X1", {"A": source, "Y": f"{tag}_po"})
+        module.rewire_pin(flop.name, flop.cell.data_pin, f"{tag}_po")
+    elif edit == "reconverge":
+        # source reaches the XOR directly and through the AND.
+        module.add_instance(f"{tag}_and", "AND2_X1",
+                            {"A": source, "B": other, "Y": f"{tag}_a"})
+        module.add_instance(tag, "XOR2_X1",
+                            {"A": source, "B": f"{tag}_a", "Y": f"{tag}_y"})
+        module.rewire_pin(target.name, pin, f"{tag}_y")
+    elif edit == "one_input":
+        module.add_instance(f"{tag}_inv", "INV_X1",
+                            {"A": source, "Y": f"{tag}_n"})
+        module.add_instance(tag, "BUF_X1", {"A": f"{tag}_n", "Y": f"{tag}_y"})
+        module.rewire_pin(target.name, pin, f"{tag}_y")
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=40),
+    scan=st.booleans(),
+    full=st.booleans(),
+    order_seed=st.integers(min_value=0, max_value=10_000),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["tie", "port_and_d", "reconverge", "one_input"]),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        min_size=1, max_size=5,
+    ),
+)
+def test_compiled_equals_bigint_on_edited_blocks(seed, scan, full,
+                                                 order_seed, edits):
+    """The compiled program grades exactly like the big-int kernel on
+    blocks edited to reach the build's corners: tie cells feeding
+    gates, a pseudo output listed twice, reconvergent fan-out, stem
+    and branch faults on 1-input cells, universes given shuffled and
+    as a subset that reuses the program, scanned or not."""
+    module = block_from_budget("fsx", make_default_library(0.25),
+                               gate_budget=60, seed=seed)
+    for position, (edit, index) in enumerate(edits):
+        _edit_block(module, position, edit, index)
+    if scan:
+        module, _ = insert_scan(module, n_chains=2)
+    view = CombinationalView(module)
+    faults = enumerate_faults(module)
+    if not full:
+        faults = collapse_faults(module, faults)
+    random.Random(order_seed).shuffle(faults)
+    subset = faults[: max(1, len(faults) * (1 + order_seed % 3) // 4)]
+    clear_fault_program_cache()
+    for universe in (faults, subset):
+        digests = [
+            result_digest(random_pattern_fault_sim(
+                view, universe, rng=np.random.default_rng(seed),
+                max_patterns=96, batch_size=64, engine=engine,
+            ))
+            for engine in ENGINES
+        ]
+        assert digests[0] == digests[1]
+    program = compile_fault_program(view, faults)
+    assert compile_fault_program(view, subset) is program
+    # Observation points per fault, duplicates kept: every pseudo
+    # output (a port that is also a flop D counts twice) whose net the
+    # fault's cone drives, as the reference kernel's cone walk sees it.
+    expected = []
+    for fault in program.faults:
+        cone_nets = {member.net_of(member.cell.output_pins[0])
+                     for member in view.fanout_cone(fault.instance)}
+        expected.append(sum(net in cone_nets for net in view.pseudo_outputs))
+    observed = np.bincount(program.det_fault, minlength=len(program.faults))
+    assert observed.tolist() == expected
+
+
+def test_cached_program_dies_with_its_view(lib):
+    """Nothing cached for a view refers back to it, so the per-view
+    cache entry goes when the view does."""
+    import gc
+
+    from repro.dft import compiled
+
+    module = pipeline_block("gone", lib, stages=1, width=4,
+                            cloud_gates=12, seed=1)
+    clear_fault_program_cache()
+    view = CombinationalView(module)
+    compile_fault_program(view, enumerate_faults(module))
+    assert len(compiled._CACHE) == 1
+    del view
+    gc.collect()
+    assert len(compiled._CACHE) == 0

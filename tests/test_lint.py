@@ -31,6 +31,7 @@ from repro.netlist import (
     trace_control_source,
 )
 from repro.soc import RegisterFile, SystemBus
+from repro.store import ArtifactStore, using_store
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,27 @@ class TestStructuralRules:
         assert [f.fingerprint for f in found] == \
             [fingerprint("STR-004", "loop", "u0->u1")]
         assert "u0 -> u1 -> u0" in found[0].message
+
+    def test_loop_search_runs_only_on_a_loop(self, lib, monkeypatch):
+        """STR-004 trusts the cached topological order of a loop-free
+        module and searches for the cycle only when that order fails."""
+        calls = []
+        search = Module.find_combinational_cycle
+
+        def counting(module):
+            calls.append(module.name)
+            return search(module)
+
+        monkeypatch.setattr(Module, "find_combinational_cycle", counting)
+        with using_store(ArtifactStore()):
+            loop_free = findings_for(counter("cnt", lib, width=4),
+                                     ["STR-004"])
+            assert loop_free == [] and calls == []
+            found = findings_for(build_comb_loop(lib), ["STR-004"])
+        assert [f.fingerprint for f in found] == \
+            [fingerprint("STR-004", "loop", "u0->u1")]
+        assert "u0 -> u1 -> u0" in found[0].message
+        assert set(calls) == {"loop"}
 
     def test_undriven_and_floating(self, lib):
         m = Module("t", lib)
@@ -444,6 +466,33 @@ class TestWaivers:
         assert not report.failed("error")
         assert report.failed("warning")
         assert not report.failed("none")
+
+
+class TestSharedWalks:
+    def test_one_lint_pass_walks_stuck_nets_once_per_module(
+        self, monkeypatch
+    ):
+        """CONST-001, DEAD-002 and the derived properties share one
+        stuck-net walk per module analysis."""
+        import repro.analysis.analyses as analyses
+        from repro.analysis import clear_analysis_memo
+        from repro.formal import derive_properties
+
+        calls = []
+        walk = analyses._find_stuck_nets
+
+        def counting(analysis):
+            calls.append(analysis.module.name)
+            return walk(analysis)
+
+        monkeypatch.setattr(analyses, "_find_stuck_nets", counting)
+        modules = dsc_lint_targets(scale=0.005).modules
+        clear_analysis_memo()
+        with using_store(ArtifactStore()):
+            run_lint(modules, workers=1)
+            for module in modules:
+                derive_properties(module)
+        assert sorted(calls) == sorted(m.name for m in modules)
 
 
 # ---------------------------------------------------------------------------

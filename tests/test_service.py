@@ -9,6 +9,8 @@ labelled :class:`repro.perf.FanoutTaskError` satellite.
 """
 
 import asyncio
+import dataclasses
+import pickle
 
 import pytest
 
@@ -49,6 +51,16 @@ class TestRequests:
         # Tenant is part of the ask, so it changes the id -- but not
         # any unit content key (dedup crosses tenants).
         assert a.request_id != tiny_request(tenant="zen").request_id
+
+    def test_request_id_computed_once_per_request(self):
+        """The id is cached on the frozen request; a changed copy and a
+        pickled one still carry their own content hash."""
+        request = tiny_request()
+        first = request.request_id
+        assert request.request_id is first
+        changed = dataclasses.replace(request, seed=1)
+        assert changed.request_id == tiny_request(seed=1).request_id != first
+        assert pickle.loads(pickle.dumps(request)).request_id == first
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one block"):
