@@ -331,7 +331,7 @@ def bench_fixpoint(quick: bool) -> dict:
     reports are byte-identical -- the determinism contract of the
     engine.
     """
-    from repro.analysis import clear_analysis_memo
+    from repro.analysis import clear_analysis_memo, clear_transfer_tables
     from repro.lint import dsc_lint_targets, run_lint
     from repro.store import ArtifactStore, using_store
 
@@ -344,12 +344,15 @@ def bench_fixpoint(quick: bool) -> dict:
     rules = ["const", "dead", "divergence", "race"]
     reports = {}
     for label, workers in [("serial", 1), ("fanout", None)]:
-        # Fresh module objects, memo and artifact store per run: the
-        # lint cache is content-addressed, so a shared store would
-        # turn the second run into a pure cache splice and this bench
-        # must time the engine (bench_incremental times the cache).
+        # Fresh module objects, memo, transfer tables and artifact
+        # store per run: the lint cache is content-addressed, so a
+        # shared store would turn the second run into a pure cache
+        # splice and this bench must time the engine (bench_incremental
+        # times the cache).  Forked fan-out workers would otherwise
+        # inherit the serial pass's warm transfer tables.
         modules = dsc_lint_targets(scale=scale, seed=0).modules
         clear_analysis_memo()
+        clear_transfer_tables()
         start = time.perf_counter()
         with using_store(ArtifactStore()):
             report = run_lint(modules, design="dsc", rules=rules,
@@ -368,6 +371,103 @@ def bench_fixpoint(quick: bool) -> dict:
     # Quick mode's sub-second runs carry ~15% timer noise, so the bar
     # only tightens to 0.95 on the full workload.
     assert out["speedup"] >= (0.75 if quick else 0.95), out
+    return out
+
+
+def _multi_vt_full_rebuild(module, constraints, *, slack_margin_ps=50.0):
+    """Multi-Vt leakage recovery with a new analyzer and a full
+    analysis per candidate swap: the loop the incremental pass
+    replaced, kept here as the bench's reference."""
+    from repro.lowpower.optimize import MultiVtReport
+    from repro.sta import TimingAnalyzer
+
+    revised = module.copy(module.name + "_mvt")
+    analyzer = TimingAnalyzer(revised, constraints)
+    baseline = analyzer.analyze(with_critical_path=False)
+    leak_before = sum(
+        i.cell.leakage_nw for i in revised.instances.values()) * 1e-6
+    arrivals = analyzer.compute_arrivals(worst=True)
+    candidates = sorted(
+        (i for i in revised.instances.values()
+         if not i.cell.is_sequential and not i.cell.is_pad
+         and i.cell.vt_class == "svt"),
+        key=lambda i: arrivals.get(i.net_of(i.cell.output_pins[0]), 0.0),
+    )
+    swapped = 0
+    if baseline.wns_ps >= 0:
+        target_wns = min(baseline.wns_ps, slack_margin_ps)
+    else:
+        target_wns = baseline.wns_ps
+    for inst in candidates:
+        hvt = revised.library.vt_variant(inst.cell, "hvt")
+        if hvt is None:
+            continue
+        original = inst.cell.name
+        revised.swap_cell(inst.name, hvt.name)
+        wns = TimingAnalyzer(revised, constraints).analyze(
+            with_critical_path=False).wns_ps
+        if wns >= target_wns:
+            swapped += 1
+        else:
+            revised.swap_cell(inst.name, original)
+    final = TimingAnalyzer(revised, constraints).analyze(
+        with_critical_path=False)
+    leak_after = sum(
+        i.cell.leakage_nw for i in revised.instances.values()) * 1e-6
+    return revised, MultiVtReport(
+        cells_swapped=swapped,
+        cells_considered=len(candidates),
+        leakage_before_mw=leak_before,
+        leakage_after_mw=leak_after,
+        wns_before_ps=baseline.wns_ps,
+        wns_after_ps=final.wns_ps,
+    )
+
+
+def bench_multi_vt(quick: bool) -> dict:
+    """Multi-Vt leakage recovery: incremental re-timing vs full rebuild.
+
+    The production pass keeps one analyzer and re-times only each
+    swapped cell's cone (`TimingAnalyzer.swap_cell`); the reference
+    builds a new analyzer and runs a full analysis per candidate.  The
+    clock sits 5% above the block's critical path, so both accepted
+    and rejected (swapped-back) candidates occur.  The report and
+    every instance's cell must be identical, and the pass must beat
+    the reference by 5x.
+    """
+    from repro.lowpower import multi_vt_leakage_recovery
+    from repro.netlist import block_from_budget
+    from repro.sta import TimingAnalyzer, TimingConstraints
+
+    lib = make_default_library(0.25)
+    block = block_from_budget("mvt_blk", lib,
+                              gate_budget=300 if quick else 600, seed=3)
+    probe = TimingAnalyzer(
+        block, TimingConstraints(clock_period_ps=1e6)).analyze()
+    constraints = TimingConstraints(
+        clock_period_ps=(1e6 - probe.wns_ps) * 1.05)
+    repeats = 3
+    out: dict = {"netlist": "block_from_budget",
+                 "cells": len(block.instances), "repeats": repeats}
+    results = {}
+    for label, run in (("full_rebuild", _multi_vt_full_rebuild),
+                       ("incremental", multi_vt_leakage_recovery)):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            revised, report = run(block, constraints)
+            best = min(best, time.perf_counter() - start)
+        results[label] = (
+            report,
+            {n: i.cell.name for n, i in revised.instances.items()},
+        )
+        out[label] = {"seconds": best,
+                      "cells_swapped": report.cells_swapped,
+                      "cells_considered": report.cells_considered}
+    assert results["full_rebuild"] == results["incremental"], out
+    out["speedup"] = (out["full_rebuild"]["seconds"]
+                      / out["incremental"]["seconds"])
+    assert out["speedup"] >= 5.0, out
     return out
 
 
@@ -556,6 +656,7 @@ def main(argv: list[str] | None = None) -> int:
         "sta": bench_sta(args.quick),
         "fixpoint": bench_fixpoint(args.quick),
         "incremental": bench_incremental(args.quick),
+        "multi_vt": bench_multi_vt(args.quick),
         "bmc": bench_bmc(args.quick),
         "service": bench_service_flows(args.quick),
     }
@@ -616,6 +717,12 @@ def main(argv: list[str] | None = None) -> int:
           f"post-ECO re-ran "
           f"{inc_section['post_eco']['cone_rerun_fraction']:.2%} of "
           f"cones, byte-identical)")
+    mvt_section = results["multi_vt"]
+    print(f"{'multi_vt':18s} "
+          f"{mvt_section['full_rebuild']['seconds']:>11,.3f}s"
+          f" -> {mvt_section['incremental']['seconds']:>11,.4f}s "
+          f"{'pass':10s} ({mvt_section['speedup']:.1f}x, "
+          f"{mvt_section['cells']} cells, identical report and cells)")
     svc_section = results["service"]
     print(f"{'service':18s} "
           f"{svc_section['serial']['flows_per_s']:>12,.2f} -> "

@@ -161,6 +161,11 @@ def multi_vt_leakage_recovery(
     Standard post-route leakage recovery: walk cells in descending
     slack order, swap each to its HVT twin, keep the swap only if WNS
     stays above the margin.  Operates on a copy.
+
+    One :class:`TimingAnalyzer` serves the whole pass: each trial swap
+    goes through :meth:`TimingAnalyzer.swap_cell`, which re-times only
+    the swapped cell's cone and returns the setup WNS a full analysis
+    would, and a rejected swap is swapped back the same way.
     """
     revised = module.copy(module.name + "_mvt")
     analyzer = TimingAnalyzer(revised, constraints)
@@ -169,7 +174,7 @@ def multi_vt_leakage_recovery(
         i.cell.leakage_nw for i in revised.instances.values()
     ) * 1e-6  # mW
 
-    arrivals = analyzer.compute_arrivals(worst=True)
+    arrivals = analyzer.setup_arrivals
     # Cheap criticality proxy: a cell whose output arrival is early is
     # off-critical.
     def criticality(inst: Instance) -> float:
@@ -189,23 +194,19 @@ def multi_vt_leakage_recovery(
         target_wns = min(baseline.wns_ps, slack_margin_ps)
     else:
         target_wns = baseline.wns_ps
+    wns = baseline.wns_ps
     for inst in candidates:
         hvt = revised.library.vt_variant(inst.cell, "hvt")
         if hvt is None:
             continue
         original = inst.cell.name
-        revised.swap_cell(inst.name, hvt.name)
-        wns = TimingAnalyzer(revised, constraints).analyze(
-            with_critical_path=False
-        ).wns_ps
-        if wns >= target_wns:
+        trial_wns = analyzer.swap_cell(inst.name, hvt.name)
+        if trial_wns >= target_wns:
             swapped += 1
+            wns = trial_wns
         else:
-            revised.swap_cell(inst.name, original)
+            analyzer.swap_cell(inst.name, original)
 
-    final = TimingAnalyzer(revised, constraints).analyze(
-        with_critical_path=False
-    )
     leak_after = sum(
         i.cell.leakage_nw for i in revised.instances.values()
     ) * 1e-6
@@ -215,7 +216,7 @@ def multi_vt_leakage_recovery(
         leakage_before_mw=leak_before,
         leakage_after_mw=leak_after,
         wns_before_ps=baseline.wns_ps,
-        wns_after_ps=final.wns_ps,
+        wns_after_ps=wns,
     )
     return revised, report
 

@@ -7,7 +7,14 @@ identical work units across requests, and schedules the rest onto
 :mod:`repro.perf` pool workers behind a bounded queue.  Per-request
 :class:`FlowReport` JSON is byte-identical for any worker count,
 submission order and queue depth.
+
+The stage table and the request model load with the package; the
+asyncio front end (:class:`DesignService`, :class:`Event`,
+:class:`FlowReport`, :class:`ServiceStats`) loads on first use, so the
+lifecycle flow reads :data:`STAGE_DEFS` without importing asyncio.
 """
+
+from typing import TYPE_CHECKING, Any
 
 from .request import (
     DSC_VARIANTS,
@@ -16,7 +23,6 @@ from .request import (
     synthetic_tenant_mix,
     variant_blocks,
 )
-from .service import DesignService, Event, FlowReport, ServiceStats
 from .stages import (
     DEFAULT_STAGES,
     STAGE_DEFS,
@@ -32,6 +38,21 @@ from .stages import (
     unit_config,
     unit_fingerprints,
 )
+
+if TYPE_CHECKING:
+    from .service import DesignService, Event, FlowReport, ServiceStats
+
+_FRONT_END = frozenset({"DesignService", "Event", "FlowReport",
+                        "ServiceStats"})
+
+
+def __getattr__(name: str) -> Any:
+    if name in _FRONT_END:
+        from . import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_STAGES",

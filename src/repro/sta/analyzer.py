@@ -12,7 +12,9 @@ verification and STA QoR check"):
 * required times from capture points (flop setup/hold and output
   ports);
 * worst negative slack (WNS), total negative slack (TNS), per-endpoint
-  slack, and critical-path extraction for ECO fixing.
+  slack, and critical-path extraction for ECO fixing;
+* incremental re-timing of one cell swap (:meth:`TimingAnalyzer.swap_cell`)
+  for swap-and-check loops such as multi-Vt leakage recovery.
 
 All times are picoseconds; capacitances femtofarads; resistance
 kiloohms (1 kOhm * 1 fF = 1 ps).
@@ -20,6 +22,7 @@ kiloohms (1 kOhm * 1 fF = 1 ps).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -145,6 +148,10 @@ class TimingAnalyzer:
         self.constraints = constraints
         self.net_wire_cap_ff = dict(net_wire_cap_ff or {})
         self._order = module.topological_combinational_order()
+        # Built on first use by `setup_arrivals` / `swap_cell`.
+        self._setup_arrivals: dict[str, float] | None = None
+        self._position: dict[str, int] = {}
+        self._setup_checks: list[tuple[str, float]] = []
 
     # -- delay model ----------------------------------------------------
 
@@ -224,6 +231,13 @@ class TimingAnalyzer:
                 points.append((name, "port", name))
         return points
 
+    def _setup_required_ps(self, kind: str) -> float:
+        """Setup required time at a ``"flop"`` or ``"port"`` endpoint."""
+        c = self.constraints
+        if kind == "flop":
+            return c.clock_period_ps - c.setup_ps - c.clock_uncertainty_ps
+        return c.clock_period_ps - c.output_delay_ps
+
     # -- analysis ---------------------------------------------------------
 
     def analyze(self, *, with_critical_path: bool = True) -> TimingReport:
@@ -231,11 +245,6 @@ class TimingAnalyzer:
         c = self.constraints
         arrivals = self.compute_arrivals(worst=True)
         min_arrivals = self.compute_arrivals(worst=False, hold_mode=True)
-
-        setup_required_flop = (
-            c.clock_period_ps - c.setup_ps - c.clock_uncertainty_ps
-        )
-        setup_required_port = c.clock_period_ps - c.output_delay_ps
 
         wns = float("inf")
         tns = 0.0
@@ -246,8 +255,7 @@ class TimingAnalyzer:
         endpoints = self._endpoints()
         for key, kind, net in endpoints:
             arrival = arrivals.get(net, 0.0)
-            required = setup_required_flop if kind == "flop" else setup_required_port
-            slack = required - arrival
+            slack = self._setup_required_ps(kind) - arrival
             if slack < wns:
                 wns = slack
                 worst_endpoint = (key, kind, net)
@@ -268,9 +276,10 @@ class TimingAnalyzer:
         critical = None
         if with_critical_path and worst_endpoint is not None:
             key, kind, net = worst_endpoint
-            required = setup_required_flop if kind == "flop" else setup_required_port
-            critical = self.extract_path(net, kind=kind, endpoint=key,
-                                         arrivals=arrivals, required=required)
+            critical = self.extract_path(
+                net, kind=kind, endpoint=key, arrivals=arrivals,
+                required=self._setup_required_ps(kind),
+            )
 
         return TimingReport(
             clock_period_ps=c.clock_period_ps,
@@ -296,12 +305,7 @@ class TimingAnalyzer:
         if arrivals is None:
             arrivals = self.compute_arrivals(worst=True)
         if required is None:
-            c = self.constraints
-            required = (
-                c.clock_period_ps - c.setup_ps - c.clock_uncertainty_ps
-                if kind == "flop"
-                else c.clock_period_ps - c.output_delay_ps
-            )
+            required = self._setup_required_ps(kind)
         points: list[PathPoint] = []
         current = net
         for _ in range(len(self.module.instances) + 2):
@@ -343,14 +347,106 @@ class TimingAnalyzer:
 
     def endpoint_slacks(self) -> dict[str, float]:
         """Setup slack for every endpoint (flop name or output port)."""
-        c = self.constraints
         arrivals = self.compute_arrivals(worst=True)
         slacks: dict[str, float] = {}
         for key, kind, net in self._endpoints():
-            required = (
-                c.clock_period_ps - c.setup_ps - c.clock_uncertainty_ps
-                if kind == "flop"
-                else c.clock_period_ps - c.output_delay_ps
+            slacks[key] = (
+                self._setup_required_ps(kind) - arrivals.get(net, 0.0)
             )
-            slacks[key] = required - arrivals.get(net, 0.0)
         return slacks
+
+    # -- incremental re-timing --------------------------------------------
+
+    @property
+    def setup_arrivals(self) -> dict[str, float]:
+        """Max (setup) arrival per net, kept current by :meth:`swap_cell`.
+
+        The first read runs :meth:`compute_arrivals`; after that only
+        :meth:`swap_cell` changes it.  Callers must not modify it.
+        """
+        if self._setup_arrivals is None:
+            self._setup_arrivals = self.compute_arrivals(worst=True)
+            self._position = {
+                inst.name: pos for pos, inst in enumerate(self._order)
+            }
+            self._setup_checks = [
+                (net, self._setup_required_ps(kind))
+                for _, kind, net in self._endpoints()
+            ]
+        return self._setup_arrivals
+
+    def swap_cell(self, instance: str, cell_name: str) -> float:
+        """Swap ``instance`` to ``cell_name`` and return the setup WNS.
+
+        The swap goes through :meth:`Module.swap_cell`, so the new cell
+        must be pin-compatible; it must also keep the instance
+        sequential or combinational, which keeps the cached
+        topological order valid.  Only what the swap can change is
+        re-timed: the instance itself, the drivers of its input nets
+        (their load follows the new pin capacitances; a flop driver's
+        launch arrival too), and then, forward in topological order,
+        every instance that reads a net whose arrival moved.  A net
+        whose arrival did not move stops the walk.  Each arrival is
+        computed with the expression of :meth:`compute_arrivals`, so
+        :attr:`setup_arrivals` and the returned WNS equal those of a
+        fresh :meth:`analyze` bit for bit.
+
+        Once the arrivals exist (the first call, or the first read of
+        :attr:`setup_arrivals`), every edit to the module must go
+        through this method; after any other edit, build a new
+        analyzer.
+        """
+        arrivals = self.setup_arrivals
+        module = self.module
+        inst = module.instances[instance]
+        if module.library[cell_name].is_sequential != inst.cell.is_sequential:
+            raise ValueError(
+                f"swapping {instance} to {cell_name} changes whether it "
+                "is sequential"
+            )
+        module.swap_cell(instance, cell_name)
+
+        position = self._position
+        heap: list[int] = []
+        queued: set[int] = set()
+
+        def queue(pos: int) -> None:
+            if pos not in queued:
+                queued.add(pos)
+                heapq.heappush(heap, pos)
+
+        def settle(net: str, arrival: float) -> None:
+            if arrival != arrivals[net]:
+                arrivals[net] = arrival
+                for ref in module.nets[net].loads:
+                    if ref.instance in position:  # flops end the path
+                        queue(position[ref.instance])
+
+        def retime(target: Instance) -> None:
+            if target.name in position:
+                queue(position[target.name])
+            else:  # a flop: its launch arrivals
+                for out_pin in target.cell.output_pins:
+                    settle(target.net_of(out_pin),
+                           self.stage_delay_ps(target, out_pin))
+
+        retime(inst)
+        for pin in inst.cell.input_pins:
+            driver = module.nets[inst.net_of(pin)].driver
+            if driver is not None:
+                retime(module.instances[driver.instance])
+        while heap:
+            gate = self._order[heapq.heappop(heap)]
+            input_arrivals = [
+                arrivals.get(gate.net_of(pin), 0.0)
+                for pin in gate.cell.input_pins
+            ]
+            base = max(input_arrivals) if input_arrivals else 0.0
+            for out_pin in gate.cell.output_pins:
+                settle(gate.net_of(out_pin),
+                       base + self.stage_delay_ps(gate, out_pin))
+        return min(
+            (required - arrivals.get(net, 0.0)
+             for net, required in self._setup_checks),
+            default=0.0,
+        )

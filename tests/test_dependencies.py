@@ -9,7 +9,9 @@ their import graph is acyclic, so each layer runs without loading the
 layers above it.  Simulation loads only the netlist and the perf
 timers, DFT runs without the formal, coverage, verification and lint
 layers, and :mod:`repro.analysis`, with the property derivation built
-on it, runs without loading any :mod:`repro.lint` module.
+on it, runs without loading any :mod:`repro.lint` module.  The
+lifecycle flow reads the service's stage table without loading its
+asyncio front end.
 """
 
 import ast
@@ -117,6 +119,18 @@ DFT_WITHOUT_FORMAL_RUN = textwrap.dedent("""
 """)
 
 
+FLOW_WITHOUT_ASYNCIO_RUN = textwrap.dedent("""
+    import sys
+
+    from repro.core import DesignServiceFlow
+
+    DesignServiceFlow(scale=0.005, seed=0).run()
+    assert "repro.service.stages" in sys.modules
+    loaded = sorted({"asyncio", "repro.service.service"} & set(sys.modules))
+    assert not loaded, loaded
+""")
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this tree."""
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -147,6 +161,11 @@ def test_simulation_loads_only_netlist_sim_and_perf():
 
 def test_dft_runs_without_formal_or_lint():
     result = run_python(DFT_WITHOUT_FORMAL_RUN)
+    assert result.returncode == 0, result.stderr
+
+
+def test_flow_runs_without_asyncio():
+    result = run_python(FLOW_WITHOUT_ASYNCIO_RUN)
     assert result.returncode == 0, result.stderr
 
 

@@ -18,6 +18,8 @@ from repro.dfm import (
     ocv_derated_sta,
     via_yield_model,
 )
+from repro.lowpower.optimize import MultiVtReport
+from tests.test_sta_incremental import LIB as HEAVY_PIN_LIB
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +101,100 @@ class TestClockGating:
             insert_clock_gating(cnt, group_size=0)
 
 
+def full_rebuild_multi_vt(module, constraints, *, slack_margin_ps=50.0):
+    """The multi-Vt pass as it ran before incremental re-timing, with a
+    new analyzer and a full analysis per candidate swap: the reference
+    `multi_vt_leakage_recovery` must match."""
+    revised = module.copy(module.name + "_mvt")
+    analyzer = TimingAnalyzer(revised, constraints)
+    baseline = analyzer.analyze(with_critical_path=False)
+    leak_before = sum(
+        i.cell.leakage_nw for i in revised.instances.values()) * 1e-6
+    arrivals = analyzer.compute_arrivals(worst=True)
+    candidates = sorted(
+        (i for i in revised.instances.values()
+         if not i.cell.is_sequential and not i.cell.is_pad
+         and i.cell.vt_class == "svt"),
+        key=lambda i: arrivals.get(i.net_of(i.cell.output_pins[0]), 0.0),
+    )
+    swapped = 0
+    if baseline.wns_ps >= 0:
+        target_wns = min(baseline.wns_ps, slack_margin_ps)
+    else:
+        target_wns = baseline.wns_ps
+    for inst in candidates:
+        hvt = revised.library.vt_variant(inst.cell, "hvt")
+        if hvt is None:
+            continue
+        original = inst.cell.name
+        revised.swap_cell(inst.name, hvt.name)
+        wns = TimingAnalyzer(revised, constraints).analyze(
+            with_critical_path=False).wns_ps
+        if wns >= target_wns:
+            swapped += 1
+        else:
+            revised.swap_cell(inst.name, original)
+    final = TimingAnalyzer(revised, constraints).analyze(
+        with_critical_path=False)
+    leak_after = sum(
+        i.cell.leakage_nw for i in revised.instances.values()) * 1e-6
+    return revised, MultiVtReport(
+        cells_swapped=swapped,
+        cells_considered=len(candidates),
+        leakage_before_mw=leak_before,
+        leakage_after_mw=leak_after,
+        wns_before_ps=baseline.wns_ps,
+        wns_after_ps=final.wns_ps,
+    )
+
+
 class TestMultiVt:
+    @pytest.fixture(scope="class")
+    def heavy_pin_block(self):
+        """A `block`-sized pipeline whose NAND2s are heavier-pinned
+        twins, so each of their HVT swaps also lightens the nets they
+        read.  Its critical path starts at a flop whose Q feeds one of
+        them, so a launch arrival left stale shows in the report."""
+        heavy = pipeline_block("blk", HEAVY_PIN_LIB, stages=2, width=10,
+                               cloud_gates=50, seed=7)
+        for name, inst in heavy.instances.items():
+            if inst.cell.name == "NAND2_X1":
+                heavy.swap_cell(name, "NAND2_X1_HP")
+        path = TimingAnalyzer(
+            heavy, TimingConstraints(clock_period_ps=100_000)
+        ).analyze().critical_path
+        launch = path.points[0]
+        assert heavy.instances[launch.instance].cell.is_sequential
+        assert "NAND2_X1_HP" in {
+            heavy.instances[ref.instance].cell.name
+            for ref in heavy.nets[launch.net].loads
+        }
+        return heavy
+
+    @pytest.mark.parametrize("clock", ["loose", "critical", "failing"])
+    @pytest.mark.parametrize("netlist", ["block", "heavy_pin_block"])
+    def test_matches_full_rebuild(self, request, netlist, clock):
+        module = request.getfixturevalue(netlist)
+        probe = TimingAnalyzer(
+            module, TimingConstraints(clock_period_ps=100_000)).analyze()
+        critical = 100_000 - probe.wns_ps
+        scale = {"loose": 3.0, "critical": 1.001, "failing": 0.8}[clock]
+        constraints = TimingConstraints(clock_period_ps=critical * scale)
+        revised, report = multi_vt_leakage_recovery(module, constraints)
+        ref_revised, ref_report = full_rebuild_multi_vt(module, constraints)
+        assert report == ref_report
+        assert ({n: i.cell.name for n, i in revised.instances.items()}
+                == {n: i.cell.name for n, i in ref_revised.instances.items()})
+        # Swaps are rejected (and reverted) only under the tight clocks.
+        rejected = [
+            i.name for i in revised.instances.values()
+            if i.cell.vt_class == "svt" and not i.cell.is_sequential
+            and module.library.vt_variant(i.cell, "hvt") is not None
+        ]
+        assert report.cells_swapped > 0
+        assert bool(rejected) == (clock != "loose")
+        assert (report.wns_before_ps < 0) == (clock == "failing")
+
     def test_leakage_recovery_preserves_timing(self, block):
         constraints = TimingConstraints(clock_period_ps=30_000)
         revised, report = multi_vt_leakage_recovery(block, constraints)
