@@ -22,10 +22,9 @@ from repro.dft import (
     random_pattern_fault_sim,
     run_atpg,
 )
+from repro.oracles.faultsim import bigint_fault_sim
 
 from conftest import paper_row
-
-ENGINES = ("scalar", "compiled")
 
 
 @pytest.fixture(scope="module")
@@ -68,23 +67,18 @@ def _digest(result):
 
 
 def test_e04_engines_bit_identical(scanned_block):
-    """Coverage and first-detecting-pattern attribution are engine-,
-    batch-size- and worker-count-independent on the E4 netlist."""
+    """Coverage and first-detecting-pattern attribution match the
+    big-int oracle at any worker count on the E4 netlist."""
     view = CombinationalView(scanned_block)
     faults = collapse_faults(scanned_block, enumerate_faults(scanned_block))
-    digests = {
-        engine: _digest(random_pattern_fault_sim(
+    oracle = _digest(bigint_fault_sim(
+        view, faults, rng=np.random.default_rng(7),
+        max_patterns=512, batch_size=64))
+    for workers in (1, 2, 3):
+        production = _digest(random_pattern_fault_sim(
             view, faults, rng=np.random.default_rng(7),
-            max_patterns=512, batch_size=64, engine=engine))
-        for engine in ENGINES
-    }
-    assert digests["compiled"] == digests["scalar"]
-    for workers in (2, 3):
-        parallel = _digest(random_pattern_fault_sim(
-            view, faults, rng=np.random.default_rng(7),
-            max_patterns=512, batch_size=64, engine="compiled",
-            workers=workers))
-        assert parallel == digests["compiled"]
+            max_patterns=512, batch_size=64, workers=workers))
+        assert production == oracle
 
 
 def test_e04_s5_at_scale_compiled(benchmark):
@@ -108,7 +102,7 @@ def test_e04_s5_at_scale_compiled(benchmark):
         random_pattern_fault_sim,
         args=(view, faults),
         kwargs=dict(rng=np.random.default_rng(7), max_patterns=4096,
-                    batch_size=4096, engine="compiled"),
+                    batch_size=4096),
         iterations=1, rounds=1,
     )
     elapsed = time.perf_counter() - start
@@ -121,15 +115,19 @@ def test_e04_s5_at_scale_compiled(benchmark):
               f"{elapsed:.2f}s / {result.patterns_applied} patterns")
     assert result.coverage >= 0.93
 
-    # Worker and engine invariance at scale: fault-universe partitions
-    # replay the identical pattern stream, so any worker count (and the
-    # big-int reference) reproduces the result bit for bit.
-    for kwargs in (dict(engine="compiled", workers=2),
-                   dict(engine="compiled", workers=5),
-                   dict(engine="scalar", workers=1)):
-        replay = random_pattern_fault_sim(
+    # Worker invariance at scale: fault-universe partitions replay the
+    # identical pattern stream, so any worker count (and the big-int
+    # oracle) reproduces the result bit for bit.
+    replays = [
+        random_pattern_fault_sim(
             view, faults, rng=np.random.default_rng(7),
-            max_patterns=4096, batch_size=4096, **kwargs)
+            max_patterns=4096, batch_size=4096, workers=workers)
+        for workers in (2, 5)
+    ]
+    replays.append(bigint_fault_sim(
+        view, faults, rng=np.random.default_rng(7),
+        max_patterns=4096, batch_size=4096))
+    for replay in replays:
         assert _digest(replay) == _digest(result)
 
 

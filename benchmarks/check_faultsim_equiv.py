@@ -1,7 +1,8 @@
-"""CI smoke check: fault-sim engines are bit-identical.
+"""CI smoke check: production fault sim is bit-identical to its oracle.
 
-Runs a small scanned netlist through both fault-simulation engines
-(``scalar`` big-int reference and ``compiled``), each serially and
+Runs a small scanned netlist through the big-int oracle
+(:func:`repro.oracles.faultsim.bigint_fault_sim`) and through
+production :func:`repro.dft.random_pattern_fault_sim` serially and
 under fault-partition fan-out, serializes each :class:`FaultSimResult`
 to canonical JSON and requires the documents to compare *exactly* --
 detected set, coverage curve, effective pattern set and
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -25,13 +27,14 @@ from repro.dft import (
     insert_scan,
     random_pattern_fault_sim,
 )
+from repro.oracles.faultsim import bigint_fault_sim
 
-RUNS = (
-    {"engine": "scalar", "workers": 1},
-    {"engine": "scalar", "workers": 2},
-    {"engine": "compiled", "workers": 1},
-    {"engine": "compiled", "workers": 2},
-)
+#: label -> campaign; the oracle comes first and is the reference.
+RUNS = {
+    "oracle/workers=1": bigint_fault_sim,
+    "compiled/workers=1": partial(random_pattern_fault_sim, workers=1),
+    "compiled/workers=2": partial(random_pattern_fault_sim, workers=2),
+}
 
 
 def result_json(result) -> str:
@@ -62,12 +65,11 @@ def main() -> int:
     faults = collapse_faults(scanned, enumerate_faults(scanned))
 
     documents = {}
-    for run in RUNS:
-        result = random_pattern_fault_sim(
+    for label, campaign in RUNS.items():
+        result = campaign(
             view, faults, rng=np.random.default_rng(23),
-            max_patterns=256, batch_size=64, **run,
+            max_patterns=256, batch_size=64,
         )
-        label = f"{run['engine']}/workers={run['workers']}"
         documents[label] = result_json(result)
         coverage = len(result.detected) / result.total_faults
         print(f"{label:24s} detected {len(result.detected)}/"

@@ -3,8 +3,9 @@
 Measures the three ported hot loops -- fault simulation, wafer-yield
 Monte Carlo, and annealing placement -- on their benchmark-scale
 workloads (E4 netlist, E7 wafer stack, A5 placement block), comparing
-each scalar reference path against its vectorized engine, and writes
-the rates to ``BENCH_<date>.json`` next to this script:
+each scalar reference path (its oracle in :mod:`repro.oracles`)
+against its vectorized engine, and writes the rates to
+``BENCH_<date>.json`` next to this script:
 
     PYTHONPATH=src python benchmarks/run_bench.py [--quick] [--out FILE]
 
@@ -33,19 +34,18 @@ from repro.dft import (
     insert_scan,
     random_pattern_fault_sim,
 )
-from repro.dft.faultsim import _batch_first_hits_bigint
-from repro.manufacturing import (
-    initial_ramp_state,
-    simulate_wafer,
-    simulate_wafer_scalar,
-)
+from repro.manufacturing import initial_ramp_state, simulate_wafer
 from repro.netlist import make_default_library, pipeline_block
+from repro.oracles.faultsim import bigint_batch_hits, bigint_fault_sim
+from repro.oracles.placement import place_reference
+from repro.oracles.sta import analyze_scalar
+from repro.oracles.wafer import simulate_wafer_scalar
 from repro.perf import REGISTRY, reset_metrics
 from repro.physical import AnnealingPlacer
 
 
 def bench_fault_sim(quick: bool) -> dict:
-    """E4-scale netlist; scalar big-int reference vs compiled.
+    """E4-scale netlist; big-int oracle vs compiled.
 
     The batch-4096 campaign rows share one rng recipe, so the compiled
     engine is asserted *exactly* equal to the big-int reference --
@@ -68,22 +68,21 @@ def bench_fault_sim(quick: bool) -> dict:
     out = {"netlist": "E4 pipeline_block", "faults": len(faults),
            "max_patterns": max_patterns}
     results = {}
-    for label, kwargs in [
-        ("scalar_bigint_batch64", dict(engine="scalar", batch_size=64)),
-        ("scalar_bigint_batch4096", dict(engine="scalar",
-                                         batch_size=4096)),
-        ("compiled_batch4096", dict(engine="compiled", batch_size=4096)),
+    for label, campaign, batch_size in [
+        ("scalar_bigint_batch64", bigint_fault_sim, 64),
+        ("scalar_bigint_batch4096", bigint_fault_sim, 4096),
+        ("compiled_batch4096", random_pattern_fault_sim, 4096),
     ]:
-        if kwargs["engine"] == "compiled":
+        if campaign is random_pattern_fault_sim:
             # Warm the program cache outside the timer, like the
             # compiled functional-sim bench compiles outside its timer.
             start = time.perf_counter()
             compile_fault_program(view, faults)
             out["compile_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        result = random_pattern_fault_sim(
+        result = campaign(
             view, faults, rng=np.random.default_rng(7),
-            max_patterns=max_patterns, **kwargs)
+            max_patterns=max_patterns, batch_size=batch_size)
         elapsed = time.perf_counter() - start
         results[label] = result
         out[label] = {
@@ -112,7 +111,7 @@ def bench_fault_sim(quick: bool) -> dict:
     for label, kernel in [
         ("compiled_sustained", lambda b, rem: grade_batch(
             program, b, batch, rem)),
-        ("scalar_sustained", lambda b, rem: _batch_first_hits_bigint(
+        ("scalar_sustained", lambda b, rem: bigint_batch_hits(
             view, b, batch, rem)),
     ]:
         remaining = list(faults)
@@ -169,17 +168,18 @@ def bench_wafer(quick: bool) -> dict:
 
 
 def bench_placement(quick: bool) -> dict:
-    """A5-scale block; reference anneal vs incremental-HPWL engine."""
+    """A5-scale block; reference anneal (oracle) vs incremental HPWL."""
     lib = make_default_library(0.25)
     block = pipeline_block("blk", lib, stages=3, width=16,
                            cloud_gates=300, seed=5)
     iterations = 5000 if quick else 20000
 
     out = {"block_cells": len(block.instances), "iterations": iterations}
-    for label, engine in [("reference", "reference"), ("fast", "fast")]:
+    for label, place in [("reference", place_reference),
+                         ("fast", AnnealingPlacer.place)]:
         placer = AnnealingPlacer(block, seed=9)
         start = time.perf_counter()
-        _, report = placer.place(iterations=iterations, engine=engine)
+        _, report = place(placer, iterations=iterations)
         elapsed = time.perf_counter() - start
         out[label] = {"moves_per_s": iterations / elapsed,
                       "seconds": elapsed,
@@ -275,14 +275,14 @@ def bench_compiled_sim(quick: bool) -> dict:
 
 
 def bench_sta(quick: bool) -> dict:
-    """Largest bench netlist; per-arc scalar walker vs vectorized sweep.
+    """Largest bench netlist; per-arc scalar oracle vs vectorized sweep.
 
-    Both engines consume the same compiled timing graph, load array and
-    table stacks, so the canonical multi-corner QoR JSON must be
+    Both consume the same compiled timing graph, load array and table
+    stacks, so the canonical multi-corner QoR JSON must be
     byte-identical -- that assertion is the signoff contract.  The
     vectorized sweep analyzes every corner as numpy lanes in one pass
     and must clear the PERFORMANCE.md arcs/s bar over the scalar
-    reference.
+    oracle.
     """
     from repro.sta import NldmTimingAnalyzer, TimingConstraints
 
@@ -303,16 +303,17 @@ def bench_sta(quick: bool) -> dict:
            "arcs_per_sweep": arcs, "corners": n_corners,
            "repeats": repeats}
     reports = {}
-    for label in ("scalar", "vectorized"):
+    for label, analyze in [("scalar", analyze_scalar),
+                           ("vectorized", NldmTimingAnalyzer.analyze)]:
         start = time.perf_counter()
         for _ in range(repeats):
-            report = analyzer.analyze(engine=label)
+            report = analyze(analyzer)
         elapsed = time.perf_counter() - start
         reports[label] = report
         out[label] = {"arcs_per_s": arcs * repeats / elapsed,
                       "seconds": elapsed,
                       "wns_ps": report.wns_ps}
-    # Byte-identical QoR across engines: the determinism contract.
+    # Byte-identical QoR, sweep vs oracle: the determinism contract.
     assert (reports["scalar"].canonical_json()
             == reports["vectorized"].canonical_json()), "QoR JSON diverged"
     out["speedup"] = (out["vectorized"]["arcs_per_s"]

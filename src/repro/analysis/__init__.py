@@ -3,7 +3,7 @@
 Three abstract domains (:mod:`repro.analysis.domains`: constants,
 dual-dialect value pairs and X-source taint), solved cone by cone
 through the artifact store (:mod:`repro.analysis.cones`; the
-monolithic worklist engine in :mod:`repro.analysis.engine` is the
+monolithic worklist engine of :mod:`repro.oracles.fixpoint` is its
 test oracle), power the semantic analyses of
 :mod:`repro.analysis.analyses`: constant propagation with dead-logic
 detection, static prediction of where the two simulator dialects of
@@ -41,7 +41,7 @@ from .domains import (
     mask_pairs,
     pair_bit,
 )
-from .engine import FixpointEngine, FixpointResult, run_fixpoint
+from .engine import FixpointResult
 from .cones import (
     ANALYSIS_VERSION,
     CONE_STORE_DOMAIN,
@@ -90,9 +90,7 @@ __all__ = [
     "mask_levels",
     "mask_pairs",
     "pair_bit",
-    "FixpointEngine",
     "FixpointResult",
-    "run_fixpoint",
     "ANALYSIS_VERSION",
     "CONE_STORE_DOMAIN",
     "Cone",

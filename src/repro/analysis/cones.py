@@ -1,12 +1,12 @@
 """Fanin-cone partitioning and the incremental cone-by-cone fixpoint.
 
-The monolithic engine (:mod:`repro.analysis.engine`) solves a module's
-least fixpoint in one worklist.  That answer is unique, so it can also
-be assembled *cone by cone*: partition the instances into fanin cones,
-solve each cone's local fixpoint with its boundary-net values held
-fixed, and iterate over cones until no boundary changes (block-chaotic
-iteration over a finite lattice -- same least fixpoint, proven equal
-to the monolithic engine in the test suite).
+A module's least fixpoint (:mod:`repro.analysis.engine`) is unique,
+so it can be assembled *cone by cone*: partition the instances into
+fanin cones, solve each cone's local fixpoint with its boundary-net
+values held fixed, and iterate over cones until no boundary changes
+(block-chaotic iteration over a finite lattice -- the same least
+fixpoint as the monolithic worklist engine of
+:mod:`repro.oracles.fixpoint`, which the test suite checks).
 
 Why bother: each cone's local solution is a **pure function of**
 ``(cone content, boundary values, domain)``.  That triple is exactly a

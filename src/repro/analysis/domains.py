@@ -1,8 +1,8 @@
 """Abstract domains for the netlist dataflow engine.
 
 Every domain assigns each net an element of a finite join-semilattice;
-the engine (:mod:`repro.analysis.engine`) computes the least fixpoint
-of the transfer functions.  Three domains are provided:
+the cone solve (:mod:`repro.analysis.cones`) computes the least
+fixpoint of the transfer functions.  Three domains are provided:
 
 * :class:`ConstantDomain` -- the value of a net is a *set* of possible
   four-value logic levels, encoded as a 3-bit mask over ``{0, 1, X}``

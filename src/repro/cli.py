@@ -86,8 +86,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
           f"{len(scan_report.chains)} chains")
     result = run_atpg(scanned, seed=args.seed,
                       max_random_patterns=args.patterns,
-                      batch_size=args.batch_size, engine=args.engine,
-                      workers=args.workers)
+                      batch_size=args.batch_size, workers=args.workers)
     print(result.format_report())
     return 0
 
@@ -188,8 +187,7 @@ def _cmd_sta(args: argparse.Namespace) -> int:
                             cloud_gates=args.cloud_gates, seed=args.seed)
     constraints = TimingConstraints(clock_period_ps=args.period)
     corners = args.corner.split(",") if args.corner else None
-    report = analyze_timing(module, constraints, corners=corners,
-                            engine=args.engine)
+    report = analyze_timing(module, constraints, corners=corners)
     print(report.canonical_json() if args.json else report.format_report())
     return 0 if report.setup_clean and report.hold_clean else 1
 
@@ -440,10 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fault-sim patterns per batch (wider is "
                            "faster; selects a different but equally "
                            "random pattern stream)")
-    atpg.add_argument("--engine", choices=("compiled", "scalar"),
-                      default="compiled",
-                      help="fault-sim engine (bit-identical results; "
-                           "'scalar' is the big-int reference)")
     atpg.add_argument("--workers", type=int, default=1,
                       help="fault-partition processes for fault sim")
     atpg.set_defaults(func=_cmd_atpg)
@@ -487,13 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sta.add_argument("--corner", default="",
                      help="comma-separated corner names (e.g. ss,ff); "
                           "default: every library corner")
-    sta.add_argument("--engine", choices=("vectorized", "scalar"),
-                     default="vectorized",
-                     help="sweep engine (bit-identical QoR; vectorized "
-                          "analyzes every corner in one numpy pass)")
     sta.add_argument("--json", action="store_true",
-                     help="emit the canonical QoR JSON (byte-identical "
-                          "across engines)")
+                     help="emit the canonical QoR JSON")
     sta.set_defaults(func=_cmd_sta)
 
     cover = sub.add_parser(

@@ -32,12 +32,11 @@ from ..netlist import Module
 from ..netlist.netlist import Instance
 from ..perf import stage_timer
 from ..sat import XOR2, CnfBuilder, Solver
+from .compiled import compiled_batch_hits
 from .faults import Fault, collapse_faults, enumerate_faults
 from .faultsim import (
     CombinationalView,
     FaultSimResult,
-    _batch_kernel,
-    _BatchKernel,
     random_pattern_fault_sim,
 )
 
@@ -190,7 +189,6 @@ def _deterministic_phase(
     undetected: Sequence[Fault],
     *,
     rng: np.random.Generator,
-    grade: _BatchKernel,
     conflict_limit: int | None,
 ) -> tuple[set[Fault], list[Fault], int, int]:
     """SAT phase with cross-fault dropping.
@@ -198,9 +196,8 @@ def _deterministic_phase(
     Each SAT pattern (inputs outside the fault's support filled from
     ``rng`` in ``view.pseudo_inputs`` order) is fault-simulated against
     all still-pending faults, so one deterministic pattern often pays
-    for several faults -- standard practice.  ``grade`` is the
-    engine's batch kernel; each pattern is graded as a one-pattern
-    batch.
+    for several faults -- standard practice.  Each pattern is graded
+    as a one-pattern batch on the compiled fault kernel.
     Returns (detected, proven-untestable, patterns used, conflicts).
     """
     generator = SatTestGenerator(view, conflict_limit=conflict_limit)
@@ -226,7 +223,7 @@ def _deterministic_phase(
             bits[net] = np.array([value], dtype=np.uint8)
         patterns_used += 1
         candidates = [fault] + [f for f in pending if f not in detected]
-        detected.update(grade(view, bits, 1, candidates))
+        detected.update(compiled_batch_hits(view, bits, 1, candidates))
         pending = [f for f in pending if f not in detected]
     return (detected, untestable, patterns_used,
             generator.solver.stats.conflicts)
@@ -240,7 +237,6 @@ def run_atpg(
     conflict_limit: int | None = 10_000,
     collapse: bool = True,
     batch_size: int = 64,
-    engine: str = "compiled",
     workers: int = 1,
 ) -> AtpgResult:
     """Full ATPG flow on a (scanned) module.
@@ -253,15 +249,14 @@ def run_atpg(
     ``conflict_limit`` is the SAT generator's per-fault conflict
     budget; a fault that exhausts it is reported undetected (aborted).
     ``None`` removes the budget.
-    ``batch_size``, ``engine`` and ``workers`` tune fault simulation
-    (see :func:`repro.dft.random_pattern_fault_sim`); SAT patterns
-    are graded on the same engine as the random phase.
-    Engine and worker count never change the result; ``batch_size``
+    ``batch_size`` and ``workers`` tune fault simulation (see
+    :func:`repro.dft.random_pattern_fault_sim`); SAT patterns are
+    graded on the same compiled kernel as the random phase.
+    The worker count never changes the result; ``batch_size``
     selects how many patterns are drawn per batch, so a different
     width applies a different (equally random) pattern stream.  The
     defaults match the historical behaviour pattern-for-pattern.
     """
-    grade = _batch_kernel(engine)
     rng = np.random.default_rng(seed)
     view = CombinationalView(module)
     universe = enumerate_faults(module)
@@ -270,13 +265,12 @@ def run_atpg(
 
     random_result: FaultSimResult = random_pattern_fault_sim(
         view, universe, rng=rng, max_patterns=max_random_patterns,
-        batch_size=batch_size, engine=engine, workers=workers,
+        batch_size=batch_size, workers=workers,
     )
     undetected = [f for f in universe if f not in random_result.detected]
     with stage_timer("dft.atpg.sat") as stats:
         det_extra, untestable, det_patterns, conflicts = _deterministic_phase(
-            view, undetected, rng=rng, grade=grade,
-            conflict_limit=conflict_limit,
+            view, undetected, rng=rng, conflict_limit=conflict_limit,
         )
         still_undetected = [
             f for f in undetected if f not in det_extra and f not in untestable

@@ -1,6 +1,6 @@
 """Compiled word-parallel fault simulation: fused fault-cone programs.
 
-The big-int reference kernel (:mod:`repro.dft.faultsim`) walks fault
+The big-int oracle kernel (:mod:`repro.oracles.faultsim`) walks fault
 sites in Python: one
 :meth:`~repro.dft.faultsim.CombinationalView.detect_mask` cone walk
 per fault per batch.  This module takes the same route the compiled
@@ -45,12 +45,12 @@ to the *fault universe*:
   enough faults have dropped.  First-detecting-pattern attribution is
   exact -- dropping only ever skips work *after* a fault's first
   detection -- so results are bit-identical to grading the whole
-  batch flat, and therefore to the reference kernel.
+  batch flat, and therefore to the big-int oracle kernel.
 
 Programs are cached per view in a :class:`~weakref.WeakKeyDictionary`
 (never pickled; pool workers rebuild their own; nothing cached refers
-back to the view, so an entry dies with it), and the kernel is
-``engine="compiled"``, the default of
+back to the view, so an entry dies with it), and
+:func:`compiled_batch_hits` is the one grading kernel of
 :func:`repro.dft.faultsim.random_pattern_fault_sim` and
 :func:`repro.dft.atpg.run_atpg`.  Throughput counters report under
 the ``dft.fault_sim.compiled`` perf stage.
@@ -59,7 +59,7 @@ the ``dft.fault_sim.compiled`` perf stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -68,7 +68,9 @@ from ..netlist.library import Cell
 from ..perf import stage_timer
 from ..sim.compiled import levelize_combinational
 from .faults import Fault
-from .faultsim import CombinationalView, _n_words, _WORD_BITS
+
+if TYPE_CHECKING:
+    from .faultsim import CombinationalView
 
 __all__ = [
     "FaultProgram",
@@ -78,6 +80,7 @@ __all__ = [
     "grade_batch",
 ]
 
+_WORD_BITS = 64
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Once the active universe shrinks below this fraction of the
@@ -88,6 +91,10 @@ _RESELECT_RATIO = 0.5
 #: Bytes of cone bitsets unpacked at a time: bounds the transient
 #: memory of :meth:`_ViewCompile.cone_tables` whatever the block size.
 _UNPACK_BYTES = 1 << 20
+
+
+def _n_words(width: int) -> int:
+    return (width + _WORD_BITS - 1) // _WORD_BITS
 
 
 def _first_set_bits(det: np.ndarray) -> np.ndarray:
@@ -831,10 +838,10 @@ def compiled_batch_hits(
     width: int,
     remaining: Sequence[Fault],
 ) -> dict[Fault, int]:
-    """Batch kernel of ``engine="compiled"``.
+    """Grade one batch: fault -> first detecting pattern bit.
 
-    Same signature and same results as
-    :func:`repro.dft.faultsim._batch_first_hits_bigint`; reports
+    Same signature and same results as the big-int oracle
+    :func:`repro.oracles.faultsim.bigint_batch_hits`; reports
     throughput counters under ``dft.fault_sim.compiled``.
     """
     with stage_timer("dft.fault_sim.compiled") as stats:

@@ -10,10 +10,12 @@ is evaluated from its precomputed truth table with bitwise operations.
 Single-fault simulation then re-evaluates only the fanout cone of the
 fault site -- the classic serial-fault / parallel-pattern scheme.
 
-This module's **big-int kernel** (one Python integer per net) is the
-scalar reference, ``engine="scalar"``.  Production grading runs on the
-fused flat-program backend of :mod:`repro.dft.compiled`,
-``engine="compiled"`` (the default); both produce bit-identical
+The view's big-int evaluation (one Python integer per net) serves
+diagnosis and single-pattern checks.  Campaign grading in
+:func:`random_pattern_fault_sim` runs on the fused flat-program
+kernel of :mod:`repro.dft.compiled`; the big-int fault kernel built on
+:meth:`CombinationalView.detect_mask` is its test oracle
+(:mod:`repro.oracles.faultsim`), and the two produce bit-identical
 results for the same RNG seed.
 Fanout cones and supports are memoized per instance, and
 :func:`random_pattern_fault_sim` can fan the fault list out over a
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,12 +35,11 @@ from ..netlist import Logic, Module
 from ..netlist.library import Cell
 from ..netlist.netlist import Instance
 from ..perf import fanout, stage_timer
+from .compiled import compiled_batch_hits
 from .faults import Fault
 
 if TYPE_CHECKING:
     from ..sat import CnfBuilder
-
-_WORD_BITS = 64
 
 #: Truth tables cached per Cell at module level: repeated
 #: CombinationalView construction (benchmarks build many views over
@@ -63,10 +64,6 @@ def _truth_minterms(cell: Cell) -> tuple[tuple[int, ...], ...]:
     result = tuple(minterms)
     _TRUTH_CACHE[cell] = result
     return result
-
-
-def _n_words(width: int) -> int:
-    return (width + _WORD_BITS - 1) // _WORD_BITS
 
 
 def _pack_bigint(bits: np.ndarray) -> int:
@@ -138,7 +135,8 @@ class CombinationalView:
         self, rng: np.random.Generator, count: int
     ) -> dict[str, np.ndarray]:
         """``count`` random patterns as unpacked 0/1 vectors per
-        pseudo input (the common source for both engines)."""
+        pseudo input (the pattern source production grading and its
+        oracle share)."""
         return {
             net: rng.integers(0, 2, size=count, dtype=np.uint8)
             for net in self.pseudo_inputs
@@ -374,47 +372,6 @@ class FaultSimResult:
         return self.effective_patterns[index]
 
 
-# -- batch kernels (one per engine) ----------------------------------------
-
-
-def _batch_first_hits_bigint(
-    view: CombinationalView,
-    bits: Mapping[str, np.ndarray],
-    width: int,
-    remaining: Sequence[Fault],
-) -> dict[Fault, int]:
-    """Big-int (scalar reference) batch: fault -> first detecting bit."""
-    packed = {net: _pack_bigint(vec) for net, vec in bits.items()}
-    good = view.evaluate(packed, width)
-    hits: dict[Fault, int] = {}
-    for fault in remaining:
-        mask = view.detect_mask(fault, good, width)
-        if mask:
-            hits[fault] = (mask & -mask).bit_length() - 1
-    return hits
-
-
-_BatchKernel = Callable[
-    [CombinationalView, Mapping[str, np.ndarray], int, Sequence[Fault]],
-    dict[Fault, int],
-]
-
-
-def _batch_kernel(engine: str) -> _BatchKernel:
-    """The batch kernel of ``engine``: ``"compiled"`` (production) or
-    ``"scalar"`` (the big-int reference).  :mod:`repro.dft.compiled`
-    imports this module, so its kernel is imported on first use."""
-    if engine == "compiled":
-        from .compiled import compiled_batch_hits
-
-        return compiled_batch_hits
-    if engine == "scalar":
-        return _batch_first_hits_bigint
-    raise ValueError(
-        f"unknown engine {engine!r} (expected 'compiled' or 'scalar')"
-    )
-
-
 def _record_batch(
     result: FaultSimResult,
     view: CombinationalView,
@@ -452,7 +409,6 @@ def _batch_schedule(max_patterns: int, batch_size: int) -> list[int]:
 
 _PartitionTask = tuple[
     CombinationalView, list[Fault], str, Mapping[str, Any], list[int],
-    _BatchKernel,
 ]
 
 
@@ -466,7 +422,7 @@ def _fault_partition_worker(
     from the snapshotted RNG state, so detections are exactly the ones
     the serial loop would have seen.
     """
-    view, faults, generator_name, rng_state, widths, batch_eval = task
+    view, faults, generator_name, rng_state, widths = task
     bit_generator = getattr(np.random, generator_name)()
     bit_generator.state = rng_state
     rng = np.random.Generator(bit_generator)
@@ -476,7 +432,7 @@ def _fault_partition_worker(
         if not remaining:
             break
         bits = view.random_pattern_bits(rng, width)
-        hits = batch_eval(view, bits, width, remaining)
+        hits = compiled_batch_hits(view, bits, width, remaining)
         for fault, bit in hits.items():
             first[fault] = (batch_index, bit)
         remaining = [f for f in remaining if f not in hits]
@@ -491,26 +447,19 @@ def random_pattern_fault_sim(
     max_patterns: int = 4096,
     batch_size: int = 64,
     target_coverage: float | None = None,
-    engine: str = "compiled",
     workers: int = 1,
 ) -> FaultSimResult:
     """Random-pattern fault simulation with fault dropping.
 
     Applies batches of random patterns until ``max_patterns`` is
     reached or ``target_coverage`` is met; detected faults are dropped
-    from further simulation.
-
-    ``engine`` selects the evaluation path: ``"compiled"`` (the fused
-    flat-program backend of :mod:`repro.dft.compiled`, the default) or
-    ``"scalar"`` (the big-int reference).  Both give bit-identical
-    results -- coverage, coverage curve, first-detecting-pattern
-    attribution and drop order.  ``workers >
+    from further simulation.  Each batch is graded on the fused
+    flat-program kernel of :mod:`repro.dft.compiled`.  ``workers >
     1`` partitions the fault list over a process pool; the merge
     replays the serial batch loop from per-fault first-detection
     records, so the result (and the caller's ``rng`` state afterwards)
-    is identical for any worker count and any engine.
+    is identical for any worker count.
     """
-    batch_eval = _batch_kernel(engine)  # validate before any rng draw
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n_workers = max(1, int(workers)) if workers is not None else 1
@@ -519,13 +468,12 @@ def random_pattern_fault_sim(
             result = _parallel_fault_sim(
                 view, faults, rng=rng, max_patterns=max_patterns,
                 batch_size=batch_size, target_coverage=target_coverage,
-                batch_eval=batch_eval, workers=n_workers,
+                workers=n_workers,
             )
         else:
             result = _serial_fault_sim(
                 view, faults, rng=rng, max_patterns=max_patterns,
                 batch_size=batch_size, target_coverage=target_coverage,
-                batch_eval=batch_eval,
             )
         stats.add(patterns=result.patterns_applied,
                   faults=len(faults),
@@ -541,14 +489,13 @@ def _serial_fault_sim(
     max_patterns: int,
     batch_size: int,
     target_coverage: float | None,
-    batch_eval: _BatchKernel,
 ) -> FaultSimResult:
     result = FaultSimResult(total_faults=len(faults))
     remaining: list[Fault] = list(faults)
     while result.patterns_applied < max_patterns and remaining:
         width = min(batch_size, max_patterns - result.patterns_applied)
         bits = view.random_pattern_bits(rng, width)
-        hits = batch_eval(view, bits, width, remaining)
+        hits = compiled_batch_hits(view, bits, width, remaining)
         _record_batch(result, view, bits, width, hits)
         remaining = [f for f in remaining if f not in hits]
         if target_coverage is not None and result.coverage >= target_coverage:
@@ -564,7 +511,6 @@ def _parallel_fault_sim(
     max_patterns: int,
     batch_size: int,
     target_coverage: float | None,
-    batch_eval: _BatchKernel,
     workers: int,
 ) -> FaultSimResult:
     """Fault-partition fan-out with a deterministic serial replay.
@@ -583,7 +529,7 @@ def _parallel_fault_sim(
     bounds = np.linspace(0, len(faults), n_chunks + 1).astype(int)
     tasks = [
         (view, list(faults[bounds[k]:bounds[k + 1]]), generator_name,
-         rng_state, widths, batch_eval)
+         rng_state, widths)
         for k in range(n_chunks)
         if bounds[k] < bounds[k + 1]
     ]

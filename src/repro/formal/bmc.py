@@ -46,8 +46,9 @@ which property.  :func:`check_properties` fans properties out via
 :func:`repro.perf.fanout` and merges in task order; report JSON is
 byte-identical for any worker count.
 
-The ``lanes`` engine cross-checks the SAT path with the compiled
-simulator itself: exhaustive stimulus enumeration on a
+The SAT path's test oracle, the ``lanes`` checker of
+:mod:`repro.oracles.bmc`, decides the same properties with the
+compiled simulator itself: exhaustive stimulus enumeration on a
 :class:`~repro.sim.compiled.BatchSimulator` when the free-input space
 is small, seeded random lanes otherwise.
 
@@ -73,7 +74,6 @@ from ..sim.compiled import (
     _IS1,
     _ISX,
     _NEVER,
-    BatchSimulator,
     CompiledProgram,
     compile_module,
 )
@@ -101,15 +101,6 @@ class BmcError(NetlistError):
     """The module or property cannot be bounded-model-checked."""
 
 
-#: Free-stimulus budget below which the ``lanes`` engine enumerates
-#: every binary input combination (2**bits simulator lanes) and its
-#: no-counterexample verdict is therefore *proven*, not sampled.
-LANES_EXHAUSTIVE_BITS = 14
-
-#: Seeded random stimulus lanes when exhaustive enumeration is too big.
-LANES_RANDOM = 256
-
-
 # ---------------------------------------------------------------------------
 # Input protocol
 # ---------------------------------------------------------------------------
@@ -117,7 +108,8 @@ LANES_RANDOM = 256
 
 @dataclass(frozen=True)
 class _InputPlan:
-    """How each input port is driven during BMC, shared by engines."""
+    """How each input port is driven during BMC (the unroller and the
+    lanes oracle share it)."""
 
     clock_port: str | None
     reset_ports: tuple[str, ...]
@@ -835,173 +827,33 @@ def _assumes_satisfiable(
 
 
 # ---------------------------------------------------------------------------
-# Lanes engine (simulation cross-check)
-# ---------------------------------------------------------------------------
-
-
-def _lane_stimuli(
-    plan: _InputPlan,
-    depth: int,
-    reset_frames: int,
-    seed: int,
-) -> tuple[list[list[dict[str, Logic]]], bool]:
-    """Per-lane stimulus sequences and whether they are exhaustive."""
-    free_bits = len(plan.free_ports) * depth
-    protocol: list[dict[str, Logic]] = []
-    for t in range(depth):
-        vector: dict[str, Logic] = {}
-        if plan.clock_port is not None:
-            vector[plan.clock_port] = Logic.ZERO
-        for port, value in plan.tied:
-            vector[port] = value
-        for port in plan.reset_ports:
-            vector[port] = (
-                Logic.ZERO if t < reset_frames else Logic.ONE
-            )
-        protocol.append(vector)
-
-    if free_bits <= LANES_EXHAUSTIVE_BITS:
-        lanes = []
-        for pattern in range(1 << free_bits):
-            sequence = []
-            bit = 0
-            for t in range(depth):
-                vector = dict(protocol[t])
-                for port in plan.free_ports:
-                    vector[port] = Logic.from_bool(
-                        bool((pattern >> bit) & 1)
-                    )
-                    bit += 1
-                sequence.append(vector)
-            lanes.append(sequence)
-        return lanes, True
-
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(
-        0, 2, size=(LANES_RANDOM, depth, len(plan.free_ports))
-    )
-    lanes = []
-    for lane in range(LANES_RANDOM):
-        sequence = []
-        for t in range(depth):
-            vector = dict(protocol[t])
-            for k, port in enumerate(plan.free_ports):
-                vector[port] = Logic.from_bool(bool(bits[lane, t, k]))
-            sequence.append(vector)
-        lanes.append(sequence)
-    return lanes, False
-
-
-def _check_one_lanes(
-    task: tuple[
-        Module, SimulatorConfig, Property, tuple[Property, ...], int,
-        int, str, int, tuple[tuple[str, Logic], ...],
-        tuple[tuple[str, Logic], ...] | None,
-    ],
-) -> PropertyCheck:
-    """Worker: decide one property by compiled-lane simulation."""
-    (module, config, prop, assumes, depth, seed, clock_port,
-     reset_frames, ties, initial_state) = task
-    program = compile_module(module, config)
-    plan = _plan_inputs(program, clock_port, dict(ties))
-    stimuli, exhaustive = _lane_stimuli(
-        plan, depth, reset_frames, seed
-    )
-    sim = BatchSimulator(module, config, lanes=len(stimuli))
-
-    # valid_until[lane]: first frame where an assume fails (or depth).
-    valid_until = [depth] * len(stimuli)
-    values: list[list[Logic]] = []  # [frame][lane]
-    for t in range(depth):
-        sim.set_lane_inputs([seq[t] for seq in stimuli])
-        sim.evaluate()
-        row: list[Logic] = []
-        for lane in range(len(stimuli)):
-            read = lambda net, _lane=lane: sim.read(net, _lane)
-            for assume in assumes:
-                if (valid_until[lane] >= t
-                        and assume.expr.evaluate(read)
-                        is not Logic.ONE):
-                    valid_until[lane] = t
-            row.append(prop.expr.evaluate(read))
-        values.append(row)
-        if t < depth - 1 and plan.clock_port is not None:
-            sim.clock_edge(plan.clock_port)
-
-    def build_cex(lane: int, frame: int, kind: str) -> Counterexample:
-        read = lambda net: sim.read(net, lane)  # final-frame values
-        frames = tuple(
-            {p: v for p, v in sorted(vec.items())
-             if p != plan.clock_port}
-            for vec in stimuli[lane]
-        )
-        bound = frame + 1 if kind == "witness" else depth
-        return Counterexample(
-            kind=kind,
-            frame=frame,
-            frames=frames[:bound],
-            nets=(),
-            clock_port=plan.clock_port,
-        )
-
-    hit: tuple[int, int] | None = None
-    if prop.kind == "assert":
-        for end in range(prop.within - 1, depth):
-            for lane in range(len(stimuli)):
-                if valid_until[lane] <= end:
-                    continue
-                if all(
-                    values[t][lane] is Logic.ZERO
-                    for t in range(end - prop.within + 1, end + 1)
-                ):
-                    hit = (lane, end)
-                    break
-            if hit:
-                break
-        if hit:
-            status = "falsified"
-            cex = build_cex(hit[0], hit[1], "violation")
-        else:
-            status = "proven" if exhaustive else "unknown"
-            cex = None
-    elif prop.kind == "cover":
-        bound = depth if prop.within == 1 else min(prop.within, depth)
-        for t in range(bound):
-            for lane in range(len(stimuli)):
-                if valid_until[lane] > t and \
-                        values[t][lane] is Logic.ONE:
-                    hit = (lane, t)
-                    break
-            if hit:
-                break
-        if hit:
-            status = "covered"
-            cex = build_cex(hit[0], hit[1], "witness")
-        else:
-            status = "unreachable" if exhaustive else "unknown"
-            cex = None
-    else:  # pragma: no cover - filtered by check_properties
-        raise BmcError(f"cannot check a {prop.kind!r} property")
-
-    return PropertyCheck(
-        name=prop.name,
-        kind=prop.kind,
-        fingerprint=prop.fingerprint,
-        expr=prop.expr.describe(),
-        within=prop.within,
-        status=status,
-        depth=depth,
-        engine="lanes",
-        counterexample=cex,
-        message=prop.message,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
+
+
+def _split_properties(
+    module: Module,
+    properties: PropertySet | Sequence[Property],
+    depth: int,
+) -> tuple[tuple[Property, ...], tuple[Property, ...]]:
+    """Validate a BMC run's arguments; return (assumes, targets)."""
+    if depth < 1:
+        raise BmcError("depth must be >= 1")
+    if isinstance(properties, PropertySet):
+        if properties.module != module.name:
+            raise BmcError(
+                f"property set targets {properties.module!r}, "
+                f"module is {module.name!r}"
+            )
+    props = tuple(properties)
+    assumes = tuple(p for p in props if p.kind == "assume")
+    targets = tuple(p for p in props if p.kind != "assume")
+    for prop in targets:
+        if prop.kind == "assert" and depth < prop.within:
+            raise BmcError(
+                f"property {prop.name!r} needs depth >= {prop.within}"
+            )
+    return assumes, targets
 
 
 def check_properties(
@@ -1010,7 +862,6 @@ def check_properties(
     *,
     depth: int,
     config: SimulatorConfig | None = None,
-    engine: str = "cdcl",
     workers: int | None = None,
     seed: int = 0,
     clock_port: str = "clk",
@@ -1020,15 +871,11 @@ def check_properties(
 ) -> BmcReport:
     """Bounded-model-check a property set against ``module``.
 
-    Assume properties constrain every engine run; assert and cover
-    properties are checked one fresh solver each, fanned out over
+    Assume properties constrain every check; assert and cover
+    properties are checked one fresh CDCL solver each, fanned out over
     ``workers`` processes with task-order merging -- the report (and
     its :meth:`BmcReport.to_json`) is byte-identical for any worker
-    count.  ``engine="cdcl"`` is the SAT path; ``engine="lanes"``
-    cross-checks with compiled-simulator stimulus enumeration
-    (exhaustive below :data:`LANES_EXHAUSTIVE_BITS` free input bits,
-    seeded random otherwise, in which case unresolved properties
-    report ``unknown``).
+    count.
 
     A counterexample's stimulus replays on both simulator dialects via
     :func:`replay_counterexample`.  When every assume together is
@@ -1038,33 +885,8 @@ def check_properties(
     deeper than ``depth`` -- raise :class:`BmcError` here, before any
     property is fanned out.
     """
-    if depth < 1:
-        raise BmcError("depth must be >= 1")
-    if engine not in ("cdcl", "lanes"):
-        raise BmcError(f"unknown engine {engine!r}")
-    if engine == "lanes" and initial_state is not None:
-        raise BmcError(
-            "the lanes engine replays from power-on only; use the "
-            "cdcl engine for explicit initial states"
-        )
+    assumes, targets = _split_properties(module, properties, depth)
     config = config or VENDOR_A_SIM
-    if isinstance(properties, PropertySet):
-        if properties.module != module.name:
-            raise BmcError(
-                f"property set targets {properties.module!r}, "
-                f"module is {module.name!r}"
-            )
-        props = tuple(properties)
-    else:
-        props = tuple(properties)
-    assumes = tuple(p for p in props if p.kind == "assume")
-    targets = tuple(p for p in props if p.kind != "assume")
-    for prop in targets:
-        if prop.kind == "assert" and depth < prop.within:
-            raise BmcError(
-                f"property {prop.name!r} needs depth >= {prop.within}"
-            )
-
     ties_t = tuple(sorted((ties or {}).items()))
     init_t = (
         tuple(sorted(initial_state.items()))
@@ -1075,12 +897,11 @@ def check_properties(
          reset_frames, ties_t, init_t)
         for prop in targets
     ]
-    worker = _check_one_cdcl if engine == "cdcl" else _check_one_lanes
     checks = list(fanout(
-        worker, tasks, workers=workers, stage="formal.bmc"
+        _check_one_cdcl, tasks, workers=workers, stage="formal.bmc"
     ))
 
-    if engine == "cdcl" and assumes and any(
+    if assumes and any(
         c.status in ("proven", "unreachable") for c in checks
     ):
         if not _assumes_satisfiable(
@@ -1099,7 +920,7 @@ def check_properties(
     return BmcReport(
         module=module.name,
         depth=depth,
-        engine=engine,
+        engine="cdcl",
         seed=seed,
         config=config.name,
         checks=tuple(checks),

@@ -322,7 +322,7 @@ def semiformal_verify(
 
     # Round 0: plain BMC from reset.
     base = check_properties(
-        module, props, depth=depth, config=config, engine="cdcl",
+        module, props, depth=depth, config=config,
         workers=workers, seed=seed, clock_port=clock_port,
         reset_frames=reset_frames,
     )
@@ -350,7 +350,7 @@ def semiformal_verify(
             break
         report = check_properties(
             module, remaining, depth=depth, config=config,
-            engine="cdcl", workers=workers, seed=seed,
+            workers=workers, seed=seed,
             clock_port=clock_port, reset_frames=0,
             initial_state=state,
         )

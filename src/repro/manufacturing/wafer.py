@@ -3,11 +3,11 @@
 The Monte-Carlo path is fully vectorized: die-site geometry and the
 edge-defectivity pass are whole-wafer numpy expressions, and
 :func:`simulate_lot` fans wafers out over a process pool with one
-spawned ``numpy.random.Generator`` stream per wafer.  Both the
-vectorized and the scalar reference path share :func:`_wafer_sites`
-and consume their generator identically (``rng.random(k)`` draws the
-same stream as ``k`` scalar ``rng.random()`` calls), so the two
-produce bit-identical wafer maps.
+spawned ``numpy.random.Generator`` stream per wafer.  The per-die
+oracle of :mod:`repro.oracles.wafer` shares :func:`_wafer_sites` and
+consumes its generator identically (``rng.random(k)`` draws the same
+stream as ``k`` scalar ``rng.random()`` calls), so the two produce
+bit-identical wafer maps.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ def _wafer_sites(
 
     Returns ``(cols, rows, radial)`` read-only arrays where ``radial``
     is the die-centre distance as a fraction of the usable radius.
-    Shared by the vectorized and scalar simulation paths so both see
-    identical geometry (down to the last ulp of the hypot), and cached
+    Shared with the per-die oracle so both see identical geometry
+    (down to the last ulp of the hypot), and cached
     because the geometry is a pure function of the wafer spec and die
     dimensions (every wafer of a lot reuses it).
     """
@@ -209,9 +209,9 @@ def simulate_wafer(
     defect rate, a second-order effect every fab fights).
 
     The edge pass draws ``rng.random(k)`` for the ``k`` base-passing
-    edge dies in site order -- the same stream the per-die scalar loop
-    (:func:`simulate_wafer_scalar`) consumes -- so the map is
-    bit-identical to the reference path.
+    edge dies in site order -- the same stream the per-die loop of
+    :func:`repro.oracles.wafer.simulate_wafer_scalar` consumes -- so
+    the map is bit-identical to the oracle's.
     """
     wafer = wafer or WaferSpec()
     with stage_timer("manufacturing.wafer") as stats:
@@ -225,7 +225,7 @@ def simulate_wafer(
         if len(candidates):
             draws = rng.random(len(candidates))
             # Edge-region extra defectivity; float-op order matches
-            # the scalar loop exactly.
+            # the oracle's per-die loop exactly.
             threshold = 0.5 * stack.defect.d0_per_cm2 \
                 * (die_area / 100.0) * (radial[candidates] - 0.8) / 0.2
             passing[candidates[draws < threshold]] = False
@@ -234,34 +234,6 @@ def simulate_wafer(
             cols, rows, passing,
         )
         stats.add(wafers=1, dies=len(cols))
-    return wafer_map
-
-
-def simulate_wafer_scalar(
-    stack: YieldStack,
-    *,
-    die_width_mm: float,
-    die_height_mm: float,
-    wafer: WaferSpec | None = None,
-    rng: np.random.Generator,
-) -> WaferMap:
-    """Per-die reference implementation of :func:`simulate_wafer`.
-
-    Kept as the equivalence oracle for the vectorized path; property
-    tests assert both produce the same map from the same seed.
-    """
-    wafer = wafer or WaferSpec()
-    cols, rows, radials = _wafer_sites(wafer, die_width_mm, die_height_mm)
-    die_area = die_width_mm * die_height_mm
-    base_pass = stack.sample_dies(die_area, len(cols), rng)
-    wafer_map = WaferMap(wafer, die_width_mm, die_height_mm)
-    for col, row, radial, ok in zip(cols, rows, radials, base_pass):
-        if ok and radial > 0.8:
-            # Edge-region extra defectivity.
-            edge_fail = rng.random() < 0.5 * stack.defect.d0_per_cm2 \
-                * (die_area / 100.0) * (radial - 0.8) / 0.2
-            ok = not edge_fail
-        wafer_map.passing[(int(col), int(row))] = bool(ok)
     return wafer_map
 
 

@@ -1,0 +1,26 @@
+"""Test oracles: the reference engines the fast ones are checked against.
+
+Every production job has exactly one engine a caller can reach.  Six
+of those engines are trusted because the test suite and the benchmarks
+compare them, value for value, with a slower and plainer
+implementation of the same job.  The references live here, one module
+per job:
+
+* :mod:`~repro.oracles.fixpoint` -- the monolithic worklist fixpoint,
+  oracle of the cone-by-cone solve of :mod:`repro.analysis`;
+* :mod:`~repro.oracles.faultsim` -- the big-int fault kernel and a
+  serial fault-dropping campaign on it, oracle of the compiled grading
+  of :mod:`repro.dft`;
+* :mod:`~repro.oracles.sta` -- the per-arc scalar NLDM sweep, oracle of
+  the vectorized sweep of :mod:`repro.sta`;
+* :mod:`~repro.oracles.bmc` -- the compiled-lane property checker,
+  oracle of the CDCL bounded model checker of :mod:`repro.formal`;
+* :mod:`~repro.oracles.placement` -- the dict-based anneal, oracle of
+  the incremental :class:`repro.physical.AnnealingPlacer`;
+* :mod:`~repro.oracles.wafer` -- the per-die wafer loop, oracle of the
+  vectorized :func:`repro.manufacturing.simulate_wafer`.
+
+Only tests and benchmarks import this package.  No other module of
+:mod:`repro` does, so a flow, a service run or a CLI command never
+loads it (``tests/test_dependencies.py`` checks both).
+"""

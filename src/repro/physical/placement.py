@@ -182,32 +182,22 @@ class AnnealingPlacer:
         iterations: int | None = None,
         timing_constraints: TimingConstraints | None = None,
         initial_temperature: float | None = None,
-        engine: str = "fast",
     ) -> tuple[Placement, PlacementReport]:
         """Run the anneal; returns the placement and its report.
 
-        ``engine="fast"`` (default) runs the incremental-HPWL engine:
-        integer coordinate arrays, a flat occupancy grid, and per-net
-        cached HPWL so a move only re-measures the nets touching the
-        moved cell(s).  ``engine="reference"`` runs the original
-        dict-based implementation.  Both consume the generator stream
-        identically (three ``integers`` draws per attempted move, one
-        ``random`` draw only when ``delta > 0``), and with the default
-        integer-exact geometry (site coordinates times a pitch like
-        10.0, weights from {1, 2, 3}) every float in the delta is
-        exact, so the two engines accept the same moves and return
-        bit-identical placements.
+        The anneal is incremental: integer coordinate arrays, a flat
+        occupancy grid, and per-net cached HPWL so a move only
+        re-measures the nets touching the moved cell(s).  Its test
+        oracle, the dict-based anneal of :mod:`repro.oracles.placement`,
+        consumes the generator stream identically (three ``integers``
+        draws per attempted move, one ``random`` draw only when
+        ``delta > 0``), and with the default integer-exact geometry
+        (site coordinates times a pitch like 10.0, weights from
+        {1, 2, 3}) every float in the delta is exact, so the two accept
+        the same moves and return bit-identical placements.
         """
-        if engine == "reference":
-            return self._place_reference(
-                iterations=iterations,
-                timing_constraints=timing_constraints,
-                initial_temperature=initial_temperature,
-            )
-        if engine != "fast":
-            raise ValueError(f"unknown placement engine: {engine!r}")
         with stage_timer("placement.anneal") as stats:
-            placement, report = self._place_fast(
+            placement, report = self._anneal(
                 iterations=iterations,
                 timing_constraints=timing_constraints,
                 initial_temperature=initial_temperature,
@@ -215,7 +205,7 @@ class AnnealingPlacer:
             stats.add(moves=report.moves_attempted)
         return placement, report
 
-    def _place_fast(
+    def _anneal(
         self,
         *,
         iterations: int | None = None,
@@ -355,102 +345,6 @@ class AnnealingPlacer:
             hpwl_initial_um=initial_cost if weights is None
             else self.total_hpwl(self.initial_placement()),
             hpwl_final_um=final_cost,
-            moves_attempted=iterations,
-            moves_accepted=accepted,
-            timing_driven=weights is not None,
-        )
-        return placement, report
-
-    def _place_reference(
-        self,
-        *,
-        iterations: int | None = None,
-        timing_constraints: TimingConstraints | None = None,
-        initial_temperature: float | None = None,
-    ) -> tuple[Placement, PlacementReport]:
-        """Original non-incremental anneal, kept as the equivalence
-        reference for the fast engine."""
-        locations = self.initial_placement()
-        weights = None
-        if timing_constraints is not None:
-            weights = self.criticality_weights(timing_constraints)
-        occupied: dict[tuple[int, int], str] = {
-            loc: name for name, loc in locations.items()
-        }
-        current_cost = self.total_hpwl(locations, weights)
-        initial_cost = current_cost
-
-        n = len(self._cells)
-        if iterations is None:
-            iterations = max(2000, 40 * n)
-        temperature = (
-            initial_temperature
-            if initial_temperature is not None
-            else max(current_cost / max(len(self._net_pins), 1), 1.0)
-        )
-        cooling = 0.995 if n < 500 else 0.999
-        accepted = 0
-
-        cell_nets: dict[str, list[str]] = {name: [] for name in self._cells}
-        for net, members in self._net_pins.items():
-            for member in members:
-                cell_nets[member].append(net)
-
-        for step in range(iterations):
-            mover = self._cells[int(self.rng.integers(0, n))]
-            target = (
-                int(self.rng.integers(0, self.grid_width)),
-                int(self.rng.integers(0, self.grid_height)),
-            )
-            swap_partner = occupied.get(target)
-            if swap_partner == mover:
-                continue
-            affected = set(cell_nets[mover])
-            if swap_partner is not None:
-                affected |= set(cell_nets[swap_partner])
-            before = sum(
-                (1.0 if weights is None else weights.get(net, 1.0))
-                * self._net_hpwl(net, locations)
-                for net in affected
-            )
-            old_loc = locations[mover]
-            locations[mover] = target
-            if swap_partner is not None:
-                locations[swap_partner] = old_loc
-            after = sum(
-                (1.0 if weights is None else weights.get(net, 1.0))
-                * self._net_hpwl(net, locations)
-                for net in affected
-            )
-            delta = after - before
-            if delta <= 0 or self.rng.random() < math.exp(
-                -delta / max(temperature, 1e-9)
-            ):
-                # Accept: update occupancy and cost.
-                occupied.pop(old_loc, None)
-                occupied[target] = mover
-                if swap_partner is not None:
-                    occupied[old_loc] = swap_partner
-                current_cost += delta
-                accepted += 1
-            else:
-                # Reject: roll back.
-                locations[mover] = old_loc
-                if swap_partner is not None:
-                    locations[swap_partner] = target
-            temperature *= cooling
-
-        placement = Placement(
-            module_name=self.module.name,
-            site_pitch_um=self.site_pitch_um,
-            grid_width=self.grid_width,
-            grid_height=self.grid_height,
-            locations=dict(locations),
-        )
-        report = PlacementReport(
-            hpwl_initial_um=initial_cost if weights is None
-            else self.total_hpwl(self.initial_placement()),
-            hpwl_final_um=self.total_hpwl(locations),
             moves_attempted=iterations,
             moves_accepted=accepted,
             timing_driven=weights is not None,

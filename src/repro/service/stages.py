@@ -162,8 +162,7 @@ def _dft(module: "Module", config: Mapping[str, Any]) -> Payload:
     patterns = int(config["patterns"])
     result = random_pattern_fault_sim(
         view, faults, rng=np.random.default_rng(int(config["seed"])),
-        max_patterns=patterns, engine="compiled",
-        batch_size=min(patterns, 4096),
+        max_patterns=patterns, batch_size=min(patterns, 4096),
     )
     return {
         "faults": len(faults),

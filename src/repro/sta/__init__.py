@@ -6,8 +6,9 @@ Two generations live side by side:
   (intrinsic + R * C), kept for the flow stages that predate the
   characterized library;
 * :class:`NldmTimingAnalyzer` -- table-driven multi-corner signoff
-  STA over a :class:`repro.liberty.CellLibrary`, with a vectorized
-  level-sweep engine and a bit-identical scalar reference.
+  STA over a :class:`repro.liberty.CellLibrary`, on a vectorized
+  level sweep (its bit-identical per-arc oracle is
+  :mod:`repro.oracles.sta`).
 """
 
 from .analyzer import (

@@ -8,19 +8,16 @@ per net through a levelized arc graph, setup (max/late) and hold
 (min/early) are swept simultaneously, and every requested process
 corner is evaluated in the same pass.
 
-Two engines share one compiled :class:`TimingGraph` and one report
-builder:
-
-* ``engine="scalar"`` -- the retained reference: a per-arc Python
-  walker, one corner at a time;
-* ``engine="vectorized"`` -- :mod:`repro.sta.vectorized`: one numpy
-  gather + reduce per level with corners as extra lanes.
-
-Both engines perform the identical float64 operations in the identical
-order per value (shared precomputed loads, shared clamped bilinear
-formula, order-insensitive max/min reductions), so their
-:class:`MultiCornerTimingReport` canonical JSON is byte-identical for
-any corner set -- the same determinism contract as
+The sweep is :mod:`repro.sta.vectorized`: one numpy gather + reduce
+per level of one compiled :class:`TimingGraph`, with corners as extra
+lanes; :func:`build_report` turns its arrays into the QoR report.  Its
+test oracle, the per-arc Python walker of :mod:`repro.oracles.sta`,
+performs the identical float64 operations in the identical order per
+value (shared precomputed loads, shared clamped bilinear formula,
+order-insensitive max/min reductions) and builds its report through
+the same :func:`build_report`, so the two
+:class:`MultiCornerTimingReport` canonical JSONs are byte-identical
+for any corner set -- the same determinism contract as
 ``repro.sim.compiled`` and ``repro.dft.compiled``.
 """
 
@@ -37,6 +34,7 @@ from ..liberty.tables import FloatArray, IntArray, lookup_scalar, table_array
 from ..netlist import Module
 from ..perf import stage_timer
 from .analyzer import TimingConstraints
+from .vectorized import sweep_vectorized
 
 # ---------------------------------------------------------------------------
 # Compiled timing graph
@@ -47,8 +45,8 @@ from .analyzer import TimingConstraints
 class LevelArcs:
     """All timing arcs of one topological level, grouped by output net.
 
-    Arcs are contiguous per (instance, output pin) stage so both
-    engines reduce the same candidate runs: ``group_start`` holds
+    Arcs are contiguous per (instance, output pin) stage so the sweep
+    and its oracle reduce the same candidate runs: ``group_start`` holds
     reduceat offsets into the arc arrays and ``out_net`` the output
     net of each group.
     """
@@ -286,7 +284,7 @@ def compute_loads(
 ) -> FloatArray:
     """Per-corner net loads ``[C, N]``: pin caps + derated wire caps.
 
-    Computed once and shared by both engines so load float64 values are
+    Shared by the sweep and its oracle so load float64 values are
     identical by construction.
     """
     n_nets = len(graph.net_names)
@@ -300,91 +298,6 @@ def compute_loads(
         wire[:] = constraints.wire_cap_per_fanout_ff * graph.fanout_count
     derate = np.asarray([c.wire_derate for c in corners], dtype=np.float64)
     return graph.pin_cap_ff[None, :] + wire[None, :] * derate[:, None]
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference sweep (retained per-arc walker)
-# ---------------------------------------------------------------------------
-
-
-def sweep_scalar_corner(
-    graph: TimingGraph,
-    loads_row: FloatArray,
-    delay_derate: float,
-    slew_derate: float,
-    constraints: TimingConstraints,
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-    """Reference per-arc walk of one corner.
-
-    Returns ``(arrival_setup, slew_setup, arrival_hold, slew_hold)``,
-    each ``[N]`` float64.  Plain Python arithmetic per arc; the
-    vectorized engine must reproduce every value bit-for-bit.
-    """
-    n = len(graph.net_names)
-    inf = float("inf")
-    arr_s = np.zeros(n, dtype=np.float64)
-    arr_h = np.full(n, inf, dtype=np.float64)
-    slew_s = np.full(n, constraints.input_slew_ps, dtype=np.float64)
-    slew_h = np.full(n, constraints.input_slew_ps, dtype=np.float64)
-    arr_s[graph.port_input_nets] = constraints.input_delay_ps
-
-    delay_tables = graph.delay_tables
-    tran_tables = graph.tran_tables
-    sgrid, lgrid = graph.slew_grid_t, graph.load_grid_t
-    clock_slew = constraints.clock_slew_ps
-
-    for q_idx, tid in zip(graph.flop_q_net, graph.flop_table_id):
-        load = float(loads_row[q_idx])
-        delay = lookup_scalar(
-            delay_tables[tid], sgrid, lgrid, clock_slew, load) * delay_derate
-        tran = lookup_scalar(
-            tran_tables[tid], sgrid, lgrid, clock_slew, load) * slew_derate
-        arr_s[q_idx] = delay
-        arr_h[q_idx] = delay
-        slew_s[q_idx] = tran
-        slew_h[q_idx] = tran
-
-    for level in graph.levels:
-        src = level.src_net
-        tids = level.table_id
-        starts = level.group_start
-        n_groups = len(level.out_net)
-        for g in range(n_groups):
-            lo = int(starts[g])
-            hi = int(starts[g + 1]) if g + 1 < n_groups else len(src)
-            out_idx = int(level.out_net[g])
-            load = float(loads_row[out_idx])
-            best_as, best_ts = -inf, -inf
-            best_ah, best_th = inf, inf
-            for a in range(lo, hi):
-                s_idx = int(src[a])
-                tid = int(tids[a])
-                cand = float(arr_s[s_idx]) + lookup_scalar(
-                    delay_tables[tid], sgrid, lgrid,
-                    float(slew_s[s_idx]), load) * delay_derate
-                if cand > best_as:
-                    best_as = cand
-                tran = lookup_scalar(
-                    tran_tables[tid], sgrid, lgrid,
-                    float(slew_s[s_idx]), load) * slew_derate
-                if tran > best_ts:
-                    best_ts = tran
-                cand_h = float(arr_h[s_idx]) + lookup_scalar(
-                    delay_tables[tid], sgrid, lgrid,
-                    float(slew_h[s_idx]), load) * delay_derate
-                if cand_h < best_ah:
-                    best_ah = cand_h
-                tran_h = lookup_scalar(
-                    tran_tables[tid], sgrid, lgrid,
-                    float(slew_h[s_idx]), load) * slew_derate
-                if tran_h < best_th:
-                    best_th = tran_h
-            arr_s[out_idx] = best_as
-            slew_s[out_idx] = best_ts
-            arr_h[out_idx] = best_ah
-            slew_h[out_idx] = best_th
-
-    return arr_s, slew_s, arr_h, slew_h
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +365,9 @@ class CornerTimingReport:
 
 @dataclass
 class MultiCornerTimingReport:
-    """Signoff QoR across all analyzed corners.
-
-    ``canonical_json`` excludes the engine tag: it is the byte-exact
-    QoR contract the scalar and vectorized engines must both satisfy.
-    """
+    """Signoff QoR across all analyzed corners."""
 
     clock_period_ps: float
-    engine: str
     corners: list[CornerTimingReport] = field(default_factory=list)
 
     def corner(self, name: str) -> CornerTimingReport:
@@ -492,26 +400,23 @@ class MultiCornerTimingReport:
         """Worst hold slack across corners."""
         return min(r.hold_wns_ps for r in self.corners)
 
-    def to_dict(self, *, include_engine: bool = True) -> dict:
-        payload: dict = {
+    def to_dict(self) -> dict:
+        return {
             "clock_period_ps": self.clock_period_ps,
             "corners": [r.to_dict() for r in self.corners],
         }
-        if include_engine:
-            payload["engine"] = self.engine
-        return payload
 
     def canonical_json(self) -> str:
-        """Engine-independent byte-exact QoR serialization."""
+        """Byte-exact QoR serialization."""
         return json.dumps(
-            self.to_dict(include_engine=False),
+            self.to_dict(),
             sort_keys=True,
             separators=(",", ":"),
         )
 
     def format_report(self) -> str:
         lines = [
-            f"NLDM STA QoR ({self.engine} engine)",
+            "NLDM STA QoR",
             f"  clock period : {self.clock_period_ps:.0f} ps"
             f" ({1e6 / self.clock_period_ps:.1f} MHz)",
         ]
@@ -596,13 +501,12 @@ def build_report(
     slew_s: FloatArray,
     arr_h: FloatArray,
     *,
-    engine: str,
     with_critical_path: bool = True,
 ) -> MultiCornerTimingReport:
     """Turn swept (arrival, slew) arrays into the QoR report.
 
-    Shared by both engines: byte-identical input arrays therefore
-    yield byte-identical reports.
+    Shared by the sweep and its oracle: byte-identical input arrays
+    therefore yield byte-identical reports.
     """
     c = constraints
     ep_nets = np.asarray([e[2] for e in graph.endpoints], dtype=np.int64)
@@ -614,8 +518,7 @@ def build_report(
         c.clock_period_ps - c.output_delay_ps,
     )
 
-    report = MultiCornerTimingReport(
-        clock_period_ps=c.clock_period_ps, engine=engine)
+    report = MultiCornerTimingReport(clock_period_ps=c.clock_period_ps)
     for ci, name in enumerate(corner_names):
         if len(ep_nets) == 0:
             report.corners.append(
@@ -696,7 +599,6 @@ class NldmTimingAnalyzer:
         self,
         *,
         corners: Sequence[str] | None = None,
-        engine: str = "vectorized",
     ) -> tuple[list[str], FloatArray, FloatArray, FloatArray, FloatArray,
                FloatArray, FloatArray]:
         """Run one (arrival, slew) sweep.
@@ -714,28 +616,10 @@ class NldmTimingAnalyzer:
             [c.slew_derate for c in corner_objs], dtype=np.float64)
 
         with stage_timer("sta.sweep") as stats:
-            if engine == "vectorized":
-                from .vectorized import sweep_vectorized
-
-                arr_s, slew_s, arr_h, slew_h = sweep_vectorized(
-                    self.graph, loads, delay_derates, slew_derates,
-                    self.constraints,
-                )
-            elif engine == "scalar":
-                results = [
-                    sweep_scalar_corner(
-                        self.graph, loads[i], float(delay_derates[i]),
-                        float(slew_derates[i]), self.constraints)
-                    for i in range(len(names))
-                ]
-                arr_s = np.stack([r[0] for r in results])
-                slew_s = np.stack([r[1] for r in results])
-                arr_h = np.stack([r[2] for r in results])
-                slew_h = np.stack([r[3] for r in results])
-            else:
-                raise ValueError(
-                    f"unknown STA engine {engine!r} "
-                    "(expected 'vectorized' or 'scalar')")
+            arr_s, slew_s, arr_h, slew_h = sweep_vectorized(
+                self.graph, loads, delay_derates, slew_derates,
+                self.constraints,
+            )
             stats.add(arcs=self.graph.num_arcs * len(names),
                       corners=len(names))
         return names, delay_derates, loads, arr_s, slew_s, arr_h, slew_h
@@ -744,23 +628,20 @@ class NldmTimingAnalyzer:
         self,
         *,
         corners: Sequence[str] | None = None,
-        engine: str = "vectorized",
         with_critical_path: bool = True,
     ) -> MultiCornerTimingReport:
         """Setup + hold analysis across corners; the QoR report."""
         names, derates, loads, arr_s, slew_s, arr_h, _ = self.sweep(
-            corners=corners, engine=engine)
+            corners=corners)
         return build_report(
             self.graph, self.constraints, names, derates, loads,
-            arr_s, slew_s, arr_h,
-            engine=engine, with_critical_path=with_critical_path,
+            arr_s, slew_s, arr_h, with_critical_path=with_critical_path,
         )
 
     def endpoint_slacks(
         self,
         *,
         corner: str = "tt",
-        engine: str = "vectorized",
     ) -> dict[str, float]:
         """Setup slack per endpoint key at one corner.
 
@@ -768,8 +649,7 @@ class NldmTimingAnalyzer:
         ``worst_endpoint``.
         """
         c = self.constraints
-        _, _, _, arr_s, _, _, _ = self.sweep(
-            corners=[corner], engine=engine)
+        _, _, _, arr_s, _, _, _ = self.sweep(corners=[corner])
         slacks: dict[str, float] = {}
         for key, kind, net_idx in self.graph.endpoints:
             required = (
@@ -788,13 +668,11 @@ def analyze_timing(
     library: CellLibrary | None = None,
     net_wire_cap_ff: Mapping[str, float] | None = None,
     corners: Sequence[str] | None = None,
-    engine: str = "vectorized",
     with_critical_path: bool = True,
 ) -> MultiCornerTimingReport:
     """One-call multi-corner NLDM STA (the CLI / flow entry point)."""
     analyzer = NldmTimingAnalyzer(
         module, constraints, library=library, net_wire_cap_ff=net_wire_cap_ff)
     return analyzer.analyze(
-        corners=corners, engine=engine,
-        with_critical_path=with_critical_path,
+        corners=corners, with_critical_path=with_critical_path,
     )

@@ -8,13 +8,14 @@ batched lookup, add derates, and reduce per output net with
 (hold/early).  Process corners ride as extra lanes ``[C, ...]`` on
 every array, so analyzing ss/tt/ff costs one sweep, not three.
 
-Bit-identity with :func:`repro.sta.nldm.sweep_scalar_corner` is by
-construction: both engines consume the same precomputed ``[C, N]``
-load array and table stacks, evaluate the same clamped bilinear
-formula in the same operation order (:mod:`repro.liberty.tables`), and
-reduce with exact order-insensitive max/min -- so every float64 in
-the swept arrays, and therefore the canonical QoR JSON, matches the
-per-arc reference for any corner set and worker count.
+Bit-identity with the per-arc oracle
+:func:`repro.oracles.sta.sweep_scalar_corner` is by construction: both
+consume the same precomputed ``[C, N]`` load array and table stacks,
+evaluate the same clamped bilinear formula in the same operation order
+(:mod:`repro.liberty.tables`), and reduce with exact order-insensitive
+max/min -- so every float64 in the swept arrays, and therefore the
+canonical QoR JSON, matches the oracle for any corner set and worker
+count.
 """
 
 from __future__ import annotations

@@ -32,13 +32,13 @@ from repro.analysis import (
     never_toggling_flops,
     pair_bit,
     reconvergent_x_sites,
-    run_fixpoint,
     stuck_nets,
     unobservable_instances,
 )
 from repro.lint import Finding, Severity, clock_path_races, run_lint
 from repro.netlist import Module, PinRef, make_default_library
 from repro.netlist.logic import Logic
+from repro.oracles.fixpoint import run_fixpoint
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM
 from repro.verification import (
     cross_validate_divergence,

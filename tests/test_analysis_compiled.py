@@ -12,7 +12,8 @@ show in a result:
   instead of their names, with every payload unchanged;
 * the shared tables, the memo and the store never carry a result across
   dialects or libraries, even between configs that share a name;
-* the cone-by-cone solve equals the monolithic ``FixpointEngine`` on
+* the cone-by-cone solve equals the monolithic ``FixpointEngine`` of
+  :mod:`repro.oracles.fixpoint` on
   generated blocks edited to reach the view's corner cases.
 """
 
@@ -34,7 +35,6 @@ from repro.analysis import (
     clear_analysis_memo,
     clear_transfer_tables,
     partition_cones,
-    run_fixpoint,
     run_fixpoint_cones,
 )
 from repro.analysis.analyses import _uninit_mask
@@ -42,6 +42,7 @@ from repro.dft.scan import insert_scan
 from repro.netlist import make_default_library
 from repro.netlist.generators import block_from_budget
 from repro.netlist.netlist import Module, PinRef
+from repro.oracles.fixpoint import run_fixpoint
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM
 from repro.store import ArtifactStore, using_store
 from tests.test_lint import _exotic_lib, build_comb_loop

@@ -36,15 +36,15 @@ from repro.analysis import (
     never_toggling_flops,
     partition_cones,
     reconvergent_x_sites,
-    run_fixpoint,
     run_fixpoint_cones,
     stuck_nets,
     unobservable_instances,
 )
 from repro.analysis.analyses import _uninit_mask
 from repro.lint import clock_path_races, run_lint
-from repro.netlist import Module, make_default_library
+from repro.netlist import make_default_library
 from repro.netlist.generators import block_from_budget
+from repro.oracles.fixpoint import run_fixpoint
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM
 from repro.store import ArtifactStore, using_store
 from tests.test_analysis import (

@@ -5,7 +5,7 @@ the CDC rules' structural D-pin fan-in walk.  The oracle here reads the
 same relation off a dataflow fixpoint instead: a test-local taint
 domain in which every flop seeds its own name, every gate unions its
 inputs and no flop passes anything on, solved by the monolithic
-:func:`repro.analysis.run_fixpoint`.  The two must name the same
+:func:`repro.oracles.fixpoint.run_fixpoint`.  The two must name the same
 ``(src, dst, kind)`` triples on the seeded-bug corpus, on hand-built
 corner cases (a flop between source and destination, a combinational
 loop on a D path) and on generated blocks whose flops are re-clocked
@@ -15,10 +15,11 @@ through clock gates and inverters.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import TaintDomain, run_fixpoint
+from repro.analysis import TaintDomain
 from repro.lint import clock_path_races
 from repro.netlist import Module, make_default_library, trace_control_source
 from repro.netlist.generators import block_from_budget
+from repro.oracles.fixpoint import run_fixpoint
 from tests.test_stage_table import SEEDED_BUGS
 
 LIB = make_default_library(0.25)

@@ -11,7 +11,9 @@ timers, DFT runs without the formal, coverage, verification and lint
 layers, and :mod:`repro.analysis`, with the property derivation built
 on it, runs without loading any :mod:`repro.lint` module.  The
 lifecycle flow reads the service's stage table without loading its
-asyncio front end.
+asyncio front end.  :mod:`repro.oracles` holds the reference engines
+the tests compare production against: no other package imports it,
+and neither a flow run nor ``repro atpg`` loads it.
 """
 
 import ast
@@ -131,6 +133,24 @@ FLOW_WITHOUT_ASYNCIO_RUN = textwrap.dedent("""
 """)
 
 
+PRODUCTION_WITHOUT_ORACLES_RUN = textwrap.dedent("""
+    import contextlib
+    import io
+    import sys
+
+    from repro.cli import main
+    from repro.core import DesignServiceFlow
+
+    DesignServiceFlow(scale=0.005, seed=0).run()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["atpg", "--gates", "200", "--patterns", "32"]) == 0
+    loaded = sorted(name for name in sys.modules
+                    if name == "repro.oracles"
+                    or name.startswith("repro.oracles."))
+    assert not loaded, loaded
+""")
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this tree."""
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -166,6 +186,11 @@ def test_dft_runs_without_formal_or_lint():
 
 def test_flow_runs_without_asyncio():
     result = run_python(FLOW_WITHOUT_ASYNCIO_RUN)
+    assert result.returncode == 0, result.stderr
+
+
+def test_flow_and_atpg_never_load_the_oracles():
+    result = run_python(PRODUCTION_WITHOUT_ORACLES_RUN)
     assert result.returncode == 0, result.stderr
 
 
@@ -253,6 +278,14 @@ def test_package_import_graph_is_acyclic():
     assert "sat" in graph["dft"] and "sat" in graph["formal"]
     cycle = find_cycle(graph)
     assert cycle is None, " -> ".join(cycle)
+
+
+def test_no_package_imports_the_oracles():
+    graph = package_import_graph()
+    assert "oracles" in graph
+    importers = sorted(name for name, targets in graph.items()
+                       if "oracles" in targets and name != "oracles")
+    assert not importers, importers
 
 
 def test_import_graph_walk_sees_every_import_form():

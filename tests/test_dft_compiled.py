@@ -1,13 +1,14 @@
-"""Engine-equivalence tests for the compiled fault-simulation backend.
+"""Oracle-equivalence tests for the compiled fault-simulation backend.
 
 The compiled engine's contract mirrors the compiled functional
 backend's: *bit identity*.  For any netlist, dialect of scan
-configuration, batch size and worker count, ``engine="compiled"`` must
-reproduce the big-int scalar reference's :class:`FaultSimResult`
-exactly -- detected set, coverage curve, effective patterns and
+configuration, batch size and worker count,
+:func:`random_pattern_fault_sim` must reproduce the big-int oracle's
+:class:`FaultSimResult` (:mod:`repro.oracles.faultsim`) exactly --
+detected set, coverage curve, effective patterns and
 first-detecting-pattern attribution -- and :func:`run_atpg` must
-return the same report through either engine, grading of the SAT
-generator's patterns included.
+return the same report as with the oracle kernel substituted,
+grading of the SAT generator's patterns included.
 """
 
 import random
@@ -21,18 +22,18 @@ from repro.netlist.generators import block_from_budget
 from repro.dft import (
     CombinationalView,
     Fault,
+    atpg,
     clear_fault_program_cache,
     collapse_faults,
     compile_fault_program,
     enumerate_faults,
+    faultsim,
     grade_batch,
     insert_scan,
     random_pattern_fault_sim,
     run_atpg,
 )
-from repro.dft.faultsim import _batch_first_hits_bigint
-
-ENGINES = ("scalar", "compiled")
+from repro.oracles.faultsim import bigint_batch_hits, bigint_fault_sim
 
 
 @pytest.fixture(scope="module")
@@ -52,23 +53,22 @@ def result_digest(result):
     )
 
 
-def fault_sim_digests(module, *, seed, batch_size=64, max_patterns=256,
-                      workers=1):
+def fault_sim_digests(module, *, seed, batch_size=64, max_patterns=256):
+    """Production and oracle digests of one campaign."""
     view = CombinationalView(module)
     faults = collapse_faults(module, enumerate_faults(module))
-    digests = {}
-    for engine in ENGINES:
-        result = random_pattern_fault_sim(
-            view, faults, rng=np.random.default_rng(seed),
-            max_patterns=max_patterns, batch_size=batch_size,
-            engine=engine, workers=workers,
-        )
-        digests[engine] = result_digest(result)
-    return digests
+    kw = dict(max_patterns=max_patterns, batch_size=batch_size)
+    return {
+        "compiled": result_digest(random_pattern_fault_sim(
+            view, faults, rng=np.random.default_rng(seed), **kw)),
+        "oracle": result_digest(bigint_fault_sim(
+            view, faults, rng=np.random.default_rng(seed), **kw)),
+    }
 
 
 class TestEngineIdentity:
-    """Randomized netlists x scan configs x batch sizes x engines."""
+    """Randomized netlists x scan configs x batch sizes, against the
+    oracle."""
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -86,7 +86,7 @@ class TestEngineIdentity:
         scanned, _ = insert_scan(module, n_chains=n_chains)
         digests = fault_sim_digests(scanned, seed=seed,
                                     batch_size=batch_size)
-        assert digests["compiled"] == digests["scalar"]
+        assert digests["compiled"] == digests["oracle"]
 
     def test_worker_count_invariance(self, lib):
         module = pipeline_block("wrk", lib, stages=2, width=8,
@@ -94,36 +94,46 @@ class TestEngineIdentity:
         scanned, _ = insert_scan(module, n_chains=2)
         view = CombinationalView(scanned)
         faults = collapse_faults(scanned, enumerate_faults(scanned))
-        digests = [
-            result_digest(random_pattern_fault_sim(
+        oracle = result_digest(bigint_fault_sim(
+            view, faults, rng=np.random.default_rng(3),
+            max_patterns=192, batch_size=64,
+        ))
+        for workers in (1, 2, 3):
+            assert result_digest(random_pattern_fault_sim(
                 view, faults, rng=np.random.default_rng(3),
-                max_patterns=192, batch_size=64,
-                engine="compiled", workers=workers,
-            ))
-            for workers in (1, 2, 3)
-        ]
-        assert digests[0] == digests[1] == digests[2]
+                max_patterns=192, batch_size=64, workers=workers,
+            )) == oracle, workers
 
     def test_unscanned_module_identical(self, lib):
         """Plain flops (perfect-scan model) grade identically too."""
         module = pipeline_block("plain", lib, stages=2, width=6,
                                 cloud_gates=30, seed=9)
         digests = fault_sim_digests(module, seed=11)
-        assert digests["compiled"] == digests["scalar"]
+        assert digests["compiled"] == digests["oracle"]
 
-    def test_atpg_identical_across_engines(self, lib):
+    def test_atpg_identical_across_engines(self, lib, monkeypatch):
         module = pipeline_block("atpg", lib, stages=2, width=6,
                                 cloud_gates=30, seed=2)
         scanned, _ = insert_scan(module, n_chains=2)
+        # The reference run grades on the oracle kernel in both phases.
         # 16 random patterns leave faults for the SAT generator, so its
-        # pattern grading runs on both engines too.
+        # pattern grading (one-pattern batches) runs on the oracle too.
         for max_random_patterns in (128, 16):
-            ref = run_atpg(scanned, seed=7,
-                           max_random_patterns=max_random_patterns,
-                           engine="scalar")
+            widths = []
+
+            def oracle_kernel(view, bits, width, remaining):
+                widths.append(width)
+                return bigint_batch_hits(view, bits, width, remaining)
+
+            with monkeypatch.context() as patch:
+                for owner in (faultsim, atpg):
+                    patch.setattr(owner, "compiled_batch_hits",
+                                  oracle_kernel)
+                ref = run_atpg(scanned, seed=7,
+                               max_random_patterns=max_random_patterns)
             other = run_atpg(scanned, seed=7,
-                             max_random_patterns=max_random_patterns,
-                             engine="compiled")
+                             max_random_patterns=max_random_patterns)
+            assert widths.count(1) == ref.patterns_deterministic
             if max_random_patterns == 16:
                 assert ref.patterns_deterministic > 0
             assert other.total_faults == ref.total_faults
@@ -136,19 +146,7 @@ class TestEngineIdentity:
             assert other.coverage_curve == ref.coverage_curve
             assert run_atpg(scanned, seed=7,
                             max_random_patterns=max_random_patterns,
-                            engine="compiled", workers=2) == ref
-
-    def test_engine_knob_validation(self, lib):
-        module = counter_module(lib)
-        view = CombinationalView(module)
-        faults = enumerate_faults(module)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        for engine in ("warp", "words"):
-            with pytest.raises(ValueError):
-                random_pattern_fault_sim(
-                    view, faults, rng=rng, max_patterns=8, engine=engine)
-        assert rng.bit_generator.state == state
+                            workers=2) == ref
 
 
 def counter_module(lib):
@@ -180,7 +178,7 @@ class TestTrickyFaultSites:
         module.add_instance("u2", "INV_X1", {"A": "mid", "Y": "z"})
         digests = fault_sim_digests(module, seed=1, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["scalar"]
+        assert digests["compiled"] == digests["oracle"]
 
     def test_spare_cell_feed_faults(self, lib):
         """Spare outputs evaluate as constant-undriven; cones through
@@ -193,7 +191,7 @@ class TestTrickyFaultSites:
                             {"A": "sp_y", "B": "a", "Y": "y"})
         digests = fault_sim_digests(module, seed=3, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["scalar"]
+        assert digests["compiled"] == digests["oracle"]
 
     def test_tie_cell_faults(self, lib):
         module = Module("tie", lib)
@@ -207,7 +205,7 @@ class TestTrickyFaultSites:
                             {"A": "m", "B": "lo", "Y": "y"})
         digests = fault_sim_digests(module, seed=4, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["scalar"]
+        assert digests["compiled"] == digests["oracle"]
 
     def test_icg_enable_faults(self, lib):
         """ICG cells are combinational AND gates to the fault model;
@@ -229,7 +227,7 @@ class TestTrickyFaultSites:
         assert any(f.instance == "g0" for f in faults)
         digests = fault_sim_digests(module, seed=5, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["scalar"]
+        assert digests["compiled"] == digests["oracle"]
 
     def test_scan_enable_path_faults(self, lib):
         """Scan-muxed design: scan_en and scan_in are control/chain
@@ -242,7 +240,7 @@ class TestTrickyFaultSites:
         assert "scan_en" not in view.pseudo_inputs
         digests = fault_sim_digests(scanned, seed=6, batch_size=32,
                                     max_patterns=128)
-        assert digests["compiled"] == digests["scalar"]
+        assert digests["compiled"] == digests["oracle"]
 
 
 class TestCompiledKernelUnit:
@@ -280,7 +278,7 @@ class TestCompiledKernelUnit:
         for width in (1, 63, 64, 65, 200):
             bits = view.random_pattern_bits(rng, width)
             hits = grade_batch(program, bits, width, remaining)
-            assert hits == _batch_first_hits_bigint(
+            assert hits == bigint_batch_hits(
                 view, bits, width, remaining)
             remaining = [f for f in remaining if f not in hits]
 
@@ -313,7 +311,7 @@ class TestCompiledKernelUnit:
         assert not np.isin(np.arange(5), split.det_fault).any()
         bits = view.random_pattern_bits(np.random.default_rng(4), 64)
         assert grade_batch(split, bits, 64, faults) == (
-            _batch_first_hits_bigint(view, bits, 64, faults))
+            bigint_batch_hits(view, bits, 64, faults))
 
     def test_single_fault_universe(self, lib):
         module = counter_module(lib)
@@ -322,7 +320,7 @@ class TestCompiledKernelUnit:
         program = compile_fault_program(view, [fault])
         bits = view.random_pattern_bits(np.random.default_rng(0), 8)
         hits = grade_batch(program, bits, 8, [fault])
-        assert hits == _batch_first_hits_bigint(view, bits, 8, [fault])
+        assert hits == bigint_batch_hits(view, bits, 8, [fault])
 
 
 def _edit_block(module, position, edit, index):
@@ -405,11 +403,11 @@ def test_compiled_equals_bigint_on_edited_blocks(seed, scan, full,
     clear_fault_program_cache()
     for universe in (faults, subset):
         digests = [
-            result_digest(random_pattern_fault_sim(
+            result_digest(simulate(
                 view, universe, rng=np.random.default_rng(seed),
-                max_patterns=96, batch_size=64, engine=engine,
+                max_patterns=96, batch_size=64,
             ))
-            for engine in ENGINES
+            for simulate in (random_pattern_fault_sim, bigint_fault_sim)
         ]
         assert digests[0] == digests[1]
     program = compile_fault_program(view, faults)

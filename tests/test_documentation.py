@@ -21,7 +21,7 @@ SUBPACKAGES = [
     "repro.project", "repro.dsc", "repro.soc", "repro.si", "repro.dfm",
     "repro.lowpower", "repro.core", "repro.coverage",
     "repro.analysis", "repro.lint", "repro.store", "repro.service",
-    "repro.perf", "repro.sat",
+    "repro.perf", "repro.sat", "repro.oracles",
 ]
 
 

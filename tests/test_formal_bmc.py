@@ -40,6 +40,7 @@ from repro.netlist import (
     one_hot_ring,
     pipeline_block,
 )
+from repro.oracles.bmc import check_properties_lanes
 from repro.sat import CnfBuilder, SatError, Solver
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM, LogicSimulator
 from repro.sim.compiled import clear_program_cache
@@ -636,12 +637,8 @@ class TestCheckProperties:
                 "ring", lib, width=4, inject_bug=inject_bug
             )
             props = derive_properties(module)
-            by_cdcl = check_properties(
-                module, props, depth=6, engine="cdcl"
-            )
-            by_lanes = check_properties(
-                module, props, depth=6, engine="lanes"
-            )
+            by_cdcl = check_properties(module, props, depth=6)
+            by_lanes = check_properties_lanes(module, props, depth=6)
             for a, b in zip(by_cdcl.checks, by_lanes.checks):
                 assert a.name == b.name
                 # The ring has no free inputs, so the lane sweep is
@@ -702,16 +699,13 @@ class TestCheckProperties:
         )
         assert two_state.checks[0].status == "proven"
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("engine", ["cdcl", "lanes"])
-    def test_depth_below_window_raises_bmc_error(self, lib, engine,
-                                                 workers):
+    @pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"cdcl-{w}")
+    def test_depth_below_window_raises_bmc_error(self, lib, workers):
         module = _toy_assume_module(lib)
         prop = Property(name="settle", kind="assert", expr=Known("q"),
                         within=2)
         with pytest.raises(BmcError, match="needs depth >= 2"):
-            check_properties(module, [prop], depth=1, engine=engine,
-                             workers=workers)
+            check_properties(module, [prop], depth=1, workers=workers)
 
     def test_vacuous_pass_flagged(self, lib):
         module = _toy_assume_module(lib)

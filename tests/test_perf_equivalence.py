@@ -1,14 +1,13 @@
 """Equivalence properties for the vectorized/parallel kernels.
 
-Every ported hot loop keeps its original scalar implementation as the
-reference; these properties pin the tentpole guarantee that the fast
-paths are *bit-identical* to the slow ones -- same detected-fault
-sets, same wafer maps, same placements, same generator end state --
-for arbitrary seeds and worker counts.
+Every ported hot loop keeps its original scalar implementation as its
+oracle in :mod:`repro.oracles`; these properties pin the tentpole
+guarantee that the fast paths are *bit-identical* to the slow ones --
+same detected-fault sets, same wafer maps, same placements, same
+generator end state -- for arbitrary seeds and worker counts.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dft import (
@@ -23,10 +22,12 @@ from repro.manufacturing import (
     YieldStack,
     simulate_lot,
     simulate_wafer,
-    simulate_wafer_scalar,
 )
 from repro.netlist import make_default_library
 from repro.netlist.generators import random_combinational_cloud
+from repro.oracles.faultsim import bigint_fault_sim
+from repro.oracles.placement import place_reference
+from repro.oracles.wafer import simulate_wafer_scalar
 from repro.physical import AnnealingPlacer
 from repro.sta import TimingConstraints
 
@@ -66,11 +67,9 @@ class TestFaultSimKernels:
         faults = collapse_faults(module, enumerate_faults(module))
         kw = dict(max_patterns=192, batch_size=batch)
         r_compiled = random_pattern_fault_sim(
-            view, faults, rng=np.random.default_rng(seed),
-            engine="compiled", **kw)
-        r_bigint = random_pattern_fault_sim(
-            view, faults, rng=np.random.default_rng(seed),
-            engine="scalar", **kw)
+            view, faults, rng=np.random.default_rng(seed), **kw)
+        r_bigint = bigint_fault_sim(
+            view, faults, rng=np.random.default_rng(seed), **kw)
         assert (_result_fingerprint(r_compiled)
                 == _result_fingerprint(r_bigint))
 
@@ -171,9 +170,8 @@ class TestPlacementEngines:
         placement_f, report_f = fast.place(
             iterations=400, timing_constraints=constraints)
         ref = AnnealingPlacer(module, seed=seed)
-        placement_r, report_r = ref.place(
-            iterations=400, timing_constraints=constraints,
-            engine="reference")
+        placement_r, report_r = place_reference(
+            ref, iterations=400, timing_constraints=constraints)
         assert placement_f.locations == placement_r.locations
         assert report_f.hpwl_final_um == report_r.hpwl_final_um
         assert report_f.moves_accepted == report_r.moves_accepted
@@ -195,8 +193,3 @@ class TestPlacementEngines:
         _, best, _ = AnnealingPlacer(module, seed=4).multi_restart(
             restarts=4, iterations=300)
         assert best.hpwl_final_um <= single.hpwl_final_um
-
-    def test_unknown_engine_rejected(self):
-        module = _small_cloud(1)
-        with pytest.raises(ValueError):
-            AnnealingPlacer(module, seed=0).place(engine="warp")

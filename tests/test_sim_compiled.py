@@ -500,7 +500,7 @@ class TestFaultGradeEquivalence:
     """The same bit-identity contract, extended to the fault engine:
     the compiled fault program shares this backend's levelization, so
     grading many faulty machines as overlay lanes must reproduce the
-    big-int reference exactly -- including on scan-muxed nets and nets
+    big-int oracle exactly -- including on scan-muxed nets and nets
     the functional engine treats as floatable."""
 
     @settings(max_examples=6, deadline=None)
@@ -519,6 +519,7 @@ class TestFaultGradeEquivalence:
             insert_scan,
             random_pattern_fault_sim,
         )
+        from repro.oracles.faultsim import bigint_fault_sim
 
         library = make_default_library(0.25)
         module = pipeline_block("rnd", library, stages=stages,
@@ -526,13 +527,11 @@ class TestFaultGradeEquivalence:
         scanned, _ = insert_scan(module, n_chains=n_chains)
         view = CombinationalView(scanned)
         faults = collapse_faults(scanned, enumerate_faults(scanned))
-        results = {
-            engine: random_pattern_fault_sim(
-                view, faults, rng=np.random.default_rng(seed),
-                max_patterns=128, batch_size=32, engine=engine)
-            for engine in ("scalar", "compiled")
-        }
-        ref, result = results["scalar"], results["compiled"]
+        ref, result = (
+            simulate(view, faults, rng=np.random.default_rng(seed),
+                     max_patterns=128, batch_size=32)
+            for simulate in (bigint_fault_sim, random_pattern_fault_sim)
+        )
         assert result.detected == ref.detected
         assert result.coverage_curve == ref.coverage_curve
         assert result.detection_index == ref.detection_index

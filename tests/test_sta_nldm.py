@@ -1,4 +1,4 @@
-"""Tests for the NLDM multi-corner STA: engine equivalence, corner
+"""Tests for the NLDM multi-corner STA: oracle equivalence, corner
 physics, and the legacy analyzer's multi-output-cell regression."""
 
 import pytest
@@ -14,6 +14,7 @@ from repro.sta import (
     analyze_timing,
     compile_timing_graph,
 )
+from repro.oracles.sta import analyze_scalar
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +37,8 @@ CONSTRAINTS = TimingConstraints(clock_period_ps=7500.0)
 
 
 class TestEngineEquivalence:
-    """The signoff contract: canonical QoR JSON is byte-identical for
-    any engine and corner subset."""
+    """The signoff contract: canonical QoR JSON is byte-identical to
+    the per-arc oracle's for any corner subset."""
 
     @pytest.mark.parametrize("corners", [
         None, ["tt"], ["ss", "ff"], ["ff", "ss", "tt"],
@@ -46,31 +47,18 @@ class TestEngineEquivalence:
     def test_identical_qor(self, design, corners, request):
         module = request.getfixturevalue(design)
         analyzer = NldmTimingAnalyzer(module, CONSTRAINTS)
-        vec = analyzer.analyze(corners=corners, engine="vectorized")
-        ser = analyzer.analyze(corners=corners, engine="scalar")
+        vec = analyzer.analyze(corners=corners)
+        ser = analyze_scalar(analyzer, corners=corners)
         assert vec.canonical_json() == ser.canonical_json()
 
     def test_identical_with_placed_wire_caps(self, cnt):
         wire = {name: 12.5 + (i % 7) for i, name in
                 enumerate(sorted(cnt.nets))}
         vec = NldmTimingAnalyzer(
-            cnt, CONSTRAINTS, net_wire_cap_ff=wire).analyze(
-            engine="vectorized")
-        ser = NldmTimingAnalyzer(
-            cnt, CONSTRAINTS, net_wire_cap_ff=wire).analyze(
-            engine="scalar")
+            cnt, CONSTRAINTS, net_wire_cap_ff=wire).analyze()
+        ser = analyze_scalar(NldmTimingAnalyzer(
+            cnt, CONSTRAINTS, net_wire_cap_ff=wire))
         assert vec.canonical_json() == ser.canonical_json()
-
-    def test_engine_recorded_outside_canonical_form(self, cnt):
-        vec = NldmTimingAnalyzer(cnt, CONSTRAINTS).analyze(
-            engine="vectorized")
-        ser = NldmTimingAnalyzer(cnt, CONSTRAINTS).analyze(engine="scalar")
-        assert vec.engine == "vectorized" and ser.engine == "scalar"
-        assert "engine" not in vec.canonical_json()
-
-    def test_unknown_engine_rejected(self, cnt):
-        with pytest.raises(ValueError):
-            NldmTimingAnalyzer(cnt, CONSTRAINTS).analyze(engine="magic")
 
 
 class TestCornerPhysics:

@@ -22,7 +22,9 @@ report; each must match byte for byte:
   encoder or solver change that brings the search back shows here;
 * the ATPG summary of CI's ``repro atpg --gates 200 --patterns 32
   --workers 2``: SAT verdicts and the deterministic pattern count,
-  which moves with the ATPG encoding or the solver's search path.
+  which moves with the ATPG encoding or the solver's search path.  The
+  big-int fault-sim oracle, run serially on that command's block and
+  fault universe, reproduces the summary's random-phase lines.
 
 Then the contracts the shared table brings: a service request reuses
 the work the flow already cached (one cache key), units leave the
@@ -37,10 +39,20 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis import clear_analysis_memo
 from repro.cli import main as cli_main
 from repro.core import FLOW_STAGES, DesignServiceFlow, flow_stage_order
+from repro.dft import (
+    CombinationalView,
+    collapse_faults,
+    enumerate_faults,
+    insert_scan,
+)
 from repro.lint import run_lint
+from repro.netlist import block_from_budget, make_default_library
+from repro.oracles.faultsim import bigint_fault_sim
 from repro.service import (
     STAGE_DEFS,
     BlockSpec,
@@ -170,6 +182,20 @@ class TestGoldens:
         assert cli_main(CI_ATPG) == 0
         assert capsys.readouterr().out == \
             (GOLDENS / "atpg_cli_200_32.txt").read_text(encoding="utf-8")
+
+    def test_atpg_ci_random_phase_matches_oracle(self):
+        block = block_from_budget("block", make_default_library(0.25),
+                                  gate_budget=200, seed=3)
+        scanned, _ = insert_scan(block, n_chains=2)
+        universe = collapse_faults(scanned, enumerate_faults(scanned))
+        result = bigint_fault_sim(
+            CombinationalView(scanned), universe,
+            rng=np.random.default_rng(3), max_patterns=32, batch_size=64,
+        )
+        lines = golden("atpg_cli_200_32.txt").splitlines()
+        assert f"  fault universe      : {result.total_faults}" in lines
+        assert (f"  random detected     : {len(result.detected)}"
+                f" ({result.patterns_applied} patterns)") in lines
 
 
 class TestSharedTable:
