@@ -51,7 +51,6 @@ from .closure import (
     ClosureRound,
     close_coverage,
     dsc_closure_bench,
-    simulate_with_coverage,
 )
 
 __all__ = [
@@ -77,5 +76,4 @@ __all__ = [
     "ClosureRound",
     "close_coverage",
     "dsc_closure_bench",
-    "simulate_with_coverage",
 ]

@@ -24,12 +24,7 @@ import numpy as np
 
 from ..netlist import Module, make_default_library, pipeline_block
 from ..perf import REGISTRY, fanout, resolve_workers, stage_timer
-from ..sim import (
-    BatchSimulator,
-    LogicSimulator,
-    SimulatorConfig,
-    VENDOR_A_SIM,
-)
+from ..sim import BatchSimulator, SimulatorConfig, VENDOR_A_SIM
 from ..verification import RegressionReport, TestbenchResult
 from .database import CoverageDatabase, TestCoverage
 from .functional import (
@@ -155,75 +150,6 @@ class ClosureResult:
         return "\n".join(lines)
 
 
-def simulate_with_coverage(
-    module: Module,
-    covergroup: CoverGroup | None,
-    *,
-    name: str,
-    rng: np.random.Generator,
-    cycles: int,
-    spec: StimulusSpec | None = None,
-    config: SimulatorConfig | None = None,
-    clock_port: str = "clk",
-    reset_port: str | None = "rst_n",
-    exclude: tuple[str, ...] = DEFAULT_EXCLUDE,
-) -> TestCoverage:
-    """Run one constrained-random test with full coverage collection.
-
-    The instrumented counterpart of a bare
-    :meth:`~repro.sim.LogicSimulator.run`: a structural observer rides
-    the simulator and the covergroup is sampled every cycle from its
-    coverpoints' signals.  Returns the test's attribution record.
-    This is the interpreted reference that
-    :func:`simulate_lanes_with_coverage` must match test for test.
-    """
-    started = time.perf_counter()
-    stimulus = constrained_stimulus(module, cycles=cycles, rng=rng,
-                                    spec=spec)
-    sim = LogicSimulator(module, config)
-    observer = StructuralObserver(module, exclude=exclude)
-    sim.attach_observer(observer)
-    bin_hits: dict[str, int] = {}
-
-    ties = {clock_port: 0}
-    for port_name, port in module.ports.items():
-        if port.direction == "input" and (
-                port_name.startswith("scan_") or port_name == "scan_en"):
-            ties[port_name] = 0
-    has_reset = reset_port is not None and reset_port in module.ports
-    if has_reset:
-        sim.set_inputs({**ties, reset_port: 0})
-        sim.evaluate()
-        sim.clock_edge(clock_port)
-        sim.set_input(reset_port, 1)
-
-    for vector in stimulus:
-        sim.set_inputs({**ties, **vector})
-        if has_reset:
-            sim.set_input(reset_port, 1)
-        sim.clock_edge(clock_port)
-        if covergroup is not None:
-            values: dict[str, int] = {}
-            for point in covergroup.coverpoints:
-                if not point.signals:
-                    continue
-                decoded = decode_signals(point.signals, sim.read)
-                if decoded is not None:
-                    values[point.name] = decoded
-            covergroup.sample(values, bin_hits)
-
-    return TestCoverage(
-        name=name,
-        cycles=len(stimulus),
-        duration_s=time.perf_counter() - started,
-        toggled=observer.toggled_nets,
-        half_toggled=observer.half_toggled_nets,
-        active_flops=observer.active_flops,
-        reset_flops=observer.reset_exercised_flops,
-        bin_hits=bin_hits,
-    )
-
-
 def simulate_lanes_with_coverage(
     module: Module,
     covergroup: CoverGroup | None,
@@ -239,10 +165,11 @@ def simulate_lanes_with_coverage(
 ) -> list[TestCoverage]:
     """Run one constrained-random test per lane of a compiled sweep.
 
-    The lane-packed counterpart of :func:`simulate_with_coverage`:
-    lane *i* replays test ``names[i]`` with rng stream ``seed_seqs[i]``,
-    and every returned :class:`TestCoverage` is identical to the one
-    :func:`simulate_with_coverage` produces for that stream.
+    Lane *i* replays test ``names[i]`` with rng stream
+    ``seed_seqs[i]``, and every returned :class:`TestCoverage` is
+    identical to the one the event-simulator oracle
+    :func:`repro.oracles.coverage.simulate_with_coverage` produces for
+    that stream.
     Structural coverage accumulates as word masks (one OR over the
     value planes per edge) and is unpacked into per-lane sets at the
     end; covergroup sampling decodes per lane through the same

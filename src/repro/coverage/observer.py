@@ -17,8 +17,12 @@ instrumented/bare throughput ratio is tracked by
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..netlist import Logic, Module
-from ..sim import LogicSimulator
+
+if TYPE_CHECKING:
+    from ..sim import LogicSimulator
 
 #: Ports/nets excluded from the toggle denominator by default -- the
 #: clock/reset/scan infrastructure coverage tools also exclude.

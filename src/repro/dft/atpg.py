@@ -235,7 +235,6 @@ def run_atpg(
     seed: int = 0,
     max_random_patterns: int = 2048,
     conflict_limit: int | None = 10_000,
-    collapse: bool = True,
     batch_size: int = 64,
     workers: int = 1,
 ) -> AtpgResult:
@@ -259,9 +258,7 @@ def run_atpg(
     """
     rng = np.random.default_rng(seed)
     view = CombinationalView(module)
-    universe = enumerate_faults(module)
-    if collapse:
-        universe = collapse_faults(module, universe)
+    universe = collapse_faults(module, enumerate_faults(module))
 
     random_result: FaultSimResult = random_pattern_fault_sim(
         view, universe, rng=rng, max_patterns=max_random_patterns,

@@ -446,13 +446,12 @@ def random_pattern_fault_sim(
     rng: np.random.Generator,
     max_patterns: int = 4096,
     batch_size: int = 64,
-    target_coverage: float | None = None,
     workers: int = 1,
 ) -> FaultSimResult:
     """Random-pattern fault simulation with fault dropping.
 
     Applies batches of random patterns until ``max_patterns`` is
-    reached or ``target_coverage`` is met; detected faults are dropped
+    reached or every fault is detected; detected faults are dropped
     from further simulation.  Each batch is graded on the fused
     flat-program kernel of :mod:`repro.dft.compiled`.  ``workers >
     1`` partitions the fault list over a process pool; the merge
@@ -467,13 +466,12 @@ def random_pattern_fault_sim(
         if n_workers > 1 and len(faults) > 1:
             result = _parallel_fault_sim(
                 view, faults, rng=rng, max_patterns=max_patterns,
-                batch_size=batch_size, target_coverage=target_coverage,
-                workers=n_workers,
+                batch_size=batch_size, workers=n_workers,
             )
         else:
             result = _serial_fault_sim(
                 view, faults, rng=rng, max_patterns=max_patterns,
-                batch_size=batch_size, target_coverage=target_coverage,
+                batch_size=batch_size,
             )
         stats.add(patterns=result.patterns_applied,
                   faults=len(faults),
@@ -488,7 +486,6 @@ def _serial_fault_sim(
     rng: np.random.Generator,
     max_patterns: int,
     batch_size: int,
-    target_coverage: float | None,
 ) -> FaultSimResult:
     result = FaultSimResult(total_faults=len(faults))
     remaining: list[Fault] = list(faults)
@@ -498,8 +495,6 @@ def _serial_fault_sim(
         hits = compiled_batch_hits(view, bits, width, remaining)
         _record_batch(result, view, bits, width, hits)
         remaining = [f for f in remaining if f not in hits]
-        if target_coverage is not None and result.coverage >= target_coverage:
-            break
     return result
 
 
@@ -510,7 +505,6 @@ def _parallel_fault_sim(
     rng: np.random.Generator,
     max_patterns: int,
     batch_size: int,
-    target_coverage: float | None,
     workers: int,
 ) -> FaultSimResult:
     """Fault-partition fan-out with a deterministic serial replay.
@@ -519,8 +513,8 @@ def _parallel_fault_sim(
     the full pattern schedule (regenerated from a snapshot of ``rng``).
     The parent then replays the serial batch loop -- advancing its own
     ``rng`` identically -- using the merged first-detection records
-    instead of re-simulating, so early-stop semantics
-    (``target_coverage``, everything-detected) match the serial path.
+    instead of re-simulating, so it stops where the serial path does:
+    at ``max_patterns`` or once every fault is detected.
     """
     widths = _batch_schedule(max_patterns, batch_size)
     generator_name = type(rng.bit_generator).__name__
@@ -554,8 +548,6 @@ def _parallel_fault_sim(
         hits = by_batch.get(batch_index, {})
         _record_batch(result, view, bits, width, hits)
         remaining_count -= len(hits)
-        if target_coverage is not None and result.coverage >= target_coverage:
-            break
     return result
 
 

@@ -19,11 +19,13 @@ insertion must be formally transparent when ``scan_en`` is low).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 from ..netlist import Logic, Module
 from ..netlist.clocks import trace_control_source
-from ..sim import LogicSimulator
+
+if TYPE_CHECKING:
+    from ..sim import LogicSimulator
 
 #: Functional flop -> scan flop replacement map.
 _SCAN_EQUIVALENT = {"DFF": "SDFF", "DFFR": "SDFFR"}

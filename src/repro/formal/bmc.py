@@ -16,7 +16,7 @@ row to 0/1 and whose inputs are all binary pairs (``is0 == -is1``)
 gets one rail, ``(is1, -is1)``: one
 :meth:`~repro.sat.CnfBuilder.gate` of its boolean on-set.  Two
 independent rails remain on nets that X can reach (power-on X flops
-without reset, X ties or initial states) and on ICG-gated flop state,
+without reset, X initial states) and on ICG-gated flop state,
 whose hold-or-capture formula does not fold to complementary literals
 (correct, only slower).  Binary values therefore pass through levels
 and frames by literal identity, and the ``x AND -x`` fold of
@@ -117,23 +117,12 @@ class _InputPlan:
     free_ports: tuple[str, ...]
 
 
-def _plan_inputs(
-    program: CompiledProgram,
-    clock_port: str,
-    ties: Mapping[str, Logic] | None,
-) -> _InputPlan:
+def _plan_inputs(program: CompiledProgram, clock_port: str) -> _InputPlan:
     """Classify input ports into clock / reset / tied / free."""
     tied: dict[str, Logic] = {}
     for port in program.input_ports:
         if port.startswith("scan_en") or port.startswith("scan_in"):
             tied[port] = Logic.ZERO
-    for port, value in (ties or {}).items():
-        if port not in program.input_row:
-            raise BmcError(
-                f"tie target {port!r} is not an input port of "
-                f"{program.module.name}"
-            )
-        tied[port] = value
 
     input_slots = {int(s) for s in program.input_slots}
     reset_slots = {int(s) for s in program.reset_rn}
@@ -275,7 +264,6 @@ class Unroller:
         *,
         clock_port: str = "clk",
         reset_frames: int = 1,
-        ties: Mapping[str, Logic] | None = None,
         initial_state: Mapping[str, Logic] | None = None,
     ) -> None:
         if reset_frames < 0:
@@ -284,7 +272,7 @@ class Unroller:
         self.config = config
         self.builder = builder
         self.program = compile_module(module, config)
-        self.plan = _plan_inputs(self.program, clock_port, ties)
+        self.plan = _plan_inputs(self.program, clock_port)
         self._gates = _program_gates(self.program)
         self.reset_frames = reset_frames
         #: Per-frame slot pairs (settled combinational values).
@@ -694,19 +682,18 @@ def _encode_assumes(
 def _check_one_cdcl(
     task: tuple[
         Module, SimulatorConfig, Property, tuple[Property, ...], int,
-        int, str, int, tuple[tuple[str, Logic], ...],
-        tuple[tuple[str, Logic], ...] | None,
+        int, str, int, tuple[tuple[str, Logic], ...] | None,
     ],
 ) -> PropertyCheck:
     """Worker: solve one property with a fresh seeded solver."""
     (module, config, prop, assumes, depth, seed, clock_port,
-     reset_frames, ties, initial_state) = task
+     reset_frames, initial_state) = task
     solver = Solver(seed=seed)
     builder = CnfBuilder(solver)
     unroller = Unroller(
         module, config, builder,
         clock_port=clock_port, reset_frames=reset_frames,
-        ties=dict(ties), initial_state=(
+        initial_state=(
             dict(initial_state) if initial_state is not None else None
         ),
     )
@@ -808,7 +795,6 @@ def _assumes_satisfiable(
     seed: int,
     clock_port: str,
     reset_frames: int,
-    ties: tuple[tuple[str, Logic], ...],
     initial_state: tuple[tuple[str, Logic], ...] | None,
 ) -> bool:
     """Does any execution satisfy every assume at every frame?"""
@@ -817,7 +803,7 @@ def _assumes_satisfiable(
     unroller = Unroller(
         module, config, builder,
         clock_port=clock_port, reset_frames=reset_frames,
-        ties=dict(ties), initial_state=(
+        initial_state=(
             dict(initial_state) if initial_state is not None else None
         ),
     )
@@ -866,7 +852,6 @@ def check_properties(
     seed: int = 0,
     clock_port: str = "clk",
     reset_frames: int = 1,
-    ties: Mapping[str, Logic] | None = None,
     initial_state: Mapping[str, Logic] | None = None,
 ) -> BmcReport:
     """Bounded-model-check a property set against ``module``.
@@ -887,14 +872,13 @@ def check_properties(
     """
     assumes, targets = _split_properties(module, properties, depth)
     config = config or VENDOR_A_SIM
-    ties_t = tuple(sorted((ties or {}).items()))
     init_t = (
         tuple(sorted(initial_state.items()))
         if initial_state is not None else None
     )
     tasks = [
         (module, config, prop, assumes, depth, seed, clock_port,
-         reset_frames, ties_t, init_t)
+         reset_frames, init_t)
         for prop in targets
     ]
     checks = list(fanout(
@@ -906,7 +890,7 @@ def check_properties(
     ):
         if not _assumes_satisfiable(
             module, config, assumes, depth, seed, clock_port,
-            reset_frames, ties_t, init_t,
+            reset_frames, init_t,
         ):
             checks = [
                 (

@@ -199,7 +199,7 @@ def _drive_frontier(
     ``initial_state``.
     """
     program = compile_module(module, config)
-    plan = _plan_inputs(program, clock_port, None)
+    plan = _plan_inputs(program, clock_port)
     rng = np.random.default_rng(seed)
     free = plan.free_ports
     bits = rng.integers(0, 2, size=(lanes, cycles, len(free)))

@@ -101,12 +101,16 @@ class Cell:
         """Output pin names in declaration order."""
         return tuple(p.name for p in self.pins if p.direction == "output")
 
+    @cached_property
+    def _pins_by_name(self) -> dict[str, PinSpec]:
+        return {spec.name: spec for spec in self.pins}
+
     def pin(self, name: str) -> PinSpec:
         """Look up a pin spec by name."""
-        for spec in self.pins:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"cell {self.name} has no pin {name!r}")
+        try:
+            return self._pins_by_name[name]
+        except KeyError:
+            raise KeyError(f"cell {self.name} has no pin {name!r}") from None
 
     def evaluate(self, inputs: Mapping[str, Logic]) -> Logic:
         """Evaluate a combinational cell for the given input values."""
@@ -123,12 +127,16 @@ class StdCellLibrary:
         self.name = name
         self.process_node_um = process_node_um
         self._cells: dict[str, Cell] = {}
+        #: Footprint -> cells in insertion order, built on first lookup
+        #: (sizing and multi-Vt loops ask once per candidate).
+        self._by_footprint: dict[str, list[Cell]] | None = None
 
     def add(self, cell: Cell) -> Cell:
         """Register a cell; names must be unique."""
         if cell.name in self._cells:
             raise ValueError(f"duplicate cell {cell.name} in library {self.name}")
         self._cells[cell.name] = cell
+        self._by_footprint = None
         return cell
 
     def __getitem__(self, name: str) -> Cell:
@@ -148,7 +156,12 @@ class StdCellLibrary:
 
     def cells_by_footprint(self, footprint: str) -> list[Cell]:
         """All cells sharing a layout footprint (ECO-swappable set)."""
-        return [c for c in self._cells.values() if c.footprint == footprint]
+        if self._by_footprint is None:
+            index: dict[str, list[Cell]] = {}
+            for cell in self._cells.values():
+                index.setdefault(cell.footprint, []).append(cell)
+            self._by_footprint = index
+        return list(self._by_footprint.get(footprint, ()))
 
     def drive_variants(self, footprint: str, *, vt_class: str = "svt"
                        ) -> list[Cell]:

@@ -14,7 +14,7 @@ property reports ``unknown``.  Its checks record ``engine="lanes"``.
 from __future__ import annotations
 
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,11 +110,10 @@ def _check_one_lanes(
     seed: int,
     clock_port: str,
     reset_frames: int,
-    ties: Mapping[str, Logic] | None,
 ) -> PropertyCheck:
     """Decide one property by compiled-lane simulation."""
     program = compile_module(module, config)
-    plan = _plan_inputs(program, clock_port, ties)
+    plan = _plan_inputs(program, clock_port)
     stimuli, exhaustive = _lane_stimuli(
         plan, depth, reset_frames, seed
     )
@@ -216,7 +215,6 @@ def check_properties_lanes(
     seed: int = 0,
     clock_port: str = "clk",
     reset_frames: int = 1,
-    ties: Mapping[str, Logic] | None = None,
 ) -> BmcReport:
     """:func:`repro.formal.check_properties` by lane simulation.
 
@@ -229,7 +227,7 @@ def check_properties_lanes(
     config = config or VENDOR_A_SIM
     checks = tuple(
         _check_one_lanes(module, config, prop, assumes, depth, seed,
-                         clock_port, reset_frames, ties)
+                         clock_port, reset_frames)
         for prop in targets
     )
     return BmcReport(

@@ -52,7 +52,6 @@ def bigint_fault_sim(
     rng: np.random.Generator,
     max_patterns: int = 4096,
     batch_size: int = 64,
-    target_coverage: float | None = None,
 ) -> FaultSimResult:
     """Serial random-pattern campaign with fault dropping.
 
@@ -60,8 +59,8 @@ def bigint_fault_sim(
     :meth:`~repro.dft.faultsim.CombinationalView.random_pattern_bits`,
     grades it with :func:`bigint_batch_hits`, books it with
     production's ``_record_batch`` (each newly detected fault under the
-    first pattern that caught it), and stops at ``max_patterns``, at
-    ``target_coverage`` or when no fault is left.
+    first pattern that caught it), and stops at ``max_patterns`` or
+    when no fault is left.
     """
     result = FaultSimResult(total_faults=len(faults))
     remaining = list(faults)
@@ -71,7 +70,4 @@ def bigint_fault_sim(
         hits = bigint_batch_hits(view, bits, width, remaining)
         _record_batch(result, view, bits, width, hits)
         remaining = [f for f in remaining if f not in hits]
-        if target_coverage is not None and \
-                result.coverage >= target_coverage:
-            break
     return result

@@ -49,15 +49,13 @@ class FanoutTaskError(RuntimeError):
     """One task of a fan-out failed; carries *which* one.
 
     A bare exception out of ``pool.map`` loses the task it came from --
-    all the caller sees is a traceback re-raised in the parent.  When
-    ``fanout`` is given ``labels`` (or a ``stage``), worker exceptions
-    are re-raised as this type with the originating task's label and
-    the stage attached, and the original exception chained as
-    ``__cause__``.
+    all the caller sees is a traceback re-raised in the parent.
+    :func:`fanout` re-raises every worker exception as this type, with
+    the originating task's label (``{stage}[{index}]``) and the stage
+    attached and the original exception chained as ``__cause__``.
     """
 
-    def __init__(self, message: str, *, label: str,
-                 stage: str | None = None) -> None:
+    def __init__(self, message: str, *, label: str, stage: str) -> None:
         super().__init__(message)
         self.label = label
         self.stage = stage
@@ -112,24 +110,23 @@ def fanout(
     worker: Callable[..., _Result],
     tasks: Sequence[Any],
     *,
+    stage: str,
     workers: int | None = None,
-    stage: str | None = None,
-    labels: Sequence[str] | None = None,
     shared: Any = None,
 ) -> list[_Result]:
     """Run ``worker`` over ``tasks``; results in task order.
 
     ``worker`` must be a module-level function and each task must be
     picklable for the process-pool path; otherwise execution silently
-    degrades to serial (identical results).  When ``stage`` is given
-    the whole fan-out is timed on the perf registry with a ``tasks``
+    degrades to serial (identical results).  The whole fan-out is
+    timed on the perf registry under ``stage``, with a ``tasks``
     counter.
 
-    When ``labels`` names the tasks (one string per task; defaults to
-    ``{stage}[{index}]`` when only ``stage`` is given), a worker exception
-    surfaces as :class:`FanoutTaskError` carrying the failing task's
-    label and the stage, with the original exception as its cause --
-    instead of a bare traceback that does not say which task died.
+    Task *i* is labelled ``{stage}[{i}]``.  A worker exception, serial
+    or in the pool, surfaces as :class:`FanoutTaskError` carrying the
+    failing task's label and the stage, with the original exception
+    as its cause -- instead of a bare traceback that does not say
+    which task died.
 
     When ``shared`` is given, ``worker`` is called as ``worker(shared,
     task)``.  Each pool worker receives ``shared`` once, through the
@@ -151,31 +148,18 @@ def fanout(
         pool_call = partial(_with_shared, worker)
         pool_kwargs = {"initializer": _install_shared, "initargs": (shared,)}
     n_workers = min(resolve_workers(workers), len(tasks))
-    task_labels: list[str] | None = None
-    if labels is not None:
-        task_labels = [str(label) for label in labels]
-        if len(task_labels) != len(tasks):
-            raise ValueError(
-                f"labels/tasks length mismatch: {len(task_labels)} "
-                f"labels for {len(tasks)} tasks"
-            )
-    elif stage is not None:
-        task_labels = [f"{stage}[{index}]"
-                       for index in range(len(tasks))]
+    labels = [f"{stage}[{index}]" for index in range(len(tasks))]
 
     def _raise_labelled(label: str, exc: Exception) -> None:
-        where = f"stage {stage!r}, " if stage else ""
         raise FanoutTaskError(
-            f"fanout task failed ({where}task {label!r}): "
+            f"fanout task failed (stage {stage!r}, task {label!r}): "
             f"{type(exc).__name__}: {exc}",
             label=label, stage=stage,
         ) from exc
 
     def _run_serial() -> list[_Result]:
-        if task_labels is None:
-            return [call(task) for task in tasks]
         results = []
-        for task, label in zip(tasks, task_labels):
+        for task, label in zip(tasks, labels):
             try:
                 results.append(call(task))
             except FanoutTaskError:
@@ -190,12 +174,10 @@ def fanout(
         try:
             with ProcessPoolExecutor(max_workers=n_workers,
                                      **pool_kwargs) as pool:
-                if task_labels is None:
-                    return list(pool.map(pool_call, tasks))
                 outcomes = list(pool.map(
                     _guarded_call,
                     [(pool_call, task, label)
-                     for task, label in zip(tasks, task_labels)],
+                     for task, label in zip(tasks, labels)],
                 ))
         except POOL_ERRORS:
             # Unpicklable work or a restricted environment: the workers
@@ -210,8 +192,6 @@ def fanout(
             results.append(value)
         return results
 
-    if stage is None:
-        return _run()
     with REGISTRY.timer(stage) as stats:
         results = _run()
         stats.add(tasks=len(tasks))

@@ -15,7 +15,6 @@ from .regression import (
 from .crossval import (
     DivergenceValidation,
     cross_validate_divergence,
-    observed_divergent_nets,
 )
 from .emulation import (
     CampaignPlan,
@@ -40,7 +39,6 @@ __all__ = [
     "run_regression",
     "DivergenceValidation",
     "cross_validate_divergence",
-    "observed_divergent_nets",
     "CampaignPlan",
     "CampaignSpec",
     "EMULATOR",

@@ -37,88 +37,8 @@ from typing import Sequence, Set, Tuple
 import numpy as np
 
 from ..netlist import Module
-from ..sim import LogicSimulator, SimulatorConfig, VENDOR_A_SIM, VENDOR_B_SIM
+from ..sim import SimulatorConfig, VENDOR_A_SIM, VENDOR_B_SIM
 from ..sim.compiled import BatchSimulator, lane_valid_words
-
-
-def observed_divergent_nets(
-    module: Module,
-    *,
-    cycles: int = 8,
-    settle_vectors: int = 4,
-    seed: int = 0,
-    clock_port: str = "clk",
-    reset_port: str = "rst_n",
-    config_a: SimulatorConfig = VENDOR_A_SIM,
-    config_b: SimulatorConfig = VENDOR_B_SIM,
-) -> Set[str]:
-    """Nets that actually differed between the two dialects.
-
-    Runs one interpreted simulator pair: the reference whose union
-    over seeds :func:`observed_divergent_nets_lanes` must match.
-    """
-    sim_a = LogicSimulator(module, config_a)
-    sim_b = LogicSimulator(module, config_b)
-    rng = np.random.default_rng(seed)
-
-    ties = {}
-    if clock_port in module.ports:
-        ties[clock_port] = 0
-    for name, port in module.ports.items():
-        if port.direction == "input" and (
-            name.startswith("scan_") or name == "scan_en"
-        ):
-            ties[name] = 0
-    data_ports = [
-        name
-        for name, port in module.ports.items()
-        if port.direction == "input"
-        and name not in ties and name != reset_port
-    ]
-    has_reset = (
-        reset_port in module.ports
-        and module.ports[reset_port].direction == "input"
-    )
-
-    divergent: Set[str] = set()
-
-    def snapshot() -> None:
-        values_a, values_b = sim_a.net_values, sim_b.net_values
-        for net in module.nets:
-            if values_a[net] is not values_b[net]:
-                divergent.add(net)
-
-    def apply(vector: dict) -> None:
-        for sim in (sim_a, sim_b):
-            sim.set_inputs(vector)
-            sim.evaluate()
-
-    # Power-on settle phase: reset discipline first, then a few data
-    # vectors sampled before any clock edge.
-    for index in range(max(1, settle_vectors)):
-        vector = {name: int(rng.integers(0, 2)) for name in data_ports}
-        vector.update(ties)
-        if has_reset:
-            vector[reset_port] = 0 if index == 0 else 1
-        apply(vector)
-        snapshot()
-
-    # Clocked phase.
-    can_clock = (
-        clock_port in module.ports
-        and module.ports[clock_port].direction == "input"
-    )
-    for _ in range(cycles):
-        vector = {name: int(rng.integers(0, 2)) for name in data_ports}
-        vector.update(ties)
-        if has_reset:
-            vector[reset_port] = 1
-        apply(vector)
-        if can_clock:
-            sim_a.clock_edge(clock_port)
-            sim_b.clock_edge(clock_port)
-        snapshot()
-    return divergent
 
 
 def observed_divergent_nets_lanes(
@@ -135,10 +55,12 @@ def observed_divergent_nets_lanes(
     """Multi-seed divergence union as lanes of one compiled sweep.
 
     Seed *i* rides lane *i* of a :class:`~repro.sim.BatchSimulator`
-    pair (one per dialect) and draws its vectors from the same rng
-    stream the event path would, so the result equals the union of
-    :func:`observed_divergent_nets` over ``seeds`` -- but both
-    dialects' whole seed sweep costs two kernel passes per vector.
+    pair (one per dialect) and draws its vectors from the rng stream
+    of that seed, so the result equals the union over ``seeds`` of
+    the event-simulator oracle
+    :func:`repro.oracles.verification.observed_divergent_nets` -- but
+    both dialects' whole seed sweep costs two kernel passes per
+    vector.
     """
     lanes = len(seeds)
     sim_a = BatchSimulator(module, config_a, lanes=lanes)

@@ -79,9 +79,9 @@ def _bench_group_worker(task: tuple) -> list[TestbenchResult]:
     Every bench in the group shares a clock/reset protocol (enforced
     by the grouping in :func:`run_regression`), so the reset preamble
     applies to all lanes at once and each bench's stimulus rides its
-    own lane.  Verdicts and traces equal a per-bench
-    :meth:`Testbench.run`; durations split the group's wall clock
-    evenly (telemetry only).
+    own lane.  Verdicts and traces equal the event-simulator oracle
+    :func:`repro.oracles.verification.run_testbench` run per bench;
+    durations split the group's wall clock evenly (telemetry only).
     """
     module, benches, config = task
     started = time.perf_counter()
@@ -158,8 +158,9 @@ def run_regression(
     Benches that share a clock/reset protocol form a group, and each
     group's stimuli run as parallel lanes of one
     :class:`~repro.sim.BatchSimulator` sweep.  Verdicts and traces are
-    bit-identical to running each bench's :meth:`Testbench.run`, the
-    interpreted reference.
+    bit-identical to running each bench on the interpreted
+    :class:`~repro.sim.LogicSimulator`, the test oracle
+    :func:`repro.oracles.verification.run_testbench`.
 
     ``workers > 1`` splits each group into chunks over the
     deterministic process pool (results merge in suite order, so the

@@ -10,14 +10,13 @@ and consistency (same verdict under every simulator dialect).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..netlist import Logic, Module
-from ..sim import BatchSimulator, LogicSimulator, SimulatorConfig, Trace
+from ..sim import BatchSimulator, SimulatorConfig, Trace
 
 
 @dataclass
@@ -42,7 +41,8 @@ class Testbench:
     ``checker`` receives (cycle, output values) and returns an error
     string or None.  ``reset_cycles`` holds reset low first, making the
     bench dialect-independent (the paper's sign-off twist came from
-    benches that were not).
+    benches that were not).  Suites run through
+    :func:`~repro.verification.run_regression`.
     """
 
     name: str
@@ -54,60 +54,6 @@ class Testbench:
     watch: tuple[str, ...] | None = None
 
     __test__ = False  # not a pytest collection target
-
-    def run(
-        self,
-        module: Module,
-        config: SimulatorConfig | None = None,
-    ) -> TestbenchResult:
-        """Execute against a module under one simulator dialect.
-
-        Runs the interpreted :class:`~repro.sim.LogicSimulator`: this
-        is the reference :func:`repro.verification.run_regression`
-        must match, not a production path (suites run as lanes of
-        one compiled sweep there).
-        """
-        started = time.perf_counter()
-        sim = LogicSimulator(module, config)
-        ties = {self.clock_port: 0}
-        for port_name, port in module.ports.items():
-            if port.direction != "input":
-                continue
-            if port_name.startswith("scan_") or port_name == "scan_en":
-                ties[port_name] = 0
-        if self.reset_port and self.reset_port in module.ports:
-            sim.set_inputs({**ties, self.reset_port: 0})
-            sim.evaluate()
-            for _ in range(self.reset_cycles):
-                sim.clock_edge(self.clock_port)
-            sim.set_input(self.reset_port, 1)
-
-        watch = self.watch
-        if watch is None:
-            watch = tuple(sorted(
-                name for name, port in module.ports.items()
-                if port.direction == "output"
-            ))
-        trace = Trace(signals=watch)
-        mismatches: list[str] = []
-        for cycle, vector in enumerate(self.stimulus):
-            sim.set_inputs({**ties, **vector})
-            if self.reset_port and self.reset_port in module.ports:
-                sim.set_input(self.reset_port, 1)
-            sim.clock_edge(self.clock_port)
-            outputs = {s: sim.read(s) for s in watch}
-            trace.record(outputs)
-            error = self.checker(cycle, outputs)
-            if error:
-                mismatches.append(f"cycle {cycle}: {error}")
-        return TestbenchResult(
-            name=self.name,
-            passed=not mismatches,
-            cycles=len(self.stimulus),
-            mismatches=mismatches,
-            trace=trace,
-            duration_s=time.perf_counter() - started,
-        )
 
 
 def random_stimulus(

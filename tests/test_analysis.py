@@ -39,11 +39,9 @@ from repro.lint import Finding, Severity, clock_path_races, run_lint
 from repro.netlist import Module, PinRef, make_default_library
 from repro.netlist.logic import Logic
 from repro.oracles.fixpoint import run_fixpoint
+from repro.oracles.verification import observed_divergent_nets
 from repro.sim import VENDOR_A_SIM, VENDOR_B_SIM
-from repro.verification import (
-    cross_validate_divergence,
-    observed_divergent_nets,
-)
+from repro.verification import cross_validate_divergence
 
 
 @pytest.fixture(scope="module")

@@ -26,10 +26,10 @@ from repro.coverage import (
     decode_signals,
     dsc_closure_bench,
     range_bins,
-    simulate_with_coverage,
     spawn_test_seeds,
     value_bins,
 )
+from repro.oracles.coverage import simulate_with_coverage
 
 
 @pytest.fixture(scope="module")

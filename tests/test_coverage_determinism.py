@@ -19,10 +19,10 @@ from repro.coverage import (
     Coverpoint,
     TestCoverage,
     close_coverage,
-    simulate_with_coverage,
     spawn_test_seeds,
     value_bins,
 )
+from repro.oracles.coverage import simulate_with_coverage
 
 LIB = make_default_library(0.25)
 BLOCK = pipeline_block("blk", LIB, stages=1, width=6, cloud_gates=20,

@@ -13,7 +13,10 @@ on it, runs without loading any :mod:`repro.lint` module.  The
 lifecycle flow reads the service's stage table without loading its
 asyncio front end.  :mod:`repro.oracles` holds the reference engines
 the tests compare production against: no other package imports it,
-and neither a flow run nor ``repro atpg`` loads it.
+and neither a flow run nor ``repro atpg``, ``repro regress`` or
+``repro cover`` loads it.  The event simulator is one of those
+references: outside :mod:`repro.sim` and :mod:`repro.oracles` only
+BMC's counterexample replay imports it at run time.
 """
 
 import ast
@@ -144,6 +147,10 @@ PRODUCTION_WITHOUT_ORACLES_RUN = textwrap.dedent("""
     DesignServiceFlow(scale=0.005, seed=0).run()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["atpg", "--gates", "200", "--patterns", "32"]) == 0
+        assert main(["regress"]) == 0
+        # Too short to close coverage: only the run matters here.
+        main(["cover", "--rounds", "1", "--tests-per-round", "4",
+              "--cycles", "16"])
     loaded = sorted(name for name in sys.modules
                     if name == "repro.oracles"
                     or name.startswith("repro.oracles."))
@@ -228,20 +235,31 @@ def _imported_modules(tree: ast.Module, module: str,
     return {name for name in found if name.startswith("repro.")}
 
 
-def package_import_graph() -> dict[str, set[str]]:
-    """Subpackage of ``repro`` -> the other subpackages it imports."""
+def module_imports() -> dict[str, set[str]]:
+    """Every module of a ``repro`` subpackage -> what it imports at run
+    time (see :func:`_imported_modules`)."""
     root = Path(repro.__file__).resolve().parent
-    packages = {path.parent.name for path in root.glob("*/__init__.py")}
-    graph: dict[str, set[str]] = {name: set() for name in packages}
+    imports: dict[str, set[str]] = {}
     for path in root.glob("*/**/*.py"):
         parts = path.relative_to(root.parent).with_suffix("").parts
         is_package = parts[-1] == "__init__"
         module = ".".join(parts[:-1] if is_package else parts)
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for name in _imported_modules(tree, module, is_package):
+        imports[module] = _imported_modules(tree, module, is_package)
+    return imports
+
+
+def package_import_graph() -> dict[str, set[str]]:
+    """Subpackage of ``repro`` -> the other subpackages it imports."""
+    root = Path(repro.__file__).resolve().parent
+    packages = {path.parent.name for path in root.glob("*/__init__.py")}
+    graph: dict[str, set[str]] = {name: set() for name in packages}
+    for module, names in module_imports().items():
+        package = module.split(".")[1]
+        for name in names:
             target = name.split(".")[1]
-            if target in packages and target != parts[1]:
-                graph[parts[1]].add(target)
+            if target in packages and target != package:
+                graph[package].add(target)
     return graph
 
 
@@ -286,6 +304,30 @@ def test_no_package_imports_the_oracles():
     importers = sorted(name for name, targets in graph.items()
                        if "oracles" in targets and name != "oracles")
     assert not importers, importers
+
+
+def test_only_bmc_replay_imports_the_event_simulator():
+    """:class:`repro.sim.LogicSimulator` is the regression, divergence
+    and coverage oracle and the BMC counterexample replayer: outside
+    :mod:`repro.sim` and :mod:`repro.oracles`, only
+    :mod:`repro.formal.bmc` may import it other than for annotations."""
+    importers = sorted(
+        module for module, names in module_imports().items()
+        if module.split(".")[1] not in ("sim", "oracles")
+        and any(name.endswith(".LogicSimulator") for name in names)
+    )
+    assert importers == ["repro.formal.bmc"]
+
+
+def test_event_harnesses_left_the_production_api():
+    import repro.coverage
+    import repro.verification
+
+    assert not hasattr(repro.verification, "observed_divergent_nets")
+    assert not hasattr(repro.coverage, "simulate_with_coverage")
+    assert "observed_divergent_nets" not in repro.verification.__all__
+    assert "simulate_with_coverage" not in repro.coverage.__all__
+    assert not hasattr(repro.verification.Testbench, "run")
 
 
 def test_import_graph_walk_sees_every_import_form():

@@ -487,8 +487,7 @@ class TestUnrollerRails:
         (VENDOR_B_SIM, {"reset_frames": 0}, False),
         (VENDOR_B_SIM, {"reset_frames": 0,
                         "initial_state": {"s0_ff0": Logic.X}}, True),
-        (VENDOR_B_SIM, {"ties": {"in0": Logic.X}}, True),
-    ], ids=["power_on_x", "power_on_zero", "x_initial_state", "x_tie"])
+    ], ids=["power_on_x", "power_on_zero", "x_initial_state"])
     def test_x_sources_keep_two_rails(self, lib, config, kwargs, has_x):
         module = pipeline_block(
             "blk", lib, stages=2, width=4, cloud_gates=20, seed=3

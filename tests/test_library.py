@@ -1,5 +1,7 @@
 """Unit tests for the standard-cell library model."""
 
+import dataclasses
+
 import pytest
 
 from repro.netlist import (
@@ -118,8 +120,9 @@ class TestCellValidation:
         nand = lib["NAND2_X1"]
         assert nand.pin("A").direction == "input"
         assert nand.pin("Y").direction == "output"
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="cell NAND2_X1 has no pin 'Q'"):
             nand.pin("Q")
+        assert all(nand.pin(spec.name) is spec for spec in nand.pins)
 
     def test_pin_tuples_built_once(self, lib):
         """The formal encoders and the fault and dataflow kernels read
@@ -135,3 +138,22 @@ class TestCellValidation:
         cached = Cell("NAND2_X1", nand.pins, nand.function)
         assert cached.output_pins == ("Y",)
         assert cached == fresh and hash(cached) == hash(fresh)
+
+
+def test_footprint_lookup_sees_cells_added_after_it():
+    """The footprint index is built on first lookup; a cell added later
+    (as ``heavy_pin_library`` in ``test_sta_incremental.py`` adds its
+    twins) must show up in every later lookup, in insertion order."""
+    lib = make_default_library(0.25)
+    nand = lib["NAND2_X1"]
+    assert lib.vt_variant(nand, "hvt") is lib["NAND2_X1_HVT"]
+    before = lib.cells_by_footprint("NAND2")
+    heavy = lib.add(dataclasses.replace(nand, name="NAND2_X1_HP"))
+    assert lib.cells_by_footprint("NAND2") == before + [heavy]
+    assert heavy in lib.drive_variants("NAND2")
+    for footprint in {cell.footprint for cell in lib}:
+        found = lib.cells_by_footprint(footprint)
+        assert found == [c for c in lib if c.footprint == footprint]
+        found.clear()  # a fresh list: the index is not the caller's
+        assert lib.cells_by_footprint(footprint)
+    assert lib.cells_by_footprint("NO_SUCH_FOOTPRINT") == []

@@ -95,22 +95,24 @@ class TestResolveWorkers:
 class TestFanout:
     def test_serial_matches_map(self):
         tasks = list(range(20))
-        assert fanout(_square, tasks, workers=1) == [x * x for x in tasks]
+        assert fanout(_square, tasks, workers=1, stage="test.fanout") == \
+            [x * x for x in tasks]
 
     def test_parallel_matches_serial(self):
         tasks = list(range(20))
-        serial = fanout(_square, tasks, workers=1)
-        parallel = fanout(_square, tasks, workers=3)
+        serial = fanout(_square, tasks, workers=1, stage="test.fanout")
+        parallel = fanout(_square, tasks, workers=3, stage="test.fanout")
         assert parallel == serial
 
     def test_empty_tasks(self):
-        assert fanout(_square, [], workers=4) == []
+        assert fanout(_square, [], workers=4, stage="test.fanout") == []
 
     def test_unpicklable_falls_back_to_serial(self):
         # A lambda cannot cross a process boundary; fanout must still
         # return the right answer.
         tasks = list(range(8))
-        result = fanout(lambda x: x + 1, tasks, workers=2)
+        result = fanout(lambda x: x + 1, tasks, workers=2,
+                        stage="test.fanout")
         assert result == [x + 1 for x in tasks]
 
     def test_stage_timing_recorded(self):

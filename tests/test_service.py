@@ -322,9 +322,8 @@ class TestFanoutLabels:
             return task
 
         with pytest.raises(FanoutTaskError) as info:
-            fanout(worker, [1, 2, 3], workers=1, stage="lint",
-                   labels=["t1", "t2", "t3"])
-        assert info.value.label == "t2"
+            fanout(worker, [1, 2, 3], workers=1, stage="lint")
+        assert info.value.label == "lint[1]"
         assert info.value.stage == "lint"
         assert isinstance(info.value.__cause__, ValueError)
 
@@ -338,21 +337,13 @@ class TestFanoutLabels:
 
     def test_pool_failure_carries_label(self):
         with pytest.raises(FanoutTaskError) as info:
-            fanout(_failing_worker, [0, 1, 2], workers=2,
-                   stage="dft", labels=["a", "b", "c"])
-        assert info.value.label == "b"
+            fanout(_failing_worker, [0, 1, 2], workers=2, stage="dft")
+        assert info.value.label == "dft[1]"
         assert info.value.stage == "dft"
-
-    def test_no_labels_preserves_legacy_passthrough(self):
-        def worker(task):
-            raise KeyError("raw")
-
-        with pytest.raises(KeyError):
-            fanout(worker, [1], workers=1)
 
     def test_success_path_unchanged(self):
         assert fanout(lambda t: t * 2, [1, 2, 3], workers=1,
-                      labels=["x", "y", "z"]) == [2, 4, 6]
+                      stage="double") == [2, 4, 6]
 
 
 def _failing_worker(task):

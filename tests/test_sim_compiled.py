@@ -20,7 +20,6 @@ from repro.coverage.closure import (
     ClosureConfig,
     close_coverage,
     simulate_lanes_with_coverage,
-    simulate_with_coverage,
 )
 from repro.netlist import (
     Logic,
@@ -28,6 +27,11 @@ from repro.netlist import (
     counter,
     make_default_library,
     pipeline_block,
+)
+from repro.oracles.coverage import simulate_with_coverage
+from repro.oracles.verification import (
+    observed_divergent_nets,
+    run_testbench,
 )
 from repro.sim import (
     BatchSimulator,
@@ -39,10 +43,7 @@ from repro.sim import (
     diff_traces,
 )
 from repro.verification import cross_validate_divergence
-from repro.verification.crossval import (
-    observed_divergent_nets,
-    observed_divergent_nets_lanes,
-)
+from repro.verification.crossval import observed_divergent_nets_lanes
 from repro.verification.regression import run_regression
 from repro.verification.testbench import Testbench, random_stimulus
 
@@ -383,7 +384,8 @@ class TestRegressionEngine:
             for i in range(5)
         ]
         for config in DIALECTS:
-            oracle = [bench.run(module, config) for bench in benches]
+            oracle = [run_testbench(bench, module, config)
+                      for bench in benches]
             report = run_regression(module, benches, config=config,
                                     workers=1)
             assert len(report.results) == len(oracle)

@@ -41,7 +41,7 @@ class TestTestbench:
             stimulus=[{} for _ in range(10)],
             checker=counting_checker,
         )
-        result = bench.run(cnt)
+        result, = run_regression(cnt, [bench]).results
         assert result.passed, result.mismatches
         assert result.cycles == 10
 
@@ -51,7 +51,7 @@ class TestTestbench:
             stimulus=[{} for _ in range(3)],
             checker=lambda cycle, outs: "always wrong",
         )
-        result = bench.run(cnt)
+        result, = run_regression(cnt, [bench]).results
         assert not result.passed
         assert len(result.mismatches) == 3
 
