@@ -5,7 +5,8 @@ Monte Carlo, and annealing placement -- on their benchmark-scale
 workloads (E4 netlist, E7 wafer stack, A5 placement block), comparing
 each scalar reference path (its oracle in :mod:`repro.oracles`)
 against its vectorized engine, and writes the rates to
-``BENCH_<date>.json`` next to this script:
+``BENCH_<date>.json`` next to this script (``BENCH_<date>_quick.json``
+with ``--quick``, so a quick run never overwrites a full-mode record):
 
     PYTHONPATH=src python benchmarks/run_bench.py [--quick] [--out FILE]
 
@@ -191,12 +192,14 @@ def bench_placement(quick: bool) -> dict:
 
 
 def bench_simulator(quick: bool) -> dict:
-    """E4-scale netlist; bare simulation vs coverage-instrumented.
+    """E4-scale netlist; bare event simulation vs the same run with the
+    coverage oracle's structural observer called after every edge.
 
-    The coverage observer must not make simulation unusably slow: the
+    The observer must not make the oracle unusably slow: the
     PERFORMANCE.md budget is < 2.5x the bare cycles/sec rate.
     """
-    from repro.coverage import StructuralObserver, constrained_stimulus
+    from repro.coverage import constrained_stimulus
+    from repro.oracles.coverage import StructuralObserver
     from repro.sim import LogicSimulator
 
     lib = make_default_library(0.25)
@@ -209,16 +212,19 @@ def bench_simulator(quick: bool) -> dict:
     out = {"netlist": "E4 pipeline_block", "cycles": cycles}
     for label, instrumented in [("bare", False), ("instrumented", True)]:
         sim = LogicSimulator(block)
-        if instrumented:
-            sim.attach_observer(StructuralObserver(block))
+        observer = StructuralObserver(block) if instrumented else None
         sim.set_inputs({"clk": 0, "rst_n": 0})
         sim.evaluate()
         sim.clock_edge("clk")
+        if observer is not None:
+            observer(sim)
         sim.set_input("rst_n", 1)
         start = time.perf_counter()
         for vector in stimulus:
             sim.set_inputs(vector)
             sim.clock_edge("clk")
+            if observer is not None:
+                observer(sim)
         elapsed = time.perf_counter() - start
         out[label] = {"cycles_per_s": cycles / elapsed,
                       "seconds": elapsed}
@@ -638,7 +644,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller workloads (~10s total)")
     parser.add_argument("--out", default="",
-                        help="output path (default BENCH_<date>.json "
+                        help="output path (default BENCH_<date>.json, "
+                             "or BENCH_<date>_quick.json with --quick, "
                              "next to this script)")
     args = parser.parse_args(argv)
 
@@ -663,9 +670,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     results["perf_registry"] = REGISTRY.as_dict()
 
+    suffix = "_quick" if args.quick else ""
     out_path = Path(args.out) if args.out else (
         Path(__file__).resolve().parent
-        / f"BENCH_{results['date']}.json"
+        / f"BENCH_{results['date']}{suffix}.json"
     )
     out_path.write_text(json.dumps(results, indent=2) + "\n")
 

@@ -6,8 +6,9 @@ qualitatively.  This subsystem closes that gap with the machinery
 coverage-driven flows use:
 
 * **structural coverage** -- net toggle and flop reset/activity
-  coverage collected by an observer riding a simulator lane
-  (:mod:`.observer`);
+  coverage, accumulated as word masks over the lanes of a compiled
+  simulator (:mod:`.closure`) against the universe
+  :func:`structural_universe` defines (:mod:`.database`);
 * **functional coverage** -- covergroups with value/range bins and
   cross coverage sampled from simulation traces (:mod:`.functional`);
 * **constrained-random stimulus** -- weighted, hold-time-constrained
@@ -31,7 +32,6 @@ from .functional import (
     range_bins,
     value_bins,
 )
-from .observer import StructuralObserver
 from .stimulus import (
     PortConstraint,
     StimulusSpec,
@@ -44,6 +44,7 @@ from .database import (
     Hole,
     TestCoverage,
     TestGrade,
+    structural_universe,
 )
 from .closure import (
     ClosureConfig,
@@ -61,7 +62,6 @@ __all__ = [
     "decode_signals",
     "range_bins",
     "value_bins",
-    "StructuralObserver",
     "PortConstraint",
     "StimulusSpec",
     "constrained_stimulus",
@@ -71,6 +71,7 @@ __all__ = [
     "Hole",
     "TestCoverage",
     "TestGrade",
+    "structural_universe",
     "ClosureConfig",
     "ClosureResult",
     "ClosureRound",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from ..netlist import Module, make_default_library, pipeline_block
 from ..perf import REGISTRY, fanout, resolve_workers, stage_timer
 from ..sim import BatchSimulator, SimulatorConfig, VENDOR_A_SIM
 from ..verification import RegressionReport, TestbenchResult
-from .database import CoverageDatabase, TestCoverage
+from .database import CoverageDatabase, TestCoverage, structural_universe
 from .functional import (
     CoverCross,
     CoverGroup,
@@ -34,8 +35,8 @@ from .functional import (
     decode_signals,
     range_bins,
 )
-from .observer import DEFAULT_EXCLUDE, StructuralObserver
 from .stimulus import (
+    DEFAULT_EXCLUDE,
     PortConstraint,
     StimulusSpec,
     constrained_stimulus,
@@ -150,6 +151,98 @@ class ClosureResult:
         return "\n".join(lines)
 
 
+class _LaneCoverage:
+    """Structural coverage of every lane of one :class:`BatchSimulator`.
+
+    Call :meth:`observe` after each clock edge: one OR per value plane
+    folds every lane's net values, flop states and reset levels into
+    word masks.  :meth:`tests` unpacks them into each lane's toggled,
+    half-toggled, active and reset sets -- what the oracle's per-edge
+    observer (:mod:`repro.oracles.coverage`) collects on the event
+    simulator.
+    """
+
+    def __init__(self, sim: BatchSimulator,
+                 exclude: tuple[str, ...] = DEFAULT_EXCLUDE) -> None:
+        self._sim = sim
+        program = sim.program
+        countable, flops = structural_universe(sim.module, exclude)
+        self._countable_rows = [
+            (i, name) for i, name in enumerate(program.net_names)
+            if name in countable
+        ]
+        self._reset_flops = [
+            name for name, _q, reset in flops if reset is not None
+        ]
+        self._reset_slots = np.array(
+            [program.net_index[reset] for _, _q, reset in flops
+             if reset is not None],
+            dtype=np.intp,
+        )
+        self._acc0 = np.zeros((program.n_nets, sim.words), dtype=np.uint64)
+        self._acc1 = np.zeros_like(self._acc0)
+        n_flops = len(program.flop_names)
+        self._facc0 = np.zeros((n_flops, sim.words), dtype=np.uint64)
+        self._facc1 = np.zeros_like(self._facc0)
+        self._racc = np.zeros((len(self._reset_flops), sim.words),
+                              dtype=np.uint64)
+
+    def observe(self) -> None:
+        """Fold the simulator's current state into the masks."""
+        is0, is1 = self._sim.net_value_words()
+        self._acc0 |= is0
+        self._acc1 |= is1
+        f0, f1 = self._sim.flop_state_words()
+        self._facc0 |= f0
+        self._facc1 |= f1
+        if self._reset_slots.size:
+            self._racc |= is0[self._reset_slots]
+
+    def tests(
+        self,
+        names: Sequence[str],
+        *,
+        cycles: int,
+        duration_s: float,
+        bin_hits: Sequence[dict[str, int]] | None = None,
+    ) -> list[TestCoverage]:
+        """One record per lane, lane *i* named ``names[i]`` and carrying
+        ``bin_hits[i]`` when given."""
+        lanes = self._sim.lanes
+
+        def lanes_of(words: np.ndarray) -> np.ndarray:
+            return np.unpackbits(
+                words.view(np.uint8), axis=1, bitorder="little"
+            )[:, :lanes].astype(bool)
+
+        a0, a1 = lanes_of(self._acc0), lanes_of(self._acc1)
+        toggled, half = a0 & a1, a0 ^ a1
+        active = lanes_of(self._facc0) & lanes_of(self._facc1)
+        reset = lanes_of(self._racc)
+        flop_names = self._sim.program.flop_names
+        return [
+            TestCoverage(
+                name=name,
+                cycles=cycles,
+                duration_s=duration_s,
+                toggled=frozenset(
+                    net for i, net in self._countable_rows
+                    if toggled[i, lane]),
+                half_toggled=frozenset(
+                    net for i, net in self._countable_rows
+                    if half[i, lane]),
+                active_flops=frozenset(
+                    flop for i, flop in enumerate(flop_names)
+                    if active[i, lane]),
+                reset_flops=frozenset(
+                    flop for i, flop in enumerate(self._reset_flops)
+                    if reset[i, lane]),
+                bin_hits=bin_hits[lane] if bin_hits is not None else {},
+            )
+            for lane, name in enumerate(names)
+        ]
+
+
 def simulate_lanes_with_coverage(
     module: Module,
     covergroup: CoverGroup | None,
@@ -170,10 +263,10 @@ def simulate_lanes_with_coverage(
     identical to the one the event-simulator oracle
     :func:`repro.oracles.coverage.simulate_with_coverage` produces for
     that stream.
-    Structural coverage accumulates as word masks (one OR over the
-    value planes per edge) and is unpacked into per-lane sets at the
-    end; covergroup sampling decodes per lane through the same
-    :func:`decode_signals` helper.
+    Structural coverage accumulates as word masks (:class:`_LaneCoverage`,
+    one OR over the value planes per edge) and is unpacked into
+    per-lane sets at the end; covergroup sampling decodes per lane
+    through the same :func:`decode_signals` helper.
     """
     lanes = len(names)
     started = time.perf_counter()
@@ -184,35 +277,7 @@ def simulate_lanes_with_coverage(
         for seed_seq in seed_seqs
     ]
     sim = BatchSimulator(module, config, lanes=lanes)
-    program = sim.program
-    template = StructuralObserver(module, exclude=exclude)
-    flops = template._flops
-
-    # Word-mask accumulators, ORed once per edge: the vector analogue
-    # of StructuralObserver's per-edge set updates.
-    acc0 = np.zeros((program.n_nets, sim.words), dtype=np.uint64)
-    acc1 = np.zeros_like(acc0)
-    n_flops = len(program.flop_names)
-    facc0 = np.zeros((n_flops, sim.words), dtype=np.uint64)
-    facc1 = np.zeros_like(facc0)
-    reset_rows = [
-        (name, program.net_index[reset_net])
-        for name, _q_net, reset_net in flops
-        if reset_net is not None
-    ]
-    reset_slots = np.array([slot for _, slot in reset_rows],
-                           dtype=np.intp)
-    racc = np.zeros((len(reset_rows), sim.words), dtype=np.uint64)
-
-    def observe_edge() -> None:
-        is0, is1 = sim.net_value_words()
-        acc0.__ior__(is0)
-        acc1.__ior__(is1)
-        f0, f1 = sim.flop_state_words()
-        facc0.__ior__(f0)
-        facc1.__ior__(f1)
-        if reset_slots.size:
-            racc.__ior__(is0[reset_slots])
+    cover = _LaneCoverage(sim, exclude)
 
     bin_hits: list[dict[str, int]] = [{} for _ in range(lanes)]
     ties = {clock_port: 0}
@@ -224,7 +289,7 @@ def simulate_lanes_with_coverage(
     if has_reset:
         sim.set_inputs({**ties, reset_port: 0})
         sim.clock_edge(clock_port)
-        observe_edge()
+        cover.observe()
         sim.set_input(reset_port, 1)
 
     points = [
@@ -238,7 +303,7 @@ def simulate_lanes_with_coverage(
                 vector[reset_port] = 1
         sim.set_lane_inputs(vectors)
         sim.clock_edge(clock_port)
-        observe_edge()
+        cover.observe()
         if covergroup is not None:
             for lane in range(lanes):
                 values: dict[str, int] = {}
@@ -251,47 +316,11 @@ def simulate_lanes_with_coverage(
                         values[point.name] = decoded
                 covergroup.sample(values, bin_hits[lane])
 
-    # Unpack the word masks into per-lane coverage sets.
-    def lanes_of(words: np.ndarray) -> np.ndarray:
-        return np.unpackbits(
-            words.view(np.uint8), axis=1, bitorder="little"
-        )[:, :lanes].astype(bool)
-
-    a0, a1 = lanes_of(acc0), lanes_of(acc1)
-    toggled_bits = a0 & a1
-    half_bits = a0 ^ a1
-    active_bits = lanes_of(facc0) & lanes_of(facc1)
-    reset_bits = lanes_of(racc) if reset_rows else None
-    countable = template.countable
-    countable_rows = [
-        (i, name) for i, name in enumerate(program.net_names)
-        if name in countable
-    ]
-    elapsed = time.perf_counter() - started
-    results: list[TestCoverage] = []
-    for lane, name in enumerate(names):
-        results.append(TestCoverage(
-            name=name,
-            cycles=len(stimuli[lane]),
-            duration_s=elapsed / lanes,
-            toggled=frozenset(
-                net for i, net in countable_rows if toggled_bits[i, lane]
-            ),
-            half_toggled=frozenset(
-                net for i, net in countable_rows if half_bits[i, lane]
-            ),
-            active_flops=frozenset(
-                flop_name
-                for i, flop_name in enumerate(program.flop_names)
-                if active_bits[i, lane]
-            ),
-            reset_flops=frozenset(
-                flop_name for i, (flop_name, _) in enumerate(reset_rows)
-                if reset_bits is not None and reset_bits[i, lane]
-            ),
-            bin_hits=bin_hits[lane],
-        ))
-    return results
+    return cover.tests(
+        names, cycles=cycles,
+        duration_s=(time.perf_counter() - started) / lanes,
+        bin_hits=bin_hits,
+    )
 
 
 def _compiled_closure_worker(task) -> list[TestCoverage]:

@@ -27,7 +27,29 @@ from dataclasses import dataclass, field
 
 from ..netlist import Module
 from .functional import CoverGroup
-from .observer import DEFAULT_EXCLUDE, StructuralObserver
+from .stimulus import DEFAULT_EXCLUDE
+
+
+def structural_universe(
+    module: Module, exclude: tuple[str, ...] = DEFAULT_EXCLUDE
+) -> tuple[frozenset[str], tuple[tuple[str, str, str | None], ...]]:
+    """The structural coverage universe of a module.
+
+    Returns the nets that count toward toggle coverage (every net but
+    ``exclude`` and the scan nets) and, per flop in
+    ``module.sequential_instances`` order, its name, Q net and
+    asynchronous reset net (``None`` without a reset pin).
+    """
+    excluded = set(exclude)
+    excluded.update(name for name in module.nets
+                    if name.startswith("scan_"))
+    flops = tuple(
+        (inst.name, inst.net_of("Q"),
+         inst.net_of(inst.cell.reset_pin)
+         if inst.cell.reset_pin is not None else None)
+        for inst in module.sequential_instances
+    )
+    return frozenset(set(module.nets) - excluded), flops
 
 
 @dataclass
@@ -142,12 +164,13 @@ class CoverageDatabase:
         at_least: int = 1,
     ) -> "CoverageDatabase":
         """Build the coverage universe for a module (+ optional group)."""
-        probe = StructuralObserver(module, exclude=exclude)
+        countable, flops = structural_universe(module, exclude)
         return cls(
             module.name,
-            net_universe=tuple(probe.countable),
-            flop_universe=tuple(probe.flop_universe),
-            reset_flop_universe=tuple(probe.reset_flop_universe),
+            net_universe=tuple(countable),
+            flop_universe=tuple(name for name, _, _ in flops),
+            reset_flop_universe=tuple(
+                name for name, _, reset in flops if reset is not None),
             bin_universe=covergroup.bin_ids() if covergroup else (),
             at_least=at_least,
         )

@@ -11,8 +11,9 @@ sample into their own hit dict and the databases merge exactly
 (:mod:`repro.coverage.database`).
 
 This is the "functional" half of knowing when verification is done --
-the structural half (toggle/flop coverage) lives in
-:mod:`repro.coverage.observer`.
+the structural half (toggle/flop coverage) is the universe of
+:func:`repro.coverage.database.structural_universe`, collected as
+word masks in :mod:`repro.coverage.closure`.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ import numpy as np
 
 from ..netlist import Module
 
-#: Ports never randomized: clock/reset/scan infrastructure.
+#: Clock/reset/scan infrastructure: ports never randomized, and nets
+#: left out of the toggle-coverage denominator, as coverage tools do.
 DEFAULT_EXCLUDE = ("clk", "rst_n", "scan_en")
 
 

@@ -22,6 +22,7 @@ from .compiled import (
     FaultProgram,
     clear_fault_program_cache,
     compile_fault_program,
+    detection_masks,
     grade_batch,
 )
 from .atpg import AtpgResult, run_atpg
@@ -59,6 +60,7 @@ __all__ = [
     "FaultProgram",
     "clear_fault_program_cache",
     "compile_fault_program",
+    "detection_masks",
     "grade_batch",
     "AtpgResult",
     "run_atpg",

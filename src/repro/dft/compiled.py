@@ -1,11 +1,11 @@
 """Compiled word-parallel fault simulation: fused fault-cone programs.
 
-The big-int oracle kernel (:mod:`repro.oracles.faultsim`) walks fault
-sites in Python: one
-:meth:`~repro.dft.faultsim.CombinationalView.detect_mask` cone walk
-per fault per batch.  This module takes the same route the compiled
-functional backend took -- compile once, sweep flat -- and applies it
-to the *fault universe*:
+This is the one production fault-detection engine.  Its big-int
+oracle (:mod:`repro.oracles.faultsim`) walks fault sites in Python:
+one :func:`~repro.oracles.faultsim.detect_mask` cone walk per fault
+per batch.  This module takes the same route the compiled functional
+backend took -- compile once, sweep flat -- and applies it to the
+*fault universe*:
 
 * **Integer compile.**  Each view is compiled once into integer
   tables (:class:`_ViewCompile`): per combinational instance, in
@@ -49,11 +49,18 @@ to the *fault universe*:
 
 Programs are cached per view in a :class:`~weakref.WeakKeyDictionary`
 (never pickled; pool workers rebuild their own; nothing cached refers
-back to the view, so an entry dies with it), and
-:func:`compiled_batch_hits` is the one grading kernel of
-:func:`repro.dft.faultsim.random_pattern_fault_sim` and
-:func:`repro.dft.atpg.run_atpg`.  Throughput counters report under
-the ``dft.fault_sim.compiled`` perf stage.
+back to the view, so an entry dies with it).  Both entry points run
+the same chunk sweep (:func:`_sweep`):
+
+* :func:`compiled_batch_hits` -- each fault's *first* detecting
+  pattern, with fault dropping; the grading kernel of
+  :func:`repro.dft.faultsim.random_pattern_fault_sim`,
+  :func:`repro.dft.atpg.run_atpg` and
+  :func:`repro.dft.faultsim.simulate_single_pattern`.  Throughput
+  counters report under the ``dft.fault_sim.compiled`` perf stage.
+* :func:`detection_masks` -- *every* detecting pattern of each fault,
+  nothing dropped, swept in one flat chunk; the signatures of
+  dictionary diagnosis (:mod:`repro.dft.diagnosis`).
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ __all__ = [
     "clear_fault_program_cache",
     "compile_fault_program",
     "compiled_batch_hits",
+    "detection_masks",
     "grade_batch",
 ]
 
@@ -684,6 +692,50 @@ def _chunk_bounds(words: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _sweep(
+    program: FaultProgram,
+    selection: _Selection,
+    good_values: np.ndarray,
+    start: int,
+    end: int,
+    width: int,
+) -> np.ndarray:
+    """Run every faulty machine of ``selection`` over words
+    ``start:end`` of a ``width``-pattern batch.
+
+    Returns, per fault in ``selection.det_faults`` order, the words of
+    patterns that detect it (bits past ``width`` cleared).
+    """
+    words = _n_words(width)
+    chunk_words = end - start
+    buf = program._chunk_buf
+    if buf is None or buf.shape[1] < chunk_words:
+        buf = np.empty((program.n_slots * 2, words), dtype=np.uint64)
+        program._chunk_buf = buf
+    chunk = buf[:, :chunk_words]
+    chunk[: program.good.n_slots * 2] = good_values[:, start:end]
+    for force, value in ((selection.stem0, np.uint64(0)),
+                         (selection.stem1, _FULL)):
+        if force.size:
+            chunk[force * 2] = value
+            chunk[force * 2 + 1] = ~value
+    for lit, seg, out in selection.levels:
+        acc = np.bitwise_or.reduceat(
+            np.bitwise_and.reduce(chunk[lit], axis=1), seg, axis=0
+        )
+        chunk[out * 2] = acc
+        chunk[out * 2 + 1] = ~acc
+
+    det = np.bitwise_or.reduceat(
+        chunk[selection.det_overlay] ^ chunk[selection.det_good],
+        selection.det_seg, axis=0,
+    )
+    tail = width % _WORD_BITS
+    if end == words and tail:
+        det[:, -1] &= np.uint64((1 << tail) - 1)
+    return det
+
+
 def grade_batch(
     program: FaultProgram,
     bits: Mapping[str, np.ndarray],
@@ -698,12 +750,8 @@ def grade_batch(
     When ``counters`` is given, fill-efficiency inputs (active vs
     capacity row-words) are accumulated into it.
     """
-    good = program.good
     words = _n_words(width)
-    tail = width % _WORD_BITS
-    tail_mask = _FULL if tail == 0 else np.uint64((1 << tail) - 1)
-
-    good_values = good.evaluate(bits, width)
+    good_values = program.good.evaluate(bits, width)
 
     active = np.zeros(len(program.faults), dtype=bool)
     for fault in remaining:
@@ -750,30 +798,7 @@ def grade_batch(
         rows_capacity += program.lit.shape[0] * chunk_words
         rows_active += selection.n_rows * chunk_words
 
-        buf = program._chunk_buf
-        if buf is None or buf.shape[1] < chunk_words:
-            buf = np.empty((program.n_slots * 2, words), dtype=np.uint64)
-            program._chunk_buf = buf
-        chunk = buf[:, :chunk_words]
-        chunk[: good.n_slots * 2] = good_values[:, start:end]
-        for force, value in ((selection.stem0, np.uint64(0)),
-                             (selection.stem1, _FULL)):
-            if force.size:
-                chunk[force * 2] = value
-                chunk[force * 2 + 1] = ~value
-        for lit, seg, out in selection.levels:
-            acc = np.bitwise_or.reduceat(
-                np.bitwise_and.reduce(chunk[lit], axis=1), seg, axis=0
-            )
-            chunk[out * 2] = acc
-            chunk[out * 2 + 1] = ~acc
-
-        det = np.bitwise_or.reduceat(
-            chunk[selection.det_overlay] ^ chunk[selection.det_good],
-            selection.det_seg, axis=0,
-        )
-        if end == words:
-            det[:, -1] &= tail_mask
+        det = _sweep(program, selection, good_values, start, end, width)
         first = _first_set_bits(det)
         # A stale selection may still carry already-dropped faults;
         # they must not be re-recorded.
@@ -855,3 +880,30 @@ def compiled_batch_hits(
             **fill,
         )
     return hits
+
+
+def detection_masks(
+    view: CombinationalView,
+    faults: Sequence[Fault],
+    bits: Mapping[str, np.ndarray],
+    width: int,
+) -> dict[Fault, int]:
+    """Every detecting pattern of one batch, per fault.
+
+    Bit *k* of a fault's mask is set when pattern *k* of the
+    ``width``-pattern batch ``bits`` detects it, and an undetected
+    fault reads 0.  Nothing is dropped: the program sweeps the whole
+    batch in one flat chunk.  Each mask equals the big-int oracle's
+    :func:`repro.oracles.faultsim.detect_mask` for the same stimulus.
+    """
+    program = compile_fault_program(view, faults)
+    selection = program.full_selection
+    det = _sweep(program, selection, program.good.evaluate(bits, width),
+                 0, _n_words(width), width)
+    row_of = dict(zip(selection.det_faults.tolist(), det.astype("<u8")))
+    masks: dict[Fault, int] = {}
+    for fault in faults:
+        row = row_of.get(program.fault_index[fault])
+        masks[fault] = (0 if row is None
+                        else int.from_bytes(row.tobytes(), "little"))
+    return masks

@@ -8,10 +8,12 @@ responses of every candidate fault (a fault dictionary) and rank
 candidates by match quality.
 
 This module implements dictionary-based diagnosis on the scan view:
-build the dictionary with the bit-parallel fault simulator, observe a
-'silicon' defect's signature, and rank.  The E8 story becomes fully
-mechanical: inject the weak-driver fault, diagnose it from tester
-data alone, and hand the located instance to the metal-ECO engine.
+build the dictionary with the compiled fault kernel
+(:func:`~repro.dft.compiled.detection_masks`, every detecting pattern
+of every fault), observe a 'silicon' defect's signature, and rank.
+The E8 story becomes fully mechanical: inject the weak-driver fault,
+diagnose it from tester data alone, and hand the located instance to
+the metal-ECO engine.
 """
 
 from __future__ import annotations
@@ -21,8 +23,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .compiled import detection_masks
 from .faults import Fault
 from .faultsim import CombinationalView
+
+#: Patterns per batch :func:`build_dictionary` draws: one 64-bit word.
+_BATCH_PATTERNS = 64
+
+#: Candidates :meth:`FaultDictionary.diagnose` keeps, best first;
+#: every exact match is kept even past it.
+_TOP_CANDIDATES = 10
+
+#: Candidates :meth:`DiagnosisResult.format_report` lists.
+_REPORT_CANDIDATES = 5
 
 
 @dataclass(frozen=True)
@@ -65,9 +78,9 @@ class DiagnosisResult:
     def exact_candidates(self) -> list[Fault]:
         return [c.fault for c in self.candidates if c.exact]
 
-    def format_report(self, limit: int = 5) -> str:
+    def format_report(self) -> str:
         lines = ["Diagnosis candidates (best first):"]
-        for candidate in self.candidates[:limit]:
+        for candidate in self.candidates[:_REPORT_CANDIDATES]:
             marker = "EXACT" if candidate.exact else f"d={candidate.distance}"
             lines.append(f"  {candidate.fault!s:32s} {marker}")
         return "\n".join(lines)
@@ -79,31 +92,31 @@ class FaultDictionary:
     def __init__(
         self,
         view: CombinationalView,
-        patterns: Sequence[Mapping[str, int]],
+        patterns: Sequence[Mapping[str, np.ndarray]],
         faults: Sequence[Fault],
-        *,
-        batch_width: int = 64,
     ) -> None:
-        """``patterns`` are packed pattern batches (as produced by
-        :meth:`CombinationalView.random_patterns`), each covering
-        ``batch_width`` patterns."""
+        """``patterns`` are pattern batches as
+        :meth:`CombinationalView.random_pattern_bits` draws them: one
+        0/1 vector per pseudo input, as long as the batch is wide."""
         self.view = view
         self.patterns = list(patterns)
         self.faults = list(faults)
-        self.batch_width = batch_width
-        self._signatures: dict[Fault, FailureSignature] = {}
-        self._good_values = [
-            view.evaluate(packed, batch_width) for packed in self.patterns
+        self._widths = [
+            len(next(iter(batch.values()))) for batch in self.patterns
         ]
-        for fault in self.faults:
-            masks = tuple(
-                view.detect_mask(fault, good, batch_width)
-                for good in self._good_values
+        #: Patterns applied across every batch.
+        self.pattern_count = sum(self._widths)
+        per_batch = [
+            detection_masks(view, self.faults, batch, width)
+            for batch, width in zip(self.patterns, self._widths)
+        ]
+        self._signatures: dict[Fault, FailureSignature] = {
+            fault: FailureSignature(
+                pattern_count=self.pattern_count,
+                failing_masks=tuple(masks[fault] for masks in per_batch),
             )
-            self._signatures[fault] = FailureSignature(
-                pattern_count=len(self.patterns) * batch_width,
-                failing_masks=masks,
-            )
+            for fault in self.faults
+        }
 
     def signature_of(self, fault: Fault) -> FailureSignature:
         """The predicted tester signature of a candidate fault."""
@@ -113,23 +126,21 @@ class FaultDictionary:
         """Simulate 'silicon' with the defect and record what the
         tester sees (same computation, but conceptually this side is
         measurement)."""
-        masks = tuple(
-            self.view.detect_mask(defect, good, self.batch_width)
-            for good in self._good_values
-        )
         return FailureSignature(
-            pattern_count=len(self.patterns) * self.batch_width,
-            failing_masks=masks,
+            pattern_count=self.pattern_count,
+            failing_masks=tuple(
+                detection_masks(self.view, [defect], batch, width)[defect]
+                for batch, width in zip(self.patterns, self._widths)
+            ),
         )
 
-    def diagnose(self, observed: FailureSignature, *, top: int = 10
-                 ) -> DiagnosisResult:
+    def diagnose(self, observed: FailureSignature) -> DiagnosisResult:
         """Rank dictionary faults by signature distance.
 
         All exact (distance-0) matches are always returned -- they are
         indistinguishable equivalents of the defect and truncating
-        them would hide the true site; ``top`` bounds only the
-        inexact tail.
+        them would hide the true site; the list is cut at
+        ``_TOP_CANDIDATES`` only when fewer faults match exactly.
         """
         scored = []
         for fault, signature in self._signatures.items():
@@ -143,7 +154,7 @@ class FaultDictionary:
             )
         scored.sort(key=lambda c: (c.distance, str(c.fault)))
         exact_count = sum(1 for c in scored if c.exact)
-        keep = max(top, exact_count)
+        keep = max(_TOP_CANDIDATES, exact_count)
         return DiagnosisResult(candidates=scored[:keep])
 
 
@@ -152,13 +163,13 @@ def build_dictionary(
     faults: Sequence[Fault],
     *,
     n_batches: int = 4,
-    batch_width: int = 64,
     seed: int = 0,
 ) -> FaultDictionary:
-    """Convenience constructor with random patterns."""
+    """Convenience constructor with ``n_batches`` random 64-pattern
+    batches drawn from ``seed``."""
     rng = np.random.default_rng(seed)
     patterns = [
-        view.random_patterns(rng, batch_width) for _ in range(n_batches)
+        view.random_pattern_bits(rng, _BATCH_PATTERNS)
+        for _ in range(n_batches)
     ]
-    return FaultDictionary(view, patterns, faults,
-                           batch_width=batch_width)
+    return FaultDictionary(view, patterns, faults)

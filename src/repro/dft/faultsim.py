@@ -3,21 +3,19 @@
 Under full scan every flip-flop is a pseudo primary input (its Q net)
 and pseudo primary output (its D net), so test generation reduces to
 the combinational network between scan elements.
-:class:`CombinationalView` extracts that network from a module and
-evaluates it **bit-parallel**: each net's value across a batch of
-patterns is one packed bit-vector, one bit per pattern, and each cell
-is evaluated from its precomputed truth table with bitwise operations.
-Single-fault simulation then re-evaluates only the fanout cone of the
-fault site -- the classic serial-fault / parallel-pattern scheme.
+:class:`CombinationalView` extracts that network from a module: its
+pseudo inputs and outputs, per-cell truth tables, the CNF encoding
+ATPG and equivalence share, and memoized fanout cones and supports.
 
-The view's big-int evaluation (one Python integer per net) serves
-diagnosis and single-pattern checks.  Campaign grading in
-:func:`random_pattern_fault_sim` runs on the fused flat-program
-kernel of :mod:`repro.dft.compiled`; the big-int fault kernel built on
-:meth:`CombinationalView.detect_mask` is its test oracle
-(:mod:`repro.oracles.faultsim`), and the two produce bit-identical
-results for the same RNG seed.
-Fanout cones and supports are memoized per instance, and
+Every fault-detection job runs on the fused flat-program kernel of
+:mod:`repro.dft.compiled`: campaign grading in
+:func:`random_pattern_fault_sim`, ATPG, dictionary diagnosis and
+:func:`simulate_single_pattern`.  Patterns ride the bit lanes of
+``uint64`` words, and each fault re-evaluates only its fanout cone --
+the classic serial-fault / parallel-pattern scheme, fused across the
+whole fault universe.  The big-int evaluator, one Python integer per
+net (:mod:`repro.oracles.faultsim`), is its test oracle, and the two
+produce bit-identical results for the same RNG seed.
 :func:`random_pattern_fault_sim` can fan the fault list out over a
 process pool (:mod:`repro.perf`) with a deterministic merge, so the
 result is independent of worker count.
@@ -64,13 +62,6 @@ def _truth_minterms(cell: Cell) -> tuple[tuple[int, ...], ...]:
     result = tuple(minterms)
     _TRUTH_CACHE[cell] = result
     return result
-
-
-def _pack_bigint(bits: np.ndarray) -> int:
-    """Pack a 0/1 ``uint8`` vector into one Python big integer."""
-    return int.from_bytes(
-        np.packbits(bits, bitorder="little").tobytes(), "little"
-    )
 
 
 class CombinationalView:
@@ -129,7 +120,7 @@ class CombinationalView:
         state["_support_cache"] = {}
         return state
 
-    # -- evaluation ---------------------------------------------------
+    # -- patterns and encoding ----------------------------------------
 
     def random_pattern_bits(
         self, rng: np.random.Generator, count: int
@@ -141,50 +132,6 @@ class CombinationalView:
             net: rng.integers(0, 2, size=count, dtype=np.uint8)
             for net in self.pseudo_inputs
         }
-
-    def random_patterns(
-        self, rng: np.random.Generator, count: int
-    ) -> dict[str, int]:
-        """Pack ``count`` random patterns: one integer per pseudo input,
-        bit *k* of each integer is pattern *k*'s value."""
-        return {
-            net: _pack_bigint(bits)
-            for net, bits in self.random_pattern_bits(rng, count).items()
-        }
-
-    def _eval_instance(self, inst: Instance, values: Mapping[str, int],
-                       mask: int, forced_pin: str | None = None,
-                       forced_value: int = 0) -> int:
-        minterms = self._minterms[inst.cell.name]
-        pins = inst.cell.input_pins
-        in_values = []
-        for pin in pins:
-            if pin == forced_pin:
-                in_values.append(forced_value)
-            else:
-                in_values.append(values.get(inst.net_of(pin), 0))
-        out = 0
-        for minterm in minterms:
-            term = mask
-            for bit, value in zip(minterm, in_values):
-                term &= value if bit else (~value & mask)
-                if not term:
-                    break
-            out |= term
-        return out
-
-    def evaluate(
-        self, packed_inputs: Mapping[str, int], width: int
-    ) -> dict[str, int]:
-        """Evaluate all nets for a packed batch of ``width`` patterns."""
-        mask = (1 << width) - 1
-        values: dict[str, int] = {
-            net: packed_inputs.get(net, 0) for net in self.pseudo_inputs
-        }
-        for inst in self._order:
-            out_net = inst.net_of(inst.cell.output_pins[0])
-            values[out_net] = self._eval_instance(inst, values, mask)
-        return values
 
     def compare_points(self) -> tuple[dict[str, str], dict[str, str]]:
         """Pseudo inputs and outputs keyed by identity, net as value: a
@@ -206,7 +153,7 @@ class CombinationalView:
     ) -> dict[str, int]:
         """Every net's literal in ``cnf``, one ``cnf.gate`` per instance;
         undriven nets and pseudo inputs missing from ``input_literals``
-        read false, as in :meth:`evaluate`."""
+        read false, as they read 0 in fault simulation."""
         lits = dict.fromkeys(self.module.nets, cnf.false_lit)
         for net in self.pseudo_inputs:
             lits[net] = input_literals.get(net, cnf.false_lit)
@@ -275,70 +222,6 @@ class CombinationalView:
         result = tuple(sorted(found))
         self._support_cache[instance] = result
         return result
-
-    def detect_mask(
-        self,
-        fault: Fault,
-        good_values: Mapping[str, int],
-        width: int,
-    ) -> int:
-        """Bitmask of patterns (within the evaluated batch) that detect
-        ``fault``, given the good-circuit net values."""
-        mask = (1 << width) - 1
-        inst = self.module.instances[fault.instance]
-        stuck = mask if fault.stuck_at else 0
-        overlay: dict[str, int] = {}
-
-        def value_of(net: str) -> int:
-            if net in overlay:
-                return overlay[net]
-            return good_values.get(net, 0)
-
-        direction = inst.cell.pin(fault.pin).direction
-        if direction == "output":
-            out_net = inst.net_of(fault.pin)
-            if value_of(out_net) == stuck:
-                return 0  # fault never activated in this batch
-            overlay[out_net] = stuck
-        else:
-            faulty = self._eval_instance(
-                inst, _OverlayView(overlay, good_values), mask,
-                forced_pin=fault.pin, forced_value=stuck,
-            )
-            out_net = inst.net_of(inst.cell.output_pins[0])
-            if faulty == good_values.get(out_net, 0):
-                return 0
-            overlay[out_net] = faulty
-
-        for member in self.fanout_cone(fault.instance):
-            if member.name == fault.instance:
-                continue
-            new = self._eval_instance(
-                member, _OverlayView(overlay, good_values), mask
-            )
-            member_out = member.net_of(member.cell.output_pins[0])
-            if new != good_values.get(member_out, 0):
-                overlay[member_out] = new
-
-        detected = 0
-        for net in self.pseudo_outputs:
-            if net in overlay:
-                detected |= overlay[net] ^ good_values.get(net, 0)
-        return detected & mask
-
-
-class _OverlayView(dict):
-    """Read-through overlay: fault values shadow good values."""
-
-    def __init__(self, overlay: dict, base: Mapping) -> None:
-        super().__init__()
-        self._overlay = overlay
-        self._base = base
-
-    def get(self, key: str, default: Any = 0) -> Any:
-        if key in self._overlay:
-            return self._overlay[key]
-        return self._base.get(key, default)
 
 
 @dataclass
@@ -556,6 +439,13 @@ def simulate_single_pattern(
     pattern: Mapping[str, int],
     faults: Iterable[Fault],
 ) -> set[Fault]:
-    """Which of ``faults`` does one (unpacked, 1-bit) pattern detect?"""
-    good = view.evaluate(pattern, 1)
-    return {f for f in faults if view.detect_mask(f, good, 1)}
+    """Which of ``faults`` does one (unpacked, 1-bit) pattern detect?
+
+    Graded as a one-pattern batch on the compiled kernel; pseudo
+    inputs missing from ``pattern`` read 0.
+    """
+    bits = {
+        net: np.array([pattern.get(net, 0)], dtype=np.uint8)
+        for net in view.pseudo_inputs
+    }
+    return set(compiled_batch_hits(view, bits, 1, list(faults)))

@@ -14,7 +14,9 @@ neighborhoods thinly.  The semiformal loop composes the two:
 3. **Replay** -- every counterexample is spliced onto its lane's
    stimulus prefix, giving a full power-on stimulus that is replayed
    on **both** simulator dialects (the crossval contract) and can be
-   banked into the coverage database as a directed test.
+   banked into the coverage database as a directed test, its
+   structural coverage collected as word masks on a one-lane
+   compiled sweep, as constrained-random closure collects it.
 
 The whole loop is a pure function of its seeds: lane stimulus comes
 from ``numpy`` generators, frontier states are deduplicated in lane
@@ -30,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..coverage import CoverageDatabase, StructuralObserver, TestCoverage
+from ..coverage import CoverageDatabase, TestCoverage
+from ..coverage.closure import _LaneCoverage
 from ..netlist import Logic, Module
 from ..sim import VENDOR_A_SIM
 from ..sim.compiled import BatchSimulator, compile_module
@@ -146,16 +149,17 @@ def counterexample_to_test(
 ) -> TestCoverage:
     """Run a counterexample stimulus as an instrumented directed test.
 
-    A structural observer rides the one lane of a compiled simulator
-    over the exact counterexample frames, so the returned
-    :class:`~repro.coverage.TestCoverage` attributes whatever nets,
-    flops and resets the formal trace exercises -- formal results
-    feeding the same closure machinery as constrained-random tests.
+    The exact counterexample frames drive the one lane of a compiled
+    simulator, and its structural coverage accumulates as word masks
+    after every clock edge -- the collector of constrained-random
+    closure -- so the returned :class:`~repro.coverage.TestCoverage`
+    attributes whatever nets, flops and resets the formal trace
+    exercises, formal results feeding the same closure machinery as
+    constrained-random tests.
     """
     started = time.perf_counter()
     sim = BatchSimulator(module, config or VENDOR_A_SIM, lanes=1)
-    observer = StructuralObserver(module)
-    sim.attach_observer(observer, lane=0)
+    cover = _LaneCoverage(sim)
     for t, frame in enumerate(cex.frames):
         vector: dict[str, Logic] = dict(frame)
         if cex.clock_port is not None:
@@ -164,15 +168,10 @@ def counterexample_to_test(
         sim.evaluate()
         if t < len(cex.frames) - 1 and cex.clock_port is not None:
             sim.clock_edge(cex.clock_port)
-    return TestCoverage(
-        name=name,
-        cycles=len(cex.frames),
-        duration_s=time.perf_counter() - started,
-        toggled=observer.toggled_nets,
-        half_toggled=observer.half_toggled_nets,
-        active_flops=observer.active_flops,
-        reset_flops=observer.reset_exercised_flops,
-    )
+            cover.observe()
+    (test,) = cover.tests([name], cycles=len(cex.frames),
+                          duration_s=time.perf_counter() - started)
+    return test
 
 
 def _drive_frontier(

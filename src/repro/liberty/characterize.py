@@ -201,7 +201,7 @@ def characterize_library(
     )
 
 
-_DEFAULT_CACHE: dict[tuple[str, float, int, int], CellLibrary] = {}
+_DEFAULT_CACHE: dict[tuple[str, str, float, int], CellLibrary] = {}
 
 
 def default_cell_library(
@@ -211,11 +211,15 @@ def default_cell_library(
 
     Consumers (:mod:`repro.eco`, :mod:`repro.lowpower`,
     :mod:`repro.physical`) call this when no explicit library is
-    supplied, so repeated analyses share one characterization.
+    supplied, so repeated analyses share one characterization.  The
+    memo keys on the library's cell content
+    (:meth:`~repro.netlist.StdCellLibrary.content_digest`), node and
+    seed, and on its name, which the characterized library carries.
     """
     if std_lib is None:
         std_lib = make_default_library()
-    key = (std_lib.name, std_lib.process_node_um, len(std_lib), seed)
+    key = (std_lib.name, std_lib.content_digest(),
+           std_lib.process_node_um, seed)
     cached = _DEFAULT_CACHE.get(key)
     if cached is None:
         cached = characterize_library(std_lib, seed=seed)

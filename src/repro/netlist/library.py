@@ -17,7 +17,8 @@ Values are representative textbook numbers, not foundry data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -130,6 +131,8 @@ class StdCellLibrary:
         #: Footprint -> cells in insertion order, built on first lookup
         #: (sizing and multi-Vt loops ask once per candidate).
         self._by_footprint: dict[str, list[Cell]] | None = None
+        #: :meth:`content_digest`, built on first request.
+        self._digest: str | None = None
 
     def add(self, cell: Cell) -> Cell:
         """Register a cell; names must be unique."""
@@ -137,7 +140,21 @@ class StdCellLibrary:
             raise ValueError(f"duplicate cell {cell.name} in library {self.name}")
         self._cells[cell.name] = cell
         self._by_footprint = None
+        self._digest = None
         return cell
+
+    def content_digest(self) -> str:
+        """sha256 over every field of every cell but ``function``, cells
+        in name order.  The logic function is code, not data: it is
+        taken to follow the cell's name and pins."""
+        if self._digest is None:
+            names = [f.name for f in fields(Cell) if f.name != "function"]
+            payload = repr([
+                tuple(getattr(cell, name) for name in names)
+                for _, cell in sorted(self._cells.items())
+            ])
+            self._digest = hashlib.sha256(payload.encode()).hexdigest()
+        return self._digest
 
     def __getitem__(self, name: str) -> Cell:
         try:

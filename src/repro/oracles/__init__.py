@@ -8,9 +8,11 @@ per layer:
 
 * :mod:`~repro.oracles.fixpoint` -- the monolithic worklist fixpoint,
   oracle of the cone-by-cone solve of :mod:`repro.analysis`;
-* :mod:`~repro.oracles.faultsim` -- the big-int fault kernel and a
-  serial fault-dropping campaign on it, oracle of the compiled grading
-  of :mod:`repro.dft`;
+* :mod:`~repro.oracles.faultsim` -- the big-int evaluator of a scan
+  view, its per-fault detection masks and a serial fault-dropping
+  campaign on them, oracle of the compiled fault kernel of
+  :mod:`repro.dft` (campaign grading, ATPG and dictionary
+  diagnosis);
 * :mod:`~repro.oracles.sta` -- the per-arc scalar NLDM sweep, oracle of
   the vectorized sweep of :mod:`repro.sta`;
 * :mod:`~repro.oracles.bmc` -- the compiled-lane property checker,
@@ -23,9 +25,10 @@ per layer:
   run and divergence observation, oracles of the lane-packed
   :func:`repro.verification.run_regression` and
   :func:`repro.verification.cross_validate_divergence`;
-* :mod:`~repro.oracles.coverage` -- the event-simulator coverage run,
-  oracle of the lane-packed tests of
-  :func:`repro.coverage.close_coverage`.
+* :mod:`~repro.oracles.coverage` -- the structural observer and the
+  event-simulator coverage run, oracles of the word-mask coverage of
+  :func:`repro.coverage.close_coverage` and
+  :func:`repro.formal.counterexample_to_test`.
 
 Outside :mod:`repro.sim` and this package, the event
 :class:`~repro.sim.LogicSimulator` runs only to replay BMC

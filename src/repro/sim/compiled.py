@@ -18,8 +18,8 @@ word *w* belongs to lane ``64*w + b``.  Exactly one plane bit is set
 per (net, lane).  ``Z`` collapses to ``X`` inside the kernel (gates
 read a floating input as unknown, and only input-port nets can carry
 ``Z`` in this netlist model -- the library has no tristate drivers);
-a per-input-port mask restores ``Z`` on read-back so observers see
-the exact event-simulator value.  Two extra plane rows, ``ALWAYS``
+a per-input-port mask restores ``Z`` on read-back so reads see the
+exact event-simulator value.  Two extra plane rows, ``ALWAYS``
 (all ones) and ``NEVER`` (all zeros), serve as padding literals, and
 two pseudo-net slots hold constant 0/1 for absent flop pins.
 
@@ -47,17 +47,15 @@ module-level cache; :class:`BatchSimulator` instances of any lane
 count share one program.  The backend is drop-in bit-identical to the
 event-driven reference under both dialects -- power-on policy,
 async-reset settle fixpoint (same ``max_settle_rounds`` bound and
-error), scan-enable muxing, clock gating through ICGs, and the
-observer hook (observers receive a per-lane
-``LogicSimulator``-compatible view) -- enforced by the randomized
-property tests in ``tests/test_sim_compiled.py``.
+error), scan-enable muxing and clock gating through ICGs -- enforced
+by the randomized property tests in ``tests/test_sim_compiled.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -471,102 +469,17 @@ def compile_module(
 # ---------------------------------------------------------------------------
 
 
-class _LaneView:
-    """Read-only, ``LogicSimulator``-shaped view of one lane.
-
-    Exposes ``module``, ``config``, ``cycle``, ``net_values``,
-    ``flop_state``, ``read`` / ``read_vector`` / ``read_outputs`` --
-    the surface observers such as
-    :class:`repro.coverage.StructuralObserver` consume.  Dict
-    materialisation is memoized per kernel sweep.
-    """
-
-    def __init__(self, batch: "BatchSimulator", lane: int) -> None:
-        self._batch = batch
-        self.lane = lane
-        self._serial = -1
-        self._net_values: dict[str, Logic] | None = None
-        self._flop_state: dict[str, Logic] | None = None
-
-    @property
-    def module(self) -> Module:
-        return self._batch.module
-
-    @property
-    def config(self) -> SimulatorConfig:
-        return self._batch.config
-
-    @property
-    def cycle(self) -> int:
-        return self._batch.cycle
-
-    def _refresh(self) -> None:
-        batch = self._batch
-        if self._serial == batch._serial and self._net_values is not None:
-            return
-        program = batch.program
-        planes = batch._planes
-        word, bit = divmod(self.lane, WORD_BITS)
-        shift = np.uint64(bit)
-        one = np.uint64(1)
-        col1 = (planes[_IS1, : program.n_nets, word] >> shift) & one
-        col0 = (planes[_IS0, : program.n_nets, word] >> shift) & one
-        zcol = (batch._znet[: program.n_nets, word] >> shift) & one
-        codes = np.where(
-            zcol == one, 3,
-            np.where(col1 == one, 1, np.where(col0 == one, 0, 2)),
-        ).astype(np.int64)
-        self._net_values = dict(zip(
-            program.net_names,
-            map(_LOGIC_BY_CODE.__getitem__, codes.tolist()),
-        ))
-        f1 = (batch._flop1[:, word] >> shift) & one
-        f0 = (batch._flop0[:, word] >> shift) & one
-        fz = (batch._flopz[:, word] >> shift) & one
-        fcodes = np.where(
-            fz == one, 3,
-            np.where(f1 == one, 1, np.where(f0 == one, 0, 2)),
-        )
-        self._flop_state = dict(zip(
-            program.flop_names,
-            map(_LOGIC_BY_CODE.__getitem__, fcodes.tolist()),
-        ))
-        self._serial = batch._serial
-
-    @property
-    def net_values(self) -> dict[str, Logic]:
-        self._refresh()
-        assert self._net_values is not None
-        return self._net_values
-
-    @property
-    def flop_state(self) -> dict[str, Logic]:
-        self._refresh()
-        assert self._flop_state is not None
-        return self._flop_state
-
-    def read(self, net: str) -> Logic:
-        return self._batch.read(net, self.lane)
-
-    def read_vector(self, prefix: str, width: int) -> list[Logic]:
-        return [self.read(f"{prefix}{i}") for i in range(width)]
-
-    def read_outputs(self) -> dict[str, Logic]:
-        return {
-            name: self.read(name)
-            for name in self._batch.program.output_ports
-        }
-
-
 class BatchSimulator:
     """Compiled-backend simulator running N stimulus lanes at once.
 
     Mirrors the :class:`~repro.sim.LogicSimulator` API lane-wise:
     ``set_input`` broadcasts a scalar to every lane or takes a
     per-lane sequence, ``evaluate`` / ``clock_edge`` advance all lanes
-    together, ``read(net, lane)`` and :meth:`lane_view` observe one
-    lane.  Every lane behaves bit-identically to a dedicated
-    ``LogicSimulator`` fed the same stimulus.
+    together, and ``read(net, lane)`` observes one lane.  Vectorised
+    consumers -- coverage accumulation, divergence checks -- read
+    every lane at once through :meth:`net_value_words` and
+    :meth:`flop_state_words`.  Every lane behaves bit-identically to a
+    dedicated ``LogicSimulator`` fed the same stimulus.
     """
 
     def __init__(
@@ -619,40 +532,7 @@ class BatchSimulator:
                               dtype=np.uint64)
 
         self.cycle = 0
-        self._serial = 0
-        self._observers: list[tuple[Callable, int | None]] = []
-        self._views: dict[int, _LaneView] = {}
         self.evaluate()
-
-    # -- observers ----------------------------------------------------
-
-    def attach_observer(
-        self, observer: Callable, *, lane: int | None = None
-    ) -> None:
-        """Fire ``observer(lane_view)`` after every settled edge.
-
-        ``lane=None`` fires it once per lane (in lane order);
-        an explicit lane restricts it to that lane -- the idiom for
-        per-test attribution when tests ride separate lanes.
-        """
-        self._observers.append((observer, lane))
-
-    def detach_observer(self, observer: Callable) -> None:
-        """Remove every registration of ``observer``."""
-        self._observers = [
-            (obs, lane) for obs, lane in self._observers
-            if obs is not observer
-        ]
-
-    def lane_view(self, lane: int) -> _LaneView:
-        """A ``LogicSimulator``-compatible read-only view of one lane."""
-        view = self._views.get(lane)
-        if view is None:
-            if not 0 <= lane < self.lanes:
-                raise IndexError(f"lane {lane} out of range")
-            view = _LaneView(self, lane)
-            self._views[lane] = view
-        return view
 
     # -- stimulus -----------------------------------------------------
 
@@ -768,7 +648,6 @@ class BatchSimulator:
             planes[_IS1, level.out] = r1
             planes[_IS0, level.out] = r0
             planes[_ISX, level.out] = ~(r1 | r0)
-        self._serial += 1
 
     def _apply_async_resets(self) -> bool:
         """Force reset flops low; True if any lane's state changed."""
@@ -851,13 +730,6 @@ class BatchSimulator:
             self.cycle += 1
             self.evaluate()
             stats.add(cycles=self.lanes)
-        if self._observers:
-            for observer, obs_lane in self._observers:
-                if obs_lane is None:
-                    for lane in range(self.lanes):
-                        observer(self.lane_view(lane))
-                else:
-                    observer(self.lane_view(obs_lane))
 
     # -- observation --------------------------------------------------
 

@@ -12,12 +12,18 @@ customer simulated with a PC-based Verilog/ModelSim setup while the
 design service used NC-Verilog, and the differing X semantics caused
 "extra twist during ASIC sign-off".  Running the same netlist and
 stimulus under both dialects and diffing the traces is experiment E13.
+
+In production this interpreter only replays BMC counterexamples;
+otherwise it is the test oracle of the compiled
+:class:`~repro.sim.BatchSimulator`.  It has no observer hook: the
+coverage oracle (:mod:`repro.oracles.coverage`) reads its state after
+each clock edge itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..netlist import Logic, Module
 from ..netlist.clocks import trace_control_source
@@ -172,31 +178,11 @@ class LogicSimulator:
             if port.direction == "input"
         }
         self.cycle = 0
-        self._observers: list[Callable[["LogicSimulator"], None]] = []
         # clock port -> [(flop, ICG enable nets)], resolved lazily.
         self._clock_plans: dict[
             str, list[tuple[Instance, tuple[str, ...]]]
         ] = {}
         self.evaluate()
-
-    # -- observers ----------------------------------------------------
-
-    def attach_observer(
-        self, observer: Callable[["LogicSimulator"], None]
-    ) -> None:
-        """Register a callback fired after every settled clock edge.
-
-        Coverage collectors (:mod:`repro.coverage`) hook in here; with
-        no observers attached the simulator pays only an empty-list
-        check per edge, so the bare simulation path is not slowed.
-        """
-        self._observers.append(observer)
-
-    def detach_observer(
-        self, observer: Callable[["LogicSimulator"], None]
-    ) -> None:
-        """Remove a previously attached observer."""
-        self._observers.remove(observer)
 
     # -- stimulus -----------------------------------------------------
 
@@ -329,9 +315,6 @@ class LogicSimulator:
             self.cycle += 1
             self.evaluate()
             stats.add(cycles=1)
-        if self._observers:
-            for observer in self._observers:
-                observer(self)
 
     # -- observation ----------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.dft import (
     insert_scan,
     random_pattern_fault_sim,
 )
+from repro.oracles.faultsim import detect_mask, evaluate
 from repro.sta import TimingAnalyzer, TimingConstraints
 from repro.physical import AnnealingPlacer
 from repro.eco import close_timing, sprinkle_spare_cells, \
@@ -47,8 +48,8 @@ class TestManufacturingTestUsesAtpgPatterns:
         detected_at_probe = False
         for packed in result.effective_patterns:
             width = 64
-            good = view.evaluate(packed, width)
-            if view.detect_mask(defect, good, width):
+            good = evaluate(view, packed, width)
+            if detect_mask(view, defect, good, width):
                 detected_at_probe = True
                 break
         assert detected_at_probe

@@ -22,6 +22,7 @@ from repro.dft import (
     run_atpg,
 )
 from repro.dft.atpg import SatTestGenerator
+from repro.oracles.faultsim import detect_mask, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +43,8 @@ def exhaustive_detectable(view, fault, n_inputs=None):
     inputs = view.pseudo_inputs
     for bits in itertools.product([0, 1], repeat=len(inputs)):
         pattern = dict(zip(inputs, bits))
-        good = view.evaluate(pattern, 1)
-        if view.detect_mask(fault, good, 1):
+        good = evaluate(view, pattern, 1)
+        if detect_mask(view, fault, good, 1):
             return True
     return False
 
@@ -54,7 +55,7 @@ def detects_under_every_fill(view, fault, pattern):
     free = [net for net in view.pseudo_inputs if net not in pattern]
     for bits in itertools.product([0, 1], repeat=len(free)):
         full = {**pattern, **dict(zip(free, bits))}
-        if not view.detect_mask(fault, view.evaluate(full, 1), 1):
+        if not detect_mask(view, fault, evaluate(view, full, 1), 1):
             return False
     return True
 
@@ -72,8 +73,8 @@ class TestSatBasics:
             result = engine.generate(fault)
             assert result.status == "detected"
             pattern = {n: result.pattern.get(n, 0) for n in view.pseudo_inputs}
-            good = view.evaluate(pattern, 1)
-            assert view.detect_mask(fault, good, 1)
+            good = evaluate(view, pattern, 1)
+            assert detect_mask(view, fault, good, 1)
 
     def test_redundant_fault_proven_untestable(self, lib):
         # y = (a & b) | (a & ~b) == a: b's value never reaches y, yet
@@ -170,8 +171,8 @@ def test_sat_matches_exhaustive_on_random_clouds(seed, n_gates):
         assert (result.status == "detected") == truth, str(fault)
         if result.status == "detected":
             pattern = {n: result.pattern.get(n, 0) for n in view.pseudo_inputs}
-            good = view.evaluate(pattern, 1)
-            assert view.detect_mask(fault, good, 1)
+            good = evaluate(view, pattern, 1)
+            assert detect_mask(view, fault, good, 1)
 
 
 @settings(max_examples=10, deadline=None)

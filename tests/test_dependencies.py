@@ -151,6 +151,28 @@ PRODUCTION_WITHOUT_ORACLES_RUN = textwrap.dedent("""
         # Too short to close coverage: only the run matters here.
         main(["cover", "--rounds", "1", "--tests-per-round", "4",
               "--cycles", "16"])
+
+    from repro.dft import (
+        CombinationalView, build_dictionary, collapse_faults,
+        enumerate_faults, insert_scan,
+    )
+    from repro.formal import Counterexample, counterexample_to_test
+    from repro.netlist import Logic, make_default_library, pipeline_block
+
+    block = pipeline_block("blk", make_default_library(0.25), stages=2,
+                           width=4, cloud_gates=16, seed=1)
+    scanned, _ = insert_scan(block)
+    faults = collapse_faults(scanned, enumerate_faults(scanned))
+    dictionary = build_dictionary(CombinationalView(scanned), faults)
+    observed = dictionary.observe(faults[0])
+    assert dictionary.diagnose(observed).candidates
+    frames = tuple(
+        {"rst_n": Logic.from_bool(t > 0), "in0": Logic.from_bool(t % 2)}
+        for t in range(4)
+    )
+    cex = Counterexample(kind="violation", frame=3, frames=frames,
+                         nets=(), clock_port="clk")
+    assert counterexample_to_test(block, cex, name="cex").toggled
     loaded = sorted(name for name in sys.modules
                     if name == "repro.oracles"
                     or name.startswith("repro.oracles."))
@@ -328,6 +350,25 @@ def test_event_harnesses_left_the_production_api():
     assert "observed_divergent_nets" not in repro.verification.__all__
     assert "simulate_with_coverage" not in repro.coverage.__all__
     assert not hasattr(repro.verification.Testbench, "run")
+
+
+def test_one_production_engine_for_detection_and_coverage():
+    """Fault detection runs only on the compiled kernel, and coverage
+    is collected only as word masks: the big-int evaluator, the
+    structural observer and the simulators' observer hooks are gone
+    from production (they live on in :mod:`repro.oracles`)."""
+    import repro.coverage
+    from repro.dft import CombinationalView
+    from repro.sim import BatchSimulator, LogicSimulator
+
+    for name in ("evaluate", "detect_mask", "random_patterns",
+                 "_eval_instance"):
+        assert not hasattr(CombinationalView, name), name
+    assert not hasattr(repro.coverage, "StructuralObserver")
+    assert "StructuralObserver" not in repro.coverage.__all__
+    for simulator in (LogicSimulator, BatchSimulator):
+        assert not hasattr(simulator, "attach_observer"), simulator
+    assert not hasattr(BatchSimulator, "lane_view")
 
 
 def test_import_graph_walk_sees_every_import_form():

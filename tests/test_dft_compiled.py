@@ -26,6 +26,7 @@ from repro.dft import (
     clear_fault_program_cache,
     collapse_faults,
     compile_fault_program,
+    detection_masks,
     enumerate_faults,
     faultsim,
     grade_batch,
@@ -33,7 +34,13 @@ from repro.dft import (
     random_pattern_fault_sim,
     run_atpg,
 )
-from repro.oracles.faultsim import bigint_batch_hits, bigint_fault_sim
+from repro.oracles.faultsim import (
+    bigint_batch_hits,
+    bigint_fault_sim,
+    detect_mask,
+    evaluate,
+    random_patterns,
+)
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +319,41 @@ class TestCompiledKernelUnit:
         bits = view.random_pattern_bits(np.random.default_rng(4), 64)
         assert grade_batch(split, bits, 64, faults) == (
             bigint_batch_hits(view, bits, 64, faults))
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        stages=st.integers(min_value=1, max_value=3),
+        width=st.integers(min_value=2, max_value=6),
+        n_chains=st.integers(min_value=1, max_value=3),
+    )
+    def test_detection_masks_equal_the_oracle(self, seed, stages, width,
+                                              n_chains):
+        """Every detecting pattern of every fault, nothing dropped:
+        the mask equals the big-int ``detect_mask`` for each fault of
+        the full and the collapsed universe (the latter served by the
+        full universe's program), at widths around word edges."""
+        library = make_default_library(0.25)
+        module = pipeline_block("msk", library, stages=stages,
+                                width=width, cloud_gates=20, seed=seed)
+        scanned, _ = insert_scan(module, n_chains=n_chains)
+        view = CombinationalView(scanned)
+        full = enumerate_faults(scanned)
+        clear_fault_program_cache()
+        for universe in (full, collapse_faults(scanned, full)):
+            for batch, draw in enumerate((1, 7, 64, 65, 200)):
+                stream = seed * 10 + batch
+                bits = view.random_pattern_bits(
+                    np.random.default_rng(stream), draw)
+                good = evaluate(view, random_patterns(
+                    view, np.random.default_rng(stream), draw), draw)
+                masks = detection_masks(view, universe, bits, draw)
+                assert list(masks) == list(dict.fromkeys(universe))
+                for fault in universe:
+                    assert masks[fault] == detect_mask(
+                        view, fault, good, draw), (str(fault), draw)
+                assert any(masks.values())
 
     def test_single_fault_universe(self, lib):
         module = counter_module(lib)

@@ -13,6 +13,7 @@ from repro.dft import (
     enumerate_faults,
     insert_scan,
 )
+from repro.oracles.faultsim import detect_mask, evaluate, random_patterns
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ class TestDiagnosis:
         from repro.dft.diagnosis import FailureSignature
 
         clean = FailureSignature(
-            pattern_count=dictionary.batch_width * len(dictionary.patterns),
+            pattern_count=dictionary.pattern_count,
             failing_masks=tuple(0 for _ in dictionary.patterns),
         )
         result = dictionary.diagnose(clean)
@@ -80,6 +81,34 @@ class TestDiagnosis:
             assert not any(
                 dictionary.signature_of(candidate).failing_masks
             )
+
+    def test_signatures_match_the_oracle(self, setup):
+        """Every dictionary signature, and the observation of a fault
+        outside the collapsed universe, equals the big-int oracle's
+        masks over ``build_dictionary``'s rng stream."""
+        view, faults, dictionary = setup
+        rng = np.random.default_rng(17)
+        goods = [evaluate(view, random_patterns(view, rng, 64), 64)
+                 for _ in range(4)]
+
+        def oracle(fault):
+            return tuple(detect_mask(view, fault, good, 64)
+                         for good in goods)
+
+        assert dictionary.pattern_count == 256
+        for fault in faults:
+            signature = dictionary.signature_of(fault)
+            assert signature.pattern_count == 256
+            assert signature.failing_masks == oracle(fault), str(fault)
+        collapsed = set(faults)
+        outside = [fault for fault in enumerate_faults(view.module)
+                   if fault not in collapsed]
+        sampled = outside[::max(1, len(outside) // 12)]
+        assert any(any(oracle(fault)) for fault in sampled)
+        for fault in sampled:
+            observed = dictionary.observe(fault)
+            assert observed.pattern_count == 256
+            assert observed.failing_masks == oracle(fault), str(fault)
 
     def test_report_format(self, setup):
         view, faults, dictionary = setup

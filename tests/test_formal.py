@@ -9,6 +9,7 @@ from repro.netlist.generators import random_combinational_cloud
 from repro.dft import insert_scan
 from repro.dft.faultsim import CombinationalView
 from repro.eco import fix_hold
+from repro.oracles.faultsim import evaluate
 from repro.formal import (
     InterfaceMismatch,
     check_combinational_equivalence,
@@ -42,8 +43,8 @@ def and_tree(lib, name, width):
 
 def _enumerate_mismatch(golden, revised):
     """Oracle: whether any vector of the shared pseudo inputs separates
-    the designs, by enumerating all of them through
-    ``CombinationalView.evaluate`` in one packed batch."""
+    the designs, by enumerating all of them through the big-int
+    oracle's ``evaluate`` in one packed batch."""
     view_g, view_r = CombinationalView(golden), CombinationalView(revised)
     inputs = sorted(set(view_g.pseudo_inputs) & set(view_r.pseudo_inputs))
     outputs = sorted(
@@ -54,8 +55,8 @@ def _enumerate_mismatch(golden, revised):
         net: sum(1 << row for row in range(width) if (row >> k) & 1)
         for k, net in enumerate(inputs)
     }
-    values_g = view_g.evaluate(packed, width)
-    values_r = view_r.evaluate(packed, width)
+    values_g = evaluate(view_g, packed, width)
+    values_r = evaluate(view_r, packed, width)
     return any(
         values_g.get(net, 0) != values_r.get(net, 0) for net in outputs
     )
@@ -128,8 +129,8 @@ class TestCombinationalEquivalence:
         revised.add_instance(victim, cell, conn)
         result = check_combinational_equivalence(m, revised)
         assert not result.equivalent
-        vg = CombinationalView(m).evaluate(result.counterexample, 1)
-        vr = CombinationalView(revised).evaluate(result.counterexample, 1)
+        vg = evaluate(CombinationalView(m), result.counterexample, 1)
+        vr = evaluate(CombinationalView(revised), result.counterexample, 1)
         assert any(
             vg.get(net, 0) != vr.get(net, 0)
             for net in result.mismatched_outputs
@@ -158,8 +159,8 @@ class TestCombinationalEquivalence:
         assert result.counterexample == {f"in{k}": 1 for k in range(20)}
         assert result.mismatched_outputs == ["y"]
         assert result.divergence.outputs == {"y": ("1", "0")}
-        vg = CombinationalView(golden).evaluate(result.counterexample, 1)
-        vr = CombinationalView(revised).evaluate(result.counterexample, 1)
+        vg = evaluate(CombinationalView(golden), result.counterexample, 1)
+        vr = evaluate(CombinationalView(revised), result.counterexample, 1)
         assert vg.get("y", 0) != vr.get("y", 0)
 
     @settings(max_examples=60, deadline=None)
@@ -207,10 +208,10 @@ class TestCombinationalEquivalence:
         if result.equivalent:
             assert result.counterexample is None
             return
-        values_g = CombinationalView(golden).evaluate(
-            result.counterexample, 1)
-        values_r = CombinationalView(revised).evaluate(
-            result.counterexample, 1)
+        values_g = evaluate(CombinationalView(golden),
+                            result.counterexample, 1)
+        values_r = evaluate(CombinationalView(revised),
+                            result.counterexample, 1)
         replayed = {
             net: (str(values_g.get(net, 0)), str(values_r.get(net, 0)))
             for net in sorted(CombinationalView(golden).pseudo_outputs)
@@ -431,8 +432,8 @@ class TestDivergenceReporting:
         result = check_combinational_equivalence(m, revised)
         div = result.divergence
         packed = {net: int(bit) for net, bit in div.inputs.items()}
-        vg = CombinationalView(m).evaluate(packed, 1)
-        vr = CombinationalView(revised).evaluate(packed, 1)
+        vg = evaluate(CombinationalView(m), packed, 1)
+        vr = evaluate(CombinationalView(revised), packed, 1)
         for net, (golden, rev) in div.outputs.items():
             assert str(vg.get(net, 0) & 1) == golden
             assert str(vr.get(net, 0) & 1) == rev

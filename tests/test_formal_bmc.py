@@ -799,10 +799,11 @@ class TestSemiformal:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
     def test_directed_test_matches_event_observer(self, lib, config):
-        """counterexample_to_test on a compiled lane equals a
-        structural observer riding the interpreted simulator."""
-        from repro.coverage import StructuralObserver
+        """counterexample_to_test's word masks on a compiled lane
+        equal the oracle's structural observer sampling the
+        interpreted simulator after each edge."""
         from repro.formal import counterexample_to_test
+        from repro.oracles.coverage import StructuralObserver
 
         module = pipeline_block("blk", lib, stages=2, width=8,
                                 cloud_gates=40, seed=5)
@@ -827,12 +828,12 @@ class TestSemiformal:
 
         sim = LogicSimulator(module, config)
         oracle = StructuralObserver(module)
-        sim.attach_observer(oracle)
         for t, frame in enumerate(frames):
             sim.set_inputs({**frame, "clk": Logic.ZERO})
             sim.evaluate()
             if t < len(frames) - 1:
                 sim.clock_edge("clk")
+                oracle(sim)
         assert record.cycles == 5
         assert record.toggled == oracle.toggled_nets
         assert record.half_toggled == oracle.half_toggled_nets

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dft.faultsim import CombinationalView
+from repro.oracles.faultsim import evaluate
 from repro.sat import CnfBuilder, Solver
 from repro.netlist import make_default_library, pipeline_block
 
@@ -154,9 +155,10 @@ class TestGateFolding:
 
 
 def test_cell_tables_match_the_fault_kernel(lib):
-    """``CombinationalView.encode`` agrees with ``evaluate`` on every
-    net of a scan view, for random input vectors; nets ``evaluate``
-    leaves out (undriven ones) read 0 in both."""
+    """``CombinationalView.encode`` agrees with the big-int oracle's
+    ``evaluate`` on every net of a scan view, for random input
+    vectors; nets ``evaluate`` leaves out (undriven ones) read 0 in
+    both."""
     block = pipeline_block("blk", lib, stages=2, width=4, cloud_gates=24,
                            seed=5)
     view = CombinationalView(block)
@@ -168,7 +170,7 @@ def test_cell_tables_match_the_fault_kernel(lib):
     rng = np.random.default_rng(0)
     packed = {net: int(rng.integers(0, 1 << width))
               for net in view.pseudo_inputs}
-    values = view.evaluate(packed, width)
+    values = evaluate(view, packed, width)
     for lane in range(width):
         assumptions = [var if packed[net] >> lane & 1 else -var
                        for net, var in inputs.items()]

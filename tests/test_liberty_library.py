@@ -1,6 +1,8 @@
 """Tests for repro.liberty: deterministic NLDM characterization, the
 Liberty-subset round trip, and the bilinear lookup kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from repro.liberty import (
     table_array,
     write_lib,
 )
-from repro.netlist import counter, make_default_library
+from repro.netlist import StdCellLibrary, counter, make_default_library
 from repro.sta import NldmTimingAnalyzer, TimingConstraints
 
 #: Regression anchor: the default characterization is part of the QoR
@@ -111,6 +113,38 @@ class TestCharacterization:
 
     def test_default_cell_library_memoized(self, std_lib):
         assert default_cell_library(std_lib) is default_cell_library(std_lib)
+
+    def test_default_cell_library_keys_on_cell_content(self, std_lib):
+        """A library with the default's name, node and cell count but a
+        heavier ``NAND2_X1`` input pin gets its own characterization,
+        not the memoized default's."""
+        default = default_cell_library(std_lib)
+        heavy = StdCellLibrary(std_lib.name, std_lib.process_node_um)
+        for cell in std_lib:
+            if cell.name == "NAND2_X1":
+                cell = dataclasses.replace(cell, pins=tuple(
+                    dataclasses.replace(
+                        pin, capacitance_ff=pin.capacitance_ff * 3)
+                    if pin.direction == "input" else pin
+                    for pin in cell.pins
+                ))
+            heavy.add(cell)
+        assert len(heavy) == len(std_lib)
+        characterized = default_cell_library(heavy)
+        assert characterized.fingerprint() == \
+            characterize_library(heavy).fingerprint()
+        assert characterized.fingerprint() != default.fingerprint()
+        assert default_cell_library(heavy) is characterized
+
+    def test_library_digest_follows_added_cells(self, std_lib):
+        copy = StdCellLibrary(std_lib.name, std_lib.process_node_um)
+        cells = list(std_lib)
+        for cell in cells[:-1]:
+            copy.add(cell)
+        partial = copy.content_digest()
+        copy.add(cells[-1])
+        assert copy.content_digest() != partial
+        assert copy.content_digest() == std_lib.content_digest()
 
 
 class TestLibertyRoundTrip:

@@ -25,7 +25,7 @@ from repro.manufacturing import (
 )
 from repro.netlist import make_default_library
 from repro.netlist.generators import random_combinational_cloud
-from repro.oracles.faultsim import bigint_fault_sim
+from repro.oracles.faultsim import bigint_fault_sim, detect_mask, evaluate
 from repro.oracles.placement import place_reference
 from repro.oracles.wafer import simulate_wafer_scalar
 from repro.physical import AnnealingPlacer
@@ -120,8 +120,8 @@ class TestFaultSimKernels:
         for fault in list(result.detected)[:20]:
             pattern = result.detecting_pattern(fault)
             assert pattern is not None
-            good = view.evaluate(pattern, 1)
-            assert view.detect_mask(fault, good, 1)
+            good = evaluate(view, pattern, 1)
+            assert detect_mask(view, fault, good, 1)
 
 
 class TestWaferKernels:

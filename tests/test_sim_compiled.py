@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coverage import StructuralObserver
 from repro.coverage import spawn_test_seeds
 from repro.coverage.closure import (
     ClosureConfig,
@@ -88,6 +87,31 @@ def assert_traces_equal(a: Trace, b: Trace) -> None:
     assert a.samples == b.samples
 
 
+def lane_state(batch, lane):
+    """One lane's net values and flop states, decoded from the batch's
+    bit planes: Z where the Z refinement is set, else 1, else 0, else
+    X."""
+    word, bit = divmod(lane, 64)
+
+    def column(words):
+        return ((words[:, word] >> np.uint64(bit)) & np.uint64(1)) == 1
+
+    def decode(names, is0, is1, isz):
+        codes = np.where(column(isz), 3, np.where(
+            column(is1), 1, np.where(column(is0), 0, 2)))
+        return {name: LEVELS[code]
+                for name, code in zip(names, codes.tolist())}
+
+    program = batch.program
+    is0, is1 = batch.net_value_words()
+    flop0, flop1 = batch.flop_state_words()
+    return (
+        decode(program.net_names, is0, is1,
+               batch._znet[: program.n_nets]),
+        decode(program.flop_names, flop0, flop1, batch._flopz),
+    )
+
+
 class TestLaneEquivalence:
     """Randomized netlists x dialects x stimulus, any lane count."""
 
@@ -134,10 +158,10 @@ class TestLaneEquivalence:
                 batch.set_lane_inputs([s[t] for s in streams])
                 batch.clock_edge("clk")
                 for lane, ref in enumerate(refs):
-                    view = batch.lane_view(lane)
-                    assert view.net_values == ref.net_values
-                    assert view.flop_state == ref.flop_state
-                    assert view.cycle == ref.cycle
+                    net_values, flop_state = lane_state(batch, lane)
+                    assert net_values == ref.net_values
+                    assert flop_state == ref.flop_state
+                    assert batch.cycle == ref.cycle
 
     def test_scan_shift_equivalence(self, lib):
         from repro.dft import insert_scan
@@ -188,7 +212,7 @@ class TestLaneEquivalence:
                 sim.clock_edge("clk")
             assert ref.read("q") is Logic.Z
             assert bat.read("q", 0) is Logic.Z
-            assert bat.lane_view(0).flop_state["f0"] is Logic.Z
+            assert lane_state(bat, 0)[1]["f0"] is Logic.Z
 
     def test_self_clearing_reset_matches_event(self, lib):
         # A reset net derived from the flop's own output exercises the
@@ -279,34 +303,6 @@ class TestClockResolution:
                 {"clk": 0, "other_clk": 0, "rst_n": 1, "d": 1})
             engine_sim.clock_edge("other_clk")
             assert engine_sim.read("q") is Logic.X  # untouched power-on
-
-
-class TestObserverHook:
-    def test_per_lane_observer_matches_event(self, lib):
-        module = pipeline_block("blk", lib, stages=2, width=8,
-                                cloud_gates=40, seed=2)
-        streams = [random_vectors(module, 11 + lane, 15)
-                   for lane in range(3)]
-        batch = BatchSimulator(module, VENDOR_A_SIM, lanes=3)
-        batch_obs = [StructuralObserver(module) for _ in range(3)]
-        for lane, observer in enumerate(batch_obs):
-            batch.attach_observer(observer, lane=lane)
-        for t in range(15):
-            batch.set_lane_inputs([s[t] for s in streams])
-            batch.clock_edge("clk")
-        for lane in range(3):
-            ref = LogicSimulator(module, VENDOR_A_SIM)
-            ref_obs = StructuralObserver(module)
-            ref.attach_observer(ref_obs)
-            for vector in streams[lane]:
-                ref.set_inputs(vector)
-                ref.clock_edge("clk")
-            assert batch_obs[lane].toggled_nets == ref_obs.toggled_nets
-            assert (batch_obs[lane].half_toggled_nets
-                    == ref_obs.half_toggled_nets)
-            assert batch_obs[lane].active_flops == ref_obs.active_flops
-            assert (batch_obs[lane].reset_exercised_flops
-                    == ref_obs.reset_exercised_flops)
 
 
 class TestCoverageDatabases:
