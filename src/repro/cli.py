@@ -144,6 +144,7 @@ def _null_checker(cycle, outputs):
 
 def _cmd_regress(args: argparse.Namespace) -> int:
     from .netlist import make_default_library, pipeline_block
+    from .netlist.clocks import RESET_PORT
     from .verification import (
         Testbench,
         cross_simulator_check,
@@ -161,12 +162,12 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         if args.no_reset:
             # E13 failure mode: reset deasserted but never applied, so
             # flops keep their dialect-dependent power-on value.
-            stimulus = [{**vector, "rst_n": 1} for vector in stimulus]
+            stimulus = [{**vector, RESET_PORT: 1} for vector in stimulus]
         benches.append(Testbench(
             name=f"bench_{index}",
             stimulus=stimulus,
             checker=_null_checker,
-            reset_port=None if args.no_reset else "rst_n",
+            reset_port=None if args.no_reset else RESET_PORT,
         ))
     cross = cross_simulator_check(module, benches, workers=args.workers)
     print(cross.report_a.format_report())

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..netlist import Module, make_default_library, pipeline_block
 from ..perf import REGISTRY, fanout, resolve_workers, stage_timer
-from ..sim import BatchSimulator, SimulatorConfig, VENDOR_A_SIM
+from ..sim import BatchSimulator, SimulatorConfig, VENDOR_A_SIM, lane_frames
 from ..verification import RegressionReport, TestbenchResult
 from .database import CoverageDatabase, TestCoverage, structural_universe
 from .functional import (
@@ -36,7 +36,6 @@ from .functional import (
     range_bins,
 )
 from .stimulus import (
-    DEFAULT_EXCLUDE,
     PortConstraint,
     StimulusSpec,
     constrained_stimulus,
@@ -162,11 +161,10 @@ class _LaneCoverage:
     simulator.
     """
 
-    def __init__(self, sim: BatchSimulator,
-                 exclude: tuple[str, ...] = DEFAULT_EXCLUDE) -> None:
+    def __init__(self, sim: BatchSimulator) -> None:
         self._sim = sim
         program = sim.program
-        countable, flops = structural_universe(sim.module, exclude)
+        countable, flops = structural_universe(sim.module)
         self._countable_rows = [
             (i, name) for i, name in enumerate(program.net_names)
             if name in countable
@@ -252,9 +250,6 @@ def simulate_lanes_with_coverage(
     cycles: int,
     spec: StimulusSpec | None = None,
     config: SimulatorConfig | None = None,
-    clock_port: str = "clk",
-    reset_port: str | None = "rst_n",
-    exclude: tuple[str, ...] = DEFAULT_EXCLUDE,
 ) -> list[TestCoverage]:
     """Run one constrained-random test per lane of a compiled sweep.
 
@@ -264,57 +259,37 @@ def simulate_lanes_with_coverage(
     :func:`repro.oracles.coverage.simulate_with_coverage` produces for
     that stream.
     Structural coverage accumulates as word masks (:class:`_LaneCoverage`,
-    one OR over the value planes per edge) and is unpacked into
-    per-lane sets at the end; covergroup sampling decodes per lane
-    through the same :func:`decode_signals` helper.
+    one OR over the value planes after every edge, reset edges
+    included); the covergroup decodes each lane's trace of its
+    signals after the sweep, past the reset samples, through the same
+    :func:`decode_signals` helper.
     """
     lanes = len(names)
     started = time.perf_counter()
-    stimuli = [
-        constrained_stimulus(module, cycles=cycles,
-                             rng=np.random.default_rng(seed_seq),
-                             spec=spec)
+    frames = [
+        lane_frames(module, constrained_stimulus(
+            module, cycles=cycles, rng=np.random.default_rng(seed_seq),
+            spec=spec))
         for seed_seq in seed_seqs
     ]
     sim = BatchSimulator(module, config, lanes=lanes)
-    cover = _LaneCoverage(sim, exclude)
+    cover = _LaneCoverage(sim)
+    watch = covergroup.signals_needed if covergroup is not None else ()
+    traces = sim.run(frames, watch=watch, on_edge=cover.observe)
 
     bin_hits: list[dict[str, int]] = [{} for _ in range(lanes)]
-    ties = {clock_port: 0}
-    for port_name, port in module.ports.items():
-        if port.direction == "input" and (
-                port_name.startswith("scan_") or port_name == "scan_en"):
-            ties[port_name] = 0
-    has_reset = reset_port is not None and reset_port in module.ports
-    if has_reset:
-        sim.set_inputs({**ties, reset_port: 0})
-        sim.clock_edge(clock_port)
-        cover.observe()
-        sim.set_input(reset_port, 1)
-
-    points = [
-        point for point in (covergroup.coverpoints if covergroup else ())
-        if point.signals
-    ]
-    for t in range(cycles):
-        vectors = [{**ties, **stimuli[lane][t]} for lane in range(lanes)]
-        if has_reset:
-            for vector in vectors:
-                vector[reset_port] = 1
-        sim.set_lane_inputs(vectors)
-        sim.clock_edge(clock_port)
-        cover.observe()
-        if covergroup is not None:
-            for lane in range(lanes):
+    if covergroup is not None:
+        points = [p for p in covergroup.coverpoints if p.signals]
+        for trace, hits in zip(traces, bin_hits):
+            for sample in trace.samples[len(trace) - cycles:]:
+                levels = dict(zip(watch, sample))
                 values: dict[str, int] = {}
                 for point in points:
-                    decoded = decode_signals(
-                        point.signals,
-                        lambda net: sim.read(net, lane),
-                    )
+                    decoded = decode_signals(point.signals,
+                                             levels.__getitem__)
                     if decoded is not None:
                         values[point.name] = decoded
-                covergroup.sample(values, bin_hits[lane])
+                covergroup.sample(values, hits)
 
     return cover.tests(
         names, cycles=cycles,
@@ -325,12 +300,10 @@ def simulate_lanes_with_coverage(
 
 def _compiled_closure_worker(task) -> list[TestCoverage]:
     """Module-level worker: one lane-packed chunk of a closure round."""
-    (module, covergroup, names, seed_seqs, cycles, spec, config,
-     clock_port, reset_port, exclude) = task
+    module, covergroup, names, seed_seqs, cycles, spec, config = task
     return simulate_lanes_with_coverage(
         module, covergroup, names=list(names), seed_seqs=list(seed_seqs),
-        cycles=cycles, spec=spec, config=config, clock_port=clock_port,
-        reset_port=reset_port, exclude=exclude,
+        cycles=cycles, spec=spec, config=config,
     )
 
 
@@ -343,9 +316,6 @@ def close_coverage(
     spec: StimulusSpec | None = None,
     sim_config: SimulatorConfig | None = None,
     workers: int | None = None,
-    clock_port: str = "clk",
-    reset_port: str | None = "rst_n",
-    exclude: tuple[str, ...] = DEFAULT_EXCLUDE,
 ) -> ClosureResult:
     """Drive constrained-random rounds until coverage closes.
 
@@ -359,7 +329,7 @@ def close_coverage(
     config = config or ClosureConfig()
     sim_config = sim_config or VENDOR_A_SIM
     database = CoverageDatabase.for_module(
-        module, covergroup, exclude=exclude, at_least=config.at_least)
+        module, covergroup, at_least=config.at_least)
     rounds: list[ClosureRound] = []
     results: list[TestbenchResult] = []
     reached = False
@@ -385,7 +355,7 @@ def close_coverage(
         chunk_tasks = [
             (module, covergroup, tuple(names[lo:hi]),
              tuple(seeds[lo:hi]), config.cycles_per_test, spec,
-             sim_config, clock_port, reset_port, exclude)
+             sim_config)
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
@@ -453,15 +423,13 @@ def _balanced_outputs(module: Module, count: int, *,
         name for name, port in module.ports.items()
         if port.direction == "output"
     )
-    sim = BatchSimulator(module, lanes=1)
-    sim.set_inputs({"clk": 0, "rst_n": 0})
-    sim.evaluate()
-    sim.clock_edge("clk")
-    sim.set_input("rst_n", 1)
     stimulus = constrained_stimulus(module, cycles=cycles,
                                     rng=np.random.default_rng(seed),
                                     spec=spec)
-    trace = sim.run([stimulus], clock_port="clk", watch=outputs)[0]
+    frames = lane_frames(module, stimulus)
+    trace = BatchSimulator(module, lanes=1).run([frames],
+                                                watch=outputs)[0]
+    del trace.samples[: len(frames) - cycles]  # the reset edge
     total = len(trace)
     ones = {
         name: sum(value is Logic.ONE for value in trace.column(name))

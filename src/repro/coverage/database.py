@@ -26,23 +26,23 @@ import json
 from dataclasses import dataclass, field
 
 from ..netlist import Module
+from ..netlist.clocks import CLOCK_PORT, RESET_PORT, is_scan_port
 from .functional import CoverGroup
-from .stimulus import DEFAULT_EXCLUDE
 
 
 def structural_universe(
-    module: Module, exclude: tuple[str, ...] = DEFAULT_EXCLUDE
+    module: Module,
 ) -> tuple[frozenset[str], tuple[tuple[str, str, str | None], ...]]:
     """The structural coverage universe of a module.
 
     Returns the nets that count toward toggle coverage (every net but
-    ``exclude`` and the scan nets) and, per flop in
+    the clock, the reset and the scan ports' nets, as coverage tools
+    leave infrastructure out) and, per flop in
     ``module.sequential_instances`` order, its name, Q net and
     asynchronous reset net (``None`` without a reset pin).
     """
-    excluded = set(exclude)
-    excluded.update(name for name in module.nets
-                    if name.startswith("scan_"))
+    excluded = {CLOCK_PORT, RESET_PORT}
+    excluded.update(name for name in module.nets if is_scan_port(name))
     flops = tuple(
         (inst.name, inst.net_of("Q"),
          inst.net_of(inst.cell.reset_pin)
@@ -160,11 +160,10 @@ class CoverageDatabase:
         module: Module,
         covergroup: CoverGroup | None = None,
         *,
-        exclude: tuple[str, ...] = DEFAULT_EXCLUDE,
         at_least: int = 1,
     ) -> "CoverageDatabase":
         """Build the coverage universe for a module (+ optional group)."""
-        countable, flops = structural_universe(module, exclude)
+        countable, flops = structural_universe(module)
         return cls(
             module.name,
             net_universe=tuple(countable),

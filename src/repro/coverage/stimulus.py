@@ -23,10 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from ..netlist import Module
-
-#: Clock/reset/scan infrastructure: ports never randomized, and nets
-#: left out of the toggle-coverage denominator, as coverage tools do.
-DEFAULT_EXCLUDE = ("clk", "rst_n", "scan_en")
+from ..netlist.clocks import CLOCK_PORT, RESET_PORT, scan_mode_inputs
 
 
 @dataclass(frozen=True)
@@ -56,23 +53,20 @@ class StimulusSpec:
 
     constraints: Mapping[str, PortConstraint] = field(default_factory=dict)
     default: PortConstraint = PortConstraint()
-    exclude: tuple[str, ...] = DEFAULT_EXCLUDE
 
     def constraint_for(self, port: str) -> PortConstraint:
         """The constraint governing one port."""
         return self.constraints.get(port, self.default)
 
 
-def data_input_ports(
-    module: Module, exclude: tuple[str, ...] = DEFAULT_EXCLUDE
-) -> list[str]:
-    """The randomizable input ports of a module, sorted by name."""
+def data_input_ports(module: Module) -> list[str]:
+    """The randomizable input ports of a module, sorted by name: every
+    input but the clock, the reset and the scan-mode inputs."""
+    skip = {CLOCK_PORT, RESET_PORT, *scan_mode_inputs(module)}
     return sorted(
         name
         for name, port in module.ports.items()
-        if port.direction == "input"
-        and name not in exclude
-        and not name.startswith("scan_")
+        if port.direction == "input" and name not in skip
     )
 
 
@@ -93,7 +87,7 @@ def constrained_stimulus(
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     spec = spec or StimulusSpec()
-    ports = data_input_ports(module, spec.exclude)
+    ports = data_input_ports(module)
     columns: dict[str, list[int]] = {}
     for port in ports:
         constraint = spec.constraint_for(port)

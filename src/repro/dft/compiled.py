@@ -893,11 +893,17 @@ def detection_masks(
     Bit *k* of a fault's mask is set when pattern *k* of the
     ``width``-pattern batch ``bits`` detects it, and an undetected
     fault reads 0.  Nothing is dropped: the program sweeps the whole
-    batch in one flat chunk.  Each mask equals the big-int oracle's
+    batch in one flat chunk, restricted to the requested faults' rows
+    when they are a part of the cached program's universe.  Each mask
+    equals the big-int oracle's
     :func:`repro.oracles.faultsim.detect_mask` for the same stimulus.
     """
     program = compile_fault_program(view, faults)
-    selection = program.full_selection
+    active = np.zeros(len(program.faults), dtype=bool)
+    for fault in faults:
+        active[program.fault_index[fault]] = True
+    selection = (program.full_selection if active.all()
+                 else program.select(active))
     det = _sweep(program, selection, program.good.evaluate(bits, width),
                  0, _n_words(width), width)
     row_of = dict(zip(selection.det_faults.tolist(), det.astype("<u8")))

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..netlist import Logic, Module
+from ..netlist.clocks import CLOCK_PORT, is_scan_port, scan_mode_inputs
 from ..netlist.library import Cell
 from ..netlist.netlist import Instance
 from ..perf import fanout, stage_timer
@@ -66,10 +67,8 @@ def _truth_minterms(cell: Cell) -> tuple[tuple[int, ...], ...]:
 
 class CombinationalView:
     """The scan-test view of a module: combinational logic between
-    pseudo primary inputs and pseudo primary outputs."""
-
-    #: Input ports that are test infrastructure, not functional data.
-    CONTROL_PORTS = ("clk", "scan_en")
+    pseudo primary inputs and pseudo primary outputs.  The clock and
+    the scan ports are test infrastructure, not functional data."""
 
     def __init__(self, module: Module) -> None:
         self.module = module
@@ -86,17 +85,17 @@ class CombinationalView:
         }
 
         flops = module.sequential_instances
+        control = {CLOCK_PORT, *scan_mode_inputs(module)}
         port_inputs = [
             name for name, p in module.ports.items()
-            if p.direction == "input" and name not in self.CONTROL_PORTS
-            and not name.startswith("scan_in")
+            if p.direction == "input" and name not in control
         ]
         self.pseudo_inputs: list[str] = port_inputs + sorted(
             f.net_of("Q") for f in flops
         )
         port_outputs = [
             name for name, p in module.ports.items()
-            if p.direction == "output" and not name.startswith("scan_out")
+            if p.direction == "output" and not is_scan_port(name)
         ]
         self.pseudo_outputs: list[str] = port_outputs + sorted(
             f.net_of(f.cell.data_pin) for f in flops

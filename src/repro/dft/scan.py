@@ -1,10 +1,10 @@
 """Scan design rules and scan insertion.
 
 Replaces every plain flip-flop in a module with its scan-equivalent
-cell and stitches the scan flops into shift chains, adding
-``scan_in<k>`` / ``scan_out<k>`` / ``scan_en`` ports.  This mirrors the
-paper's Section-3 flow step "after scan insertion, the fault coverage
-was 93%".
+cell and stitches the scan flops into shift chains, adding the scan
+ports of :mod:`repro.netlist.clocks` (``scan_en``, ``scan_in<k>``,
+``scan_out<k>``).  This mirrors the paper's Section-3 flow step
+"after scan insertion, the fault coverage was 93%".
 
 The scan design rules of the paper's S5 gate live here, next to the
 replacement map they check: ``SCAN-001`` an async reset ATPG cannot
@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 from ..netlist import Logic, Module
-from ..netlist.clocks import trace_control_source
+from ..netlist.clocks import (
+    CLOCK_PORT, SCAN_ENABLE, SCAN_IN, SCAN_OUT, trace_control_source,
+)
 
 if TYPE_CHECKING:
     from ..sim import LogicSimulator
@@ -201,7 +203,7 @@ def insert_scan(
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    if "scan_en" in module.ports:
+    if SCAN_ENABLE in module.ports:
         raise ValueError(
             f"module {module.name} already contains scan infrastructure"
         )
@@ -224,7 +226,7 @@ def insert_scan(
         raise ScanDrcError(module.name, violations)
 
     area_before = scanned.total_area_um2
-    scanned.add_port("scan_en", "input")
+    scanned.add_port(SCAN_ENABLE, "input")
 
     # Pass 1: replace every functional flop with its scan equivalent;
     # the DRC passed, so every other flop is already a scan cell.
@@ -235,7 +237,7 @@ def insert_scan(
         if cell_name in _SCAN_EQUIVALENT:
             connections = dict(inst.connections)
             scanned.remove_instance(name)
-            connections["SE"] = "scan_en"
+            connections["SE"] = SCAN_ENABLE
             connections["SI"] = f"__si_{name}"  # stitched in pass 2
             scanned.add_instance(name, _SCAN_EQUIVALENT[cell_name], connections)
             report.replaced_flops += 1
@@ -249,8 +251,8 @@ def insert_scan(
         members = scan_flops[chain_index * per_chain:(chain_index + 1) * per_chain]
         if not members:
             break
-        si_port = f"scan_in{chain_index}"
-        so_port = f"scan_out{chain_index}"
+        si_port = f"{SCAN_IN}{chain_index}"
+        so_port = f"{SCAN_OUT}{chain_index}"
         scanned.add_port(si_port, "input")
         scanned.add_port(so_port, "output")
         previous_q = si_port
@@ -279,13 +281,13 @@ def shift_in(
     chain: ScanChain,
     bits: list[Logic],
     *,
-    clock_port: str = "clk",
+    clock_port: str = CLOCK_PORT,
 ) -> None:
     """Shift a vector into a chain (LSB enters first, ends at the
     chain tail), leaving ``scan_en`` asserted."""
     if len(bits) != len(chain):
         raise ValueError(f"need {len(chain)} bits, got {len(bits)}")
-    sim.set_input("scan_en", Logic.ONE)
+    sim.set_input(SCAN_ENABLE, Logic.ONE)
     for bit in reversed(bits):
         sim.set_input(chain.scan_in_port, bit)
         sim.clock_edge(clock_port)
@@ -295,10 +297,10 @@ def shift_out(
     sim: LogicSimulator,
     chain: ScanChain,
     *,
-    clock_port: str = "clk",
+    clock_port: str = CLOCK_PORT,
 ) -> list[Logic]:
     """Shift the chain contents out, returning head-to-tail values."""
-    sim.set_input("scan_en", Logic.ONE)
+    sim.set_input(SCAN_ENABLE, Logic.ONE)
     sim.set_input(chain.scan_in_port, Logic.ZERO)
     observed: list[Logic] = []
     for _ in range(len(chain)):
@@ -357,7 +359,7 @@ def chain_integrity_test(
     sim: LogicSimulator,
     chain: ScanChain,
     *,
-    clock_port: str = "clk",
+    clock_port: str = CLOCK_PORT,
 ) -> bool:
     """Flush a 00110011... pattern through the chain and check it
     emerges intact -- the standard scan-chain integrity test."""

@@ -65,6 +65,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from ..netlist import Logic, Module
+from ..netlist.clocks import CLOCK_PORT, scan_mode_inputs
 from ..netlist.netlist import NetlistError
 from ..perf import fanout
 from ..sim import VENDOR_A_SIM, VENDOR_B_SIM, LogicSimulator
@@ -119,10 +120,7 @@ class _InputPlan:
 
 def _plan_inputs(program: CompiledProgram, clock_port: str) -> _InputPlan:
     """Classify input ports into clock / reset / tied / free."""
-    tied: dict[str, Logic] = {}
-    for port in program.input_ports:
-        if port.startswith("scan_en") or port.startswith("scan_in"):
-            tied[port] = Logic.ZERO
+    tied = dict.fromkeys(scan_mode_inputs(program.module), Logic.ZERO)
 
     input_slots = {int(s) for s in program.input_slots}
     reset_slots = {int(s) for s in program.reset_rn}
@@ -262,7 +260,7 @@ class Unroller:
         config: SimulatorConfig,
         builder: CnfBuilder,
         *,
-        clock_port: str = "clk",
+        clock_port: str = CLOCK_PORT,
         reset_frames: int = 1,
         initial_state: Mapping[str, Logic] | None = None,
     ) -> None:
@@ -850,7 +848,7 @@ def check_properties(
     config: SimulatorConfig | None = None,
     workers: int | None = None,
     seed: int = 0,
-    clock_port: str = "clk",
+    clock_port: str = CLOCK_PORT,
     reset_frames: int = 1,
     initial_state: Mapping[str, Logic] | None = None,
 ) -> BmcReport:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..netlist import Module
+from ..netlist.clocks import CLOCK_PORT, RESET_PORT, scan_mode_inputs
 from ..dft.faultsim import CombinationalView
 from ..sim import BatchSimulator, SimulatorConfig, diff_traces
 from ..sat import XOR2, CnfBuilder, Solver
@@ -193,18 +194,15 @@ def check_sequential_burn_in(
     *,
     cycles: int = 64,
     seed: int = 0,
-    clock_port: str = "clk",
-    reset_port: str | None = "rst_n",
     config: SimulatorConfig | None = None,
-    extra_low_inputs: tuple[str, ...] = ("scan_en",),
 ) -> EquivalenceResult:
     """Cycle-by-cycle output compare under identical random stimulus.
 
-    Both designs are reset (if ``reset_port`` exists), then driven for
-    ``cycles`` clock cycles with shared random data inputs.  Inputs
-    named in ``extra_low_inputs`` (test controls) are tied low when
-    present so a scanned design can be compared against its
-    pre-scan original.
+    Both designs are reset (an async reset, applied without an edge,
+    when they have the reset port), then driven for ``cycles`` clock
+    cycles with shared random data inputs.  The clock and the
+    scan-mode inputs are held low, so a scanned design can be
+    compared against its pre-scan original.
     """
     rng = np.random.default_rng(seed)
     common_outputs = sorted(
@@ -217,12 +215,11 @@ def check_sequential_burn_in(
         raise InterfaceMismatch("no common output ports to compare")
 
     def data_inputs(module: Module) -> list[str]:
-        skip = {clock_port, reset_port} | set(extra_low_inputs)
+        skip = {CLOCK_PORT, RESET_PORT, *scan_mode_inputs(module)}
         return [
             name
             for name, port in module.ports.items()
             if port.direction == "input" and name not in skip
-            and not name.startswith("scan_in")
         ]
 
     shared_inputs = sorted(set(data_inputs(golden)) & set(data_inputs(revised)))
@@ -233,23 +230,15 @@ def check_sequential_burn_in(
 
     def run(module: Module):
         sim = BatchSimulator(module, config, lanes=1)
-        ties: dict[str, int] = {clock_port: 0}
-        for name in extra_low_inputs:
-            if name in module.ports and module.ports[name].direction == "input":
-                ties[name] = 0
-        for name in module.ports:
-            if name.startswith("scan_in") \
-                    and module.ports[name].direction == "input":
-                ties[name] = 0
-        if reset_port and reset_port in module.ports:
-            sim.set_inputs({**ties, reset_port: 0})
+        ties = dict.fromkeys((CLOCK_PORT, *scan_mode_inputs(module)), 0)
+        if RESET_PORT in module.ports:
+            sim.set_inputs({**ties, RESET_PORT: 0})
             sim.evaluate()
-            sim.set_input(reset_port, 1)
+            sim.set_input(RESET_PORT, 1)
         else:
             sim.set_inputs(ties)
         full_stim = [dict(v, **ties) for v in stimulus]
-        return sim.run([full_stim], clock_port=clock_port,
-                       watch=common_outputs)[0]
+        return sim.run([full_stim], watch=common_outputs)[0]
 
     trace_g = run(golden)
     trace_r = run(revised)

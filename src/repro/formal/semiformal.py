@@ -35,6 +35,7 @@ import numpy as np
 from ..coverage import CoverageDatabase, TestCoverage
 from ..coverage.closure import _LaneCoverage
 from ..netlist import Logic, Module
+from ..netlist.clocks import CLOCK_PORT
 from ..sim import VENDOR_A_SIM
 from ..sim.compiled import BatchSimulator, compile_module
 from ..sim.simulator import SimulatorConfig
@@ -160,15 +161,12 @@ def counterexample_to_test(
     started = time.perf_counter()
     sim = BatchSimulator(module, config or VENDOR_A_SIM, lanes=1)
     cover = _LaneCoverage(sim)
-    for t, frame in enumerate(cex.frames):
-        vector: dict[str, Logic] = dict(frame)
-        if cex.clock_port is not None:
-            vector[cex.clock_port] = Logic.ZERO
-        sim.set_inputs(vector)
-        sim.evaluate()
-        if t < len(cex.frames) - 1 and cex.clock_port is not None:
-            sim.clock_edge(cex.clock_port)
-            cover.observe()
+    if cex.clock_port is not None:
+        # The last frame is judged, never clocked.
+        frames = [{**frame, cex.clock_port: Logic.ZERO}
+                  for frame in cex.frames[:-1]]
+        sim.run([frames], clock_port=cex.clock_port, watch=(),
+                on_edge=cover.observe)
     (test,) = cover.tests([name], cycles=len(cex.frames),
                           duration_s=time.perf_counter() - started)
     return test
@@ -222,23 +220,21 @@ def _drive_frontier(
     q_nets = [
         program.net_names[int(slot)] for slot in program.q_slots
     ]
-    sim = BatchSimulator(module, config, lanes=lanes)
+    # Without a clock port the module has no state: its edges only
+    # settle the inputs, and every sample is the empty state.
+    frames = [
+        [{**vector, plan.clock_port: Logic.ZERO} for vector in sequence]
+        for sequence in stimuli
+    ] if plan.clock_port is not None else stimuli
+    traces = BatchSimulator(module, config, lanes=lanes).run(
+        frames, clock_port=clock_port, watch=q_nets
+    )
     prefixes: list[tuple[dict[str, Logic], ...]] = []
     states: list[dict[str, Logic]] = []
     seen: set[tuple[Logic, ...]] = set()
     for t in range(cycles):
-        vectors = []
-        for lane in range(lanes):
-            vector = dict(stimuli[lane][t])
-            if plan.clock_port is not None:
-                vector[plan.clock_port] = Logic.ZERO
-            vectors.append(vector)
-        sim.set_lane_inputs(vectors)
-        sim.evaluate()
-        if plan.clock_port is not None:
-            sim.clock_edge(plan.clock_port)
-        for lane in range(lanes):
-            values = tuple(sim.read(net, lane) for net in q_nets)
+        for lane, trace in enumerate(traces):
+            values = trace.samples[t]
             if any(v not in (Logic.ZERO, Logic.ONE) for v in values):
                 continue  # an X frontier would not replay dialect-clean
             if values in seen:
@@ -263,7 +259,7 @@ def semiformal_verify(
     max_states: int = 8,
     seed: int = 0,
     workers: int | None = None,
-    clock_port: str = "clk",
+    clock_port: str = CLOCK_PORT,
     reset_frames: int = 1,
     coverage_db: CoverageDatabase | None = None,
 ) -> SemiformalResult:

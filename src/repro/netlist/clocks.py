@@ -1,4 +1,9 @@
-"""Clock and reset tracing: where a control net comes from.
+"""Infrastructure ports and clock and reset tracing.
+
+The port convention is defined here once: the clock and reset ports
+the generators create, and the scan ports
+:func:`repro.dft.insert_scan` adds.  In functional mode the clock and
+the scan-mode inputs (:func:`scan_mode_inputs`) are held low.
 
 A flop's clock (or reset) net is traced backwards through buffers,
 inverters, pads and integrated clock gates to a *root*: an input port,
@@ -13,6 +18,28 @@ from dataclasses import dataclass
 
 from .logic import logic_not
 from .netlist import Module, Net
+
+#: The clock and active-low reset ports the block generators create.
+CLOCK_PORT = "clk"
+RESET_PORT = "rst_n"
+#: The scan enable, and the name prefixes of the per-chain scan input
+#: and output ports (``scan_in<k>``, ``scan_out<k>``).
+SCAN_ENABLE = "scan_en"
+SCAN_IN = "scan_in"
+SCAN_OUT = "scan_out"
+
+
+def is_scan_port(name: str) -> bool:
+    """Whether ``name`` is a scan port of the convention."""
+    return name == SCAN_ENABLE or name.startswith((SCAN_IN, SCAN_OUT))
+
+
+def scan_mode_inputs(module: Module) -> tuple[str, ...]:
+    """The module's scan enable and scan inputs, in port order."""
+    return tuple(
+        name for name, port in module.ports.items()
+        if port.direction == "input" and is_scan_port(name)
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .clocks import CLOCK_PORT, RESET_PORT
 from .library import StdCellLibrary
 from .netlist import Module
 
@@ -159,9 +160,9 @@ def counter(
     if width < 1:
         raise ValueError("width must be >= 1")
     module = Module(name, library)
-    module.add_port("clk", "input")
+    module.add_port(CLOCK_PORT, "input")
     if with_reset:
-        module.add_port("rst_n", "input")
+        module.add_port(RESET_PORT, "input")
     flop = "DFFR" if with_reset else "DFF"
 
     carry = None
@@ -185,9 +186,9 @@ def counter(
                     {"A": carry, "B": q_net, "Y": new_carry},
                 )
                 carry = new_carry
-        connections = {"D": d_net, "CK": "clk", "Q": q_net}
+        connections = {"D": d_net, "CK": CLOCK_PORT, "Q": q_net}
         if with_reset:
-            connections["RN"] = "rst_n"
+            connections["RN"] = RESET_PORT
         module.add_instance(f"ff{bit}", flop, connections)
 
     for bit in range(width):
@@ -222,8 +223,8 @@ def one_hot_ring(
     if width < 3:
         raise ValueError("width must be >= 3")
     module = Module(name, library)
-    module.add_port("clk", "input")
-    module.add_port("rst_n", "input")
+    module.add_port(CLOCK_PORT, "input")
+    module.add_port(RESET_PORT, "input")
 
     # OR-reduce every state bit, then invert for the all-zero detector.
     any_net = "q0"
@@ -247,8 +248,8 @@ def one_hot_ring(
             "DFFR",
             {
                 "D": "d0" if bit == 0 else f"q{bit - 1}",
-                "CK": "clk",
-                "RN": "rst_n",
+                "CK": CLOCK_PORT,
+                "RN": RESET_PORT,
                 "Q": f"q{bit}",
             },
         )
@@ -280,8 +281,8 @@ def pipeline_block(
         raise ValueError("stages, width, cloud_gates must be positive")
     rng = np.random.default_rng(seed)
     module = Module(name, library)
-    module.add_port("clk", "input")
-    module.add_port("rst_n", "input")
+    module.add_port(CLOCK_PORT, "input")
+    module.add_port(RESET_PORT, "input")
     current: list[str] = []
     for bit in range(width):
         port = f"in{bit}"
@@ -303,7 +304,8 @@ def pipeline_block(
             module.add_instance(
                 f"{prefix}ff{bit}",
                 "DFFR",
-                {"D": d_source, "CK": "clk", "RN": "rst_n", "Q": q_net},
+                {"D": d_source, "CK": CLOCK_PORT, "RN": RESET_PORT,
+                 "Q": q_net},
             )
             next_bits.append(q_net)
         current = next_bits

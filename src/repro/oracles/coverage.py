@@ -27,13 +27,15 @@ from ..coverage import (
     TestCoverage,
     constrained_stimulus,
     decode_signals,
-    structural_universe,
 )
-from ..coverage.stimulus import DEFAULT_EXCLUDE
 from ..netlist import Logic, Module
 from ..sim import LogicSimulator, SimulatorConfig
 
 __all__ = ["StructuralObserver", "simulate_with_coverage"]
+
+#: Clock, reset and scan enable: nets left out of the toggle
+#: denominator (with every ``scan_*`` net), as coverage tools do.
+DEFAULT_EXCLUDE = ("clk", "rst_n", "scan_en")
 
 
 class StructuralObserver:
@@ -54,9 +56,19 @@ class StructuralObserver:
         *,
         exclude: tuple[str, ...] = DEFAULT_EXCLUDE,
     ) -> None:
-        countable, self._flops = structural_universe(module, exclude)
+        excluded = set(exclude)
+        excluded.update(name for name in module.nets
+                        if name.startswith("scan_"))
         #: Nets counting toward the toggle denominator.
-        self.countable: frozenset[str] = countable
+        self.countable: frozenset[str] = frozenset(
+            set(module.nets) - excluded
+        )
+        self._flops = tuple(
+            (inst.name, inst.net_of("Q"),
+             inst.net_of(inst.cell.reset_pin)
+             if inst.cell.reset_pin is not None else None)
+            for inst in module.sequential_instances
+        )
         #: All flop instance names (the activity denominator).
         self.flop_universe: frozenset[str] = frozenset(
             name for name, _, _ in self._flops

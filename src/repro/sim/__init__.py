@@ -5,7 +5,8 @@ Two engines share one semantic core (:func:`evaluate_cell`):
 * :class:`BatchSimulator` -- the compiled word-parallel backend
   (:mod:`repro.sim.compiled`) that runs all production simulation:
   the module is levelized once into a flat numpy program and 64
-  stimulus lanes evaluate per uint64 word.
+  stimulus lanes evaluate per uint64 word.  Its ``run`` drives lane
+  frames edge by edge; :func:`lane_frames` builds functional-mode ones.
 * :class:`LogicSimulator` -- the interpreted, event-style reference:
   the dialect oracle the compiled engine is checked against, and the
   replayer of BMC counterexamples (whose CNF is built from the
@@ -17,6 +18,7 @@ from .compiled import (
     CompileError,
     CompiledProgram,
     compile_module,
+    lane_frames,
 )
 from .simulator import (
     LogicSimulator,
@@ -50,6 +52,7 @@ __all__ = [
     "diff_traces",
     "evaluate_cell",
     "escape_signal_name",
+    "lane_frames",
     "load_vcd",
     "read_vcd",
     "resolve_clock_connection",

@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..netlist import Logic, Module
+from ..netlist.clocks import CLOCK_PORT, RESET_PORT, scan_mode_inputs
 from ..netlist.library import Cell
 from ..netlist.netlist import Instance, NetlistError
 from ..perf import stage_timer
@@ -680,7 +681,7 @@ class BatchSimulator:
             f"{self.config.max_settle_rounds} rounds"
         )
 
-    def clock_edge(self, clock_port: str = "clk") -> None:
+    def clock_edge(self, clock_port: str = CLOCK_PORT) -> None:
         """One rising edge of ``clock_port`` across every lane.
 
         Scan-enable muxing, ICG gating and async-reset override follow
@@ -807,8 +808,9 @@ class BatchSimulator:
         self,
         stimuli: Sequence[Sequence[Mapping[str, Logic | int | bool]]],
         *,
-        clock_port: str = "clk",
+        clock_port: str = CLOCK_PORT,
         watch: Iterable[str] | None = None,
+        on_edge: Callable[[], None] | None = None,
     ) -> list[Trace]:
         """Run one stimulus sequence per lane, returning per-lane traces.
 
@@ -819,7 +821,8 @@ class BatchSimulator:
         lengths; a shorter lane's trace simply stops early (its inputs
         hold their last values while other lanes finish).  Stimulus is
         pre-packed into bit-plane columns, so the per-cycle cost is a
-        handful of numpy ops regardless of lane count.
+        handful of numpy ops regardless of lane count.  ``on_edge``,
+        when given, is called after every edge, before the sample.
         """
         if len(stimuli) != self.lanes:
             raise ValueError(
@@ -884,6 +887,8 @@ class BatchSimulator:
                     self._inx[row] = mx[t]
                     self._inz[row] = mz[t]
                 self.clock_edge(clock_port)
+                if on_edge is not None:
+                    on_edge()
                 hist0[t] = self._planes[_IS0, watch_slots]
                 hist1[t] = self._planes[_IS1, watch_slots]
                 histz[t] = self._znet[watch_slots]
@@ -911,6 +916,33 @@ class BatchSimulator:
             ]
             traces.append(trace)
         return traces
+
+
+def lane_frames(
+    module: Module,
+    stimulus: Sequence[Mapping[str, Logic | int | bool]],
+    *,
+    clock_port: str = CLOCK_PORT,
+    reset_port: str | None = RESET_PORT,
+    reset_cycles: int = 1,
+) -> list[dict[str, Logic | int | bool]]:
+    """One lane's frames under the functional-mode protocol.
+
+    ``reset_cycles`` frames hold ``reset_port`` low, then each
+    stimulus vector follows with the reset held high; the clock and
+    the scan-mode inputs are low in every frame unless a vector drives
+    them.  A module without ``reset_port`` gets no reset frames.
+    :meth:`BatchSimulator.run` clocks one edge per frame, so a lane's
+    first ``len(frames) - len(stimulus)`` samples are reset edges.
+    """
+    ties: dict[str, Logic | int | bool] = dict.fromkeys(
+        (clock_port, *scan_mode_inputs(module)), 0
+    )
+    if reset_port is None or reset_port not in module.ports:
+        return [{**ties, **vector} for vector in stimulus]
+    return [{**ties, reset_port: 0} for _ in range(reset_cycles)] + [
+        {**ties, **vector, reset_port: 1} for vector in stimulus
+    ]
 
 
 def clear_program_cache() -> None:

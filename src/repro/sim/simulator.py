@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from ..netlist import Logic, Module
-from ..netlist.clocks import trace_control_source
+from ..netlist.clocks import CLOCK_PORT, trace_control_source
 from ..netlist.library import Cell
 from ..netlist.logic import logic_and
 from ..netlist.netlist import Instance, NetlistError
@@ -269,7 +269,7 @@ class LogicSimulator:
             self._clock_plans[clock_port] = plan
         return plan
 
-    def clock_edge(self, clock_port: str = "clk") -> None:
+    def clock_edge(self, clock_port: str = CLOCK_PORT) -> None:
         """Apply one rising edge on ``clock_port``: sample D, update Q.
 
         A flop is clocked iff its clock pin traces back to
@@ -341,7 +341,7 @@ class LogicSimulator:
         self,
         stimulus: Sequence[Mapping[str, Logic | int | bool]],
         *,
-        clock_port: str = "clk",
+        clock_port: str = CLOCK_PORT,
         watch: Iterable[str] | None = None,
     ) -> Trace:
         """Run a clocked stimulus sequence, returning a trace.

@@ -37,6 +37,7 @@ from typing import Sequence, Set, Tuple
 import numpy as np
 
 from ..netlist import Module
+from ..netlist.clocks import CLOCK_PORT, RESET_PORT, scan_mode_inputs
 from ..sim import SimulatorConfig, VENDOR_A_SIM, VENDOR_B_SIM
 from ..sim.compiled import BatchSimulator, lane_valid_words
 
@@ -47,8 +48,6 @@ def observed_divergent_nets_lanes(
     cycles: int = 8,
     settle_vectors: int = 4,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    clock_port: str = "clk",
-    reset_port: str = "rst_n",
     config_a: SimulatorConfig = VENDOR_A_SIM,
     config_b: SimulatorConfig = VENDOR_B_SIM,
 ) -> Set[str]:
@@ -67,23 +66,22 @@ def observed_divergent_nets_lanes(
     sim_b = BatchSimulator(module, config_b, lanes=lanes)
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    ties = {}
-    if clock_port in module.ports:
-        ties[clock_port] = 0
-    for name, port in module.ports.items():
-        if port.direction == "input" and (
-            name.startswith("scan_") or name == "scan_en"
-        ):
-            ties[name] = 0
+    can_clock = (
+        CLOCK_PORT in module.ports
+        and module.ports[CLOCK_PORT].direction == "input"
+    )
+    ties = dict.fromkeys(scan_mode_inputs(module), 0)
+    if can_clock:
+        ties[CLOCK_PORT] = 0
     data_ports = [
         name
         for name, port in module.ports.items()
         if port.direction == "input"
-        and name not in ties and name != reset_port
+        and name not in ties and name != RESET_PORT
     ]
     has_reset = (
-        reset_port in module.ports
-        and module.ports[reset_port].direction == "input"
+        RESET_PORT in module.ports
+        and module.ports[RESET_PORT].direction == "input"
     )
 
     # Undriven tail lanes of the last word stay at power-on values,
@@ -100,7 +98,7 @@ def observed_divergent_nets_lanes(
             }
             vector.update(ties)
             if has_reset:
-                vector[reset_port] = 0 if reset_low else 1
+                vector[RESET_PORT] = 0 if reset_low else 1
             vectors.append(vector)
         sim_a.set_lane_inputs(vectors)
         sim_b.set_lane_inputs(vectors)
@@ -115,15 +113,11 @@ def observed_divergent_nets_lanes(
         apply_vectors(index, reset_low=index == 0)
         snapshot()
 
-    can_clock = (
-        clock_port in module.ports
-        and module.ports[clock_port].direction == "input"
-    )
     for index in range(cycles):
         apply_vectors(index, reset_low=False)
         if can_clock:
-            sim_a.clock_edge(clock_port)
-            sim_b.clock_edge(clock_port)
+            sim_a.clock_edge(CLOCK_PORT)
+            sim_b.clock_edge(CLOCK_PORT)
         snapshot()
 
     hit = diverged.any(axis=1)
@@ -195,8 +189,6 @@ def cross_validate_divergence(
     cycles: int = 8,
     settle_vectors: int = 4,
     seeds: Sequence[int] = (0, 1, 2, 3),
-    clock_port: str = "clk",
-    reset_port: str = "rst_n",
     config_a: SimulatorConfig = VENDOR_A_SIM,
     config_b: SimulatorConfig = VENDOR_B_SIM,
 ) -> DivergenceValidation:
@@ -213,8 +205,6 @@ def cross_validate_divergence(
         cycles=cycles,
         settle_vectors=settle_vectors,
         seeds=seeds,
-        clock_port=clock_port,
-        reset_port=reset_port,
         config_a=config_a,
         config_b=config_b,
     )

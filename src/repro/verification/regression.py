@@ -19,10 +19,10 @@ from ..perf import fanout, resolve_workers
 from ..sim import (
     BatchSimulator,
     SimulatorConfig,
-    Trace,
     VENDOR_A_SIM,
     VENDOR_B_SIM,
     diff_traces,
+    lane_frames,
 )
 from .testbench import Testbench, TestbenchResult
 
@@ -76,73 +76,45 @@ class RegressionReport:
 def _bench_group_worker(task: tuple) -> list[TestbenchResult]:
     """Run a group of benches as lanes of one compiled sweep.
 
-    Every bench in the group shares a clock/reset protocol (enforced
-    by the grouping in :func:`run_regression`), so the reset preamble
-    applies to all lanes at once and each bench's stimulus rides its
-    own lane.  Verdicts and traces equal the event-simulator oracle
+    Every bench in the group shares a clock port and a watch list (the
+    grouping of :func:`run_regression`).  Each bench's frames -- its
+    own reset preamble, then its stimulus (:func:`repro.sim.lane_frames`)
+    -- ride their own lane of one :meth:`BatchSimulator.run`; the
+    reset samples are dropped and the checker then reads the trace in
+    cycle order.  Verdicts and traces equal the event-simulator oracle
     :func:`repro.oracles.verification.run_testbench` run per bench;
     durations split the group's wall clock evenly (telemetry only).
     """
-    module, benches, config = task
+    module, benches, watch, config = task
     started = time.perf_counter()
-    lanes = len(benches)
-    lead = benches[0]
-    sim = BatchSimulator(module, config, lanes=lanes)
-    ties = {lead.clock_port: 0}
-    for port_name, port in module.ports.items():
-        if port.direction != "input":
-            continue
-        if port_name.startswith("scan_") or port_name == "scan_en":
-            ties[port_name] = 0
-    has_reset = (lead.reset_port is not None
-                 and lead.reset_port in module.ports)
-    if has_reset:
-        sim.set_inputs({**ties, lead.reset_port: 0})
-        sim.evaluate()
-        for _ in range(lead.reset_cycles):
-            sim.clock_edge(lead.clock_port)
-        sim.set_input(lead.reset_port, 1)
-
-    default_watch = tuple(sorted(
-        name for name, port in module.ports.items()
-        if port.direction == "output"
-    ))
-    watches = [bench.watch if bench.watch is not None else default_watch
-               for bench in benches]
-    traces = [Trace(signals=watch) for watch in watches]
-    mismatches: list[list[str]] = [[] for _ in benches]
-    cycles = max(len(bench.stimulus) for bench in benches)
-    for cycle in range(cycles):
-        vectors = []
-        for bench in benches:
-            if cycle < len(bench.stimulus):
-                vector = {**ties, **bench.stimulus[cycle]}
-                if has_reset:
-                    vector[lead.reset_port] = 1
-            else:
-                vector = {}  # finished lane: inputs hold
-            vectors.append(vector)
-        sim.set_lane_inputs(vectors)
-        sim.clock_edge(lead.clock_port)
-        for lane, bench in enumerate(benches):
-            if cycle >= len(bench.stimulus):
-                continue
-            outputs = {s: sim.read(s, lane) for s in watches[lane]}
-            traces[lane].record(outputs)
-            error = bench.checker(cycle, outputs)
-            if error:
-                mismatches[lane].append(f"cycle {cycle}: {error}")
+    frames = [
+        lane_frames(module, bench.stimulus, clock_port=bench.clock_port,
+                    reset_port=bench.reset_port,
+                    reset_cycles=bench.reset_cycles)
+        for bench in benches
+    ]
+    sim = BatchSimulator(module, config, lanes=len(benches))
+    traces = sim.run(frames, clock_port=benches[0].clock_port,
+                     watch=watch)
+    mismatches: list[list[str]] = []
+    for bench, bench_frames, trace in zip(benches, frames, traces):
+        del trace.samples[: len(bench_frames) - len(bench.stimulus)]
+        mismatches.append([
+            f"cycle {cycle}: {error}"
+            for cycle, sample in enumerate(trace.samples)
+            if (error := bench.checker(cycle, dict(zip(watch, sample))))
+        ])
     elapsed = time.perf_counter() - started
     return [
         TestbenchResult(
             name=bench.name,
-            passed=not mismatches[lane],
+            passed=not errors,
             cycles=len(bench.stimulus),
-            mismatches=mismatches[lane],
-            trace=traces[lane],
-            duration_s=elapsed / lanes,
+            mismatches=errors,
+            trace=trace,
+            duration_s=elapsed / len(benches),
         )
-        for lane, bench in enumerate(benches)
+        for bench, errors, trace in zip(benches, mismatches, traces)
     ]
 
 
@@ -155,8 +127,8 @@ def run_regression(
 ) -> RegressionReport:
     """Run every bench under one dialect.
 
-    Benches that share a clock/reset protocol form a group, and each
-    group's stimuli run as parallel lanes of one
+    Benches that share a clock port and a watch list form a group,
+    and each group's stimuli run as parallel lanes of one
     :class:`~repro.sim.BatchSimulator` sweep.  Verdicts and traces are
     bit-identical to running each bench on the interpreted
     :class:`~repro.sim.LogicSimulator`, the test oracle
@@ -168,27 +140,27 @@ def run_regression(
     checkers fall back to serial execution automatically.
     """
     config = config or VENDOR_A_SIM
-    # Group benches sharing a preamble; keep each bench's suite
+    outputs = tuple(sorted(
+        name for name, port in module.ports.items()
+        if port.direction == "output"
+    ))
+    # Group benches by clock and watch list; keep each bench's suite
     # position so results merge back in order.
     groups: dict[tuple, list[int]] = {}
     for index, bench in enumerate(testbenches):
-        reset = (bench.reset_port
-                 if bench.reset_port is not None
-                 and bench.reset_port in module.ports else None)
-        key = (bench.clock_port, reset,
-               bench.reset_cycles if reset else 0)
-        groups.setdefault(key, []).append(index)
+        watch = tuple(bench.watch) if bench.watch is not None else outputs
+        groups.setdefault((bench.clock_port, watch), []).append(index)
     # Split each group into at most ``workers`` chunks so the
     # process fan-out still helps when one group dominates.
     n_workers = resolve_workers(workers)
     tasks: list[tuple] = []
     task_indices: list[list[int]] = []
-    for indices in groups.values():
+    for (_clock, watch), indices in groups.items():
         n_chunks = min(n_workers, len(indices))
         for chunk in range(n_chunks):
             sel = indices[chunk::n_chunks]
             tasks.append(
-                (module, [testbenches[i] for i in sel], config)
+                (module, [testbenches[i] for i in sel], watch, config)
             )
             task_indices.append(sel)
     chunked = fanout(_bench_group_worker, tasks, workers=workers,

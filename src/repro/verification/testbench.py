@@ -16,7 +16,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..netlist import Logic, Module
-from ..sim import BatchSimulator, SimulatorConfig, Trace
+from ..netlist.clocks import CLOCK_PORT, RESET_PORT, scan_mode_inputs
+from ..sim import BatchSimulator, SimulatorConfig, Trace, lane_frames
 
 
 @dataclass
@@ -39,21 +40,26 @@ class Testbench:
 
     ``stimulus`` is a list of input vectors (one per clock cycle);
     ``checker`` receives (cycle, output values) and returns an error
-    string or None.  ``reset_cycles`` holds reset low first, making the
-    bench dialect-independent (the paper's sign-off twist came from
-    benches that were not).  Suites run through
+    string or None.  ``reset_cycles`` (at least one) holds reset low
+    first, making the bench dialect-independent (the paper's sign-off
+    twist came from benches that were not); ``reset_port=None`` runs
+    without reset.  Suites run through
     :func:`~repro.verification.run_regression`.
     """
 
     name: str
     stimulus: Sequence[Mapping[str, int]]
     checker: Callable[[int, dict[str, Logic]], str | None]
-    clock_port: str = "clk"
-    reset_port: str | None = "rst_n"
+    clock_port: str = CLOCK_PORT
+    reset_port: str | None = RESET_PORT
     reset_cycles: int = 1
     watch: tuple[str, ...] | None = None
 
     __test__ = False  # not a pytest collection target
+
+    def __post_init__(self) -> None:
+        if self.reset_cycles < 1:
+            raise ValueError("reset_cycles must be >= 1")
 
 
 def random_stimulus(
@@ -61,15 +67,14 @@ def random_stimulus(
     *,
     cycles: int,
     seed: int,
-    exclude: tuple[str, ...] = ("clk", "rst_n", "scan_en"),
 ) -> list[dict[str, int]]:
     """Uniform random vectors over the module's data inputs."""
     rng = np.random.default_rng(seed)
+    skip = {CLOCK_PORT, RESET_PORT, *scan_mode_inputs(module)}
     inputs = [
         name
         for name, port in module.ports.items()
-        if port.direction == "input" and name not in exclude
-        and not name.startswith("scan_in")
+        if port.direction == "input" and name not in skip
     ]
     return [
         {name: int(rng.integers(0, 2)) for name in inputs}
@@ -84,8 +89,10 @@ def toggle_coverage(module: Module, testbenches: Sequence[Testbench],
     The classic cheap sufficiency metric: a bench suite that leaves
     half the design static is "in-sufficient" in exactly the paper's
     sense.  Clock and reset infrastructure nets are excluded from the
-    denominator, as coverage tools do.  Each bench runs on a one-lane
-    :class:`~repro.sim.BatchSimulator`.
+    denominator, as coverage tools do.  Each bench runs its frames
+    (:func:`~repro.sim.lane_frames`) on a one-lane
+    :class:`~repro.sim.BatchSimulator`, sampled after every edge past
+    its reset preamble.
     """
     infrastructure = {
         bench.clock_port for bench in testbenches
@@ -96,28 +103,26 @@ def toggle_coverage(module: Module, testbenches: Sequence[Testbench],
     seen_zero: set[str] = set()
     seen_one: set[str] = set()
     for bench in testbenches:
+        frames = lane_frames(module, bench.stimulus,
+                             clock_port=bench.clock_port,
+                             reset_port=bench.reset_port,
+                             reset_cycles=bench.reset_cycles)
+        preamble = len(frames) - len(bench.stimulus)
         sim = BatchSimulator(module, config, lanes=1)
-        ties = {bench.clock_port: 0}
-        if bench.reset_port and bench.reset_port in module.ports:
-            sim.set_inputs({**ties, bench.reset_port: 0})
-            sim.evaluate()
-            sim.clock_edge(bench.clock_port)
-            sim.set_input(bench.reset_port, 1)
         # Lane 0 is bit 0 of each net's word: OR it over the run.
-        zero = np.zeros(sim.program.n_nets, dtype=np.uint64)
-        one = np.zeros_like(zero)
-        for vector in bench.stimulus:
-            filtered = {k: v for k, v in vector.items()
-                        if k in module.ports
-                        and module.ports[k].direction == "input"}
-            sim.set_inputs(filtered)
-            sim.clock_edge(bench.clock_port)
-            is0, is1 = sim.net_value_words()
-            zero |= is0[:, 0]
-            one |= is1[:, 0]
+        seen = np.zeros((2, sim.program.n_nets), dtype=np.uint64)
+
+        def observe() -> None:
+            if sim.cycle > preamble:
+                is0, is1 = sim.net_value_words()
+                seen[0] |= is0[:, 0]
+                seen[1] |= is1[:, 0]
+
+        sim.run([frames], clock_port=bench.clock_port, watch=(),
+                on_edge=observe)
         names = sim.program.net_names
-        seen_zero.update(names[i] for i in np.flatnonzero(zero & 1))
-        seen_one.update(names[i] for i in np.flatnonzero(one & 1))
+        seen_zero.update(names[i] for i in np.flatnonzero(seen[0] & 1))
+        seen_one.update(names[i] for i in np.flatnonzero(seen[1] & 1))
     countable = set(module.nets) - infrastructure
     if not countable:
         return 0.0

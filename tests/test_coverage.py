@@ -246,10 +246,15 @@ class TestDatabase:
         )
 
     def test_universe_from_module(self, cnt):
-        db = CoverageDatabase.for_module(cnt)
-        observer = StructuralObserver(cnt)
-        assert set(db.net_universe) == set(observer.countable)
-        assert set(db.flop_universe) == set(observer.flop_universe)
+        from repro.dft import insert_scan
+
+        scanned, _ = insert_scan(cnt, n_chains=2)
+        for module in (cnt, scanned):
+            db = CoverageDatabase.for_module(module)
+            observer = StructuralObserver(module)
+            assert set(db.net_universe) == set(observer.countable)
+            assert set(db.flop_universe) == set(observer.flop_universe)
+        assert "scan_in1" not in db.net_universe
 
     def test_duplicate_test_name_rejected(self):
         db = self.db()

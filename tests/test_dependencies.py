@@ -16,7 +16,9 @@ the tests compare production against: no other package imports it,
 and neither a flow run nor ``repro atpg``, ``repro regress`` or
 ``repro cover`` loads it.  The event simulator is one of those
 references: outside :mod:`repro.sim` and :mod:`repro.oracles` only
-BMC's counterexample replay imports it at run time.
+BMC's counterexample replay imports it at run time.  Production names
+the scan ports only in :mod:`repro.netlist`, and steps lane stimulus
+only through :meth:`repro.sim.BatchSimulator.run` and crossval.
 """
 
 import ast
@@ -369,6 +371,65 @@ def test_one_production_engine_for_detection_and_coverage():
     for simulator in (LogicSimulator, BatchSimulator):
         assert not hasattr(simulator, "attach_observer"), simulator
     assert not hasattr(BatchSimulator, "lane_view")
+
+
+def production_trees() -> dict[str, ast.Module]:
+    """Every production module of ``repro`` (the oracles excluded),
+    by path relative to the package, parsed."""
+    root = Path(repro.__file__).resolve().parent
+    return {
+        path.relative_to(root).as_posix():
+            ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] != "oracles"
+    }
+
+
+def _names_scan_port(node: ast.AST) -> bool:
+    """A ``"scan_en"`` literal, a ``"scan_in"``/``"scan_out"`` prefix
+    (f-string parts included) or a ``startswith("scan...")`` test."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return (node.value == "scan_en"
+                or node.value.startswith(("scan_in", "scan_out")))
+    if (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "startswith"):
+        return any(
+            isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            and arg.value.startswith("scan")
+            for call_arg in node.args for arg in ast.walk(call_arg)
+        )
+    return False
+
+
+def test_scan_ports_are_named_only_by_the_port_convention():
+    """The clock, reset and scan port names live in
+    :mod:`repro.netlist.clocks`; every other production module takes
+    them from there.  The oracles keep their own written-out ties."""
+    naming = sorted(
+        f"{path}:{node.lineno}"
+        for path, tree in production_trees().items()
+        if not path.startswith("netlist/")
+        for node in ast.walk(tree)
+        if _names_scan_port(node)
+    )
+    assert not naming, naming
+
+
+def test_only_the_lane_driver_and_crossval_set_lane_inputs():
+    """Production steps lane stimulus edge by edge only in
+    :meth:`repro.sim.BatchSimulator.run`; crossval's two-dialect
+    lockstep through its unclocked settle phase is the one exception."""
+    callers = sorted({
+        path
+        for path, tree in production_trees().items()
+        if not path.startswith("sim/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "set_lane_inputs"
+    })
+    assert callers == ["verification/crossval.py"]
 
 
 def test_import_graph_walk_sees_every_import_form():

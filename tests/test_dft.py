@@ -10,6 +10,7 @@ from repro.netlist import (
     make_default_library,
     pipeline_block,
 )
+from repro.netlist.clocks import scan_mode_inputs
 from repro.sim import LogicSimulator
 from repro.dft import (
     CombinationalView,
@@ -52,6 +53,14 @@ class TestScanInsertion:
         assert "scan_en" in scanned.ports
         assert "scan_in0" in scanned.ports
         assert "scan_out0" in scanned.ports
+
+    def test_scan_mode_inputs_are_the_enable_and_scan_inputs(self, lib):
+        block = pipeline_block("p", lib, stages=2, width=8,
+                               cloud_gates=40, seed=5)
+        scanned, _ = insert_scan(block, n_chains=2)
+        assert scan_mode_inputs(scanned) == ("scan_en", "scan_in0",
+                                             "scan_in1")
+        assert scan_mode_inputs(block) == ()
 
     def test_area_overhead_positive(self, scanned_counter):
         _, report = scanned_counter

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.netlist import Module, make_default_library, pipeline_block
+from repro.netlist.clocks import CLOCK_PORT, SCAN_ENABLE
 from repro.netlist.generators import block_from_budget
 from repro.dft import (
     CombinationalView,
@@ -375,7 +376,7 @@ def _edit_block(module, position, edit, index):
     upstream = [
         name for name, port in module.ports.items()
         if port.direction == "input"
-        and name not in CombinationalView.CONTROL_PORTS
+        and name not in (CLOCK_PORT, SCAN_ENABLE)
     ] + [flop.net_of("Q") for flop in module.sequential_instances] + [
         inst.net_of(inst.cell.output_pins[0])
         for inst in order[: order.index(target)]

@@ -40,6 +40,7 @@ from repro.sim import (
     VENDOR_B_SIM,
     compile_module,
     diff_traces,
+    lane_frames,
 )
 from repro.verification import cross_validate_divergence
 from repro.verification.crossval import observed_divergent_nets_lanes
@@ -372,6 +373,9 @@ class TestRegressionEngine:
         def null_checker(cycle, outputs):
             return None
 
+        def flags_cycle_3(cycle, outputs):
+            return f"saw {outputs}" if cycle == 3 else None
+
         benches = [
             Testbench(name=f"tb{i}",
                       stimulus=random_stimulus(module, cycles=12 + i,
@@ -379,17 +383,54 @@ class TestRegressionEngine:
                       checker=null_checker)
             for i in range(5)
         ]
-        for config in DIALECTS:
-            oracle = [run_testbench(bench, module, config)
-                      for bench in benches]
-            report = run_regression(module, benches, config=config,
-                                    workers=1)
-            assert len(report.results) == len(oracle)
-            for a, b in zip(oracle, report.results):
-                assert a.name == b.name
-                assert a.passed == b.passed
-                assert a.mismatches == b.mismatches
-                assert_traces_equal(a.trace, b.trace)
+        # One sweep mixing reset preambles of 1 and 2 edges, a bench
+        # without reset, two watch lists and a failing checker.
+        outputs = sorted(name for name, port in module.ports.items()
+                         if port.direction == "output")
+        few = tuple(outputs[:3])
+        mixed = [
+            Testbench("r1", random_stimulus(module, cycles=10, seed=7),
+                      null_checker),
+            Testbench("r2", random_stimulus(module, cycles=9, seed=8),
+                      flags_cycle_3, reset_cycles=2),
+            Testbench("nr", random_stimulus(module, cycles=8, seed=9),
+                      flags_cycle_3, reset_port=None),
+            Testbench("w1", random_stimulus(module, cycles=11, seed=10),
+                      flags_cycle_3, watch=few),
+            Testbench("w2", random_stimulus(module, cycles=7, seed=11),
+                      null_checker, reset_cycles=2, watch=few),
+        ]
+        for suite in (benches, mixed):
+            for config in DIALECTS:
+                oracle = [run_testbench(bench, module, config)
+                          for bench in suite]
+                report = run_regression(module, suite, config=config,
+                                        workers=1)
+                assert len(report.results) == len(oracle)
+                for a, b in zip(oracle, report.results):
+                    assert a.name == b.name
+                    assert a.passed == b.passed
+                    assert a.mismatches == b.mismatches
+                    assert_traces_equal(a.trace, b.trace)
+        assert not report.results[1].passed
+        assert report.results[1].mismatches[0].startswith("cycle 3: ")
+
+
+class TestRunOnEdge:
+    def test_called_once_after_each_edge(self, lib):
+        module = counter("cnt", lib, width=3)
+        sim = BatchSimulator(module, lanes=2)
+        seen = []
+
+        def on_edge():
+            seen.append((sim.cycle, sim.read("count0", 0)))
+
+        frames = [lane_frames(module, [{}] * 5),
+                  lane_frames(module, [{}] * 3)]
+        traces = sim.run(frames, watch=["count0"], on_edge=on_edge)
+        # One call per edge of the longest lane, each after its edge.
+        assert [cycle for cycle, _ in seen] == [1, 2, 3, 4, 5, 6]
+        assert [value for _, value in seen] == traces[0].column("count0")
 
 
 class TestProgramCache:

@@ -55,6 +55,10 @@ class TestTestbench:
         assert not result.passed
         assert len(result.mismatches) == 3
 
+    def test_reset_is_at_least_one_edge(self):
+        with pytest.raises(ValueError):
+            Testbench("zero", [{}], lambda c, o: None, reset_cycles=0)
+
     def test_random_stimulus_covers_inputs(self, lib):
         from repro.netlist import pipeline_block
 
@@ -208,3 +212,29 @@ class TestToggleCoverage:
             # Without a reset bench, rst_n counts toward the total.
             assert toggle_coverage(block, [no_reset], config) == 42 / 113
         assert toggle_coverage(block, suite[:1] + [no_reset]) == 94 / 112
+
+    def test_scanned_block_holds_scan_ports_low(self, lib):
+        """The scan enable and scan inputs of a scanned block are held
+        low, as if every vector drove them low, not left floating."""
+        from repro.dft import insert_scan
+        from repro.netlist import pipeline_block
+        from repro.netlist.clocks import scan_mode_inputs
+
+        block = pipeline_block("blk", lib, stages=2, width=8,
+                               cloud_gates=40, seed=5)
+        scanned, _ = insert_scan(block, n_chains=2)
+        suite = [
+            Testbench(f"b{i}", random_stimulus(scanned, cycles=6 + 3 * i,
+                                               seed=i),
+                      lambda c, o: None)
+            for i in range(3)
+        ]
+        low = dict.fromkeys(scan_mode_inputs(scanned), 0)
+        written = [
+            Testbench(bench.name, [{**v, **low} for v in bench.stimulus],
+                      bench.checker)
+            for bench in suite
+        ]
+        fraction = toggle_coverage(scanned, suite)
+        assert fraction == toggle_coverage(scanned, written)
+        assert fraction > 0.85
