@@ -16,6 +16,11 @@ writing scripts:
     python -m repro lint          # static design-rule analysis (DSC)
     python -m repro bmc           # bounded model checking (DSC)
 
+``flow --store FILE`` loads a persisted artifact store before the run
+and saves it after, so a rerun splices every block-level and
+design-level store unit the design did not change from it; the
+printed report is the same cold and warm.
+
 The ``lint`` command runs the rule families of :mod:`repro.lint` over
 the generated DSC design database: structural netlist checks (STR-*),
 clock-domain-crossing analysis (CDC-*), static X-source propagation
@@ -42,10 +47,18 @@ import sys
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
-    from .core import DesignServiceFlow
+    import os
 
-    flow = DesignServiceFlow(scale=args.scale, seed=args.seed)
+    from .core import DesignServiceFlow
+    from .store import ArtifactStore
+
+    store = None
+    if args.store and os.path.exists(args.store):
+        store = ArtifactStore.load(args.store)
+    flow = DesignServiceFlow(scale=args.scale, seed=args.seed, store=store)
     report = flow.run()
+    if args.store:
+        flow.store.save(args.store)
     print(report.format_report())
     return 0
 
@@ -416,6 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     flow = sub.add_parser("flow", help="run the nine-stage lifecycle")
     flow.add_argument("--scale", type=float, default=0.02)
     flow.add_argument("--seed", type=int, default=1)
+    flow.add_argument("--store", default="", metavar="FILE",
+                      help="persisted artifact store: load before the "
+                           "run (if present) and save after, so a "
+                           "rerun splices every unchanged stage from "
+                           "the store")
     flow.set_defaults(func=_cmd_flow)
 
     camera = sub.add_parser("camera", help="capture a photo")

@@ -33,6 +33,16 @@ cached under the service's own keys, so a
 every block the flow has checked.  The flow adds only design-level
 work: the SoC memory-map rules, the bus-exclusivity proof and the
 :class:`FlowReport` sums.
+
+Six design-level stages are store units of their own, under
+``flow.<stage>``: ``verify``, ``implement``, ``advanced_signoff``,
+``package_design``, ``tapeout`` (its burn-in verdict and project
+simulation) and ``produce``.  Each caches exactly the
+:class:`FlowReport` fields it sets, keyed on the fingerprints of the
+netlists it reads, the seed and the settings below, so a warm rerun
+recomputes only ``harden_cpu``, ``assemble`` and ``insert_dft`` plus
+the millisecond stages.  On a miss such a stage returns its live
+result objects; on a hit it returns the cached payload.
 """
 
 from __future__ import annotations
@@ -124,8 +134,13 @@ PLACER_ITERATIONS = 4000  #: implement: timing-driven placement
 SIGNOFF_PLACER_ITERATIONS = 3000  #: advanced_signoff: placement
 PACKAGE_ITERATIONS = 3000  #: package_design: pin-assignment annealing
 SPARE_CELLS = 24  #: tapeout: spare cells in the representative block
+BURN_IN_CYCLES = 16  #: tapeout: cycles of the CPU burn-in compare
 PRODUCTION_MONTHS = 18  #: produce: months of mass production
 TAM_WIDTH = 8  #: schedule_tests: tester TAM width (scan chains)
+
+#: Version of the design-level stage payloads (domains ``flow.<stage>``);
+#: bump it when a cached stage body or its payload changes meaning.
+FLOW_STAGE_VERSION = "1"
 
 
 def flow_stage_order(*, with_extensions: bool = True) -> tuple[str, ...]:
@@ -263,6 +278,14 @@ class DesignServiceFlow:
     Stages can be run individually (each returns its own report
     object and updates :attr:`report`) or all at once via
     :meth:`run`.
+
+    ``verify``, ``implement``, ``advanced_signoff``,
+    ``package_design``, ``tapeout`` and ``produce`` are store units
+    (domains ``flow.<stage>``), beside the per-block ``lint_gate``,
+    ``analyze`` and ``verify_props``.  On a store hit such a stage
+    sets its report fields from the cached payload and returns that
+    payload instead of its live result objects; ``tapeout`` still
+    sprinkles its spare cells and commits the database either way.
     """
 
     def __init__(
@@ -290,10 +313,11 @@ class DesignServiceFlow:
         #: Content-addressed cache of the static stages (lint_gate,
         #: analyze, verify_props): per-block payloads under the
         #: service's unit keys, and beneath them the lint and analysis
-        #: caches their bodies fill.  Pass a persisted or shared store
-        #: to make reruns after an ECO re-derive only the blocks/cones
-        #: the change touched; results are asserted byte-identical to
-        #: a cold run.
+        #: caches their bodies fill; plus the payloads of the
+        #: design-level store units (``flow.<stage>``).  Pass a
+        #: persisted or shared store to make reruns after an ECO
+        #: re-derive only the blocks/cones/stages the change touched;
+        #: results are asserted byte-identical to a cold run.
         self.store = store if store is not None else ArtifactStore()
 
     # -- stage 1 ---------------------------------------------------------
@@ -490,25 +514,43 @@ class DesignServiceFlow:
     # -- stage 4 ---------------------------------------------------------
 
     def verify(self):
-        """Regression + cross-simulator consistency on every block."""
+        """Regression + cross-simulator consistency on the
+        representative block.
+
+        A store unit keyed on the block's fingerprint, the seed,
+        :data:`REGRESSION_BENCHES` and :data:`REGRESSION_CYCLES`.
+        Returns the live cross-simulator report when this run computed
+        it, or the cached payload on a store hit.
+        """
         representative = self._representative_block()
-        benches = []
-        for index in range(REGRESSION_BENCHES):
-            stim = random_stimulus(representative, cycles=REGRESSION_CYCLES,
-                                   seed=self.seed + index)
-            benches.append(
-                Testbench(
-                    name=f"random_{index}",
-                    stimulus=stim,
-                    checker=lambda cycle, outs: None,  # trace compare only
+
+        def compute() -> tuple[dict[str, Any], Any]:
+            benches = []
+            for index in range(REGRESSION_BENCHES):
+                stim = random_stimulus(representative,
+                                       cycles=REGRESSION_CYCLES,
+                                       seed=self.seed + index)
+                benches.append(
+                    Testbench(
+                        name=f"random_{index}",
+                        stimulus=stim,
+                        checker=lambda cycle, outs: None,  # traces only
+                    )
                 )
-            )
-        # workers=1: the lambda checker cannot pickle into a pool.
-        cross = cross_simulator_check(representative, benches, workers=1)
-        self.report.regression_total = len(benches)
-        self.report.regression_pass = cross.report_a.passed
-        self.report.cross_sim_consistent = cross.consistent
-        return cross
+            # workers=1: the lambda checker cannot pickle into a pool.
+            cross = cross_simulator_check(representative, benches,
+                                          workers=1)
+            return {
+                "regression_total": len(benches),
+                "regression_pass": cross.report_a.passed,
+                "cross_sim_consistent": cross.consistent,
+            }, cross
+
+        return self._stage_unit(
+            "verify", (representative.fingerprint(),),
+            {"benches": REGRESSION_BENCHES, "cycles": REGRESSION_CYCLES},
+            compute,
+        )
 
     # -- stage 5 ---------------------------------------------------------
 
@@ -531,92 +573,164 @@ class DesignServiceFlow:
     # -- stage 6 ---------------------------------------------------------
 
     def implement(self):
-        """Floorplan, place, route, CTS and STA-signoff."""
-        memories = dsc_memory_set()
-        macros = [HardMacro.from_area(m.name, m.area_um2) for m in memories]
-        macros.append(getattr(self, "_cpu_macro",
-                              HardMacro.from_area("risc_dsp", 6.5e6)))
-        floorplan = build_floorplan(
-            stdcell_area_um2=self.report.soc_stdcell_area_mm2 * 1e6
-            or 8.0e6,
-            macros=macros,
-        )
-        self.report.die_area_mm2 = floorplan.die_area_mm2
+        """Floorplan, place, route, CTS and STA-signoff.
 
+        A store unit keyed on the scanned representative block's
+        fingerprint, the seed, ``target_mhz``, the standard-cell area
+        and CPU macro outline it floorplans with, and
+        :data:`PLACER_ITERATIONS`.  Returns the live ``(floorplan,
+        placement_report, routing, cts, sta)`` when this run computed
+        them, or the cached payload on a store hit.
+        """
         representative = self._representative_block()
-        placer = AnnealingPlacer(representative, seed=self.seed)
-        constraints = TimingConstraints(clock_period_ps=1e6 / self.target_mhz)
-        placement, placement_report = placer.place(
-            iterations=PLACER_ITERATIONS, timing_constraints=constraints
+        cpu_macro = getattr(self, "_cpu_macro",
+                            HardMacro.from_area("risc_dsp", 6.5e6))
+        stdcell_area_um2 = float(
+            self.report.soc_stdcell_area_mm2 * 1e6 or 8.0e6
         )
-        router = GlobalRouter(representative, placement, edge_capacity=16)
-        routing = router.route_all()
-        self.report.routing_clean = routing.clean
-        _, cts = build_clock_tree(representative, placement)
-        self.report.clock_skew_ps = cts.skew_ps
 
-        caps = placer.wire_caps_ff(placement)
-        sta = TimingAnalyzer(
-            representative, constraints, net_wire_cap_ff=caps
-        ).analyze()
-        self.report.sta_setup_clean = sta.setup_clean
-        self.report.max_frequency_mhz = sta.max_frequency_mhz
-        return floorplan, placement_report, routing, cts, sta
+        def compute() -> tuple[dict[str, Any], Any]:
+            memories = dsc_memory_set()
+            macros = [HardMacro.from_area(m.name, m.area_um2)
+                      for m in memories]
+            macros.append(cpu_macro)
+            floorplan = build_floorplan(
+                stdcell_area_um2=stdcell_area_um2, macros=macros,
+            )
+            placer = AnnealingPlacer(representative, seed=self.seed)
+            constraints = TimingConstraints(
+                clock_period_ps=1e6 / self.target_mhz
+            )
+            placement, placement_report = placer.place(
+                iterations=PLACER_ITERATIONS,
+                timing_constraints=constraints,
+            )
+            router = GlobalRouter(representative, placement,
+                                  edge_capacity=16)
+            routing = router.route_all()
+            _, cts = build_clock_tree(representative, placement)
+            caps = placer.wire_caps_ff(placement)
+            sta = TimingAnalyzer(
+                representative, constraints, net_wire_cap_ff=caps
+            ).analyze()
+            return {
+                "die_area_mm2": floorplan.die_area_mm2,
+                "routing_clean": routing.clean,
+                "clock_skew_ps": cts.skew_ps,
+                "sta_setup_clean": sta.setup_clean,
+                "max_frequency_mhz": sta.max_frequency_mhz,
+            }, (floorplan, placement_report, routing, cts, sta)
+
+        return self._stage_unit(
+            "implement", (representative.fingerprint(),),
+            {
+                "target_mhz": float(self.target_mhz),
+                "stdcell_area_um2": stdcell_area_um2,
+                "cpu_macro_um": [cpu_macro.width_um, cpu_macro.height_um],
+                "placer_iterations": PLACER_ITERATIONS,
+            },
+            compute,
+        )
 
     # -- stage 7 ---------------------------------------------------------
 
     def package_design(self):
-        """Optimise the pin assignment down to a 2-layer substrate."""
-        package = tfbga256()
-        ring = dsc_pad_ring()
-        initial = scrambled_assignment(package, ring, seed=self.seed)
-        self.report.substrate_layers_initial = estimate_layers(initial)
-        optimized, opt_report = optimize_assignment(
-            initial, iterations=PACKAGE_ITERATIONS, seed=self.seed,
-            initial_temperature=0.3,
+        """Optimise the pin assignment down to a 2-layer substrate.
+
+        A store unit keyed on the seed and :data:`PACKAGE_ITERATIONS`.
+        Returns the live ``(optimized, opt_report)`` when this run
+        computed them, or the cached payload on a store hit.
+        """
+
+        def compute() -> tuple[dict[str, Any], Any]:
+            package = tfbga256()
+            ring = dsc_pad_ring()
+            initial = scrambled_assignment(package, ring, seed=self.seed)
+            layers_initial = estimate_layers(initial)
+            optimized, opt_report = optimize_assignment(
+                initial, iterations=PACKAGE_ITERATIONS, seed=self.seed,
+                initial_temperature=0.3,
+            )
+            return {
+                "substrate_layers_initial": layers_initial,
+                "substrate_layers_final": estimate_layers(optimized),
+            }, (optimized, opt_report)
+
+        return self._stage_unit(
+            "package_design", (), {"iterations": PACKAGE_ITERATIONS},
+            compute,
         )
-        self.report.substrate_layers_final = estimate_layers(optimized)
-        return optimized, opt_report
 
     # -- stage 8 ---------------------------------------------------------
 
     def tapeout(self):
-        """Spare cells in, formal sign-off, final database commit."""
+        """Spare cells in, formal sign-off, final database commit.
+
+        The spare cells go into the representative block in place and
+        the database commit happens on every run.  The CPU burn-in
+        verdict (keyed on the fingerprints of the committed and the
+        current CPU netlist and :data:`BURN_IN_CYCLES`) and the project
+        simulation (keyed on the seed) are one store unit.  Returns the
+        live ``(formal, project)`` when this run computed them, or the
+        cached payload on a store hit.
+        """
         representative = self._representative_block()
         golden = self.database.head
         self._spare_plan = sprinkle_spare_cells(
             representative, count=SPARE_CELLS
         )
         self.report.spare_cells = self._spare_plan.available
-        formal = check_sequential_burn_in(
-            golden, self.blocks["risc_dsp"], cycles=16,
+        cpu = self.blocks["risc_dsp"]
+
+        def compute() -> tuple[dict[str, Any], Any]:
+            formal = check_sequential_burn_in(golden, cpu,
+                                              cycles=BURN_IN_CYCLES)
+            project = simulate_project(seed=self.seed)
+            return {
+                "formal_clean": formal.equivalent,
+                "project_months": project.duration_months,
+                "changes_absorbed": project.changes_absorbed,
+            }, (formal, project)
+
+        result = self._stage_unit(
+            "tapeout", (golden.fingerprint(), cpu.fingerprint()),
+            {"cycles": BURN_IN_CYCLES}, compute,
         )
-        self.report.formal_clean = formal.equivalent
         self.database.commit(
             representative, ChangeKind.NETLIST_ECO,
             "tapeout database with spare cells",
         )
-
-        project = simulate_project(seed=self.seed)
-        self.report.project_months = project.duration_months
-        self.report.changes_absorbed = project.changes_absorbed
-        return formal, project
+        return result
 
     # -- stage 9 ---------------------------------------------------------
 
     def produce(self):
-        """Qualification, yield ramp, mass production."""
-        qual = run_qualification(seed=self.seed)
-        self.report.qualification_passed = qual.passed
-        ramp = simulate_ramp(seed=self.seed)
-        self.report.initial_yield = ramp.expected_yield[0]
-        self.report.final_yield = ramp.expected_yield[-1]
-        production = simulate_production(
-            months=PRODUCTION_MONTHS, ramp=ramp, seed=self.seed
+        """Qualification, yield ramp, mass production.
+
+        A store unit keyed on the seed and :data:`PRODUCTION_MONTHS`.
+        Returns the live ``(qual, ramp, production)`` when this run
+        computed them, or the cached payload on a store hit.
+        """
+
+        def compute() -> tuple[dict[str, Any], Any]:
+            qual = run_qualification(seed=self.seed)
+            ramp = simulate_ramp(seed=self.seed)
+            initial_yield = ramp.expected_yield[0]
+            final_yield = ramp.expected_yield[-1]
+            production = simulate_production(
+                months=PRODUCTION_MONTHS, ramp=ramp, seed=self.seed
+            )
+            return {
+                "qualification_passed": qual.passed,
+                "initial_yield": initial_yield,
+                "final_yield": final_yield,
+                "units_produced": production.total_units,
+                "market_share": production.mean_market_share,
+            }, (qual, ramp, production)
+
+        return self._stage_unit(
+            "produce", (), {"months": PRODUCTION_MONTHS}, compute,
         )
-        self.report.units_produced = production.total_units
-        self.report.market_share = production.mean_market_share
-        return qual, ramp, production
 
     # -- optional capability stages ------------------------------------------
 
@@ -657,39 +771,58 @@ class DesignServiceFlow:
         return schedule
 
     def advanced_signoff(self):
-        """Stage 6b: SI, DFM and low-power sign-off on the block."""
-        from ..physical import AnnealingPlacer, GlobalRouter
-        from ..si import CrosstalkAnalyzer, PowerGridAnalyzer
-        from ..dfm import double_via_insertion
-        from ..lowpower import insert_clock_gating, \
-            multi_vt_leakage_recovery
+        """Stage 6b: SI, DFM and low-power sign-off on the block.
 
+        A store unit keyed on the scanned representative block's
+        fingerprint, the seed, ``target_mhz`` and
+        :data:`SIGNOFF_PLACER_ITERATIONS`.  Returns the live
+        ``(crosstalk, ir, vias, gating, mvt)`` when this run computed
+        them, or the cached payload on a store hit.
+        """
         representative = self._representative_block()
-        constraints = TimingConstraints(clock_period_ps=1e6 / self.target_mhz)
-        placer = AnnealingPlacer(representative, seed=self.seed)
-        placement, _ = placer.place(iterations=SIGNOFF_PLACER_ITERATIONS)
 
-        router = GlobalRouter(representative, placement, edge_capacity=6)
-        crosstalk = CrosstalkAnalyzer(
-            representative, placement, router
-        ).analyze(constraints, min_shared_edges=1)
-        self.report.crosstalk_pairs = len(crosstalk.pairs)
+        def compute() -> tuple[dict[str, Any], Any]:
+            from ..si import CrosstalkAnalyzer, PowerGridAnalyzer
+            from ..dfm import double_via_insertion
+            from ..lowpower import insert_clock_gating, \
+                multi_vt_leakage_recovery
 
-        grid = PowerGridAnalyzer(representative, placement, activity=0.6)
-        grid.insert_decaps(limit_mv=5.0)
-        ir = grid.analyze(limit_mv=5.0)
-        self.report.ir_drop_violations = ir.violating_nodes
+            constraints = TimingConstraints(
+                clock_period_ps=1e6 / self.target_mhz
+            )
+            placer = AnnealingPlacer(representative, seed=self.seed)
+            placement, _ = placer.place(iterations=SIGNOFF_PLACER_ITERATIONS)
 
-        vias = double_via_insertion(representative, placement)
-        self.report.via_yield_gain = (
-            vias.via_yield_after - vias.via_yield_before
+            router = GlobalRouter(representative, placement, edge_capacity=6)
+            crosstalk = CrosstalkAnalyzer(
+                representative, placement, router
+            ).analyze(constraints, min_shared_edges=1)
+
+            grid = PowerGridAnalyzer(representative, placement, activity=0.6)
+            grid.insert_decaps(limit_mv=5.0)
+            ir = grid.analyze(limit_mv=5.0)
+
+            vias = double_via_insertion(representative, placement)
+            _, gating = insert_clock_gating(representative, activity=0.15)
+            _, mvt = multi_vt_leakage_recovery(representative, constraints)
+            return {
+                "crosstalk_pairs": len(crosstalk.pairs),
+                "ir_drop_violations": ir.violating_nodes,
+                "via_yield_gain": (
+                    vias.via_yield_after - vias.via_yield_before
+                ),
+                "clock_power_saving": gating.clock_power_saving,
+                "leakage_saving": mvt.leakage_saving,
+            }, (crosstalk, ir, vias, gating, mvt)
+
+        return self._stage_unit(
+            "advanced_signoff", (representative.fingerprint(),),
+            {
+                "target_mhz": float(self.target_mhz),
+                "placer_iterations": SIGNOFF_PLACER_ITERATIONS,
+            },
+            compute,
         )
-
-        _, gating = insert_clock_gating(representative, activity=0.15)
-        self.report.clock_power_saving = gating.clock_power_saving
-        _, mvt = multi_vt_leakage_recovery(representative, constraints)
-        self.report.leakage_saving = mvt.leakage_saving
-        return crosstalk, ir, vias, gating, mvt
 
     # -- helpers -----------------------------------------------------------
 
@@ -728,6 +861,42 @@ class DesignServiceFlow:
                 f"service.{stage}", STAGE_VERSION, (module.fingerprint(),),
                 compute or (lambda: body(module, config)), config,
             )
+
+    def _stage_unit(
+        self,
+        stage: str,
+        fingerprints: tuple[str, ...],
+        config: dict[str, Any],
+        compute: Callable[[], tuple[dict[str, Any], Any]],
+    ) -> Any:
+        """Run a design-level stage as a store unit under
+        ``flow.<stage>``.
+
+        The key is ``fingerprints`` (the netlists the stage reads), the
+        seed and ``config`` (every other setting it reads).
+        ``compute`` returns ``(fields, live)``: exactly the
+        :class:`FlowReport` fields the stage sets, and the objects it
+        returns.  The fields are set from the stored payload, the
+        canonical-JSON round trip, on a hit and on a miss alike, so a
+        warm run reports what a cold run does.  Returns ``live`` when
+        this run computed the stage, else the cached payload.
+        """
+        live: list[Any] = []
+
+        def fields() -> dict[str, Any]:
+            values, result = compute()
+            live.append(result)
+            # Numpy scalars become Python numbers before the put.
+            return {name: value.item() if isinstance(value, np.generic)
+                    else value for name, value in values.items()}
+
+        payload = self.store.fetch_or_compute(
+            f"flow.{stage}", FLOW_STAGE_VERSION, fingerprints, fields,
+            {"seed": int(self.seed), **config},
+        )
+        for name, value in payload.items():
+            setattr(self.report, name, value)
+        return live[0] if live else payload
 
     def _block_payloads(self, stage: str) -> dict[str, dict[str, Any]]:
         """Every block's payload of a config-free stage."""

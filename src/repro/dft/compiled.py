@@ -834,21 +834,26 @@ def compile_fault_program(
     """Fetch (or build and cache) the fused program covering
     ``faults`` on ``view``.  A cached program is reused whenever it
     covers the requested universe -- campaigns shrink their fault list
-    batch by batch, so one build serves the whole run."""
+    batch by batch, so one build serves the whole run.  Otherwise the
+    new program covers the cached program's faults, in their order,
+    followed by the new ones, so a one-fault request (a diagnosis
+    observe outside the dictionary's universe) does not evict the
+    universe a later grading needs."""
     entry = _CACHE.get(view)
     if entry is None:
         compiled = _ViewCompile(view)
         entry = (_GoodProgram(view, compiled), compiled, [])
         _CACHE[view] = entry
     good, compiled, programs = entry
-    for program in programs:
-        if all(fault in program.fault_index for fault in faults):
-            return program
+    if programs:
+        cached = programs[0]
+        missing = [fault for fault in faults
+                   if fault not in cached.fault_index]
+        if not missing:
+            return cached
+        faults = cached.faults + missing
     program = FaultProgram(good, faults, compiled)
-    # Keep only the newest program: universes grow monotonically
-    # within a flow (ATPG grades subsets of the fault-sim universe).
-    programs.clear()
-    programs.append(program)
+    programs[:] = [program]
     return program
 
 

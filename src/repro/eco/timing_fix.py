@@ -28,7 +28,11 @@ from ..liberty import CellLibrary, default_cell_library
 from ..liberty.tables import lookup_scalar, table_array
 from ..netlist import Module
 from ..netlist.netlist import Instance
-from ..sta import NldmTimingAnalyzer, TimingConstraints
+from ..sta import (
+    MultiCornerTimingReport,
+    NldmTimingAnalyzer,
+    TimingConstraints,
+)
 
 
 @dataclass
@@ -208,23 +212,27 @@ def fix_setup(
     clean at every analyzed corner.
 
     Operates on a copy; the returned report counts passes (each pass
-    is one 'timing ECO').
+    is one 'timing ECO').  The module is analyzed once up front and
+    once after each pass that moved a cell; the newest analysis gates
+    the next pass and is the final one, so a block that meets setup
+    is analyzed once.
     """
     lib = library if library is not None else default_cell_library(
         module.library)
     revised = module.copy()
     report = TimingFixReport()
-    baseline = NldmTimingAnalyzer(
-        revised, constraints, library=lib).analyze(
-        corners=corners, with_critical_path=False)
-    report.wns_before_ps = baseline.wns_ps
-    report.hold_wns_before_ps = baseline.hold_wns_ps
+
+    def analyze() -> MultiCornerTimingReport:
+        return NldmTimingAnalyzer(
+            revised, constraints, library=lib).analyze(
+            corners=corners, with_critical_path=False)
+
+    sta = analyze()
+    report.wns_before_ps = sta.wns_ps
+    report.hold_wns_before_ps = sta.hold_wns_ps
 
     touched: set[str] = set()
     for _ in range(max_passes):
-        sta = NldmTimingAnalyzer(
-            revised, constraints, library=lib).analyze(
-            corners=corners, with_critical_path=False)
         if sta.setup_clean:
             break
         resized, swapped, pass_touched = _upsize_critical_path(
@@ -235,13 +243,11 @@ def fix_setup(
         report.cells_resized += resized
         report.vt_swaps += swapped
         touched |= pass_touched
+        sta = analyze()
 
-    final = NldmTimingAnalyzer(
-        revised, constraints, library=lib).analyze(
-        corners=corners, with_critical_path=False)
-    report.wns_after_ps = final.wns_ps
-    report.hold_wns_after_ps = final.hold_wns_ps
-    report.closed = final.setup_clean
+    report.wns_after_ps = sta.wns_ps
+    report.hold_wns_after_ps = sta.hold_wns_ps
+    report.closed = sta.setup_clean
     report.touched_instances = tuple(sorted(touched))
     return revised, report
 

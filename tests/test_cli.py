@@ -77,6 +77,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SOC DESIGN SERVICE FLOW REPORT" in out
 
+    def test_flow_store_warm_rerun_prints_the_same_report(self, capsys,
+                                                          tmp_path):
+        from repro.perf import REGISTRY
+
+        store = str(tmp_path / "flow_store.json")
+        args = ["flow", "--scale", "0.01", "--seed", "2", "--store", store]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        REGISTRY.reset()
+        try:
+            assert main(args) == 0
+            stages = REGISTRY.as_dict()
+        finally:
+            REGISTRY.reset()
+        assert capsys.readouterr().out == cold
+        for unit in ("verify", "implement", "advanced_signoff",
+                     "package_design", "tapeout", "produce"):
+            assert stages[f"store.flow.{unit}"]["hits"] == 1
+            assert "misses" not in stages[f"store.flow.{unit}"]
+
     def test_regress_consistent_suite(self, capsys):
         assert main(["regress", "--benches", "2", "--cycles", "8"]) == 0
         out = capsys.readouterr().out

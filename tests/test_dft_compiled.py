@@ -264,6 +264,51 @@ class TestCompiledKernelUnit:
         subset = faults[: len(faults) // 2]
         assert compile_fault_program(view, subset) is program
 
+    def test_uncovered_request_extends_the_cached_universe(
+            self, lib, monkeypatch):
+        """A fault outside the cached universe joins it instead of
+        evicting it: three rounds of a diagnosis observe outside and
+        one inside a dictionary's universe build one program, after
+        which a regrade of the universe builds none, and every
+        signature equals a cold build's."""
+        from repro.dft import FaultDictionary, build_dictionary, compiled
+
+        block = block_from_budget("lcd_if", lib, gate_budget=600, seed=3)
+        scanned, _ = insert_scan(block)
+        view = CombinationalView(scanned)
+        full = enumerate_faults(scanned)
+        universe = collapse_faults(scanned, full)
+        collapsed = set(universe)
+        outside = next(f for f in full if f not in collapsed)
+        inside = universe[len(universe) // 2]
+        clear_fault_program_cache()
+        dictionary = build_dictionary(view, universe, seed=3)
+
+        cold = {}
+        for fault in (outside, inside):
+            clear_fault_program_cache()
+            cold[fault] = dictionary.observe(fault)
+        clear_fault_program_cache()
+        dictionary = build_dictionary(view, universe, seed=3)
+        signatures = [dictionary.signature_of(f) for f in universe]
+
+        built = []
+
+        class CountingProgram(compiled.FaultProgram):
+            def __init__(self, good, faults, view_compile):
+                built.append(len(faults))
+                super().__init__(good, faults, view_compile)
+
+        monkeypatch.setattr(compiled, "FaultProgram", CountingProgram)
+        for _ in range(3):
+            assert dictionary.observe(outside) == cold[outside]
+            assert dictionary.observe(inside) == cold[inside]
+        assert built == [len(universe) + 1]
+        regraded = FaultDictionary(view, dictionary.patterns, universe)
+        assert built == [len(universe) + 1]
+        assert [regraded.signature_of(f) for f in universe] == signatures
+        assert cold[inside] == dictionary.signature_of(inside)
+
     def test_clear_cache_recompiles(self, lib):
         module = pipeline_block("cache2", lib, stages=1, width=4,
                                 cloud_gates=10, seed=8)

@@ -139,6 +139,56 @@ class TestTimingFix:
         assert report.wns_after_ps > report.wns_before_ps
         assert report.cells_resized > 0
 
+    @staticmethod
+    def count_analyses(monkeypatch):
+        from repro.sta import NldmTimingAnalyzer
+
+        calls = []
+        analyze = NldmTimingAnalyzer.analyze
+
+        def counted(self, **kwargs):
+            calls.append(kwargs)
+            return analyze(self, **kwargs)
+
+        monkeypatch.setattr(NldmTimingAnalyzer, "analyze", counted)
+        return calls
+
+    def test_setup_fix_analyzes_a_clean_block_once(self, lib, monkeypatch):
+        m = pipeline_block("p", lib, stages=2, width=10, cloud_gates=40,
+                           seed=9)
+        calls = self.count_analyses(monkeypatch)
+        fixed, report = fix_setup(
+            m, TimingConstraints(clock_period_ps=100_000))
+        assert len(calls) == 1
+        assert report.closed and report.setup_passes == 0
+        assert report.wns_after_ps == report.wns_before_ps
+        assert fixed.fingerprint() == m.fingerprint()
+
+    def test_setup_fix_report_on_the_e5_block(self, lib, monkeypatch):
+        """E5's pipeline block needs moves; the report is the one
+        recorded when every pass re-analyzed before its moves and a
+        separate final analysis ran (23 analyses, now 21)."""
+        m = pipeline_block("blk", lib, stages=2, width=10, cloud_gates=40,
+                           seed=9)
+        base = TimingAnalyzer(
+            m, TimingConstraints(clock_period_ps=100_000)).analyze()
+        constraints = TimingConstraints(
+            clock_period_ps=(100_000 - base.wns_ps) * 0.93, hold_ps=120)
+        calls = self.count_analyses(monkeypatch)
+        fixed, report = fix_setup(m, constraints, max_passes=4)
+        assert len(calls) == 21
+        assert (report.setup_passes, report.hold_passes,
+                report.cells_resized, report.vt_swaps,
+                report.buffers_inserted, report.closed) == (
+            3, 0, 7, 3, 0, False)
+        assert report.touched_instances == (
+            "s1_u17", "s1_u18", "s1_u3", "s1_u38", "s1_u9")
+        assert report.wns_before_ps == pytest.approx(-177.2015915888363)
+        assert report.wns_after_ps == pytest.approx(-58.93084296016082)
+        assert report.hold_wns_before_ps == pytest.approx(81.99498828228229)
+        assert report.hold_wns_after_ps == pytest.approx(81.99498828228229)
+        assert fixed.fingerprint().startswith("12c0069bcf")
+
     def test_hold_fix_inserts_buffers(self, lib):
         m = Module("h", lib)
         m.add_port("clk", "input")
