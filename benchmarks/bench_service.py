@@ -29,9 +29,8 @@ from repro.service import DesignService, synthetic_tenant_mix
 from repro.store import ArtifactStore
 
 
-def _run_mix(mix, *, workers, store, queue_depth=None):
-    service = DesignService(workers=workers, store=store,
-                            queue_depth=queue_depth)
+def _run_mix(mix, *, workers, store):
+    service = DesignService(workers=workers, store=store)
     try:
         start = time.perf_counter()
         reports = service.run(mix)
@@ -75,7 +74,7 @@ def bench_service(quick: bool) -> dict:
     # Sharded cold: one service, pool workers, shared (empty) store.
     store = ArtifactStore()
     sharded_reports, sharded_s, stats = _run_mix(
-        mix, workers=4, store=store, queue_depth=8)
+        mix, workers=4, store=store)
     out["sharded"] = {"flows_per_s": flows / sharded_s,
                       "seconds": sharded_s,
                       "units_requested": int(stats.units_total),

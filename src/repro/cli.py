@@ -388,9 +388,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
 
     on_event = print_event if args.events else None
-    service = DesignService(workers=args.workers,
-                            queue_depth=args.queue_depth,
-                            store=store, on_event=on_event)
+    service = DesignService(workers=args.workers, store=store,
+                            on_event=on_event)
     try:
         reports = service.run(mix)
     finally:
@@ -585,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="pool workers for stage units (reports "
                             "are byte-identical for any value)")
-    serve.add_argument("--queue-depth", type=int, default=None,
-                       help="max units in flight (default 2x workers)")
     serve.add_argument("--depth", type=int, default=3,
                        help="BMC depth for verify_props units")
     serve.add_argument("--patterns", type=int, default=256,
@@ -597,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--json", action="store_true",
                        help="emit the canonical per-request report "
                             "array, sorted by request id "
-                            "(byte-identical across --workers, "
-                            "submission order and --queue-depth)")
+                            "(byte-identical across --workers and "
+                            "submission order)")
     serve.add_argument("--store", default="", metavar="FILE",
                        help="persisted artifact store: load before "
                             "the run (if present) and save a "

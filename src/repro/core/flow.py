@@ -95,7 +95,6 @@ class FlowStage:
 
     name: str
     deps: tuple[str, ...] = ()
-    extension: bool = False
 
 
 #: The lifecycle DAG, declared in run order: every stage comes after
@@ -107,13 +106,13 @@ FLOW_STAGES: tuple[FlowStage, ...] = (
     FlowStage("lint_gate", deps=("assemble",)),
     FlowStage("analyze", deps=("assemble",)),
     FlowStage("verify_props", deps=("analyze",)),
-    FlowStage("prototype", deps=("assemble",), extension=True),
-    FlowStage("integrate_system", deps=("intake",), extension=True),
+    FlowStage("prototype", deps=("assemble",)),
+    FlowStage("integrate_system", deps=("intake",)),
     FlowStage("verify", deps=("assemble",)),
     FlowStage("insert_dft", deps=("lint_gate",)),
-    FlowStage("schedule_tests", deps=("insert_dft",), extension=True),
+    FlowStage("schedule_tests", deps=("insert_dft",)),
     FlowStage("implement", deps=("insert_dft",)),
-    FlowStage("advanced_signoff", deps=("implement",), extension=True),
+    FlowStage("advanced_signoff", deps=("implement",)),
     FlowStage("package_design", deps=("intake",)),
     FlowStage("tapeout", deps=("assemble", "insert_dft")),
     FlowStage("produce", deps=("tapeout",)),
@@ -143,13 +142,9 @@ TAM_WIDTH = 8  #: schedule_tests: tester TAM width (scan chains)
 FLOW_STAGE_VERSION = "1"
 
 
-def flow_stage_order(*, with_extensions: bool = True) -> tuple[str, ...]:
-    """The lifecycle run order: :data:`FLOW_STAGES` as declared,
-    without the extension stages unless ``with_extensions``."""
-    return tuple(
-        stage.name for stage in FLOW_STAGES
-        if with_extensions or not stage.extension
-    )
+def flow_stage_order() -> tuple[str, ...]:
+    """The lifecycle run order: :data:`FLOW_STAGES` as declared."""
+    return tuple(stage.name for stage in FLOW_STAGES)
 
 
 @dataclass
@@ -201,7 +196,7 @@ class FlowReport:
     final_yield: float = 0.0
     units_produced: int = 0
     market_share: float = 0.0
-    # optional-stage outputs
+    # capability-stage outputs
     prototype_congestion_risk: float = 0.0
     system_smoke_pass: bool = False
     system_hot_path_cycles: int = 0
@@ -732,7 +727,7 @@ class DesignServiceFlow:
             "produce", (), {"months": PRODUCTION_MONTHS}, compute,
         )
 
-    # -- optional capability stages ------------------------------------------
+    # -- capability stages ---------------------------------------------------
 
     def prototype(self):
         """Stage 3b: virtual prototype before committing to placement."""
@@ -909,13 +904,8 @@ class DesignServiceFlow:
             raise ValueError(f"unknown flow stage {name!r}")
         return getattr(self, name)()
 
-    def run(self, *, with_extensions: bool = True) -> FlowReport:
-        """Execute the lifecycle along :func:`flow_stage_order`.
-
-        ``with_extensions`` also runs the optional capability stages
-        (virtual prototyping, system integration, hierarchical test
-        scheduling, SI/DFM/low-power sign-off).
-        """
-        for name in flow_stage_order(with_extensions=with_extensions):
+    def run(self) -> FlowReport:
+        """Execute the lifecycle along :func:`flow_stage_order`."""
+        for name in flow_stage_order():
             self.run_stage(name)
         return self.report

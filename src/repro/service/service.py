@@ -1,10 +1,12 @@
-"""The asyncio flow orchestrator: many tenants, one work pool.
+"""The flow orchestrator: many tenants, one work pool.
 
-:class:`DesignService` accepts a multi-tenant stream of
+:class:`DesignService` takes a multi-tenant batch of
 :class:`~repro.service.request.FlowRequest` objects, decomposes each
-into the per-block stage DAG of :mod:`repro.service.stages`, and
-schedules ready work units onto :mod:`repro.perf` process-pool
-workers behind a bounded queue.  The scheduling policy is fairness
+into the per-block stage DAG of :mod:`repro.service.stages`, and runs
+ready work units on :mod:`repro.perf` process-pool workers, at most
+two per worker in flight.  One synchronous loop drives the batch: it
+starts ready units, waits for the first to finish, and advances every
+block that was waiting on it.  The scheduling policy is fairness
 first, LPT second: among tenants the one with the least scheduled
 cost goes next, and within a tenant the largest ready unit goes first
 (longest-processing-time binning keeps the pool's bins level).
@@ -17,30 +19,34 @@ for a requested unit:
 * **store hit** -- the configured :class:`~repro.store.ArtifactStore`
   already holds the payload (a warm rerun, or another request already
   finished it);
-* **coalesced** -- the same key is in flight right now; the request
-  awaits the shared future instead of scheduling a duplicate;
+* **coalesced** -- the same key is ready or running right now; the
+  block waits on that unit instead of scheduling a duplicate;
 * **computed** -- the unit is scheduled, executed, round-tripped
   through canonical JSON and published to the store for everyone
   after.
 
 Determinism contract (the repo-wide rule): every per-request
 :class:`FlowReport` is canonical JSON and byte-identical for any
-worker count, submission order and queue depth, because unit payloads
-are pure functions of their content key and reports aggregate them in
-sorted order.  Failures stay structured: a failing stage becomes a
+worker count and submission order, because unit payloads are pure
+functions of their content key and reports aggregate them in sorted
+order.  Failures stay structured: a failing stage becomes a
 per-request error record and skips that request's dependents; it is
 never stored, never raised into unrelated requests.
 """
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from ..perf import resolve_workers
 from ..perf.executor import POOL_ERRORS
@@ -170,8 +176,38 @@ class FlowReport:
 
 
 @dataclass
+class _RequestRun:
+    """One request in flight: its blocks and, once they settle, its
+    report."""
+
+    request: FlowRequest
+    stages: tuple[str, ...]
+    blocks: list[_BlockRun] = field(default_factory=list)
+    blocks_left: int = 0
+    report: FlowReport | None = None
+
+
+@dataclass
+class _BlockRun:
+    """One block of one request, advancing through its stage DAG."""
+
+    run: _RequestRun
+    spec: BlockSpec
+    #: Stage -> payload, ``{"error": ...}`` or ``{"skipped": ...}``.
+    out: dict[str, Any] = field(default_factory=dict)
+    errors: list[dict[str, Any]] = field(default_factory=list)
+    #: Settled stages -> whether they passed.
+    passed: dict[str, bool] = field(default_factory=dict)
+    #: The assemble payload's module fingerprint, the downstream key.
+    fingerprint: str | None = None
+    sta: dict[str, Any] = field(default_factory=dict)
+    sta_left: int = 0
+
+
+@dataclass
 class _Unit:
-    """One schedulable work unit awaiting dispatch."""
+    """One schedulable work unit and the blocks waiting on it, in
+    arrival order: the first asked for it, the rest coalesced."""
 
     key: str
     stage: str
@@ -184,105 +220,69 @@ class _Unit:
     domain: str
     fingerprints: tuple[str, ...]
     config: dict[str, Any]
-    future: "asyncio.Future[tuple[bool, dict[str, Any]]]" = field(
-        repr=False,
-    )
+    waiters: list[_BlockRun] = field(default_factory=list, repr=False)
 
 
 class DesignService:
     """Sharded, deduplicating flow orchestrator.
 
-    ``workers=1`` executes every unit inline in submission order --
-    the serial reference the parallel paths must reproduce
-    byte-for-byte.  ``workers>1`` dispatches onto a process pool; if
-    the pool cannot be used (restricted environment) execution
-    degrades to inline with identical results.  ``queue_depth``
-    bounds how many units may be in flight at once (default
-    ``2 * workers``).
+    ``workers=1`` executes every unit inline -- the serial reference
+    the parallel paths must reproduce byte-for-byte.  ``workers>1``
+    dispatches onto a process pool with ``2 * workers`` units in
+    flight; if the pool cannot be used (restricted environment, or a
+    worker died) execution degrades to inline with identical results.
     """
 
     def __init__(
         self,
         *,
         workers: int | None = 1,
-        queue_depth: int | None = None,
         store: ArtifactStore | None = None,
         on_event: Callable[[Event], None] | None = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        self.queue_depth = max(1, int(queue_depth)) if queue_depth \
-            else max(1, 2 * self.workers)
         self.store = store if store is not None else get_default_store()
         self.on_event = on_event
         self.stats = ServiceStats()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._tick: asyncio.Event | None = None
-        self._dispatcher: "asyncio.Task[None] | None" = None
-        self._inflight: dict[
-            str, "asyncio.Future[tuple[bool, dict[str, Any]]]"
-        ] = {}
+        #: Content key -> the unit computing it, while ready or running.
+        self._inflight: dict[str, _Unit] = {}
         self._ready: list[_Unit] = []
-        self._running = 0
-        self._active_requests = 0
         self._tenant_cost: dict[str, float] = {}
         self._seq = itertools.count()
         self._event_seq = itertools.count()
-        self._subscribers: list["asyncio.Queue[Event | None]"] = []
         self._pool: ProcessPoolExecutor | None = None
         self._pool_broken = False
 
     # -- public API ----------------------------------------------------
 
-    async def submit(
-        self, request: FlowRequest,
-    ) -> "asyncio.Task[FlowReport]":
-        """Enqueue one request; returns the task resolving to its
-        :class:`FlowReport` (it never raises for stage failures)."""
-        self._bind_loop()
-        return asyncio.get_running_loop().create_task(
-            self._run_request(request)
-        )
-
-    async def gather(
-        self, requests: Iterable[FlowRequest],
-    ) -> list[FlowReport]:
-        """Submit every request and await all reports, in order."""
-        tasks = [await self.submit(request) for request in requests]
-        return list(await asyncio.gather(*tasks))
-
     def run(self, requests: Iterable[FlowRequest]) -> list[FlowReport]:
-        """Synchronous convenience wrapper around :meth:`gather`."""
-        return asyncio.run(self.gather(list(requests)))
+        """Run every request to its :class:`FlowReport`, in order.
 
-    async def stream_events(self) -> AsyncIterator[Event]:
-        """Progress events until the service next goes idle.
-
-        Yields ``request_submitted``, ``unit_start``, ``stage_done``,
-        ``stage_skipped``, ``request_done`` and finally ``idle``
-        events.  Event *content* mirrors deterministic state but event
-        *order* follows real scheduling -- consume for progress, never
-        for results.
+        Stage failures come back as structured errors inside the
+        reports; this never raises for them.  Progress goes to
+        ``on_event``: ``request_submitted``, ``unit_start``,
+        ``stage_done``, ``stage_skipped``, ``request_done`` and
+        finally ``idle``.  Event *content* mirrors deterministic
+        state but event *order* follows real scheduling -- consume
+        for progress, never for results.
         """
-        queue: "asyncio.Queue[Event | None]" = asyncio.Queue()
-        self._subscribers.append(queue)
         try:
-            while True:
-                event = await queue.get()
-                if event is None:
-                    return
-                yield event
-                if event.get("type") == "idle":
-                    return
+            runs = [self._submit(request) for request in requests]
+            self._drain()
         finally:
-            self._subscribers.remove(queue)
+            # An interrupted batch leaves no unit for the next to wait on.
+            self._ready.clear()
+            self._inflight.clear()
+        self._emit({"type": "idle"})
+        reports = [run.report for run in runs if run.report is not None]
+        assert len(reports) == len(runs), "a request never settled"
+        return reports
 
     def close(self) -> None:
-        """Shut down the worker pool and wake event subscribers."""
+        """Shut down the worker pool."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for queue in list(self._subscribers):
-            queue.put_nowait(None)
 
     def __enter__(self) -> "DesignService":
         return self
@@ -292,186 +292,172 @@ class DesignService:
 
     # -- request orchestration ----------------------------------------
 
-    async def _run_request(self, request: FlowRequest) -> FlowReport:
-        request_id = request.request_id
+    def _submit(self, request: FlowRequest) -> _RequestRun:
         self.stats.requests += 1
-        self._active_requests += 1
-        self._emit({"type": "request_submitted", "request": request_id,
+        self._emit({"type": "request_submitted",
+                    "request": request.request_id,
                     "tenant": request.tenant, "design": request.design})
-        try:
-            stages = stage_closure(request.stages)
-            blocks = sorted(request.blocks, key=lambda b: b.name)
-            outcomes = await asyncio.gather(*[
-                self._block_flow(request, stages, block)
-                for block in blocks
-            ])
-            block_payloads: dict[str, Any] = {}
-            errors: list[dict[str, Any]] = []
-            for name, payload, block_errors in outcomes:
-                block_payloads[name] = payload
-                errors.extend(block_errors)
-            errors.sort(key=canonical_json)
-            body = dict(request.to_dict())
-            body["request_id"] = request_id
-            body["stages"] = list(stages)
-            body["blocks"] = block_payloads
-            body["errors"] = errors
-            body["ok"] = not errors
-            report = FlowReport(
-                request_id=request_id, tenant=request.tenant,
-                design=request.design,
-                body=json.loads(canonical_json(body)),
-            )
-            self._emit({"type": "request_done", "request": request_id,
-                        "tenant": request.tenant, "ok": report.ok,
-                        "errors": len(errors)})
-            return report
-        finally:
-            self._active_requests -= 1
-            if self._active_requests == 0:
-                self._emit({"type": "idle"})
+        run = _RequestRun(request, stage_closure(request.stages))
+        run.blocks = [
+            _BlockRun(run, block, sta_left=len(request.corners))
+            for block in sorted(request.blocks, key=lambda b: b.name)
+        ]
+        run.blocks_left = len(run.blocks)
+        for block in run.blocks:
+            self._obtain(block, "assemble")
+        return run
 
-    async def _block_flow(
-        self,
-        request: FlowRequest,
-        stages: tuple[str, ...],
-        block: BlockSpec,
-    ) -> tuple[str, dict[str, Any], list[dict[str, Any]]]:
-        out: dict[str, Any] = {}
-        errors: list[dict[str, Any]] = []
-        request_id = request.request_id
-
-        def record_error(stage: str, error: dict[str, Any],
-                         corner: str | None = None) -> None:
+    def _settle(self, block: _BlockRun, stage: str, corner: str | None,
+                ok: bool, payload: dict[str, Any], source: str) -> None:
+        """Record one unit outcome for ``block`` and advance its DAG."""
+        request = block.run.request
+        self._emit({"type": "stage_done",
+                    "request": request.request_id,
+                    "tenant": request.tenant, "stage": stage,
+                    "block": block.spec.name, "corner": corner,
+                    "source": source, "ok": ok})
+        if not ok:
             entry: dict[str, Any] = {
-                "stage": stage, "block": block.name,
-                "type": error["type"], "message": error["message"],
+                "stage": stage, "block": block.spec.name,
+                "type": payload["type"], "message": payload["message"],
             }
             if corner is not None:
                 entry["corner"] = corner
-            errors.append(entry)
+            block.errors.append(entry)
+            payload = {"error": payload}
+        if stage == "sta":
+            # STA settles once every corner has.
+            assert corner is not None
+            block.sta[corner] = payload
+            block.sta_left -= 1
+            if block.sta_left:
+                return
+            payload = {name: block.sta[name] for name in sorted(block.sta)}
+            ok = not any("error" in value for value in block.sta.values())
+        block.out[stage] = payload
+        self._stage_settled(block, stage, ok)
 
-        def mark_skipped(stage: str, reason: str) -> None:
-            out[stage] = {"skipped": reason}
-            skipped = len(request.corners) if stage == "sta" else 1
-            self.stats.units_skipped += skipped
-            self._emit({"type": "stage_skipped", "request": request_id,
-                        "tenant": request.tenant, "stage": stage,
-                        "block": block.name, "reason": reason})
+    def _stage_settled(self, block: _BlockRun, stage: str,
+                       ok: bool) -> None:
+        """Record that ``stage`` settled, then request or skip each
+        stage whose last dep it was."""
+        block.passed[stage] = ok
+        stages = block.run.stages
+        if stage == "assemble" and not ok:
+            for other in stages:
+                if other != "assemble":
+                    self._skip(block, other, "dep_failed:assemble")
+                    block.passed[other] = False
+        elif stage == "assemble":
+            block.fingerprint = str(block.out["assemble"]["fingerprint"])
+        if len(block.passed) == len(stages):
+            self._block_settled(block)
+            return
+        ready = [
+            dependent for dependent in stages
+            if stage in STAGE_DEFS[dependent].deps
+            and all(dep in block.passed
+                    for dep in STAGE_DEFS[dependent].deps)
+        ]
+        for dependent in ready:
+            failed = [dep for dep in STAGE_DEFS[dependent].deps
+                      if not block.passed[dep]]
+            if failed:
+                self._skip(block, dependent, f"dep_failed:{failed[0]}")
+                self._stage_settled(block, dependent, False)
+            elif dependent == "sta":
+                for corner in block.run.request.corners:
+                    self._obtain(block, "sta", corner)
+            else:
+                self._obtain(block, dependent)
 
-        ok, payload = await self._obtain(
-            request, "assemble", block,
-            unit_fingerprints("assemble", block, None),
-            unit_config("assemble", request),
+    def _skip(self, block: _BlockRun, stage: str, reason: str) -> None:
+        request = block.run.request
+        block.out[stage] = {"skipped": reason}
+        self.stats.units_skipped += \
+            len(request.corners) if stage == "sta" else 1
+        self._emit({"type": "stage_skipped",
+                    "request": request.request_id,
+                    "tenant": request.tenant, "stage": stage,
+                    "block": block.spec.name, "reason": reason})
+
+    def _block_settled(self, block: _BlockRun) -> None:
+        run = block.run
+        run.blocks_left -= 1
+        if run.blocks_left:
+            return
+        request = run.request
+        errors = sorted((error for block in run.blocks
+                         for error in block.errors), key=canonical_json)
+        body = dict(request.to_dict())
+        body["request_id"] = request.request_id
+        body["stages"] = list(run.stages)
+        body["blocks"] = {block.spec.name: block.out
+                          for block in run.blocks}
+        body["errors"] = errors
+        body["ok"] = not errors
+        run.report = FlowReport(
+            request_id=request.request_id, tenant=request.tenant,
+            design=request.design,
+            body=json.loads(canonical_json(body)),
         )
-        if not ok:
-            out["assemble"] = {"error": payload}
-            record_error("assemble", payload)
-            for stage in stages:
-                if stage != "assemble":
-                    mark_skipped(stage, "dep_failed:assemble")
-            return block.name, out, errors
-        out["assemble"] = payload
-        fingerprint = str(payload["fingerprint"])
-
-        gate_tasks: dict[str, "asyncio.Task[bool]"] = {}
-
-        async def run_stage(stage: str) -> bool:
-            for dep in STAGE_DEFS[stage].deps:
-                if dep == "assemble":
-                    continue
-                if not await gate_tasks[dep]:
-                    mark_skipped(stage, f"dep_failed:{dep}")
-                    return False
-            config = unit_config(stage, request)
-            stage_ok, stage_payload = await self._obtain(
-                request, stage, block,
-                unit_fingerprints(stage, block, fingerprint), config,
-            )
-            if stage_ok:
-                out[stage] = stage_payload
-            else:
-                out[stage] = {"error": stage_payload}
-                record_error(stage, stage_payload)
-            return stage_ok
-
-        sta_out: dict[str, Any] = {}
-
-        async def run_sta(corner: str) -> None:
-            config = unit_config("sta", request, corner)
-            sta_ok, sta_payload = await self._obtain(
-                request, "sta", block,
-                unit_fingerprints("sta", block, fingerprint), config,
-                corner=corner,
-            )
-            if sta_ok:
-                sta_out[corner] = sta_payload
-            else:
-                sta_out[corner] = {"error": sta_payload}
-                record_error("sta", sta_payload, corner)
-
-        loop = asyncio.get_running_loop()
-        for stage in stages:
-            if stage in ("assemble", "sta"):
-                continue
-            gate_tasks[stage] = loop.create_task(run_stage(stage))
-        sta_tasks = [
-            loop.create_task(run_sta(corner))
-            for corner in request.corners
-        ] if "sta" in stages else []
-        await asyncio.gather(*gate_tasks.values(), *sta_tasks)
-        if "sta" in stages:
-            out["sta"] = {corner: sta_out[corner]
-                          for corner in sorted(sta_out)}
-        return block.name, out, errors
+        self._emit({"type": "request_done", "request": request.request_id,
+                    "tenant": request.tenant, "ok": run.report.ok,
+                    "errors": len(errors)})
 
     # -- unit resolution: store hit / coalesce / compute ---------------
 
-    async def _obtain(
-        self,
-        request: FlowRequest,
-        stage: str,
-        block: BlockSpec,
-        fingerprints: tuple[str, ...],
-        config: dict[str, Any],
-        corner: str | None = None,
-    ) -> tuple[bool, dict[str, Any]]:
+    def _obtain(self, block: _BlockRun, stage: str,
+                corner: str | None = None) -> None:
+        """Resolve one unit for ``block``: settle it now from the
+        store, wait on the same unit in flight, or enqueue it."""
+        request = block.run.request
+        config = unit_config(stage, request, corner)
+        fingerprints = unit_fingerprints(stage, block.spec,
+                                         block.fingerprint)
         self.stats.units_total += 1
         domain = f"service.{stage}"
         cached = self.store.get(domain, STAGE_VERSION, fingerprints,
                                 config)
         if cached is not None:
             self.stats.units_store_hits += 1
-            self._emit_done(request, stage, block.name, corner,
-                            source="store", ok=True)
-            return True, cached
+            self._settle(block, stage, corner, True, cached, "store")
+            return
         key = content_key(domain, STAGE_VERSION, fingerprints, config)
-        existing = self._inflight.get(key)
-        if existing is not None:
+        unit = self._inflight.get(key)
+        if unit is not None:
             self.stats.units_coalesced += 1
-            ok, payload = await existing
-            self._emit_done(request, stage, block.name, corner,
-                            source="coalesced", ok=ok)
-            return ok, payload
-        future: "asyncio.Future[tuple[bool, dict[str, Any]]]" = \
-            asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        unit = _Unit(
-            key=key, stage=stage, block=block.name, corner=corner,
-            tenant=request.tenant, cost=estimated_cost(stage, block),
-            seq=next(self._seq),
-            spec=make_unit_spec(stage, block, config),
-            domain=domain, fingerprints=fingerprints, config=config,
-            future=future,
-        )
-        self._ready.append(unit)
-        self._kick()
-        ok, payload = await future
-        self._emit_done(request, stage, block.name, corner,
-                        source="computed", ok=ok)
-        return ok, payload
+        else:
+            unit = _Unit(
+                key=key, stage=stage, block=block.spec.name,
+                corner=corner, tenant=request.tenant,
+                cost=estimated_cost(stage, block.spec),
+                seq=next(self._seq),
+                spec=make_unit_spec(stage, block.spec, config),
+                domain=domain, fingerprints=fingerprints, config=config,
+            )
+            self._inflight[key] = unit
+            self._ready.append(unit)
+        unit.waiters.append(block)
 
-    # -- the dispatcher: bounded queue, fairness, LPT ------------------
+    def _finish(self, unit: _Unit, ok: bool,
+                payload: dict[str, Any]) -> None:
+        """Publish a finished unit and settle its waiters in order."""
+        self.stats.units_executed += 1
+        if ok:
+            # Round-trip through canonical JSON so computed and
+            # store-hit consumers see identical value types.
+            payload = json.loads(canonical_json(payload))
+            self.store.put(unit.domain, STAGE_VERSION,
+                           unit.fingerprints, payload, unit.config)
+        else:
+            self.stats.units_failed += 1
+        del self._inflight[unit.key]
+        for index, block in enumerate(unit.waiters):
+            self._settle(block, unit.stage, unit.corner, ok, payload,
+                         "coalesced" if index else "computed")
+
+    # -- the dispatcher: bounded in-flight set, fairness, LPT ----------
 
     def _pick_next(self) -> _Unit:
         """Fairness first (least-served tenant), LPT second.
@@ -493,114 +479,66 @@ class DesignService:
             self._tenant_cost.get(best.tenant, 0.0) + best.cost
         return best
 
-    def _kick(self) -> None:
-        if self._dispatcher is None or self._dispatcher.done():
-            self._dispatcher = asyncio.get_running_loop().create_task(
-                self._dispatch_loop()
-            )
-        assert self._tick is not None
-        self._tick.set()
+    def _drain(self) -> None:
+        """Run units until none is ready or running.
 
-    async def _dispatch_loop(self) -> None:
-        tick = self._tick
-        assert tick is not None
-        while True:
-            while self._ready and self._running < self.queue_depth:
+        Two units per worker stay in flight, one running and one
+        queued behind it, so a worker never idles while the loop
+        settles the unit it just finished.
+        """
+        running: dict[Future[tuple[bool, dict[str, Any]]], _Unit] = {}
+        while self._ready or running:
+            while self._ready and len(running) < 2 * self.workers:
                 unit = self._pick_next()
-                self._running += 1
-                asyncio.get_running_loop().create_task(
-                    self._run_unit(unit)
-                )
-            tick.clear()
-            if self._ready and self._running < self.queue_depth:
+                self._emit({"type": "unit_start", "stage": unit.stage,
+                            "block": unit.block, "corner": unit.corner,
+                            "tenant": unit.tenant})
+                future = self._dispatch(unit)
+                if future is None:
+                    self._finish(unit, *execute_unit_guarded(unit.spec))
+                else:
+                    running[future] = unit
+            if not running:
                 continue
-            if not self._ready and self._running == 0:
-                return
-            await tick.wait()
-
-    async def _run_unit(self, unit: _Unit) -> None:
-        self._emit({"type": "unit_start", "stage": unit.stage,
-                    "block": unit.block, "corner": unit.corner,
-                    "tenant": unit.tenant})
-        ok, payload = await self._execute(unit.spec)
-        self.stats.units_executed += 1
-        if ok:
-            # Round-trip through canonical JSON so computed and
-            # store-hit consumers see identical value types.
-            payload = json.loads(canonical_json(payload))
-            self.store.put(unit.domain, STAGE_VERSION,
-                           unit.fingerprints, payload, unit.config)
-        else:
-            self.stats.units_failed += 1
-        self._inflight.pop(unit.key, None)
-        self._running -= 1
-        unit.future.set_result((ok, payload))
-        assert self._tick is not None
-        self._tick.set()
-
-    async def _execute(
-        self, spec: dict[str, Any],
-    ) -> tuple[bool, dict[str, Any]]:
-        if self.workers > 1 and not self._pool_broken:
-            pool = self._ensure_pool()
-            if pool is not None:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in [future for future in running if future in done]:
+                unit = running.pop(future)
                 try:
-                    return await asyncio.get_running_loop() \
-                        .run_in_executor(pool, execute_unit_guarded,
-                                         spec)
+                    outcome = future.result()
                 except POOL_ERRORS:
-                    # Restricted environment or unpicklable work: the
-                    # units are pure functions of their spec, so
-                    # inline execution yields identical results.
+                    # A worker died or the work could not be sent: the
+                    # unit is a pure function of its spec, so an
+                    # inline rerun yields the identical result.
                     self._pool_broken = True
-        return execute_unit_guarded(spec)
+                    outcome = execute_unit_guarded(unit.spec)
+                self._finish(unit, *outcome)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor | None:
-        if self._pool is None and not self._pool_broken:
-            # Workers fork from this process on the first submit.  A
-            # full collection that is due here would otherwise run in
-            # every worker over the inherited heap, copying its pages.
-            gc.collect()
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
-            except POOL_ERRORS:
-                self._pool_broken = True
-        return self._pool
+    def _dispatch(
+        self, unit: _Unit,
+    ) -> Future[tuple[bool, dict[str, Any]]] | None:
+        """Send ``unit`` to the pool; ``None`` means run it inline."""
+        if self.workers == 1 or self._pool_broken:
+            return None
+        try:
+            if self._pool is None:
+                # Workers fork from this process on the first submit.
+                # A full collection that is due here would otherwise
+                # run in every worker over the inherited heap, copying
+                # its pages.
+                gc.collect()
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            return self._pool.submit(execute_unit_guarded, unit.spec)
+        except POOL_ERRORS:
+            # Restricted environment: inline execution yields
+            # identical results.
+            self._pool_broken = True
+            return None
 
     # -- events --------------------------------------------------------
 
-    def _bind_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        if self._loop is loop:
-            return
-        if self._active_requests or self._running or self._ready \
-                or self._inflight:
-            raise RuntimeError(
-                "DesignService cannot move to a new event loop while "
-                "requests are in flight"
-            )
-        self._loop = loop
-        self._tick = asyncio.Event()
-        self._dispatcher = None
-
-    def _emit_done(
-        self, request: FlowRequest, stage: str, block: str,
-        corner: str | None, *, source: str, ok: bool,
-    ) -> None:
-        self._emit({"type": "stage_done",
-                    "request": request.request_id,
-                    "tenant": request.tenant, "stage": stage,
-                    "block": block, "corner": corner,
-                    "source": source, "ok": ok})
-
     def _emit(self, event: Event) -> None:
-        if self.on_event is None and not self._subscribers:
+        if self.on_event is None:
             return
         event = dict(event)
         event["seq"] = next(self._event_seq)
-        if self.on_event is not None:
-            self.on_event(event)
-        for queue in self._subscribers:
-            queue.put_nowait(event)
+        self.on_event(event)

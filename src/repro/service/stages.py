@@ -308,11 +308,6 @@ def materialize_block(block: "BlockSpec") -> "Module":
     return module
 
 
-def clear_module_cache() -> None:
-    """Drop the per-process module memo (tests)."""
-    _MODULE_CACHE.clear()
-
-
 def execute_unit(spec: Mapping[str, Any]) -> Payload:
     """Run one work unit; pure function of its spec.
 

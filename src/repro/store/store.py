@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import stat
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -273,6 +273,9 @@ class ArtifactStore:
         ``path``, so a concurrent :meth:`load` always sees one
         writer's *complete* snapshot -- racing writers resolve to
         last-writer-wins, never to an interleaved or truncated file.
+        The file gets the mode ``open(path, "w")`` would give it: an
+        existing store keeps its own, a new one gets ``0o666`` less the
+        umask, so a store shared between users stays readable.
 
         ``canonical=True`` orders entries by content key instead of
         recency, so two stores holding the same *set* of artifacts
@@ -292,20 +295,23 @@ class ArtifactStore:
             ],
         }
         directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory, delete=False,
-            prefix=os.path.basename(path) + ".", suffix=".tmp",
-        )
+        temp = os.path.join(directory, f"{os.path.basename(path)}."
+                                       f"{os.urandom(8).hex()}.tmp")
+        handle = open(temp, "x", encoding="utf-8")
         try:
             with handle:
+                try:
+                    os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
+                except FileNotFoundError:
+                    pass
                 handle.write(json.dumps(body, sort_keys=True, indent=1))
                 handle.write("\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(handle.name, path)
+            os.replace(temp, path)
         except BaseException:
             try:
-                os.unlink(handle.name)
+                os.unlink(temp)
             except OSError:
                 pass
             raise

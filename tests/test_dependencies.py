@@ -9,9 +9,9 @@ their import graph is acyclic, so each layer runs without loading the
 layers above it.  Simulation loads only the netlist and the perf
 timers, DFT runs without the formal, coverage, verification and lint
 layers, and :mod:`repro.analysis`, with the property derivation built
-on it, runs without loading any :mod:`repro.lint` module.  The
-lifecycle flow reads the service's stage table without loading its
-asyncio front end.  :mod:`repro.oracles` holds the reference engines
+on it, runs without loading any :mod:`repro.lint` module.  No module
+imports asyncio, so neither a flow nor a service run loads it.
+:mod:`repro.oracles` holds the reference engines
 the tests compare production against: no other package imports it,
 and neither a flow run nor ``repro atpg``, ``repro regress`` or
 ``repro cover`` loads it.  The event simulator is one of those
@@ -133,8 +133,14 @@ FLOW_WITHOUT_ASYNCIO_RUN = textwrap.dedent("""
 
     DesignServiceFlow(scale=0.005, seed=0).run()
     assert "repro.service.stages" in sys.modules
-    loaded = sorted({"asyncio", "repro.service.service"} & set(sys.modules))
-    assert not loaded, loaded
+    assert "asyncio" not in sys.modules
+
+    from repro.service import DesignService, synthetic_tenant_mix
+
+    mix = synthetic_tenant_mix(tenants=1, requests_per_tenant=1,
+                               scale=0.004, seed=0)
+    assert DesignService(workers=1).run(mix)[0].ok
+    assert "asyncio" not in sys.modules
 """)
 
 
@@ -430,6 +436,23 @@ def test_only_the_lane_driver_and_crossval_set_lane_inputs():
         and node.func.attr == "set_lane_inputs"
     })
     assert callers == ["verification/crossval.py"]
+
+
+def test_no_module_imports_asyncio():
+    """The service schedules from one synchronous loop: nothing in
+    ``repro`` imports asyncio, at module level or inside functions."""
+    root = Path(repro.__file__).resolve().parent
+    importers = sorted(
+        f"{path.relative_to(root).as_posix()}:{node.lineno}"
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(
+            alias.name.partition(".")[0] == "asyncio"
+            for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").partition(".")[0] == "asyncio")
+    )
+    assert not importers, importers
 
 
 def test_import_graph_walk_sees_every_import_form():

@@ -130,14 +130,6 @@ class TestDesignServiceFlow:
         assert report.test_schedule_speedup_vs_flat > 1.5
         assert 0.0 <= report.prototype_congestion_risk <= 1.0
 
-    def test_run_without_extensions_skips_them(self):
-        flow = DesignServiceFlow(scale=0.01, seed=4)
-        report = flow.run(with_extensions=False)
-        assert not report.system_smoke_pass
-        assert report.crosstalk_pairs == 0
-        # Core lifecycle still complete.
-        assert report.final_yield > 0.9
-
     def test_verify_starts_no_process_pool(self, monkeypatch):
         """Its benches carry a lambda checker that no pool can pickle."""
         pools = []

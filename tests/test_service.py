@@ -2,14 +2,16 @@
 
 Covers the request/stage value layer (content-hashed request ids,
 dependency-closed stage sets, unit configs that carry only
-result-changing knobs), the asyncio orchestrator (submit/gather,
-store-hit/coalesce/compute paths, per-tenant fairness bookkeeping,
-progress events), structured per-request failure isolation, and the
-labelled :class:`repro.perf.FanoutTaskError` satellite.
+result-changing knobs), the synchronous orchestrator
+(store-hit/coalesce/compute paths, per-tenant fairness bookkeeping,
+progress events, the pool's inline fallback), structured per-request
+failure isolation, and the labelled
+:class:`repro.perf.FanoutTaskError` satellite.
 """
 
-import asyncio
 import dataclasses
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -163,47 +165,24 @@ class TestService:
         assert warm.stats.units_store_hits == warm.stats.units_total
         assert warm.stats.units_executed == 0
 
-    def test_submit_gather_inside_event_loop(self):
-        service = DesignService(workers=1, store=ArtifactStore())
-
-        async def drive():
-            task = await service.submit(tiny_request(
-                stages=("assemble", "lint_gate")))
-            return await task
-
-        report = asyncio.run(drive())
-        assert report.ok
-        assert report.body["stages"] == ("assemble", "lint_gate") \
-            or list(report.body["stages"]) == ["assemble", "lint_gate"]
-
     def test_events_stream_progress(self):
-        events = []
-        service = DesignService(workers=1, store=ArtifactStore(),
-                                on_event=events.append)
-        service.run([tiny_request(stages=("assemble", "analyze"))])
-        kinds = [event["type"] for event in events]
-        assert kinds[0] == "request_submitted"
-        assert kinds[-2] == "request_done"
-        assert kinds[-1] == "idle"
-        done = [e for e in events if e["type"] == "stage_done"]
-        assert {e["source"] for e in done} == {"computed"}
-        assert [e["seq"] for e in events] == list(range(len(events)))
-
-    def test_stream_events_async_iterator(self):
-        service = DesignService(workers=1, store=ArtifactStore())
-
-        async def drive():
-            task = await service.submit(
-                tiny_request(stages=("assemble",)))
-            seen = []
-            async for event in service.stream_events():
-                seen.append(event["type"])
-            await task
-            return seen
-
-        kinds = asyncio.run(drive())
-        assert kinds[-1] == "idle"
-        assert "request_done" in kinds
+        for workers in (1, 2):
+            events = []
+            service = DesignService(workers=workers, store=ArtifactStore(),
+                                    on_event=events.append)
+            try:
+                service.run([tiny_request(stages=("assemble", "analyze"))])
+            finally:
+                service.close()
+            kinds = [event["type"] for event in events]
+            assert kinds[0] == "request_submitted", workers
+            assert kinds[-2] == "request_done", workers
+            assert kinds[-1] == "idle", workers
+            done = [e for e in events if e["type"] == "stage_done"]
+            assert {e["source"] for e in done} == {"computed"}, workers
+            # Two blocks x two stages, each unit started once.
+            assert kinds.count("unit_start") == len(done) == 4, workers
+            assert [e["seq"] for e in events] == list(range(len(events)))
 
     def test_bad_stage_fails_request_not_batch(self):
         # clock_period_ps <= 0 makes TimingConstraints raise inside
@@ -263,8 +242,7 @@ class TestService:
                tiny_request(tenant="b", seed=1)]
         serial = DesignService(workers=1, store=ArtifactStore())
         serial_reports = serial.run(mix)
-        pooled = DesignService(workers=4, store=ArtifactStore(),
-                               queue_depth=4)
+        pooled = DesignService(workers=4, store=ArtifactStore())
         try:
             pooled_reports = pooled.run(mix)
         finally:
@@ -299,6 +277,40 @@ class TestService:
         assert fallback._pool is None
         assert fallback.stats.units_executed > 0
         assert len(inline_calls) == fallback.stats.units_executed
+        assert [r.canonical_json() for r in reports] == \
+            [r.canonical_json() for r in serial_reports]
+
+    def test_killed_worker_reruns_its_units_inline(self, monkeypatch):
+        """A pool worker that dies mid-unit breaks the pool: each unit
+        the pool lost reruns inline, none counts as failed, and the
+        reports stay byte-identical to the serial run."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only a forked worker sees the patched stage")
+        import repro.service.stages as stages_mod
+
+        lint_gate = stages_mod.STAGE_DEFS["lint_gate"]
+
+        def die_in_worker(module, config):
+            if multiprocessing.parent_process() is not None:
+                os._exit(1)
+            return lint_gate.body(module, config)
+
+        mix = synthetic_tenant_mix(tenants=2, requests_per_tenant=2,
+                                   scale=0.004, seed=0)
+        serial = DesignService(workers=1, store=ArtifactStore())
+        serial_reports = serial.run(mix)
+        monkeypatch.setitem(
+            stages_mod.STAGE_DEFS, "lint_gate",
+            dataclasses.replace(lint_gate, body=die_in_worker),
+        )
+        pooled = DesignService(workers=2, store=ArtifactStore())
+        try:
+            reports = pooled.run(mix)
+        finally:
+            pooled.close()
+        assert pooled._pool_broken
+        assert pooled.stats.units_failed == 0
+        assert pooled.stats.units_executed == serial.stats.units_executed
         assert [r.canonical_json() for r in reports] == \
             [r.canonical_json() for r in serial_reports]
 

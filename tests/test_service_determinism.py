@@ -1,7 +1,7 @@
 """The service determinism contract, attacked with randomized runs.
 
-Hypothesis-style: a seeded RNG draws submission orders, worker counts
-and queue depths; every drawn configuration must produce per-request
+Hypothesis-style: a seeded RNG draws submission orders and worker
+counts; every drawn configuration must produce per-request
 FlowReport JSON byte-identical to the workers=1, submission-order
 reference, and a canonical store dump identical entry-for-entry.
 Randomized *inputs*, deterministic *oracle* -- the seeds are fixed so
@@ -21,10 +21,9 @@ def _mix():
                                 scale=0.004, seed=0)
 
 
-def _run(mix, *, workers, queue_depth=None, store=None):
+def _run(mix, *, workers, store=None):
     store = store if store is not None else ArtifactStore()
-    service = DesignService(workers=workers, queue_depth=queue_depth,
-                            store=store)
+    service = DesignService(workers=workers, store=store)
     try:
         reports = service.run(mix)
     finally:
@@ -50,11 +49,8 @@ class TestRandomizedDeterminism:
             order = mix[:]
             rng.shuffle(order)
             workers = rng.choice([1, 2, 4])
-            queue_depth = rng.choice([1, 2, 8, None])
-            got, got_store = _run(order, workers=workers,
-                                  queue_depth=queue_depth)
-            config = (f"trial={trial} workers={workers} "
-                      f"queue_depth={queue_depth}")
+            got, got_store = _run(order, workers=workers)
+            config = f"trial={trial} workers={workers}"
             assert got == reference, f"reports diverged: {config}"
             assert _canonical_dump(got_store) == ref_dump, \
                 f"store dump diverged: {config}"

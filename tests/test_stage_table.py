@@ -250,8 +250,3 @@ class TestSharedTable:
             "insert_dft", "schedule_tests", "implement", "advanced_signoff",
             "package_design", "tapeout", "produce",
         )
-        assert flow_stage_order(with_extensions=False) == (
-            "intake", "harden_cpu", "assemble", "lint_gate", "analyze",
-            "verify_props", "verify", "insert_dft", "implement",
-            "package_design", "tapeout", "produce",
-        )

@@ -8,6 +8,8 @@ a persisted store reproduces in-memory behaviour exactly.
 """
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -154,6 +156,26 @@ class TestPersistence:
         store.save(p1)
         ArtifactStore.load(p1).save(p2)
         assert open(p1).read() == open(p2).read()
+
+    def test_save_gives_the_mode_of_a_plain_open(self, tmp_path):
+        """A new store gets 0o666 less the umask, and a save over an
+        existing store keeps that file's mode."""
+        store = ArtifactStore()
+        store.put("d", "1", ["fp"], {"v": 1})
+        fresh = tmp_path / "fresh.json"
+        shared = tmp_path / "shared.json"
+        shared.write_text("{}")
+        shared.chmod(0o664)
+        previous = os.umask(0o022)
+        try:
+            store.save(str(fresh))
+            store.save(str(shared))
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        assert stat.S_IMODE(shared.stat().st_mode) == 0o664
+        assert ArtifactStore.load(str(shared)).get("d", "1", ["fp"]) == \
+            {"v": 1}
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
